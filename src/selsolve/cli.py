@@ -20,6 +20,9 @@ from .symmetry import (build_ansatz, build_symmetry_system,
                        find_first_integrals, first_integral_basis,
                        kontsevich_system, system_stats)
 
+#: Smallest accepted value of each integer option that has one.
+OPTION_MINIMUM = {"degree": 1, "dim": 2, "trials": 1}
+
 #: Reference rows (k, e1, t1, e2, t2, p) for degrees 3..8.
 EXPECTED_STATS = {
     3: (106, 142, 192, 448, 1034, 1),
@@ -171,9 +174,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_options(args) -> None:
+    for name, low in OPTION_MINIMUM.items():
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            raise SelSolveError(
+                f"--{name} must be at least {low}, got {value}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_options(args)
         return args.func(args)
     except SelSolveError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import TooLargeError
+from .errors import SelSolveError, TooLargeError
 
 Rational = int | Fraction
 
@@ -39,14 +39,22 @@ FORMULATE_MAX_UNKNOWNS = 30_000
 
 
 def unknown_limit(default: int) -> int:
-    """Desk-scale guard, overridable through SELECTIVE_SOLVE_MAX_UNKNOWNS."""
+    """Desk-scale guard, overridable through SELECTIVE_SOLVE_MAX_UNKNOWNS.
+
+    An empty or unset variable keeps the default; anything but a positive
+    integer is an error rather than a silent fallback.
+    """
     raw = os.environ.get(GUARD_ENV_VAR)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return default
+    if not raw:
+        return default
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = None
+    if limit is None or limit < 1:
+        raise SelSolveError(
+            f"{GUARD_ENV_VAR}={raw!r} is not a positive integer")
+    return limit
 
 
 def exact_div(a: Rational, b: Rational) -> Rational:

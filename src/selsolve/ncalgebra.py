@@ -5,6 +5,13 @@ The alphabet is u, v and the inverses u^-1, v^-1.  Words are freely reduced
 junction.  Polynomials map words to coefficients that are affine in symbolic
 unknowns; products and derivations keep every coefficient linear, so the
 conditions built from them split into linear equations.
+
+Derivations run through one Leibniz kernel, :meth:`Accumulator.add_derivation`,
+which adds every contribution into per-word sums of plain rationals and
+reduces each prefix * image * suffix in one call.  Images of inverse
+letters are computed only on demand (:meth:`Derivation.letter_image`): the
+kernel applies d(g^-1) = -g^-1 d(g) g^-1 by widening the sandwich around
+the letter instead.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .errors import NonlinearProductError, NotInvertibleError
-from .linsys import AffineForm, Rational, format_affine
+from .linsys import AffineForm, Rational, UnknownId, format_affine
 
 U, V, U_INV, V_INV = 0, 1, 2, 3
 
@@ -28,8 +35,8 @@ def inverse_letter(g: int) -> int:
 class Word(tuple):
     """A freely reduced word; the empty word is the identity.
 
-    Words sort degree-lexicographically through :func:`deglex_key` with the
-    letter order u < v < u^-1 < v^-1.
+    Words sort degree-lexicographically (:meth:`NCPoly.sorted_words`) with
+    the letter order u < v < u^-1 < v^-1.
     """
 
     __slots__ = ()
@@ -127,10 +134,6 @@ def word_pow(w: tuple, k: int) -> Word:
     return out if isinstance(out, Word) else _raw_word(out)
 
 
-def deglex_key(word: tuple) -> tuple:
-    return (len(word), word)
-
-
 def _as_affine(value) -> AffineForm:
     if isinstance(value, AffineForm):
         return value
@@ -161,10 +164,15 @@ class NCPoly:
         self.terms = clean
 
     @classmethod
-    def _from_acc(cls, acc: dict) -> "NCPoly":
+    def _raw(cls, terms: dict) -> "NCPoly":
+        # Trusted constructor: caller guarantees no zero coefficients.
         poly = object.__new__(cls)
-        poly.terms = {w: c for w, c in acc.items() if not c.is_zero}
+        poly.terms = terms
         return poly
+
+    @classmethod
+    def _from_acc(cls, acc: dict) -> "NCPoly":
+        return cls._raw({w: c for w, c in acc.items() if not c.is_zero})
 
     @classmethod
     def zero(cls) -> "NCPoly":
@@ -199,7 +207,11 @@ class NCPoly:
         return max((len(w) for w in self.terms), default=0)
 
     def sorted_words(self) -> list[Word]:
-        return sorted(self.terms, key=deglex_key)
+        # Lexicographic, then stably by length: deglex order without a
+        # Python key call per word.
+        words = sorted(self.terms)
+        words.sort(key=len)
+        return words
 
     def scaled(self, r: Rational) -> "NCPoly":
         if r == 0:
@@ -292,25 +304,24 @@ def poly_pow(p: NCPoly, k: int) -> NCPoly:
 class Derivation:
     """A derivation of the algebra, determined by its images of u and v.
 
-    Images of the inverses are derived, never stored independently:
+    Images of the inverses are derived, never stored:
     d(g^-1) = -g^-1 d(g) g^-1, forced by d(g g^-1) = 0.
+    :meth:`letter_image` expands one on demand; the Leibniz kernel never
+    needs it, because it applies the identity to each word directly.
     """
 
-    __slots__ = ("image_u", "image_v", "name", "_letter_images")
+    __slots__ = ("image_u", "image_v", "name")
 
     def __init__(self, image_u: NCPoly, image_v: NCPoly, name: str = ""):
         self.image_u = image_u
         self.image_v = image_v
         self.name = name
-        self._letter_images = (
-            image_u,
-            image_v,
-            _inverse_image(image_u, U_INV),
-            _inverse_image(image_v, V_INV),
-        )
 
     def letter_image(self, g: int) -> NCPoly:
-        return self._letter_images[g]
+        image = self.image_v if g & 1 else self.image_u
+        if g & 2:
+            return _inverse_image(image, g)
+        return image
 
     @property
     def has_unknowns(self) -> bool:
@@ -330,24 +341,129 @@ def _inverse_image(image: NCPoly, inv_letter: int) -> NCPoly:
     })
 
 
+def reduce_sandwich(left: tuple, mid: tuple, right: tuple) -> tuple:
+    """Reduced product left * mid * right of three reduced words.
+
+    ``mid`` cancels against the end of ``left`` and the start of
+    ``right``; only when it is used up can ``left`` meet ``right``.  The
+    result is a plain tuple or a :class:`Word`.
+    """
+    ll, lm = len(left), len(mid)
+    k = 0
+    while k < ll and k < lm and left[ll - 1 - k] == mid[k] ^ 2:
+        k += 1
+    if k == lm:
+        return word_mul(left[:ll - k], right)
+    lr, rest = len(right), lm - k
+    j = 0
+    while j < rest and j < lr and mid[lm - 1 - j] == right[j] ^ 2:
+        j += 1
+    if j == rest:
+        return word_mul(left[:ll - k], right[j:])
+    return left[:ll - k] + mid[k:lm - j] + right[j:]
+
+
+def _affine_items(coeff: AffineForm) -> list:
+    items = list(coeff.coeffs.items())
+    if coeff.const:
+        items.append((None, coeff.const))
+    return items
+
+
+class Accumulator:
+    """Sums of affine coefficients per word, kept as plain rationals.
+
+    ``words`` maps a word (a reduced letter tuple) to a dict from unknown
+    to rational, with the key ``None`` for the constant.  Contributions are
+    added in place; :meth:`poly` builds each word's ``AffineForm`` once.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self):
+        self.words: dict[tuple, dict] = {}
+
+    def add(self, word: tuple, key: UnknownId | None, value: Rational) -> None:
+        slot = self.words.get(word)
+        if slot is None:
+            self.words[word] = slot = {}
+        slot[key] = slot.get(key, 0) + value
+
+    def add_derivation(self, d: Derivation, p: NCPoly, sign: int = 1) -> None:
+        """Add ``sign * d(p)`` by the Leibniz rule.
+
+        Each (term of p, letter position, image term) contribution lands
+        straight in its word's slot.  An inverse letter g^-1 at position i
+        contributes -(word[:i+1]) d(g) (word[i:]), the sandwich identity
+        d(g^-1) = -g^-1 d(g) g^-1 widened by one letter on each side, so
+        inverse images are never built.  At most one of the derivation's
+        images and ``p``'s coefficients may carry unknowns.
+        """
+        if d.has_unknowns and p.has_unknowns:
+            raise NonlinearProductError(
+                "derivation images and polynomial both carry unknowns")
+        # The unknowns, if any, sit in p's coefficients; otherwise in the
+        # images, and p's coefficients are plain constants.
+        linear_in_p = not d.has_unknowns
+        # Per image term: the inverses of its first and last letters (-2
+        # for the empty word), which flag a cancellation at a junction.
+        images = tuple(
+            [(w, w[0] ^ 2 if w else -2, w[-1] ^ 2 if w else -2, c.const, c)
+             for w, c in image.terms.items()]
+            for image in (d.image_u, d.image_v))
+        words = self.words
+        for word, coeff in p.terms.items():
+            p_const = coeff.const
+            p_items = _affine_items(coeff) if linear_in_p else ()
+            for i, g in enumerate(word):
+                if g & 2:
+                    left, right, s = word[:i + 1], word[i:], -sign
+                else:
+                    left, right, s = word[:i], word[i + 1:], sign
+                left_end = left[-1] if left else -1
+                right_start = right[0] if right else -1
+                for mid, first, last, i_const, c in images[g & 1]:
+                    if first == left_end or last == right_start or not mid:
+                        w = reduce_sandwich(left, mid, right)
+                    else:
+                        w = left + mid + right
+                    slot = words.get(w)
+                    if slot is None:
+                        words[w] = slot = {}
+                    if linear_in_p:
+                        factor = s * i_const
+                        for key, value in p_items:
+                            slot[key] = slot.get(key, 0) + factor * value
+                    else:
+                        factor = s * p_const
+                        for key, value in c.coeffs.items():
+                            slot[key] = slot.get(key, 0) + factor * value
+                        if i_const:
+                            slot[None] = slot.get(None, 0) + factor * i_const
+
+    def poly(self) -> NCPoly:
+        """The accumulated polynomial; words whose sum vanished drop out.
+
+        The slots become the coefficient maps, so the accumulator is left
+        empty.
+        """
+        terms: dict[Word, AffineForm] = {}
+        for w, slot in self.words.items():
+            const = slot.pop(None, 0)
+            if 0 in slot.values():
+                slot = {k: v for k, v in slot.items() if v}
+            if slot or const:
+                terms[_raw_word(w)] = AffineForm._raw(const, slot)
+        self.words = {}
+        return NCPoly._raw(terms)
+
+
 def apply_derivation(d: Derivation, p: NCPoly) -> NCPoly:
     """Leibniz rule over every letter of every word of ``p``.
 
     At most one of the derivation's images and ``p``'s coefficients may
     carry unknowns, keeping the result affine.
     """
-    if d.has_unknowns and p.has_unknowns:
-        raise NonlinearProductError(
-            "derivation images and polynomial both carry unknowns")
-    images = d._letter_images
-    acc: dict[Word, AffineForm] = {}
-    for word, coeff in p.terms.items():
-        for i, g in enumerate(word):
-            prefix = word[:i]
-            suffix = word[i + 1:]
-            for iw, ic in images[g].terms.items():
-                w = word_mul(word_mul(prefix, iw), suffix)
-                piece = affine_product(coeff, ic)
-                cur = acc.get(w)
-                acc[w] = piece if cur is None else cur + piece
-    return NCPoly._from_acc(acc)
+    acc = Accumulator()
+    acc.add_derivation(d, p)
+    return acc.poly()

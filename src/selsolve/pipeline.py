@@ -6,6 +6,9 @@ A strategy is a sequence over three step kinds:
   S  prune the u-commutator condition and harvest 1-term zeros
   F  formulate whatever is still unknown, split completely, solve
 
+N and S formulate their condition once, over the live unknowns; every
+later N or S step harvests what is left of it in one deglex pass.
+
 The text grammar is ``steps ::= step+ ; step ::= ('N'|'S') | '(' steps ')'
 INT | 'F'``, whitespace ignored, case-insensitive, e.g. ``(N)3(SNN)4(SN)4F``.
 Exactly one F must appear, at the end.  The default strategy is adaptive:
@@ -26,10 +29,10 @@ from .linsys import (Equation, LinearSystem, Rational, UnknownId,
                      exact_div)
 from .ncalgebra import NCPoly, Word
 from .solver import SolutionState, ZeroRegistry, lsss_solve
-from .symmetry import (COMMUTATOR_UV, DEFAULT_K0, ODESystem, SymmetryAnsatz,
-                       _check_degree_guard, build_ansatz, complete_split,
-                       formulate_nc, formulate_symcon, kontsevich_system,
-                       prune_ncpoly, selective_split)
+from .symmetry import (COMMUTATOR_UV, DEFAULT_K0, ODESystem, SortedCondition,
+                       SymmetryAnsatz, _check_degree_guard, build_ansatz,
+                       complete_split, formulate_nc, formulate_symcon,
+                       kontsevich_system, prune_ncpoly, selective_split)
 
 DEFAULT_VERIFY_SEED = 1729
 _INVERTIBLE_RETRIES = 100
@@ -169,7 +172,12 @@ class RunReport:
 
 
 class _PipelineRun:
-    """Shared registry plus cached formulated conditions for one degree."""
+    """Shared registry plus cached formulated conditions for one degree.
+
+    N and S formulate their condition on first use, over the live unknowns,
+    and keep it as a :class:`SortedCondition` whose remainder each later
+    step harvests in one pass.
+    """
 
     def __init__(self, degree: int, k0: int):
         _check_degree_guard(degree)
@@ -177,9 +185,9 @@ class _PipelineRun:
         self.ansatz = build_ansatz(degree)
         self.k0 = k0
         self.registry = ZeroRegistry()
-        self._nc_residual: NCPoly | None = None
+        self._nc: SortedCondition | None = None
         self._nc_aux: tuple[UnknownId, ...] | None = None
-        self._symcon_u: NCPoly | None = None
+        self._symcon_u: SortedCondition | None = None
         self.report = RunReport()
         self.state: SolutionState | None = None
 
@@ -192,38 +200,34 @@ class _PipelineRun:
 
     def step_n(self) -> int:
         started = time.perf_counter()
-        if self._nc_residual is None:
+        if self._nc is None:
             nc = formulate_nc(self.system, self.ansatz, COMMUTATOR_UV,
                               self.k0, registry=self.registry)
-            self._nc_residual, self._nc_aux = nc.residual, nc.aux
-        else:
-            self._nc_residual = prune_ncpoly(self._nc_residual, self.registry)
-        new = selective_split(self._nc_residual, self.registry)
+            self._nc, self._nc_aux = SortedCondition(nc.residual), nc.aux
+        new = selective_split(self._nc, self.registry)
         self._record("N", started, new, 0)
         return new
 
     def step_s(self) -> int:
         started = time.perf_counter()
         if self._symcon_u is None:
-            self._symcon_u = formulate_symcon(
-                self.system, self.ansatz, "u", registry=self.registry)
-        else:
-            self._symcon_u = prune_ncpoly(self._symcon_u, self.registry)
+            self._symcon_u = SortedCondition(formulate_symcon(
+                self.system, self.ansatz, "u", registry=self.registry))
         new = selective_split(self._symcon_u, self.registry)
         self._record("S", started, new, 0)
         return new
 
     def step_f(self) -> SolutionState:
         started = time.perf_counter()
-        if self._nc_residual is not None:
-            nc_residual = prune_ncpoly(self._nc_residual, self.registry)
+        if self._nc is not None:
+            nc_residual = prune_ncpoly(self._nc.poly(), self.registry)
             nc_aux = self._nc_aux
         else:
             nc = formulate_nc(self.system, self.ansatz, COMMUTATOR_UV,
                               self.k0, registry=self.registry)
             nc_residual, nc_aux = nc.residual, nc.aux
         if self._symcon_u is not None:
-            sym_u = prune_ncpoly(self._symcon_u, self.registry)
+            sym_u = prune_ncpoly(self._symcon_u.poly(), self.registry)
         else:
             sym_u = formulate_symcon(self.system, self.ansatz, "u",
                                      registry=self.registry)
@@ -407,6 +411,7 @@ def verify_by_matrices(system: ODESystem, ansatz: SymmetryAnsatz,
     if dim < 2:
         raise ValueError("dim must be >= 2")
     rng = random.Random(seed)
+    dtau = ansatz.dtau
     for _ in range(trials):
         umat, uinv = _random_invertible(rng, dim)
         vmat, vinv = _random_invertible(rng, dim)
@@ -416,8 +421,8 @@ def verify_by_matrices(system: ODESystem, ansatz: SymmetryAnsatz,
             for f in sorted(state.free)
         }
         values = state.full_assignment(free_values)
-        q1 = _numeric_terms(ansatz.dtau.image_u, values)
-        q2 = _numeric_terms(ansatz.dtau.image_v, values)
+        q1 = _numeric_terms(dtau.image_u, values)
+        q2 = _numeric_terms(dtau.image_v, values)
         p1 = _numeric_terms(system.dt.image_u, values)
         p2 = _numeric_terms(system.dt.image_v, values)
 

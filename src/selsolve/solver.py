@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InconsistentSystemError
 from .linsys import (AffineForm, Equation, LinearSystem, Rational, UnknownId,
-                     canonicalize, exact_div, substitute)
+                     canonicalize, exact_div, format_rational, substitute)
 
 
 class ZeroRegistry:
@@ -80,6 +80,12 @@ class FindZerosResult(NamedTuple):
         return sum(1 for n in self.new_per_round if n > 0)
 
 
+def _contradiction(eq: Equation, form: AffineForm) -> InconsistentSystemError:
+    return InconsistentSystemError(
+        f"linear system is inconsistent: equation {eq.id} reduces to "
+        f"{format_rational(form.const)} = 0")
+
+
 def find_zeros(system: LinearSystem, registry: ZeroRegistry) -> FindZerosResult:
     """Repeatedly harvest 1-term equations r*x = 0 until a fixpoint.
 
@@ -98,7 +104,7 @@ def find_zeros(system: LinearSystem, registry: ZeroRegistry) -> FindZerosResult:
             if form.is_zero:
                 continue
             if not form.coeffs:
-                raise InconsistentSystemError()
+                raise _contradiction(eq, form)
             if form.term_count == 1 and form.const == 0:
                 (uid,) = form.coeffs
                 batch.add(uid)
@@ -235,7 +241,7 @@ def stream_solve(equations: Iterable[Equation],
             state.identities += 1
             continue
         if not form.coeffs:
-            raise InconsistentSystemError()
+            raise _contradiction(eq, form)
 
         # Prefer a unit coefficient, else the smallest |num|*|den|; break
         # ties toward the lowest unknown.  Bounds coefficient growth and is

@@ -9,6 +9,13 @@ I = u v u^-1 v^-1, yields large sparse linear selection systems for those
 unknowns.  This module formulates the conditions, splits them into
 equations, and harvests vanishing unknowns straight from a condition
 without materializing its system (selective splitting).
+
+The ansatz is live: it stores only its words and unknowns, and builds Q1
+and Q2 from the unknowns not yet registered as zero each time a condition
+is formulated.  Each condition is built in one accumulator pass.  A staged
+run keeps a formulated condition as a :class:`SortedCondition`, sorted into
+deglex order once; every later harvest is one pass in that order that
+prunes, registers 1-term words and keeps the remainder for the next pass.
 """
 
 from __future__ import annotations
@@ -19,8 +26,8 @@ from .errors import NotFirstIntegralError, TooLargeError
 from .linsys import (FORMULATE_MAX_UNKNOWNS, KIND_A, KIND_B, KIND_C,
                      AffineForm, Equation, LinearSystem, UnknownId,
                      canonicalize, unknown_limit)
-from .ncalgebra import (EMPTY_WORD, U, U_INV, V, V_INV, Derivation, NCPoly,
-                        Word, apply_derivation, word_pow)
+from .ncalgebra import (EMPTY_WORD, U, U_INV, V, V_INV, Accumulator,
+                        Derivation, NCPoly, Word, apply_derivation, word_pow)
 from .solver import SolutionState, ZeroRegistry, lsss_solve, prune_zeros
 
 #: Group commutator u v u^-1 v^-1 and its inverse: the generating first
@@ -76,10 +83,18 @@ def ansatz_term_count(degree: int) -> int:
 
 @dataclass
 class SymmetryAnsatz:
-    """Most general degree-n flow with one fresh unknown per term."""
+    """Most general degree-n flow with one fresh unknown per term.
+
+    Only words and unknowns are stored: ``unknowns[i]`` is the coefficient
+    of ``words[i]`` in Q1 = u_tau and ``unknowns[t + i]`` its coefficient
+    in Q2 = v_tau, where t = len(words).  :meth:`derivation` builds Q1 and
+    Q2 at the point of use from the unknowns a registry has not zeroed, so
+    no full image is built only to be pruned.  ``fixed`` gives the images
+    outright instead, for a probe flow.
+    """
 
     degree: int
-    dtau: Derivation
+    fixed: Derivation | None
     words: tuple[Word, ...]
     unknowns: tuple[UnknownId, ...]
 
@@ -87,19 +102,34 @@ class SymmetryAnsatz:
     def unknown_count(self) -> int:
         return len(self.unknowns)
 
+    @property
+    def dtau(self) -> Derivation:
+        """D_tau with every unknown live."""
+        return self.derivation()
+
+    def derivation(self, registry: ZeroRegistry | None = None) -> Derivation:
+        """D_tau over the unknowns that are not in ``registry``."""
+        if self.fixed is not None:
+            if not registry:
+                return self.fixed
+            return Derivation(prune_ncpoly(self.fixed.image_u, registry),
+                              prune_ncpoly(self.fixed.image_v, registry),
+                              name=self.fixed.name)
+        zeros = registry if registry is not None else ()
+        t = len(self.words)
+        q1, q2 = (NCPoly._raw({
+            w: AffineForm._raw(0, {uid: 1})
+            for w, uid in zip(self.words, self.unknowns[start:start + t])
+            if uid not in zeros}) for start in (0, t))
+        return Derivation(q1, q2, name="Dtau")
+
 
 def build_ansatz(degree: int) -> SymmetryAnsatz:
     if degree < 1:
         raise ValueError("ansatz degree must be >= 1")
     words = enumerate_words(degree)
-    t = len(words)
-    unknowns = tuple(UnknownId(KIND_C, i) for i in range(2 * t))
-    q1 = NCPoly._from_acc(
-        {w: AffineForm.unknown(unknowns[i]) for i, w in enumerate(words)})
-    q2 = NCPoly._from_acc(
-        {w: AffineForm.unknown(unknowns[t + i]) for i, w in enumerate(words)})
-    return SymmetryAnsatz(degree, Derivation(q1, q2, name="Dtau"),
-                          tuple(words), unknowns)
+    unknowns = tuple(UnknownId(KIND_C, i) for i in range(2 * len(words)))
+    return SymmetryAnsatz(degree, None, tuple(words), unknowns)
 
 
 def prune_ncpoly(p: NCPoly, registry: ZeroRegistry) -> NCPoly:
@@ -114,30 +144,25 @@ def prune_ncpoly(p: NCPoly, registry: ZeroRegistry) -> NCPoly:
     return NCPoly._from_acc(acc)
 
 
-def _pruned_dtau(ansatz: SymmetryAnsatz,
-                 registry: ZeroRegistry | None) -> Derivation:
-    if registry is None or not len(registry):
-        return ansatz.dtau
-    return Derivation(prune_ncpoly(ansatz.dtau.image_u, registry),
-                      prune_ncpoly(ansatz.dtau.image_v, registry),
-                      name=ansatz.dtau.name)
-
-
 def formulate_symcon(system: ODESystem, ansatz: SymmetryAnsatz, which: str,
                      registry: ZeroRegistry | None = None) -> NCPoly:
     """The commutator condition D_tau(D_t x) - D_t(D_tau x) for x = u or v.
 
     Identically zero exactly when the ansatz flow commutes with the system
-    on that generator.  A registry prunes the ansatz before formulating.
+    on that generator.  With a registry only the live unknowns enter the
+    ansatz.  Both terms are added into one accumulator.
     """
-    dtau = _pruned_dtau(ansatz, registry)
+    if which not in ("u", "v"):
+        raise ValueError("which must be 'u' or 'v'")
+    dtau = ansatz.derivation(registry)
     if which == "u":
         dtx, qx = system.dt.image_u, dtau.image_u
-    elif which == "v":
-        dtx, qx = system.dt.image_v, dtau.image_v
     else:
-        raise ValueError("which must be 'u' or 'v'")
-    return apply_derivation(dtau, dtx) - apply_derivation(system.dt, qx)
+        dtx, qx = system.dt.image_v, dtau.image_v
+    acc = Accumulator()
+    acc.add_derivation(dtau, dtx)
+    acc.add_derivation(system.dt, qx, sign=-1)
+    return acc.poly()
 
 
 @dataclass
@@ -157,7 +182,8 @@ def formulate_nc(system: ODESystem, ansatz: SymmetryAnsatz,
 
     The target must satisfy D_t(target) = 0 (checked).  Fresh auxiliary
     unknowns a (for the commutator integral) or b (for its inverse) absorb
-    the span of integral powers; aux[i] multiplies I^(i - k0).
+    the span of integral powers; aux[i] multiplies I^(i - k0).  With a
+    registry only the live unknowns enter the ansatz.
     """
     if isinstance(target, Word):
         target = NCPoly.from_word(target)
@@ -166,12 +192,11 @@ def formulate_nc(system: ODESystem, ansatz: SymmetryAnsatz,
             "target is not annihilated by the system flow")
     kind = KIND_B if COMMUTATOR_VU in target.terms else KIND_A
     aux = tuple(UnknownId(kind, i) for i in range(2 * k0 + 1))
-    dtau = _pruned_dtau(ansatz, registry)
-    residual = apply_derivation(dtau, target)
+    acc = Accumulator()
+    acc.add_derivation(ansatz.derivation(registry), target)
     for i, uid in enumerate(aux):
-        power = word_pow(COMMUTATOR_UV, i - k0)
-        residual = residual - NCPoly.from_word(power, AffineForm.unknown(uid))
-    return NecessaryCondition(target, k0, aux, residual)
+        acc.add(word_pow(COMMUTATOR_UV, i - k0), uid, -1)
+    return NecessaryCondition(target, k0, aux, acc.poly())
 
 
 def complete_split(p: NCPoly, universe=None, start_id: int = 0) -> LinearSystem:
@@ -189,20 +214,54 @@ def complete_split(p: NCPoly, universe=None, start_id: int = 0) -> LinearSystem:
     return LinearSystem(equations, frozenset(universe))
 
 
-def selective_split(p: NCPoly, registry: ZeroRegistry) -> int:
+class SortedCondition:
+    """A formulated condition held for repeated harvesting.
+
+    ``terms`` lists (word, coefficient) pairs in deglex order, sorted once
+    here.  Each :func:`selective_split` pass replaces it by the pruned
+    remainder, in the same order: words that registered a zero or pruned
+    to zero drop out, and a nonzero constant stays, so the final split
+    still reports the contradiction.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, p: NCPoly):
+        self.terms = [(w, p.terms[w]) for w in p.sorted_words()]
+
+    def poly(self) -> NCPoly:
+        return NCPoly._from_acc(dict(self.terms))
+
+
+def selective_split(p: NCPoly | SortedCondition, registry: ZeroRegistry) -> int:
     """Harvest zeros from words whose pruned coefficient is a single term.
 
-    One pass in deglex order; finds registered inside the pass take effect
-    immediately, and ``p`` itself is not rewritten.  Returns the number of
-    newly registered unknowns.
+    One pass in deglex order; each coefficient is pruned against the
+    registry as it grows, so finds take effect immediately.  A polynomial
+    is not rewritten; a :class:`SortedCondition` keeps the remainder for
+    the next pass.  Returns the number of newly registered unknowns.
     """
+    condition = p if isinstance(p, SortedCondition) else SortedCondition(p)
+    # A plain set kept in step with the registry: one C-level disjointness
+    # test per coefficient instead of a method call per unknown.
+    zeros = set(registry)
     found = 0
-    for w in p.sorted_words():
-        coeff = prune_zeros(p.terms[w], registry)
-        if coeff.term_count == 1 and coeff.const == 0:
-            (uid,) = coeff.coeffs
-            if registry.add(uid):
-                found += 1
+    kept = []
+    for term in condition.terms:
+        coeff = term[1]
+        coeffs = coeff.coeffs
+        if not coeffs.keys().isdisjoint(zeros):
+            coeffs = {u: r for u, r in coeffs.items() if u not in zeros}
+            coeff = AffineForm._raw(coeff.const, coeffs)
+            term = (term[0], coeff)
+        if len(coeffs) == 1 and coeff.const == 0:
+            (uid,) = coeffs
+            registry.add(uid)
+            zeros.add(uid)
+            found += 1
+        elif coeffs or coeff.const:
+            kept.append(term)
+    condition.terms = kept
     return found
 
 

@@ -28,6 +28,24 @@ REFERENCE = {
 
 DEGREES = range(3, 9)
 
+#: Step trace of the default strategy per degree: step labels, new zeros
+#: per step (F included), and the final zeros, pivots and free counts.
+STEP_TRACES = {
+    3: ("NNNSNNSF", [86, 7, 0, 11, 1, 0, 1, 1], (107, 5, 1)),
+    4: ("NNNNSNNSF", [232, 43, 6, 0, 19, 3, 0, 0, 2], (305, 22, 2)),
+    5: ("NNNNSNNSNNSF", [669, 152, 22, 0, 64, 20, 0, 12, 2, 0, 0, 4],
+        (945, 28, 4)),
+    6: ("NNNNNSNNSNNSNSF",
+        [1983, 482, 70, 8, 0, 192, 53, 0, 35, 6, 0, 2, 0, 0, 4],
+        (2835, 81, 5)),
+    7: ("NNNNNSNNSNNSNNSNSF",
+        [5924, 1473, 216, 30, 0, 578, 171, 1, 134, 41, 0, 35, 6, 0, 2, 0,
+         0, 4], (8615, 131, 7)),
+    8: ("NNNNNSNNNSNNSNNSNSF",
+        [17750, 4439, 658, 96, 8, 1702, 555, 32, 0, 456, 125, 3, 88, 18, 0,
+         5, 0, 0, 2], (25937, 304, 8)),
+}
+
 
 def report(criterion, detail):
     print(f"ACCEPTANCE {criterion}: PASS — {detail}")
@@ -171,3 +189,16 @@ def test_criterion_9_peak_size_reduction(pipeline_results):
         assert run_report.final_equations < e1 + e2
     report(9, "staged runs materialize strictly fewer equations than "
               "full formulation for n=6..8")
+
+
+def test_default_strategy_step_traces(pipeline_results):
+    for n in DEGREES:
+        _, run_report, _ = pipeline_results[n]
+        labels, yields, final = STEP_TRACES[n]
+        assert "".join(s.label for s in run_report.steps) == labels
+        assert [s.new_zeros for s in run_report.steps] == yields
+        assert (run_report.zero_count, run_report.pivot_count,
+                run_report.free_count) == final
+    assert pipeline_results[8][1].strategy_text == "(N)5S(N)3SNNSNNSNSF"
+    report("trace", "default strategy step labels, per-step yields and "
+                    "final counts pinned for n=3..8")

@@ -1,4 +1,7 @@
+import pytest
+
 from selsolve.cli import main
+from selsolve.linsys import GUARD_ENV_VAR
 
 
 def test_stats_row_matches(capsys):
@@ -69,3 +72,29 @@ def test_pipeline_explicit_strategy(capsys):
 def test_bad_strategy_exits_nonzero(capsys):
     assert main(["pipeline", "--degree", "3", "--strategy", "NX"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--degree", "0"], "--degree must be at least 1, got 0"),
+    (["stats", "--degree", "0"], "--degree must be at least 1, got 0"),
+    (["pipeline", "--degree", "0"], "--degree must be at least 1, got 0"),
+    (["integrals", "--degree", "-2"], "--degree must be at least 1, got -2"),
+    (["verify", "--degree", "3", "--solution", "x.sol", "--dim", "1"],
+     "--dim must be at least 2, got 1"),
+    (["verify", "--degree", "3", "--solution", "x.sol", "--trials", "0"],
+     "--trials must be at least 1, got 0"),
+])
+def test_out_of_range_options_exit_with_one_line(argv, message, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-5"])
+def test_bad_guard_exits_with_diagnostic(monkeypatch, capsys, raw):
+    monkeypatch.setenv(GUARD_ENV_VAR, raw)
+    assert main(["stats", "--degree", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {GUARD_ENV_VAR}={raw!r} is not a positive "
+                   "integer\n")

@@ -1,0 +1,163 @@
+"""The Leibniz kernel and the live-unknown formulations against a reference.
+
+The reference is the straightforward loop: inverse-letter images
+materialized as -g^-1 d(g) g^-1 by polynomial products, every contribution
+added as an ``AffineForm``, the ansatz images built in full and then pruned,
+and conditions assembled by ``NCPoly`` subtraction.  The kernel must give
+exactly the same polynomials.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from selsolve.linsys import KIND_C, AffineForm, UnknownId
+from selsolve.ncalgebra import (U_INV, V_INV, Derivation, NCPoly, Word,
+                                affine_product, apply_derivation, poly_mul,
+                                reduce_letters, reduce_sandwich, word_mul)
+from selsolve.solver import ZeroRegistry
+from selsolve.symmetry import (COMMUTATOR_UV, SortedCondition, build_ansatz,
+                               formulate_nc, formulate_symcon,
+                               kontsevich_system, prune_ncpoly,
+                               selective_split)
+
+from test_properties import random_poly, random_word
+
+
+def reference_inverse_image(image, inv_letter):
+    g = NCPoly.from_word(Word((inv_letter,)))
+    return -poly_mul(poly_mul(g, image), g)
+
+
+def reference_apply(d, p):
+    images = (d.image_u, d.image_v,
+              reference_inverse_image(d.image_u, U_INV),
+              reference_inverse_image(d.image_v, V_INV))
+    acc = {}
+    for word, coeff in p.terms.items():
+        for i, g in enumerate(word):
+            prefix, suffix = word[:i], word[i + 1:]
+            for iw, ic in images[g].terms.items():
+                w = word_mul(word_mul(prefix, iw), suffix)
+                piece = affine_product(coeff, ic)
+                cur = acc.get(w)
+                acc[w] = piece if cur is None else cur + piece
+    return NCPoly(acc)
+
+
+def reference_dtau(ansatz, registry):
+    t = len(ansatz.words)
+    q1 = NCPoly({w: AffineForm.unknown(ansatz.unknowns[i])
+                 for i, w in enumerate(ansatz.words)})
+    q2 = NCPoly({w: AffineForm.unknown(ansatz.unknowns[t + i])
+                 for i, w in enumerate(ansatz.words)})
+    return Derivation(prune_ncpoly(q1, registry), prune_ncpoly(q2, registry))
+
+
+def reference_symcon(system, ansatz, which, registry):
+    dtau = reference_dtau(ansatz, registry)
+    dtx, qx = ((system.dt.image_u, dtau.image_u) if which == "u"
+               else (system.dt.image_v, dtau.image_v))
+    return reference_apply(dtau, dtx) - reference_apply(system.dt, qx)
+
+
+def reference_nc(system, ansatz, k0, registry):
+    residual = reference_apply(reference_dtau(ansatz, registry),
+                               NCPoly.from_word(COMMUTATOR_UV))
+    aux = formulate_nc(system, build_ansatz(1), COMMUTATOR_UV, k0).aux
+    for i, uid in enumerate(aux):
+        power = Word(COMMUTATOR_UV) ** (i - k0)
+        residual = residual - NCPoly.from_word(power, AffineForm.unknown(uid))
+    return residual
+
+
+@pytest.mark.parametrize("degree", [3, 4, 5, 6])
+def test_formulations_match_reference(degree):
+    system = kontsevich_system()
+    ansatz = build_ansatz(degree)
+    empty = ZeroRegistry()
+    harvested = ZeroRegistry()
+    selective_split(reference_nc(system, ansatz, 3, empty), harvested)
+    assert len(harvested) > 0
+    for registry in (empty, harvested):
+        nc = formulate_nc(system, ansatz, COMMUTATOR_UV, 3,
+                          registry=registry)
+        assert nc.residual == reference_nc(system, ansatz, 3, registry)
+        for which in ("u", "v"):
+            assert formulate_symcon(system, ansatz, which, registry) \
+                == reference_symcon(system, ansatz, which, registry)
+        dtau = ansatz.derivation(registry)
+        assert apply_derivation(dtau, NCPoly.from_word(COMMUTATOR_UV)) \
+            == reference_apply(reference_dtau(ansatz, registry),
+                               NCPoly.from_word(COMMUTATOR_UV))
+        assert apply_derivation(system.dt, dtau.image_u) \
+            == reference_apply(system.dt, dtau.image_u)
+
+
+def random_affine_poly(rng, unknowns, with_const):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        coeffs = {rng.choice(unknowns): Fraction(rng.randint(-4, 4),
+                                                 rng.randint(1, 3))}
+        const = rng.randint(-3, 3) if with_const else 0
+        terms[random_word(rng, 5)] = AffineForm(const, coeffs)
+    return NCPoly(terms)
+
+
+def test_kernel_matches_reference_on_random_polynomials():
+    # Both kernel modes, with constants next to unknowns and cancellation
+    # between contributions.
+    rng = random.Random(201)
+    unknowns = [UnknownId(KIND_C, i) for i in range(6)]
+    dt = kontsevich_system().dt
+    for _ in range(300):
+        plain = random_poly(rng)
+        affine = random_affine_poly(rng, unknowns, rng.random() < 0.5)
+        assert apply_derivation(dt, plain) == reference_apply(dt, plain)
+        assert apply_derivation(dt, affine) == reference_apply(dt, affine)
+        d = Derivation(random_affine_poly(rng, unknowns, True),
+                       random_affine_poly(rng, unknowns, False))
+        assert apply_derivation(d, plain) == reference_apply(d, plain)
+
+
+def test_reduce_sandwich_is_free_reduction():
+    rng = random.Random(202)
+    for _ in range(2000):
+        left, mid, right = (random_word(rng) for _ in range(3))
+        assert reduce_sandwich(left, mid, right) \
+            == reduce_letters(left + mid + right)
+
+
+def test_live_derivation_equals_pruned_full_images():
+    ansatz = build_ansatz(3)
+    registry = ZeroRegistry(ansatz.unknowns[::3])
+    live = ansatz.derivation(registry)
+    full = ansatz.dtau
+    assert live.image_u == prune_ncpoly(full.image_u, registry)
+    assert live.image_v == prune_ncpoly(full.image_v, registry)
+    assert len(full.image_u.terms) == len(ansatz.words)
+
+
+def test_sorted_condition_keeps_pruned_remainder_in_order():
+    c = [UnknownId(KIND_C, i) for i in range(5)]
+    p = NCPoly({
+        Word((1, 0)): AffineForm(0, {c[1]: 1, c[2]: 1}),
+        Word((0,)): AffineForm.unknown(c[2]),
+        Word((0, 1)): AffineForm(3, {c[3]: 1}),
+        Word((1,)): AffineForm(0, {c[3]: 2, c[4]: 1}),
+    })
+    condition = SortedCondition(p)
+    assert [w for w, _ in condition.terms] == p.sorted_words()
+    registry = ZeroRegistry([c[3]])
+    # u registers c2 at once, so v u then prunes to the single term c1
+    assert selective_split(condition, registry) == 3
+    assert set(registry) == {c[1], c[2], c[3], c[4]}
+    # the constant left of u v stays for the final split to report
+    assert condition.terms == [(Word((0, 1)), AffineForm.constant(3))]
+    assert condition.poly() == prune_ncpoly(p, registry)
+    assert selective_split(condition, registry) == 0
+    # a plain polynomial is harvested but never rewritten
+    before = dict(p.terms)
+    assert selective_split(p, ZeroRegistry([c[3]])) == 3
+    assert p.terms == before

@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from selsolve.errors import TooLargeError
+from selsolve.errors import SelSolveError, TooLargeError
 from selsolve.linsys import (GUARD_ENV_VAR, KIND_A, KIND_C, AffineForm,
                              Equation, LinearSystem, UnknownId, canonicalize,
                              dense_nullspace_oracle, format_affine,
-                             substitute)
+                             substitute, unknown_limit)
 
 X1 = UnknownId(KIND_C, 1)
 X2 = UnknownId(KIND_C, 2)
@@ -113,6 +113,24 @@ def test_oracle_guard(monkeypatch):
     sys_ = LinearSystem([Equation(form(0, x1=1, x2=1), 0)], {X1, X2})
     with pytest.raises(TooLargeError):
         dense_nullspace_oracle(sys_)
+
+
+def test_guard_override_and_default(monkeypatch):
+    monkeypatch.delenv(GUARD_ENV_VAR, raising=False)
+    assert unknown_limit(30) == 30
+    monkeypatch.setenv(GUARD_ENV_VAR, "")
+    assert unknown_limit(30) == 30
+    monkeypatch.setenv(GUARD_ENV_VAR, "100000")
+    assert unknown_limit(30) == 100000
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-5", "1.5"])
+def test_guard_rejects_bad_values(monkeypatch, raw):
+    monkeypatch.setenv(GUARD_ENV_VAR, raw)
+    with pytest.raises(SelSolveError) as info:
+        unknown_limit(30)
+    assert GUARD_ENV_VAR in str(info.value)
+    assert repr(raw) in str(info.value)
 
 
 def test_deduplicated_keeps_first():

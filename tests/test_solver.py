@@ -55,7 +55,8 @@ def test_find_zeros_no_one_term():
 def test_find_zeros_inconsistent():
     reg = ZeroRegistry([X[1]])
     sys_ = system(form(1, x1=1))
-    with pytest.raises(InconsistentSystemError):
+    with pytest.raises(InconsistentSystemError,
+                       match=r"equation 0 reduces to 1 = 0"):
         find_zeros(sys_, reg)
 
 
@@ -100,7 +101,8 @@ def test_stream_solve_chains_and_identity():
 def test_stream_solve_inconsistent():
     state = SolutionState.fresh({X[1]})
     eqs = [Equation(form(-1, x1=1), 0), Equation(form(-2, x1=1), 1)]
-    with pytest.raises(InconsistentSystemError):
+    with pytest.raises(InconsistentSystemError,
+                       match=r"equation 1 reduces to -1 = 0"):
         stream_solve(eqs, state)
 
 
