@@ -1,8 +1,9 @@
 """Staged solving: harvest zeros before formulating the expensive parts.
 
 Compares the all-at-once strategy F with staged strategies for degree 5,
-shows the adaptive default, and finishes with the independent matrix check
-of the solved symmetry space.
+shows the default, which harvests N and S until they find nothing before
+it solves, and finishes with the independent matrix check of the solved
+symmetry space.
 """
 
 from selsolve import verify_by_matrices
@@ -18,10 +19,10 @@ for strategy in ("F", "NF", "NNF", "NSF"):
           f"equations_at_final={report.final_equations}")
 
 state, report = run_strategy(DEGREE, default_strategy(DEGREE))
-print(f"  adaptive ran {report.strategy_text}: free={state.free_count} "
+print(f"  fixpoint ran {report.strategy_text}: free={state.free_count} "
       f"equations_at_final={report.final_equations}")
 
-print("\nstep trace of the adaptive run:")
+print("\nstep trace of the fixpoint run:")
 for line in report.lines():
     print(f"  {line}")
 

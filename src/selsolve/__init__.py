@@ -9,7 +9,7 @@ from .linsys import (AffineForm, Equation, LinearSystem, UnknownId,
                      canonicalize, dense_nullspace_oracle, substitute)
 from .ncalgebra import (EMPTY_WORD, U, U_INV, V, V_INV, Derivation, NCPoly,
                         Word, apply_derivation, poly_mul, poly_pow, word_mul)
-from .pipeline import (AdaptiveStrategy, RunReport, Strategy,
+from .pipeline import (FixpointStrategy, RunReport, Strategy,
                        default_strategy, run_strategy, verify_by_matrices)
 from .solver import (SolutionState, ZeroRegistry, find_zeros, length_sort,
                      lsss_solve, prune_zeros, stream_solve)

@@ -8,30 +8,19 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from .errors import SelSolveError
 from .formats import read_solution, read_system, write_solution, write_system
 from .linsys import dense_nullspace_oracle
-from .pipeline import (DEFAULT_VERIFY_SEED, Strategy, default_strategy,
-                       run_strategy, verify_by_matrices)
+from .pipeline import (DEFAULT_VERIFY_SEED, default_strategy, run_strategy,
+                       verify_by_matrices)
 from .solver import lsss_solve
-from .symmetry import (build_ansatz, build_symmetry_system,
+from .symmetry import (EXPECTED_STATS, build_ansatz, build_symmetry_system,
                        find_first_integrals, first_integral_basis,
                        kontsevich_system, system_stats)
 
 #: Smallest accepted value of each integer option that has one.
 OPTION_MINIMUM = {"degree": 1, "dim": 2, "trials": 1}
-
-#: Reference rows (k, e1, t1, e2, t2, p) for degrees 3..8.
-EXPECTED_STATS = {
-    3: (106, 142, 192, 448, 1034, 1),
-    4: (322, 430, 616, 1412, 3706, 2),
-    5: (970, 1294, 1904, 4448, 12914, 4),
-    6: (2914, 3886, 5784, 13878, 44098, 5),
-    7: (8746, 11662, 17440, 43052, 148346, 7),
-    8: (26242, 34990, 52424, 132954, 493162, 8),
-}
 
 
 def _cmd_gen(args) -> int:
@@ -88,11 +77,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    if args.strategy:
-        strategy = Strategy.parse(args.strategy)
-    else:
-        strategy = default_strategy(args.degree, Fraction(args.threshold))
-    state, report = run_strategy(args.degree, strategy)
+    strategy = args.strategy or default_strategy(args.degree)
+    _, report = run_strategy(args.degree, strategy)
     for line in report.lines():
         print(line)
     return 0
@@ -152,8 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="staged formulate/extract/solve run")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--strategy", help="explicit step text, e.g. (N)3SF")
-    p.add_argument("--threshold", default="0.01",
-                   help="adaptive yield threshold (fraction)")
     p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("rank", help="rank and nullity of a system file")

@@ -85,7 +85,9 @@ def write_system(system: LinearSystem, path: str,
 
 
 def read_names(path: str) -> dict[int, UnknownId]:
+    """Column -> unknown; each column and each unknown appears once."""
     mapping: dict[int, UnknownId] = {}
+    seen: set[UnknownId] = set()
     with open(path) as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -95,10 +97,16 @@ def read_names(path: str) -> dict[int, UnknownId]:
             if len(parts) != 4 or parts[1] not in KIND_BY_LETTER:
                 raise ParseError("expected 'j kind index name'", lineno)
             try:
-                mapping[int(parts[0])] = UnknownId(
-                    KIND_BY_LETTER[parts[1]], int(parts[2]))
+                j = int(parts[0])
+                uid = UnknownId(KIND_BY_LETTER[parts[1]], int(parts[2]))
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from exc
+            if j in mapping:
+                raise ParseError(f"column {j} named twice", lineno)
+            if uid in seen:
+                raise ParseError(f"{uid.name} names two columns", lineno)
+            mapping[j] = uid
+            seen.add(uid)
     return mapping
 
 
@@ -157,6 +165,10 @@ def read_system(path: str, names_path: str | None = None) -> LinearSystem:
         missing = [j for j in range(1, n + 1) if j not in names]
         if missing:
             raise ParseError(f"sidecar misses column {missing[0]}")
+        extra = sorted(j for j in names if not 1 <= j <= n)
+        if extra:
+            raise ParseError(f"sidecar names column {extra[0]}, outside "
+                             f"the header's 1..{n}")
         column = names
     else:
         column = {j: UnknownId(0, j - 1) for j in range(1, n + 1)}

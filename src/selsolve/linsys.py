@@ -13,7 +13,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .errors import SelSolveError, TooLargeError
 
@@ -291,12 +291,6 @@ class LinearSystem:
     def sorted_universe(self) -> list[UnknownId]:
         return sorted(self.universe)
 
-    def validate(self) -> None:
-        for eq in self.equations:
-            for u in eq.lhs.coeffs:
-                if u not in self.universe:
-                    raise ValueError(f"{u!r} not in universe")
-
     def deduplicated(self) -> "LinearSystem":
         """Drop equations with an identical canonical byte-image.
 
@@ -379,10 +373,3 @@ def dense_nullspace_oracle(system: LinearSystem) -> NullspaceResult:
                 vec[p] = -r
         basis.append(vec)
     return NullspaceResult(len(pivot_rows), basis)
-
-
-def system_from_forms(forms: Iterable[AffineForm],
-                      universe: Iterable[UnknownId]) -> LinearSystem:
-    """Build a system with sequential ids and canonical equations."""
-    equations = [canonicalize(Equation(f, i)) for i, f in enumerate(forms)]
-    return LinearSystem(equations, frozenset(universe))

@@ -7,13 +7,16 @@ A strategy is a sequence over three step kinds:
   F  formulate whatever is still unknown, split completely, solve
 
 N and S formulate their condition once, over the live unknowns; every
-later N or S step harvests what is left of it in one deglex pass.
+later N or S step harvests what is left of it in one deglex pass, and F
+splits what is left of both, with the v-commutator condition formulated
+over the unknowns still live.
 
-The text grammar is ``steps ::= step+ ; step ::= ('N'|'S') | '(' steps ')'
-INT | 'F'``, whitespace ignored, case-insensitive, e.g. ``(N)3(SNN)4(SN)4F``.
-Exactly one F must appear, at the end.  The default strategy is adaptive:
-it repeats a selective step while its yield stays above a threshold
-fraction of the still-unconstrained unknowns, then moves on.
+The default strategy runs to a fixpoint: N repeats until a step harvests
+nothing; then, while an S step harvests something, N repeats again until
+it harvests nothing; then F.  An explicit strategy is step text with the
+grammar ``steps ::= step+ ; step ::= ('N'|'S') | '(' steps ')' INT | 'F'``,
+whitespace ignored, case-insensitive, e.g. ``(N)3(SNN)4(SN)4F``.  Exactly
+one F must appear, at the end.
 """
 
 from __future__ import annotations
@@ -24,15 +27,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import ParseError, SingularSampleError
-from .linsys import (Equation, LinearSystem, Rational, UnknownId,
-                     exact_div)
+from .errors import ParseError, SelSolveError, SingularSampleError
+from .linsys import KIND_C, Rational, UnknownId, exact_div
 from .ncalgebra import NCPoly, Word
 from .solver import SolutionState, ZeroRegistry, lsss_solve
-from .symmetry import (COMMUTATOR_UV, DEFAULT_K0, ODESystem, SortedCondition,
+from .symmetry import (COMMUTATOR_UV, ODESystem, SortedCondition,
                        SymmetryAnsatz, _check_degree_guard, build_ansatz,
-                       complete_split, formulate_nc, formulate_symcon,
-                       kontsevich_system, prune_ncpoly, selective_split)
+                       formulate_nc, formulate_symcon, kontsevich_system,
+                       prune_ncpoly, selective_split, split_system)
 
 DEFAULT_VERIFY_SEED = 1729
 _INVERTIBLE_RETRIES = 100
@@ -56,28 +58,18 @@ class Strategy:
         return format_steps(self.steps)
 
 
-@dataclass(frozen=True)
-class AdaptiveStrategy:
-    """Run selective steps while they stay productive, then finish.
+class FixpointStrategy:
+    """The default: harvest N and S to a fixpoint, then F.
 
-    A step kind keeps repeating while its last yield exceeded
-    ``threshold`` times the count of not-yet-zero unknowns; the first
-    attempt is optimistic.  threshold 1 degenerates to plain F, threshold 0
-    runs every selective loop to its fixpoint.
+    Each productive step registers at least one more zero out of finitely
+    many unknowns, so the loops end.
     """
 
-    threshold: Fraction = Fraction(1, 100)
 
-    def __str__(self) -> str:
-        return f"adaptive({self.threshold})"
-
-
-def default_strategy(degree: int,
-                     threshold: Fraction | str = Fraction(1, 100)
-                     ) -> AdaptiveStrategy:
+def default_strategy(degree: int) -> FixpointStrategy:
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    return AdaptiveStrategy(Fraction(threshold))
+    return FixpointStrategy()
 
 
 def _parse_steps(text: str) -> list[str]:
@@ -174,76 +166,60 @@ class RunReport:
 class _PipelineRun:
     """Shared registry plus cached formulated conditions for one degree.
 
-    N and S formulate their condition on first use, over the live unknowns,
-    and keep it as a :class:`SortedCondition` whose remainder each later
-    step harvests in one pass.
+    The conditions of N and S are formulated on first use, over the live
+    unknowns, and kept as :class:`SortedCondition`s whose remainder each
+    later step harvests in one pass and F finally splits.
     """
 
-    def __init__(self, degree: int, k0: int):
+    def __init__(self, degree: int):
         _check_degree_guard(degree)
         self.system = kontsevich_system()
         self.ansatz = build_ansatz(degree)
-        self.k0 = k0
         self.registry = ZeroRegistry()
-        self._nc: SortedCondition | None = None
-        self._nc_aux: tuple[UnknownId, ...] | None = None
-        self._symcon_u: SortedCondition | None = None
+        self.aux: tuple[UnknownId, ...] = ()
+        self._conditions: dict[str, SortedCondition] = {}
         self.report = RunReport()
         self.state: SolutionState | None = None
 
-    def _live_count(self) -> int:
-        return self.ansatz.unknown_count - len(self.registry)
+    def _condition(self, label: str) -> SortedCondition:
+        if label not in self._conditions:
+            if label == "N":
+                nc = formulate_nc(self.system, self.ansatz, COMMUTATOR_UV,
+                                  registry=self.registry)
+                self.aux, poly = nc.aux, nc.residual
+            else:
+                poly = formulate_symcon(self.system, self.ansatz, "u",
+                                        registry=self.registry)
+            self._conditions[label] = SortedCondition(poly)
+        return self._conditions[label]
 
     def _record(self, label: str, started: float, new: int, eqs: int) -> None:
         self.report.steps.append(
             StepReport(label, time.perf_counter() - started, new, eqs))
 
-    def step_n(self) -> int:
+    def _harvest(self, label: str) -> int:
         started = time.perf_counter()
-        if self._nc is None:
-            nc = formulate_nc(self.system, self.ansatz, COMMUTATOR_UV,
-                              self.k0, registry=self.registry)
-            self._nc, self._nc_aux = SortedCondition(nc.residual), nc.aux
-        new = selective_split(self._nc, self.registry)
-        self._record("N", started, new, 0)
+        new = selective_split(self._condition(label), self.registry)
+        self._record(label, started, new, 0)
         return new
 
+    def step_n(self) -> int:
+        return self._harvest("N")
+
     def step_s(self) -> int:
-        started = time.perf_counter()
-        if self._symcon_u is None:
-            self._symcon_u = SortedCondition(formulate_symcon(
-                self.system, self.ansatz, "u", registry=self.registry))
-        new = selective_split(self._symcon_u, self.registry)
-        self._record("S", started, new, 0)
-        return new
+        return self._harvest("S")
 
     def step_f(self) -> SolutionState:
         started = time.perf_counter()
-        if self._nc is not None:
-            nc_residual = prune_ncpoly(self._nc.poly(), self.registry)
-            nc_aux = self._nc_aux
-        else:
-            nc = formulate_nc(self.system, self.ansatz, COMMUTATOR_UV,
-                              self.k0, registry=self.registry)
-            nc_residual, nc_aux = nc.residual, nc.aux
-        if self._symcon_u is not None:
-            sym_u = prune_ncpoly(self._symcon_u.poly(), self.registry)
-        else:
-            sym_u = formulate_symcon(self.system, self.ansatz, "u",
-                                     registry=self.registry)
-        sym_v = formulate_symcon(self.system, self.ansatz, "v",
-                                 registry=self.registry)
-        universe = frozenset(self.ansatz.unknowns) | frozenset(nc_aux)
-        equations: list[Equation] = []
-        for part in (complete_split(nc_residual), complete_split(sym_u),
-                     complete_split(sym_v)):
-            for eq in part.equations:
-                equations.append(Equation(eq.lhs, len(equations)))
+        conditions = [prune_ncpoly(self._condition(label).poly(),
+                                   self.registry) for label in "NS"]
+        conditions.append(formulate_symcon(self.system, self.ansatz, "v",
+                                           registry=self.registry))
+        system = split_system(conditions, self.ansatz.unknowns + self.aux)
         zeros_before = len(self.registry)
-        self.state = lsss_solve(LinearSystem(equations, universe),
-                                registry=self.registry)
+        self.state = lsss_solve(system, registry=self.registry)
         self._record("F", started, len(self.registry) - zeros_before,
-                     len(equations))
+                     len(system))
         report = self.report
         report.strategy_text = format_steps([s.label for s in report.steps])
         report.zero_count = len(self.state.zeros)
@@ -252,48 +228,24 @@ class _PipelineRun:
         return self.state
 
 
-def run_strategy(degree: int, strategy: Strategy | AdaptiveStrategy | str,
-                 k0: int = DEFAULT_K0) -> tuple[SolutionState, RunReport]:
+def run_strategy(degree: int, strategy: Strategy | FixpointStrategy | str
+                 ) -> tuple[SolutionState, RunReport]:
     """Execute a strategy for one degree; returns the state and its trace."""
     if isinstance(strategy, str):
         strategy = Strategy.parse(strategy)
-    run = _PipelineRun(degree, k0)
-    if isinstance(strategy, AdaptiveStrategy):
-        _run_adaptive(run, strategy.threshold)
+    run = _PipelineRun(degree)
+    if isinstance(strategy, FixpointStrategy):
+        while run.step_n():
+            pass
+        while run.step_s():
+            while run.step_n():
+                pass
+        run.step_f()
     else:
+        steps = {"N": run.step_n, "S": run.step_s, "F": run.step_f}
         for step in strategy.steps:
-            if step == "N":
-                run.step_n()
-            elif step == "S":
-                run.step_s()
-            else:
-                run.step_f()
-    assert run.state is not None
+            steps[step]()
     return run.state, run.report
-
-
-def _productive(new: int | None, live: int, threshold: Fraction) -> bool:
-    # Optimistic before the first attempt of a phase.
-    if new is None:
-        return threshold < 1
-    if live <= 0:
-        return False
-    return Fraction(new, live) > threshold
-
-
-def _run_adaptive(run: _PipelineRun, threshold: Fraction) -> None:
-    new: int | None = None
-    while _productive(new, run._live_count(), threshold):
-        new = run.step_n()
-    new_s: int | None = None
-    while _productive(new_s, run._live_count(), threshold):
-        new_s = run.step_s()
-        if not _productive(new_s, run._live_count(), threshold):
-            break
-        inner: int | None = None
-        while _productive(inner, run._live_count(), threshold):
-            inner = run.step_n()
-    run.step_f()
 
 
 # --- independent verification with random rational matrices ---------------
@@ -406,10 +358,16 @@ def verify_by_matrices(system: ODESystem, ansatz: SymmetryAnsatz,
     Draws matrices for u and v and random rationals for the free
     parameters, then evaluates both orders of the mixed second derivatives
     through matrix arithmetic alone.  Passes only if every commutator
-    evaluates to the exact zero matrix in every trial.
+    evaluates to the exact zero matrix in every trial.  A solution over
+    other ansatz unknowns, as one of another degree, is an error.
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
+    solved = {u for u in state.universe if u.kind == KIND_C}
+    if solved != set(ansatz.unknowns):
+        raise SelSolveError(
+            f"solution has {len(solved)} ansatz unknowns, the degree "
+            f"{ansatz.degree} ansatz has {ansatz.unknown_count}")
     rng = random.Random(seed)
     dtau = ansatz.dtau
     for _ in range(trials):

@@ -181,9 +181,6 @@ class SolutionState:
     def satisfies(self, equation: Equation) -> bool:
         return self.reduce_form(equation.lhs).is_zero
 
-    def is_homogeneous(self) -> bool:
-        return all(rhs.const == 0 for rhs in self.pivots.values())
-
     def basis(self) -> list[dict[UnknownId, Rational]]:
         """Solution-space basis: one vector per free unknown, that unknown
         set to 1.  Zero components are left implicit."""

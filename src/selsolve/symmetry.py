@@ -21,6 +21,7 @@ prunes, registers 1-term words and keeps the remainder for the next pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import NotFirstIntegralError, TooLargeError
 from .linsys import (FORMULATE_MAX_UNKNOWNS, KIND_A, KIND_B, KIND_C,
@@ -36,6 +37,26 @@ COMMUTATOR_UV = Word((U, V, U_INV, V_INV))
 COMMUTATOR_VU = Word((V, U, V_INV, U_INV))
 
 DEFAULT_K0 = 3
+
+#: Reference rows (k, e1, t1, e2, t2, p) of :func:`system_stats` for
+#: degrees 3..8.
+EXPECTED_STATS = {
+    3: (106, 142, 192, 448, 1034, 1),
+    4: (322, 430, 616, 1412, 3706, 2),
+    5: (970, 1294, 1904, 4448, 12914, 4),
+    6: (2914, 3886, 5784, 13878, 44098, 5),
+    7: (8746, 11662, 17440, 43052, 148346, 7),
+    8: (26242, 34990, 52424, 132954, 493162, 8),
+}
+
+
+def side_condition_k0(degree: int) -> int:
+    """Smallest k0 for which I^-k0 .. I^k0 cover D_tau(I) at this degree.
+
+    D_tau(I) reaches word degree n + 5 and I^k has degree 4|k|, so the span
+    needs k0 >= (n + 5) // 4; never below :data:`DEFAULT_K0`.
+    """
+    return max(DEFAULT_K0, (degree + 5) // 4)
 
 
 @dataclass
@@ -176,15 +197,18 @@ class NecessaryCondition:
 
 
 def formulate_nc(system: ODESystem, ansatz: SymmetryAnsatz,
-                 target: NCPoly | Word, k0: int = DEFAULT_K0,
+                 target: NCPoly | Word, k0: int | None = None,
                  registry: ZeroRegistry | None = None) -> NecessaryCondition:
     """First-order side condition for a first integral target.
 
     The target must satisfy D_t(target) = 0 (checked).  Fresh auxiliary
     unknowns a (for the commutator integral) or b (for its inverse) absorb
-    the span of integral powers; aux[i] multiplies I^(i - k0).  With a
+    the span of integral powers; aux[i] multiplies I^(i - k0), and k0
+    defaults to :func:`side_condition_k0` of the ansatz degree.  With a
     registry only the live unknowns enter the ansatz.
     """
+    if k0 is None:
+        k0 = side_condition_k0(ansatz.degree)
     if isinstance(target, Word):
         target = NCPoly.from_word(target)
     if not apply_derivation(system.dt, target).is_zero:
@@ -265,8 +289,21 @@ def selective_split(p: NCPoly | SortedCondition, registry: ZeroRegistry) -> int:
     return found
 
 
-def build_symmetry_system(degree: int, include_nc: bool = False,
-                          k0: int = DEFAULT_K0) -> LinearSystem:
+def split_system(conditions: Iterable[NCPoly],
+                 universe: Iterable[UnknownId]) -> LinearSystem:
+    """Split each condition completely, in order, into one system.
+
+    Equation ids run 0.. across the conditions.
+    """
+    universe = frozenset(universe)
+    equations: list[Equation] = []
+    for p in conditions:
+        equations += complete_split(p, universe, len(equations)).equations
+    return LinearSystem(equations, universe)
+
+
+def build_symmetry_system(degree: int,
+                          include_nc: bool = False) -> LinearSystem:
     """Fully formulated and split system for a degree-n symmetry.
 
     Both commutator conditions are always included; ``include_nc`` prepends
@@ -276,19 +313,13 @@ def build_symmetry_system(degree: int, include_nc: bool = False,
     _check_degree_guard(degree)
     system = kontsevich_system()
     ansatz = build_ansatz(degree)
-    parts: list[LinearSystem] = []
-    universe: set[UnknownId] = set(ansatz.unknowns)
+    conditions, universe = [], ansatz.unknowns
     if include_nc:
-        nc = formulate_nc(system, ansatz, COMMUTATOR_UV, k0)
-        universe.update(nc.aux)
-        parts.append(complete_split(nc.residual))
-    parts.append(complete_split(formulate_symcon(system, ansatz, "u")))
-    parts.append(complete_split(formulate_symcon(system, ansatz, "v")))
-    equations = []
-    for part in parts:
-        for eq in part.equations:
-            equations.append(Equation(eq.lhs, len(equations)))
-    return LinearSystem(equations, frozenset(universe))
+        nc = formulate_nc(system, ansatz, COMMUTATOR_UV)
+        conditions.append(nc.residual)
+        universe += nc.aux
+    conditions += [formulate_symcon(system, ansatz, x) for x in "uv"]
+    return split_system(conditions, universe)
 
 
 @dataclass
@@ -319,31 +350,29 @@ def _check_degree_guard(degree: int) -> None:
             f"degree {degree} needs {k} unknowns, over the guard of {limit}")
 
 
-def system_stats(degree: int, k0: int = DEFAULT_K0) -> SystemStats:
-    """Formulate everything for one degree, count it, and solve for p."""
+def system_stats(degree: int) -> SystemStats:
+    """Formulate everything for one degree, count it, and solve for p.
+
+    Each condition is formulated and split once.  The counts are read off
+    the formulated conditions, one equation per word and one term per
+    unknown of its coefficient, as :func:`complete_split` would give them;
+    D_tau(I) is the side condition's residual without its auxiliary terms.
+    """
     _check_degree_guard(degree)
     system = kontsevich_system()
     ansatz = build_ansatz(degree)
-
-    dtau_i = apply_derivation(ansatz.dtau, NCPoly.from_word(COMMUTATOR_UV))
-    counted = complete_split(dtau_i)
-    e1, t1 = len(counted), counted.term_total
-
-    nc = formulate_nc(system, ansatz, COMMUTATOR_UV, k0)
-    split_nc = complete_split(nc.residual)
-    split_u = complete_split(formulate_symcon(system, ansatz, "u"))
-    split_v = complete_split(formulate_symcon(system, ansatz, "v"))
-    e2 = len(split_u) + len(split_v)
-    t2 = split_u.term_total + split_v.term_total
-
-    universe = frozenset(ansatz.unknowns) | frozenset(nc.aux)
-    equations = []
-    for part in (split_nc, split_u, split_v):
-        for eq in part.equations:
-            equations.append(Equation(eq.lhs, len(equations)))
-    state = lsss_solve(LinearSystem(equations, universe))
-    return SystemStats(degree, ansatz.unknown_count, e1, t1, e2, t2,
-                       state.free_count)
+    nc = formulate_nc(system, ansatz, COMMUTATOR_UV)
+    sym_u = formulate_symcon(system, ansatz, "u")
+    sym_v = formulate_symcon(system, ansatz, "v")
+    terms_i = [len(c.coeffs.keys() - nc.aux)
+               for c in nc.residual.terms.values()]
+    terms_uv = [len(c.coeffs)
+                for p in (sym_u, sym_v) for c in p.terms.values()]
+    state = lsss_solve(split_system((nc.residual, sym_u, sym_v),
+                                    ansatz.unknowns + nc.aux))
+    return SystemStats(degree, ansatz.unknown_count,
+                       len(terms_i) - terms_i.count(0), sum(terms_i),
+                       len(terms_uv), sum(terms_uv), state.free_count)
 
 
 def find_first_integrals(system: ODESystem, degree: int) -> SolutionState:

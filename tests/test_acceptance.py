@@ -12,38 +12,29 @@ from selsolve.linsys import dense_nullspace_oracle
 from selsolve.ncalgebra import NCPoly, apply_derivation
 from selsolve.pipeline import default_strategy, run_strategy, verify_by_matrices
 from selsolve.solver import lsss_solve
-from selsolve.symmetry import (COMMUTATOR_UV, COMMUTATOR_VU, build_ansatz,
-                               build_symmetry_system, find_first_integrals,
-                               kontsevich_system, system_stats)
-
-#: Reference table rows n -> (k, e1, t1, e2, t2, p) for degrees 3..8.
-REFERENCE = {
-    3: (106, 142, 192, 448, 1034, 1),
-    4: (322, 430, 616, 1412, 3706, 2),
-    5: (970, 1294, 1904, 4448, 12914, 4),
-    6: (2914, 3886, 5784, 13878, 44098, 5),
-    7: (8746, 11662, 17440, 43052, 148346, 7),
-    8: (26242, 34990, 52424, 132954, 493162, 8),
-}
+from selsolve.symmetry import (COMMUTATOR_UV, COMMUTATOR_VU, EXPECTED_STATS,
+                               build_ansatz, build_symmetry_system,
+                               find_first_integrals, kontsevich_system,
+                               system_stats)
 
 DEGREES = range(3, 9)
 
 #: Step trace of the default strategy per degree: step labels, new zeros
 #: per step (F included), and the final zeros, pivots and free counts.
 STEP_TRACES = {
-    3: ("NNNSNNSF", [86, 7, 0, 11, 1, 0, 1, 1], (107, 5, 1)),
+    3: ("NNNSNNSNSF", [86, 7, 0, 11, 1, 0, 1, 0, 0, 1], (107, 5, 1)),
     4: ("NNNNSNNSF", [232, 43, 6, 0, 19, 3, 0, 0, 2], (305, 22, 2)),
     5: ("NNNNSNNSNNSF", [669, 152, 22, 0, 64, 20, 0, 12, 2, 0, 0, 4],
         (945, 28, 4)),
     6: ("NNNNNSNNSNNSNSF",
         [1983, 482, 70, 8, 0, 192, 53, 0, 35, 6, 0, 2, 0, 0, 4],
         (2835, 81, 5)),
-    7: ("NNNNNSNNSNNSNNSNSF",
-        [5924, 1473, 216, 30, 0, 578, 171, 1, 134, 41, 0, 35, 6, 0, 2, 0,
-         0, 4], (8615, 131, 7)),
-    8: ("NNNNNSNNNSNNSNNSNSF",
-        [17750, 4439, 658, 96, 8, 1702, 555, 32, 0, 456, 125, 3, 88, 18, 0,
-         5, 0, 0, 2], (25937, 304, 8)),
+    7: ("NNNNNSNNNSNNSNNSNSF",
+        [5924, 1473, 216, 30, 0, 578, 171, 1, 0, 134, 41, 0, 35, 6, 0, 2,
+         0, 0, 4], (8615, 131, 7)),
+    8: ("NNNNNNSNNNSNNNSNNSNSF",
+        [17750, 4439, 658, 96, 8, 0, 1702, 555, 32, 0, 456, 125, 3, 0, 88,
+         18, 0, 5, 0, 0, 2], (25937, 304, 8)),
 }
 
 
@@ -71,7 +62,7 @@ def test_criterion_1_ansatz_unknown_counts():
         started = time.perf_counter()
         ansatz = build_ansatz(n)
         elapsed = time.perf_counter() - started
-        assert ansatz.unknown_count == REFERENCE[n][0]
+        assert ansatz.unknown_count == EXPECTED_STATS[n][0]
         assert elapsed < 1.0
     report(1, "ansatz unknown counts 106..26242 exact, each under 1 s")
 
@@ -80,7 +71,7 @@ def test_criterion_2_free_parameters_full_pipeline(pipeline_results):
     system = kontsevich_system()
     for n in DEGREES:
         state, _, elapsed = pipeline_results[n]
-        assert state.free_count == REFERENCE[n][5], f"degree {n}"
+        assert state.free_count == EXPECTED_STATS[n][5], f"degree {n}"
         if n == 8:
             assert elapsed < 600.0
         # the trivial symmetry (the system's own flow) lies in the span
@@ -101,7 +92,7 @@ def test_criterion_2_free_parameters_full_pipeline(pipeline_results):
 def test_criterion_3_equation_and_term_counts(stats_results):
     for n in DEGREES:
         s = stats_results[n]
-        assert (s.k, s.e1, s.t1, s.e2, s.t2, s.p) == REFERENCE[n], \
+        assert (s.k, s.e1, s.t1, s.e2, s.t2, s.p) == EXPECTED_STATS[n], \
             f"degree {n}"
     report(3, "e1/t1 and e2/t2 columns exact for n=3..8 under the "
               "documented convention, p match included")
@@ -146,7 +137,7 @@ def test_criterion_6_strategy_invariance():
                 assert state.contains_vector(vec)
             for vec in state.basis():
                 assert reference.contains_vector(vec)
-    report(6, "strategies F, NF, NNF, NSF, adaptive give one solution "
+    report(6, "strategies F, NF, NNF, NSF, fixpoint give one solution "
               "space for n=3..6")
 
 
@@ -185,7 +176,7 @@ def test_criterion_9_peak_size_reduction(pipeline_results):
     # desk scale; the memory claim is asserted as an equation-count bound.
     for n in (6, 7, 8):
         _, run_report, _ = pipeline_results[n]
-        e1, e2 = REFERENCE[n][1], REFERENCE[n][3]
+        e1, e2 = EXPECTED_STATS[n][1], EXPECTED_STATS[n][3]
         assert run_report.final_equations < e1 + e2
     report(9, "staged runs materialize strictly fewer equations than "
               "full formulation for n=6..8")
@@ -199,6 +190,6 @@ def test_default_strategy_step_traces(pipeline_results):
         assert [s.new_zeros for s in run_report.steps] == yields
         assert (run_report.zero_count, run_report.pivot_count,
                 run_report.free_count) == final
-    assert pipeline_results[8][1].strategy_text == "(N)5S(N)3SNNSNNSNSF"
+    assert pipeline_results[8][1].strategy_text == "(N)6S(N)3S(N)3SNNSNSF"
     report("trace", "default strategy step labels, per-step yields and "
                     "final counts pinned for n=3..8")

@@ -1,7 +1,10 @@
 import pytest
 
 from selsolve.cli import main
+from selsolve.formats import write_solution
 from selsolve.linsys import GUARD_ENV_VAR
+from selsolve.pipeline import default_strategy, run_strategy
+from selsolve.symmetry import build_ansatz
 
 
 def test_stats_row_matches(capsys):
@@ -32,6 +35,21 @@ def test_gen_solve_rank_verify_chain(tmp_path, capsys):
     assert main(["verify", "--degree", "3", "--solution", sol_path,
                  "--dim", "2", "--trials", "2"]) == 0
     assert "verify: PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("solved", [3, 5])
+def test_verify_rejects_a_solution_of_another_degree(tmp_path, capsys,
+                                                     solved):
+    state, _ = run_strategy(solved, default_strategy(solved))
+    path = str(tmp_path / f"n{solved}.sol")
+    write_solution(state, path)
+    assert main(["verify", "--degree", "4", "--solution", path,
+                 "--dim", "2", "--trials", "1"]) == 1
+    captured = capsys.readouterr()
+    count = build_ansatz(solved).unknown_count
+    assert captured.err == (f"error: solution has {count} ansatz unknowns, "
+                            "the degree 4 ansatz has 322\n")
+    assert "verify:" not in captured.out
 
 
 def test_gen_stdout(capsys):

@@ -71,6 +71,21 @@ def test_read_errors(tmp_path):
     attempt("1 1\n0 0 0\nrest\n", ParseError)        # content after end
 
 
+@pytest.mark.parametrize("line, message", [
+    ("3 C 2 c2", r"sidecar names column 3, outside the header's 1\.\.2"),
+    ("2 C 2 c2", "line 3: column 2 named twice"),
+    ("3 C 0 c0", "line 3: c0 names two columns"),
+])
+def test_sidecar_that_changes_the_universe_is_rejected(tmp_path, line,
+                                                       message):
+    path = str(tmp_path / "small.sys")
+    write_system(small_system(), path)
+    with open(path + ".names", "a") as handle:
+        handle.write(line + "\n")
+    with pytest.raises(ParseError, match=message):
+        read_system(path)
+
+
 def test_parse_affine_roundtrip():
     forms = [
         AffineForm.zero(),

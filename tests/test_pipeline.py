@@ -1,11 +1,9 @@
-from fractions import Fraction
-
 import pytest
 
 from selsolve.errors import ParseError
 from selsolve.linsys import AffineForm
-from selsolve.pipeline import (AdaptiveStrategy, Strategy, default_strategy,
-                               format_steps, run_strategy, verify_by_matrices)
+from selsolve.pipeline import (Strategy, default_strategy, format_steps,
+                               run_strategy, verify_by_matrices)
 from selsolve.symmetry import build_ansatz, kontsevich_system
 
 
@@ -40,25 +38,15 @@ def test_strategy_format_roundtrip():
     assert format_steps(tuple("NNNNF")) == "(N)4F"
 
 
-def test_default_strategy_thresholds():
-    assert default_strategy(5).threshold == Fraction(1, 100)
-    assert default_strategy(5, "0.25").threshold == Fraction(1, 4)
-
-
-def test_adaptive_threshold_one_degenerates_to_f():
-    state_f, report_f = run_strategy(3, "F")
-    state_a, report_a = run_strategy(3, AdaptiveStrategy(Fraction(1)))
-    assert [s.label for s in report_a.steps] == ["F"]
-    assert state_a.free_count == state_f.free_count
-
-
 def test_adaptive_threshold_zero_runs_to_fixpoint():
-    _, report = run_strategy(3, AdaptiveStrategy(Fraction(0)))
-    labels = [s.label for s in report.steps]
+    _, report = run_strategy(3, default_strategy(3))
+    labels = "".join(s.label for s in report.steps)
     assert labels[-1] == "F"
-    # every selective loop ends in an unproductive round
-    n_yields = [s.new_zeros for s in report.steps if s.label == "N"]
-    assert n_yields and n_yields[-1] == 0
+    # every run of N steps ends in an unproductive round, and so does S
+    for i, step in enumerate(report.steps[:-1]):
+        if step.label == "N" and labels[i + 1] != "N":
+            assert step.new_zeros == 0
+    assert labels[-2] == "S" and report.steps[-2].new_zeros == 0
 
 
 def test_strategies_agree_on_small_degrees():
@@ -99,7 +87,7 @@ def test_repeated_harvest_yields_decrease_to_zero():
     # desk-scale shape of the repeated-extraction trace: each rescan of the
     # side condition finds strictly fewer zeros until none remain
     for n in (3, 4, 5, 6):
-        _, report = run_strategy(n, AdaptiveStrategy(Fraction(0)))
+        _, report = run_strategy(n, default_strategy(n))
         yields = []
         for step in report.steps:
             if step.label != "N":

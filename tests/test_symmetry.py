@@ -13,7 +13,8 @@ from selsolve.symmetry import (COMMUTATOR_UV, SymmetryAnsatz,
                                enumerate_words, find_first_integrals,
                                formulate_nc, formulate_symcon,
                                kontsevich_system, prune_ncpoly,
-                               selective_split, system_stats)
+                               selective_split, side_condition_k0,
+                               system_stats)
 
 C = [UnknownId(KIND_C, i) for i in range(8)]
 
@@ -90,6 +91,18 @@ def test_formulate_nc_checks_first_integral():
     ans = build_ansatz(1)
     with pytest.raises(NotFirstIntegralError):
         formulate_nc(sysm, ans, Word((U,)))
+
+
+def test_side_condition_k0_follows_the_degree():
+    # D_tau(I) reaches word degree n + 5 and I^k has degree 4|k|
+    assert [side_condition_k0(n) for n in (1, 3, 10, 11, 14, 15)] \
+        == [3, 3, 3, 4, 4, 5]
+    # without an explicit k0 the side condition spans I^-4 .. I^4 at n = 11;
+    # the probe flow Q = P keeps the ansatz itself empty
+    sysm = kontsevich_system()
+    trivial = Derivation(sysm.dt.image_u, sysm.dt.image_v)
+    probe = SymmetryAnsatz(11, trivial, (), ())
+    assert len(formulate_nc(sysm, probe, COMMUTATOR_UV).aux) == 9
 
 
 def test_formulate_nc_aux_unknowns():
@@ -184,4 +197,5 @@ def test_build_symmetry_system_shapes():
     sys_nc = build_symmetry_system(3, include_nc=True)
     assert len(sys_nc.universe) == 113
     assert len(sys_nc.equations) == 448 + 147
+    assert [eq.id for eq in sys_nc.equations] == list(range(448 + 147))
     assert lsss_solve(sys_nc).free_count == 1
