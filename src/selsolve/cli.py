@@ -1,7 +1,7 @@
 """Command-line driver.
 
-Subcommands: gen, solve, stats, pipeline, rank, verify, integrals.
-Errors exit nonzero with a diagnostic on stderr.
+Subcommands: gen, solve, stats, pipeline, rank, verify, integrals.  Errors,
+unreadable or unwritable files included, exit 1 with one line on stderr.
 """
 
 from __future__ import annotations
@@ -173,6 +173,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SelSolveError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # a file the command could not open or write
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
 
 

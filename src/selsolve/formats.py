@@ -29,16 +29,19 @@ from .solver import SolutionState, ZeroRegistry
 
 
 def atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    """Write through a temp file and a rename; an OSError names ``path``."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".tmp-", suffix=".part")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _parse_rational(token: str, line: int) -> Rational:

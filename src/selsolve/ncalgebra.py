@@ -203,9 +203,6 @@ class NCPoly:
             out.update(c.coeffs)
         return out
 
-    def max_degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
     def sorted_words(self) -> list[Word]:
         # Lexicographic, then stably by length: deglex order without a
         # Python key call per word.
@@ -230,14 +227,6 @@ class NCPoly:
 
     def __neg__(self) -> "NCPoly":
         return self.scaled(-1)
-
-    def __mul__(self, other):
-        if isinstance(other, NCPoly):
-            return poly_mul(self, other)
-        return self.scaled(other)
-
-    def __rmul__(self, other):
-        return self.scaled(other)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, NCPoly) and self.terms == other.terms

@@ -21,15 +21,17 @@ one F must appear, at the end.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import ParseError, SelSolveError, SingularSampleError
-from .linsys import KIND_C, Rational, UnknownId, exact_div
-from .ncalgebra import NCPoly, Word
+from .linsys import KIND_C, Rational, UnknownId
+from .ncalgebra import U_INV, V_INV, Word
 from .solver import SolutionState, ZeroRegistry, lsss_solve
 from .symmetry import (COMMUTATOR_UV, ODESystem, SortedCondition,
                        SymmetryAnsatz, _check_degree_guard, build_ansatz,
@@ -124,10 +126,14 @@ def format_steps(steps: Sequence[str]) -> str:
 
 @dataclass
 class StepReport:
+    """F counts its equations; N and S their words left and live unknowns."""
+
     label: str
     seconds: float
     new_zeros: int
     equations: int
+    terms: int = 0
+    live: int = 0
 
 
 @dataclass
@@ -155,8 +161,10 @@ class RunReport:
     def lines(self) -> list[str]:
         out = []
         for i, s in enumerate(self.steps, start=1):
+            size = (f"equations={s.equations}" if s.label == "F"
+                    else f"terms={s.terms}  live={s.live}")
             out.append(f"step {i}: {s.label}  new_zeros={s.new_zeros}"
-                       f"  equations={s.equations}  time={s.seconds:.3f}s")
+                       f"  {size}  time={s.seconds:.3f}s")
         out.append(f"strategy: {self.strategy_text}")
         out.append(f"final: zeros={self.zero_count} pivots={self.pivot_count}"
                    f" free={self.free_count}")
@@ -193,14 +201,16 @@ class _PipelineRun:
             self._conditions[label] = SortedCondition(poly)
         return self._conditions[label]
 
-    def _record(self, label: str, started: float, new: int, eqs: int) -> None:
+    def _record(self, label: str, started: float, new: int, *sizes) -> None:
         self.report.steps.append(
-            StepReport(label, time.perf_counter() - started, new, eqs))
+            StepReport(label, time.perf_counter() - started, new, *sizes))
 
     def _harvest(self, label: str) -> int:
         started = time.perf_counter()
-        new = selective_split(self._condition(label), self.registry)
-        self._record(label, started, new, 0)
+        condition = self._condition(label)
+        new = selective_split(condition, self.registry)
+        live = self.ansatz.unknown_count + len(self.aux) - len(self.registry)
+        self._record(label, started, new, 0, len(condition.terms), live)
         return new
 
     def step_n(self) -> int:
@@ -248,118 +258,121 @@ def run_strategy(degree: int, strategy: Strategy | FixpointStrategy | str
     return run.state, run.report
 
 
-# --- independent verification with random rational matrices ---------------
+# --- independent verification with random integer matrices -----------------
 
-Matrix = list[list[Rational]]
-
-
-def _mat_identity(dim: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
+#: An exact matrix value: integer numerator rows over a positive denominator.
+IntMatrix = tuple[tuple[int, ...], ...]
+Scaled = tuple[IntMatrix, int]
 
 
-def _mat_zero(dim: int) -> Matrix:
-    return [[0] * dim for _ in range(dim)]
+def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    dim = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(dim)) for j in range(dim)]
-            for i in range(dim)]
+def _mat_scale(m: IntMatrix, k: int) -> IntMatrix:
+    return tuple(tuple(k * x for x in row) for row in m)
 
 
-def _mat_add_scaled(a: Matrix, b: Matrix, r: Rational) -> Matrix:
-    dim = len(a)
-    return [[a[i][j] + r * b[i][j] for j in range(dim)] for i in range(dim)]
-
-
-def _mat_scale(m: Matrix, r: Rational) -> Matrix:
-    return [[r * x for x in row] for row in m]
-
-
-def _mat_is_zero(m: Matrix) -> bool:
-    return all(x == 0 for row in m for x in row)
-
-
-def _mat_inverse(m: Matrix) -> Matrix | None:
-    """Exact Gauss-Jordan inverse; None when singular."""
-    dim = len(m)
-    work = [list(row) + ident for row, ident in zip(m, _mat_identity(dim))]
-    for col in range(dim):
-        pivot = next((r for r in range(col, dim) if work[r][col] != 0), None)
-        if pivot is None:
-            return None
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = exact_div(1, work[col][col])
-        work[col] = [x * inv for x in work[col]]
-        for r in range(dim):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return [row[dim:] for row in work]
-
-
-def _random_invertible(rng: random.Random, dim: int) -> tuple[Matrix, Matrix]:
+def _random_invertible(rng: random.Random, dim: int
+                       ) -> tuple[Scaled, Scaled]:
+    """A matrix with entries in -3..3, redrawn while singular, and adj/det
+    by fraction-free Gauss-Jordan: divisions are exact (Bareiss)."""
     for _ in range(_INVERTIBLE_RETRIES):
         m = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(dim)]
-        inv = _mat_inverse(m)
-        if inv is not None:
-            return m, inv
+        a = [row + [int(i == j) for j in range(dim)]
+             for i, row in enumerate(m)]
+        prev = 1
+        for k in range(dim):
+            pivot = next((r for r in range(k, dim) if a[r][k]), None)
+            if pivot is None:
+                break
+            a[k], a[pivot] = a[pivot], a[k]
+            a = [row if i == k else [(a[k][k] * x - row[k] * y) // prev
+                                     for x, y in zip(row, a[k])]
+                 for i, row in enumerate(a)]
+            prev = a[k][k]
+        else:
+            sign = 1 if prev > 0 else -1
+            return ((_mat_scale(m, 1), 1),
+                    (_mat_scale([row[dim:] for row in a], sign), sign * prev))
     raise SingularSampleError(
         f"no invertible sample in {_INVERTIBLE_RETRIES} draws")
 
 
-def _eval_word(word: Word, mats: Sequence[Matrix], dim: int) -> Matrix:
-    out = _mat_identity(dim)
-    for g in word:
-        out = _mat_mul(out, mats[g])
-    return out
+class _TrialMatrices:
+    """Word values under one trial's values of u, v, u^-1, v^-1: a word is
+    its prefix times its last letter, one product per word, memoized."""
+
+    def __init__(self, letters: Sequence[Scaled]):
+        self.letters, self.dim = letters, len(letters[0][0])
+        one = tuple(tuple(int(i == j) for j in range(self.dim))
+                    for i in range(self.dim))
+        self._values: dict[tuple, Scaled] = {(): (one, 1)}
+
+    def value(self, w: tuple) -> Scaled:
+        hit = self._values.get(w)
+        if hit is None:
+            (m, d), (g, e) = self.value(w[:-1]), self.letters[w[-1]]
+            hit = self._values[w] = (_mat_mul(m, g), d * e)
+        return hit
+
+    def evaluate(self, terms: list[tuple[Word, Rational]]) -> Scaled:
+        """sum c * value(w) over (w, c) pairs, over one common denominator."""
+        values = [(c, self.value(w)) for w, c in terms]
+        den = math.lcm(*(c.denominator * d for c, (_, d) in values))
+        scaled = [(c.numerator * (den // (c.denominator * d)), m)
+                  for c, (m, d) in values]
+        return tuple(tuple(sum(k * m[i][j] for k, m in scaled)
+                           for j in range(self.dim))
+                     for i in range(self.dim)), den
 
 
-def _eval_terms(terms: list[tuple[Word, Rational]],
-                mats: Sequence[Matrix], dim: int) -> Matrix:
-    out = _mat_zero(dim)
-    for word, coeff in terms:
-        out = _mat_add_scaled(out, _eval_word(word, mats, dim), coeff)
-    return out
+class _LeibnizMatrices(_TrialMatrices):
+    """D(w) for the derivation taking u, v to ``image_u``, ``image_v``.
 
-
-def _derive_terms(terms: list[tuple[Word, Rational]],
-                  letter_images: Sequence[Matrix],
-                  mats: Sequence[Matrix], dim: int) -> Matrix:
-    """Leibniz rule evaluated in matrix arithmetic, word by word.
-
-    Nothing is combined symbolically, so this really is an independent
-    check of the algebraic identity.
+    D(g^-1) = -g^-1 D(g) g^-1 and D(w g) = D(w) g + w D(g), memoized by
+    word.  D(w) has w's denominator times one scale, so the recursion runs
+    on integer numerators alone.
     """
-    out = _mat_zero(dim)
-    for word, coeff in terms:
-        for i, g in enumerate(word):
-            piece = _eval_word(Word(word[:i]), mats, dim)
-            piece = _mat_mul(piece, letter_images[g])
-            piece = _mat_mul(piece, _eval_word(Word(word[i + 1:]), mats, dim))
-            out = _mat_add_scaled(out, piece, coeff)
-    return out
 
+    def __init__(self, trial: _TrialMatrices, image_u: list, image_v: list):
+        self.trial, self.letters, self.dim = trial, trial.letters, trial.dim
+        (inv_u, du), (inv_v, dv) = self.letters[U_INV], self.letters[V_INV]
+        (t_u, eu), (t_v, ev) = trial.evaluate(image_u), trial.evaluate(image_v)
+        s = math.lcm(du * eu, dv * ev)
+        self.images = (
+            _mat_scale(t_u, s // eu), _mat_scale(t_v, s // ev),
+            _mat_scale(_mat_mul(_mat_mul(inv_u, t_u), inv_u), -s // du // eu),
+            _mat_scale(_mat_mul(_mat_mul(inv_v, t_v), inv_v), -s // dv // ev))
+        self._values = {(): (_mat_scale(inv_u, 0), s)}
 
-def _numeric_terms(poly: NCPoly, values) -> list[tuple[Word, Rational]]:
-    out = []
-    for w, aff in poly.terms.items():
-        value = aff.evaluate(values)
-        if value != 0:
-            out.append((w, value))
-    return out
+    def value(self, w: tuple) -> Scaled:
+        hit = self._values.get(w)
+        if hit is None:
+            (dm, dd), (m, _) = self.value(w[:-1]), self.trial.value(w[:-1])
+            letter, e = self.letters[w[-1]]
+            # D(w) g + w D(g) as one product: [D(w) | w] [g ; D(g)]
+            hit = self._values[w] = (_mat_mul(
+                tuple(x + y for x, y in zip(dm, m)),
+                letter + self.images[w[-1]]), dd * e)
+        return hit
 
 
 def verify_by_matrices(system: ODESystem, ansatz: SymmetryAnsatz,
                        state: SolutionState, dim: int, trials: int,
                        seed: int = DEFAULT_VERIFY_SEED) -> bool:
-    """Check a solved symmetry on random invertible rational matrices.
+    """Check a solved symmetry on random invertible integer matrices.
 
-    Draws matrices for u and v and random rationals for the free
-    parameters, then evaluates both orders of the mixed second derivatives
-    through matrix arithmetic alone.  Passes only if every commutator
-    evaluates to the exact zero matrix in every trial.  A solution over
-    other ansatz unknowns, as one of another degree, is an error.
+    Each trial draws matrices for u and v and rationals for the free
+    parameters; D_tau(P) and D_t(Q), the two orders of the mixed second
+    derivatives, must agree exactly.  Nothing is combined symbolically:
+    a word is its prefix times a letter matrix, and a derivative applies
+    the Leibniz rule letter by letter, independent of the algebra's
+    products and of the solver.  Each value is an integer matrix over one
+    integer denominator (inverses adj/det, coefficients num/den); the
+    numerator of the difference must vanish.  Caches live for one trial
+    and the seed fixes the draws.  A solution of another degree is an error.
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
@@ -369,33 +382,21 @@ def verify_by_matrices(system: ODESystem, ansatz: SymmetryAnsatz,
             f"solution has {len(solved)} ansatz unknowns, the degree "
             f"{ansatz.degree} ansatz has {ansatz.unknown_count}")
     rng = random.Random(seed)
-    dtau = ansatz.dtau
+    dtau = ansatz.derivation(state.zeros)  # a zero unknown adds no term
     for _ in range(trials):
-        umat, uinv = _random_invertible(rng, dim)
-        vmat, vinv = _random_invertible(rng, dim)
-        mats = (umat, vmat, uinv, vinv)
-        free_values = {
+        u, v = _random_invertible(rng, dim), _random_invertible(rng, dim)
+        trial = _TrialMatrices((u[0], v[0], u[1], v[1]))
+        values = state.full_assignment({
             f: Fraction(rng.randint(-12, 12), rng.randint(1, 6))
-            for f in sorted(state.free)
-        }
-        values = state.full_assignment(free_values)
-        q1 = _numeric_terms(dtau.image_u, values)
-        q2 = _numeric_terms(dtau.image_v, values)
-        p1 = _numeric_terms(system.dt.image_u, values)
-        p2 = _numeric_terms(system.dt.image_v, values)
-
-        def images(img_u: Matrix, img_v: Matrix) -> list[Matrix]:
-            neg_u = _mat_scale(_mat_mul(_mat_mul(uinv, img_u), uinv), -1)
-            neg_v = _mat_scale(_mat_mul(_mat_mul(vinv, img_v), vinv), -1)
-            return [img_u, img_v, neg_u, neg_v]
-
-        tau_images = images(_eval_terms(q1, mats, dim),
-                            _eval_terms(q2, mats, dim))
-        t_images = images(_eval_terms(p1, mats, dim),
-                          _eval_terms(p2, mats, dim))
+            for f in sorted(state.free)})
+        q1, q2, p1, p2 = ([(w, c) for w, aff in image.terms.items()
+                           if (c := aff.evaluate(values))]
+                          for image in (dtau.image_u, dtau.image_v,
+                                        system.dt.image_u, system.dt.image_v))
+        d_tau, d_t = _LeibnizMatrices(trial, q1, q2), _LeibnizMatrices(
+            trial, p1, p2)
         for px, qx in ((p1, q1), (p2, q2)):
-            lhs = _derive_terms(px, tau_images, mats, dim)
-            rhs = _derive_terms(qx, t_images, mats, dim)
-            if not _mat_is_zero(_mat_add_scaled(lhs, rhs, -1)):
+            (lhs, a), (rhs, b) = d_tau.evaluate(px), d_t.evaluate(qx)
+            if _mat_scale(lhs, b) != _mat_scale(rhs, a):
                 return False
     return True

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s``.  The heavier degrees are
 shared through module-scoped fixtures so the suite stays fast.
 """
 
+import dataclasses
 import time
 
 import pytest
@@ -143,7 +144,7 @@ def test_criterion_6_strategy_invariance():
 
 def test_criterion_7_matrix_verification(pipeline_results):
     system = kontsevich_system()
-    for n in range(3, 7):
+    for n in DEGREES:
         ansatz = build_ansatz(n)
         state = pipeline_results[n][0]
         assert verify_by_matrices(system, ansatz, state, dim=3, trials=5)
@@ -151,11 +152,19 @@ def test_criterion_7_matrix_verification(pipeline_results):
     ansatz = build_ansatz(3)
     corrupted, _ = run_strategy(3, "F")
     pivot = next(iter(corrupted.pivots))
-    from selsolve.linsys import AffineForm
+    from selsolve.linsys import KIND_C, AffineForm
     corrupted.pivots[pivot] = corrupted.pivots[pivot] + AffineForm.constant(1)
     assert not verify_by_matrices(system, ansatz, corrupted, dim=3, trials=5)
-    report(7, "matrix check passes n=3..6 (dim 3, 5 seeded trials) and "
-              "rejects a perturbed solution")
+    # and so must a perturbed degree-7 solution, without touching the fixture
+    state = pipeline_results[7][0]
+    pivot = min(u for u in state.pivots if u.kind == KIND_C)
+    pivots = dict(state.pivots)
+    pivots[pivot] = pivots[pivot] + AffineForm.constant(1)
+    assert not verify_by_matrices(system, build_ansatz(7),
+                                  dataclasses.replace(state, pivots=pivots),
+                                  dim=3, trials=5)
+    report(7, "matrix check passes n=3..8 (dim 3, 5 seeded trials) and "
+              "rejects perturbed solutions of degrees 3 and 7")
 
 
 def test_criterion_8_property_suites():

@@ -109,6 +109,29 @@ def test_out_of_range_options_exit_with_one_line(argv, message, capsys):
     assert "PASS" not in captured.out
 
 
+@pytest.mark.parametrize("argv, culprit, reason", [
+    (["solve", "{d}"], "{d}", "Is a directory"),
+    (["rank", "{d}/missing.sys"], "{d}/missing.sys",
+     "No such file or directory"),
+    (["verify", "--degree", "3", "--solution", "{d}/missing.sol"],
+     "{d}/missing.sol", "No such file or directory"),
+    (["gen", "--degree", "3", "--out", "{d}/nodir/x.sys"], "{d}/nodir/x.sys",
+     "No such file or directory"),
+    (["gen", "--degree", "3", "--out", "{d}"], "{d}", "Is a directory"),
+], ids=["solve", "rank", "verify", "gen", "gen-onto-directory"])
+def test_file_errors_exit_with_one_line(tmp_path, capsys, argv, culprit,
+                                        reason):
+    work = tmp_path / "work"
+    work.mkdir()
+    argv = [arg.format(d=work) for arg in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    # the path the user gave, never the temp file of an atomic write
+    assert captured.err == f"error: {culprit.format(d=work)}: {reason}\n"
+    assert captured.out == ""
+    assert list(tmp_path.rglob("*")) == [work]
+
+
 @pytest.mark.parametrize("raw", ["abc", "0", "-5"])
 def test_bad_guard_exits_with_diagnostic(monkeypatch, capsys, raw):
     monkeypatch.setenv(GUARD_ENV_VAR, raw)

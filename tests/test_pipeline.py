@@ -77,6 +77,19 @@ def test_run_report_shape():
     assert any("final:" in line for line in report.lines())
 
 
+def test_harvest_steps_report_terms_and_live_unknowns():
+    # N and S report the words left in their condition and the unknowns
+    # (ansatz plus 7 aux at n = 3) not yet zero; only F reports equations
+    _, report = run_strategy(3, default_strategy(3))
+    assert [(s.label, s.terms, s.live) for s in report.steps[:-1]] == [
+        ("N", 28, 27), ("N", 10, 20), ("N", 10, 20), ("S", 16, 9),
+        ("N", 2, 8), ("N", 2, 8), ("S", 10, 7), ("N", 2, 7), ("S", 10, 7)]
+    lines = report.lines()
+    assert lines[0].startswith("step 1: N  new_zeros=86  terms=28  live=27 ")
+    assert lines[9].startswith("step 10: F  new_zeros=1  equations=23 ")
+    assert not any("equations=" in line for line in lines[:9])
+
+
 def test_staged_run_materializes_fewer_equations():
     _, full = run_strategy(4, "F")
     _, staged = run_strategy(4, default_strategy(4))
