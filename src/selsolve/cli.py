@@ -7,6 +7,7 @@ unreadable or unwritable files included, exit 1 with one line on stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from .errors import SelSolveError
@@ -168,6 +169,9 @@ def _check_options(args) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Commands make no cyclic garbage: collections would only rescan data.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         _check_options(args)
         return args.func(args)
@@ -177,6 +181,9 @@ def main(argv=None) -> int:
     except OSError as exc:  # a file the command could not open or write
         print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

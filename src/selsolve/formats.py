@@ -21,6 +21,7 @@ import os
 import re
 import tempfile
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import BoundsError, ParseError
 from .linsys import (KIND_BY_LETTER, AffineForm, Equation, LinearSystem,
@@ -52,6 +53,17 @@ def _parse_rational(token: str, line: int) -> Rational:
         return int(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {token!r}", line) from exc
+
+
+def _read_lines(path: str) -> Iterator[tuple[int, str]]:
+    """Numbered non-blank lines, stripped; non-UTF-8 bytes are a ParseError."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            for lineno, raw in enumerate(handle, start=1):
+                if line := raw.strip():
+                    yield lineno, line
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text") from exc
 
 
 def names_path_for(path: str) -> str:
@@ -91,25 +103,21 @@ def read_names(path: str) -> dict[int, UnknownId]:
     """Column -> unknown; each column and each unknown appears once."""
     mapping: dict[int, UnknownId] = {}
     seen: set[UnknownId] = set()
-    with open(path) as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 4 or parts[1] not in KIND_BY_LETTER:
-                raise ParseError("expected 'j kind index name'", lineno)
-            try:
-                j = int(parts[0])
-                uid = UnknownId(KIND_BY_LETTER[parts[1]], int(parts[2]))
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from exc
-            if j in mapping:
-                raise ParseError(f"column {j} named twice", lineno)
-            if uid in seen:
-                raise ParseError(f"{uid.name} names two columns", lineno)
-            mapping[j] = uid
-            seen.add(uid)
+    for lineno, line in _read_lines(path):
+        parts = line.split()
+        if len(parts) != 4 or parts[1] not in KIND_BY_LETTER:
+            raise ParseError("expected 'j kind index name'", lineno)
+        try:
+            j = int(parts[0])
+            uid = UnknownId(KIND_BY_LETTER[parts[1]], int(parts[2]))
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from exc
+        if j in mapping:
+            raise ParseError(f"column {j} named twice", lineno)
+        if uid in seen:
+            raise ParseError(f"{uid.name} names two columns", lineno)
+        mapping[j] = uid
+        seen.add(uid)
     return mapping
 
 
@@ -120,15 +128,10 @@ def read_system(path: str, names_path: str | None = None) -> LinearSystem:
         names_path = candidate if os.path.exists(candidate) else None
     names = read_names(names_path) if names_path else None
 
-    with open(path) as handle:
-        raw_lines = handle.readlines()
     header: tuple[int, int] | None = None
     entries: dict[tuple[int, int], Rational] = {}
     terminated = False
-    for lineno, raw in enumerate(raw_lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
+    for lineno, line in _read_lines(path):
         parts = line.split()
         if header is None:
             if len(parts) != 2:
@@ -161,7 +164,7 @@ def read_system(path: str, names_path: str | None = None) -> LinearSystem:
     if header is None:
         raise ParseError("empty file", 1)
     if not terminated:
-        raise ParseError("missing '0 0 0' terminator", len(raw_lines))
+        raise ParseError("missing '0 0 0' terminator", lineno)
 
     m, n = header
     if names is not None:
@@ -242,29 +245,24 @@ def read_solution(path: str) -> SolutionState:
     pivots: dict[UnknownId, AffineForm] = {}
     free: set[UnknownId] = set()
     section = None
-    with open(path) as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line in ("ZEROS", "PIVOTS", "FREE"):
-                section = line
-                continue
-            if section is None:
-                raise ParseError("content before first section", lineno)
-            try:
-                if section == "PIVOTS":
-                    name, _, expr = line.partition("=")
-                    if not _:
-                        raise ParseError("pivot line needs '='", lineno)
-                    pivots[UnknownId.from_name(name.strip())] = \
-                        parse_affine(expr)
-                elif section == "ZEROS":
-                    zeros.append(UnknownId.from_name(line))
-                else:
-                    free.add(UnknownId.from_name(line))
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from exc
+    for lineno, line in _read_lines(path):
+        if line in ("ZEROS", "PIVOTS", "FREE"):
+            section = line
+            continue
+        if section is None:
+            raise ParseError("content before first section", lineno)
+        try:
+            if section == "PIVOTS":
+                name, _, expr = line.partition("=")
+                if not _:
+                    raise ParseError("pivot line needs '='", lineno)
+                pivots[UnknownId.from_name(name.strip())] = parse_affine(expr)
+            elif section == "ZEROS":
+                zeros.append(UnknownId.from_name(line))
+            else:
+                free.add(UnknownId.from_name(line))
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from exc
     domains = [set(zeros), set(pivots), free]
     for i in range(3):
         for j in range(i + 1, 3):

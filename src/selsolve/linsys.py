@@ -28,6 +28,9 @@ KIND_B = 2
 _KIND_NAMES = ("c", "a", "b")
 _KIND_LETTERS = ("C", "A", "B")
 KIND_BY_LETTER = {"C": KIND_C, "A": KIND_A, "B": KIND_B}
+#: An unknown is the int (kind + 1) * _INDEX_LIMIT + index: ordered by
+#: (kind, index), never falsy, never equal to a smaller int such as a column.
+_INDEX_LIMIT = 1 << 40
 
 GUARD_ENV_VAR = "SELECTIVE_SOLVE_MAX_UNKNOWNS"
 
@@ -64,11 +67,26 @@ def exact_div(a: Rational, b: Rational) -> Rational:
     return a / b
 
 
-class UnknownId(NamedTuple):
-    """Identifier of one unknown; ordered by (kind, index)."""
+class UnknownId(int):
+    """Identifier of one unknown, an int coded from its kind and index."""
 
-    kind: int
-    index: int
+    __slots__ = ()
+
+    def __new__(cls, kind: int, index: int) -> "UnknownId":
+        if not (0 <= kind < len(_KIND_NAMES) and 0 <= index < _INDEX_LIMIT):
+            raise ValueError(f"unknown kind {kind} index {index} out of range")
+        return int.__new__(cls, (kind + 1) * _INDEX_LIMIT + index)
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        return self.kind, self.index
+
+    @property
+    def kind(self) -> int:
+        return self // _INDEX_LIMIT - 1
+
+    @property
+    def index(self) -> int:
+        return self % _INDEX_LIMIT
 
     @property
     def name(self) -> str:

@@ -21,40 +21,40 @@ class ZeroRegistry:
     """Set of unknowns known to vanish; a per-solve context object.
 
     Grows monotonically within one solve; a registered unknown never
-    reappears with a nonzero value.
+    reappears with a nonzero value.  Hot loops read the set ``members``.
     """
 
-    __slots__ = ("_zeros",)
+    __slots__ = ("members",)
 
     def __init__(self, zeros: Iterable[UnknownId] = ()):
-        self._zeros = set(zeros)
+        self.members = set(zeros)
 
     def add(self, uid: UnknownId) -> bool:
         """Register one unknown; True if it was new."""
-        if uid in self._zeros:
+        if uid in self.members:
             return False
-        self._zeros.add(uid)
+        self.members.add(uid)
         return True
 
     def update(self, uids: Iterable[UnknownId]) -> int:
-        before = len(self._zeros)
-        self._zeros.update(uids)
-        return len(self._zeros) - before
+        before = len(self.members)
+        self.members.update(uids)
+        return len(self.members) - before
 
     def __contains__(self, uid: UnknownId) -> bool:
-        return uid in self._zeros
+        return uid in self.members
 
     def __len__(self) -> int:
-        return len(self._zeros)
+        return len(self.members)
 
     def __iter__(self) -> Iterator[UnknownId]:
-        return iter(self._zeros)
+        return iter(self.members)
 
     def sorted(self) -> list[UnknownId]:
-        return sorted(self._zeros)
+        return sorted(self.members)
 
     def __repr__(self) -> str:
-        return f"ZeroRegistry({len(self._zeros)} zeros)"
+        return f"ZeroRegistry({len(self.members)} zeros)"
 
 
 def prune_zeros(form: AffineForm, registry: ZeroRegistry) -> AffineForm:

@@ -136,7 +136,7 @@ class SymmetryAnsatz:
             return Derivation(prune_ncpoly(self.fixed.image_u, registry),
                               prune_ncpoly(self.fixed.image_v, registry),
                               name=self.fixed.name)
-        zeros = registry if registry is not None else ()
+        zeros = registry.members if registry is not None else ()
         t = len(self.words)
         q1, q2 = (NCPoly._raw({
             w: AffineForm._raw(0, {uid: 1})
@@ -241,20 +241,28 @@ def complete_split(p: NCPoly, universe=None, start_id: int = 0) -> LinearSystem:
 class SortedCondition:
     """A formulated condition held for repeated harvesting.
 
-    ``terms`` lists (word, coefficient) pairs in deglex order, sorted once
-    here.  Each :func:`selective_split` pass replaces it by the pruned
-    remainder, in the same order: words that registered a zero or pruned
-    to zero drop out, and a nonzero constant stays, so the final split
-    still reports the contradiction.
+    ``terms`` lists (word, coefficient) pairs in deglex order, sorted on
+    first use; until then :meth:`poly` is the formulated polynomial.  Each
+    :func:`selective_split` pass replaces them by the pruned remainder, in
+    order: words that registered a zero or pruned to zero drop out, and a
+    nonzero constant stays, so the final split reports the contradiction.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_held",)
 
     def __init__(self, p: NCPoly):
-        self.terms = [(w, p.terms[w]) for w in p.sorted_words()]
+        self._held: NCPoly | list = p
+
+    @property
+    def terms(self) -> list[tuple[Word, AffineForm]]:
+        if isinstance(p := self._held, NCPoly):
+            self._held = [(w, p.terms[w]) for w in p.sorted_words()]
+        return self._held
 
     def poly(self) -> NCPoly:
-        return NCPoly._from_acc(dict(self.terms))
+        if isinstance(held := self._held, NCPoly):
+            return held
+        return NCPoly._from_acc(dict(held))
 
 
 def selective_split(p: NCPoly | SortedCondition, registry: ZeroRegistry) -> int:
@@ -266,9 +274,9 @@ def selective_split(p: NCPoly | SortedCondition, registry: ZeroRegistry) -> int:
     the next pass.  Returns the number of newly registered unknowns.
     """
     condition = p if isinstance(p, SortedCondition) else SortedCondition(p)
-    # A plain set kept in step with the registry: one C-level disjointness
-    # test per coefficient instead of a method call per unknown.
-    zeros = set(registry)
+    # The registry's own set: one C-level disjointness test per
+    # coefficient instead of a method call per unknown.
+    zeros = registry.members
     found = 0
     kept = []
     for term in condition.terms:
@@ -281,11 +289,10 @@ def selective_split(p: NCPoly | SortedCondition, registry: ZeroRegistry) -> int:
         if len(coeffs) == 1 and coeff.const == 0:
             (uid,) = coeffs
             registry.add(uid)
-            zeros.add(uid)
             found += 1
         elif coeffs or coeff.const:
             kept.append(term)
-    condition.terms = kept
+    condition._held = kept
     return found
 
 

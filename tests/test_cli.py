@@ -1,5 +1,8 @@
+import gc
+
 import pytest
 
+import selsolve.cli
 from selsolve.cli import main
 from selsolve.formats import write_solution
 from selsolve.linsys import GUARD_ENV_VAR
@@ -139,3 +142,48 @@ def test_bad_guard_exits_with_diagnostic(monkeypatch, capsys, raw):
     err = capsys.readouterr().err
     assert err == (f"error: {GUARD_ENV_VAR}={raw!r} is not a positive "
                    "integer\n")
+
+
+#: An executable's first bytes, then every byte that cannot start UTF-8.
+NOT_UTF8 = b"\x7fELF\x02\x01\x01\x00" + bytes(range(0x80, 0x100))
+
+
+@pytest.mark.parametrize("argv, culprit", [
+    (["solve", "{d}/bin.sys"], "{d}/bin.sys"),
+    (["rank", "{d}/bin.sys"], "{d}/bin.sys"),
+    (["verify", "--degree", "3", "--solution", "{d}/bin.sys"],
+     "{d}/bin.sys"),
+    (["solve", "{d}/ok.sys"], "{d}/ok.sys.names"),
+], ids=["solve", "rank", "verify", "names-sidecar"])
+def test_non_utf8_input_exits_with_one_line(tmp_path, capsys, argv,
+                                            culprit):
+    (tmp_path / "bin.sys").write_bytes(NOT_UTF8)
+    (tmp_path / "ok.sys").write_text("1 1\n1 1 1\n0 0 0\n")
+    (tmp_path / "ok.sys.names").write_bytes(NOT_UTF8)
+    assert main([arg.format(d=tmp_path) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {culprit.format(d=tmp_path)}: "
+                            "not UTF-8 text\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("argv, code", [
+    (["integrals", "--degree", "2"], 0),
+    (["pipeline", "--degree", "0"], 1),
+], ids=["success", "error"])
+def test_main_pauses_the_collector_and_restores_it(monkeypatch, capsys,
+                                                   enabled, argv, code):
+    seen = []
+    command = selsolve.cli._cmd_integrals
+    monkeypatch.setattr(selsolve.cli, "_cmd_integrals",
+                        lambda args: seen.append(gc.isenabled())
+                        or command(args))
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert main(argv) == code
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen == ([False] if code == 0 else [])

@@ -3,18 +3,18 @@ from fractions import Fraction
 import pytest
 
 from selsolve.errors import NotFirstIntegralError
-from selsolve.linsys import KIND_A, KIND_C, AffineForm, UnknownId
+from selsolve.linsys import KIND_A, KIND_B, KIND_C, AffineForm, UnknownId
 from selsolve.ncalgebra import (EMPTY_WORD, U, U_INV, V, V_INV, Derivation,
                                 NCPoly, Word)
 from selsolve.solver import ZeroRegistry, lsss_solve
-from selsolve.symmetry import (COMMUTATOR_UV, SymmetryAnsatz,
-                               ansatz_term_count, build_ansatz,
-                               build_symmetry_system, complete_split,
-                               enumerate_words, find_first_integrals,
-                               formulate_nc, formulate_symcon,
-                               kontsevich_system, prune_ncpoly,
-                               selective_split, side_condition_k0,
-                               system_stats)
+from selsolve.symmetry import (COMMUTATOR_UV, SortedCondition,
+                               SymmetryAnsatz, ansatz_term_count,
+                               build_ansatz, build_symmetry_system,
+                               complete_split, enumerate_words,
+                               find_first_integrals, formulate_nc,
+                               formulate_symcon, kontsevich_system,
+                               prune_ncpoly, selective_split,
+                               side_condition_k0, system_stats)
 
 C = [UnknownId(KIND_C, i) for i in range(8)]
 
@@ -134,6 +134,14 @@ def test_selective_split_on_degree3_side_condition_finds_zeros():
     assert singles <= set(reg)
 
 
+def test_unharvested_condition_is_the_formulated_polynomial():
+    poly = formulate_symcon(kontsevich_system(), build_ansatz(2), "u")
+    assert SortedCondition(poly).poly() is poly
+    condition = SortedCondition(poly)
+    assert [w for w, _ in condition.terms] == poly.sorted_words()
+    assert condition.poly() == poly
+
+
 def test_split_complete_reproduces_polynomial():
     # equations are canonical (rescaled), so each one is a nonzero rational
     # multiple of the word coefficient it came from: no information is lost
@@ -199,3 +207,15 @@ def test_build_symmetry_system_shapes():
     assert len(sys_nc.equations) == 448 + 147
     assert [eq.id for eq in sys_nc.equations] == list(range(448 + 147))
     assert lsss_solve(sys_nc).free_count == 1
+
+
+def test_side_condition_keeps_the_solution_space():
+    # N holds for every symmetry: adding it changes no free count, and
+    # every auxiliary unknown it brings in is forced to zero
+    for n, free in zip(range(3, 7), (1, 2, 4, 5)):
+        plain = lsss_solve(build_symmetry_system(n))
+        with_nc = lsss_solve(build_symmetry_system(n, include_nc=True))
+        assert plain.free_count == with_nc.free_count == free
+        aux = {u for u in with_nc.universe if u.kind in (KIND_A, KIND_B)}
+        assert aux == with_nc.universe - plain.universe
+        assert aux and all(u in with_nc.zeros for u in aux)
