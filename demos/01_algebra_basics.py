@@ -5,9 +5,9 @@ across the junction, and the system derivation annihilating the commutator
 integral.
 """
 
-from selsolve import NCPoly, Word, apply_derivation, poly_mul, poly_pow
+from selsolve import NCPoly, Word, apply_derivation, poly_mul
 from selsolve.ncalgebra import U, U_INV, V, V_INV
-from selsolve.symmetry import COMMUTATOR_UV, kontsevich_system
+from selsolve.symmetry import COMMUTATOR_UV, COMMUTATOR_VU, kontsevich_system
 
 u, v = Word((U,)), Word((V,))
 ui, vi = Word((U_INV,)), Word((V_INV,))
@@ -22,15 +22,18 @@ p = NCPoly({u: 1, v: 1})
 q = NCPoly({ui: 1})
 print(f"  (u + v)(u^-1) = {poly_mul(p, q)}")
 
-system = kontsevich_system()
+dt = kontsevich_system()
 print("\nthe system flow:")
-print(f"  D_t u = {system.dt.image_u}")
-print(f"  D_t v = {system.dt.image_v}")
-print(f"  D_t u^-1 = {system.dt.letter_image(U_INV)}  (derived, not stored)")
+print(f"  D_t u = {dt.image_u}")
+print(f"  D_t v = {dt.image_v}")
+ui_poly = NCPoly.from_word(ui)
+print(f"  D_t u^-1 = {apply_derivation(dt, ui_poly)}  (derived, not stored)")
 
 i_poly = NCPoly.from_word(COMMUTATOR_UV)
+i_inv = NCPoly.from_word(COMMUTATOR_VU)
 print("\nthe commutator word is a first integral:")
 print(f"  I      = {i_poly}")
-print(f"  I^-1   = {poly_pow(i_poly, -1)}")
-print(f"  D_t I  = {apply_derivation(system.dt, i_poly)}")
-print(f"  D_t I^-1 = {apply_derivation(system.dt, poly_pow(i_poly, -1))}")
+print(f"  I^-1   = {i_inv}")
+print(f"  I I^-1 = {poly_mul(i_poly, i_inv)}")
+print(f"  D_t I  = {apply_derivation(dt, i_poly)}")
+print(f"  D_t I^-1 = {apply_derivation(dt, i_inv)}")

@@ -6,16 +6,16 @@ map, and cross-checks the result against dense elimination.
 """
 
 from selsolve import dense_nullspace_oracle, lsss_solve
-from selsolve.solver import ZeroRegistry, find_zeros, length_sort
+from selsolve.solver import find_zeros, length_sort
 from selsolve.symmetry import build_symmetry_system
 
 system = build_symmetry_system(3, include_nc=True)
 print(f"degree-3 system: {len(system.equations)} equations, "
       f"{len(system.universe)} unknowns, {system.term_total} terms")
 
-registry = ZeroRegistry()
-found = find_zeros(system, registry)
-print(f"\n1-term harvesting: {len(registry)} zeros "
+zeros = set()
+found = find_zeros(system, zeros)
+print(f"\n1-term harvesting: {len(zeros)} zeros "
       f"in rounds {found.new_per_round}")
 print(f"remaining equations: {len(found.remaining.equations)}")
 

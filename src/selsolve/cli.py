@@ -17,8 +17,7 @@ from .pipeline import (DEFAULT_VERIFY_SEED, default_strategy, run_strategy,
                        verify_by_matrices)
 from .solver import lsss_solve
 from .symmetry import (EXPECTED_STATS, build_ansatz, build_symmetry_system,
-                       find_first_integrals, first_integral_basis,
-                       kontsevich_system, system_stats)
+                       first_integral_basis, kontsevich_system, system_stats)
 
 #: Smallest accepted value of each integer option that has one.
 OPTION_MINIMUM = {"degree": 1, "dim": 2, "trials": 1}
@@ -104,10 +103,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_integrals(args) -> int:
-    system = kontsevich_system()
-    state = find_first_integrals(system, args.degree)
-    print(f"free={state.free_count}")
-    for i, poly in enumerate(first_integral_basis(system, args.degree), 1):
+    basis = first_integral_basis(kontsevich_system(), args.degree)
+    print(f"free={len(basis)}")
+    for i, poly in enumerate(basis, 1):
         print(f"basis {i}: {poly}")
     return 0
 
@@ -178,8 +176,9 @@ def main(argv=None) -> int:
     except SelSolveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:  # a file the command could not open or write
-        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+    except OSError as exc:  # a file or stream the command could not use
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}{exc.strerror}", file=sys.stderr)
         return 1
     finally:
         if collecting:

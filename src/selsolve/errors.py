@@ -9,10 +9,6 @@ class NonlinearProductError(SelSolveError):
     """Both factors of a product carry symbolic unknowns."""
 
 
-class NotInvertibleError(SelSolveError):
-    """Negative power requested for a polynomial that is not a unit word."""
-
-
 class InconsistentSystemError(SelSolveError):
     """A contradiction (nonzero constant = 0) was derived while solving."""
 

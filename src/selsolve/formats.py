@@ -19,33 +19,35 @@ from __future__ import annotations
 
 import os
 import re
-import tempfile
+import secrets
 from fractions import Fraction
 from typing import Iterator
 
 from .errors import BoundsError, ParseError
 from .linsys import (KIND_BY_LETTER, AffineForm, Equation, LinearSystem,
                      Rational, UnknownId, format_affine, format_rational)
-from .solver import SolutionState, ZeroRegistry
+from .solver import SolutionState
 
 
 def atomic_write(path: str, text: str) -> None:
-    """Write through a temp file and a rename; an OSError names ``path``."""
-    tmp = None
+    """Write through a temp file and a rename; an OSError names ``path``.
+
+    The temp file is created as a new file, so the umask sets its mode.
+    """
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".tmp-{secrets.token_hex(8)}.part")
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                   prefix=".tmp-", suffix=".part")
-        with os.fdopen(fd, "w") as handle:
+        with open(tmp, "x") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from exc
     finally:
-        if tmp is not None and os.path.exists(tmp):
+        if os.path.exists(tmp):
             os.unlink(tmp)
 
 
-def _parse_rational(token: str, line: int) -> Rational:
+def _parse_rational(token: str, line: int | None) -> Rational:
     try:
         if "/" in token:
             num, den = token.split("/", 1)
@@ -91,12 +93,10 @@ def render_names(system: LinearSystem) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def write_system(system: LinearSystem, path: str,
-                 with_names: bool = True) -> None:
+def write_system(system: LinearSystem, path: str) -> None:
     """Write a system plus its name sidecar; byte-identical per input."""
     atomic_write(path, render_system(system))
-    if with_names:
-        atomic_write(names_path_for(path), render_names(system))
+    atomic_write(names_path_for(path), render_names(system))
 
 
 def read_names(path: str) -> dict[int, UnknownId]:
@@ -121,12 +121,10 @@ def read_names(path: str) -> dict[int, UnknownId]:
     return mapping
 
 
-def read_system(path: str, names_path: str | None = None) -> LinearSystem:
-    """Read a sparse triple file; the sidecar is picked up automatically."""
-    if names_path is None:
-        candidate = names_path_for(path)
-        names_path = candidate if os.path.exists(candidate) else None
-    names = read_names(names_path) if names_path else None
+def read_system(path: str) -> LinearSystem:
+    """Read a sparse triple file and its name sidecar, if there is one."""
+    names_path = names_path_for(path)
+    names = read_names(names_path) if os.path.exists(names_path) else None
 
     header: tuple[int, int] | None = None
     entries: dict[tuple[int, int], Rational] = {}
@@ -212,7 +210,7 @@ def parse_affine(text: str) -> AffineForm:
             rat, name = chunk, None
         else:
             rat, name = "1", chunk
-        value = sign * _parse_rational(rat, 0)
+        value = sign * _parse_rational(rat, None)
         if name is None:
             const += value
         else:
@@ -226,7 +224,7 @@ def parse_affine(text: str) -> AffineForm:
 
 def render_solution(state: SolutionState) -> str:
     lines = ["ZEROS"]
-    lines.extend(uid.name for uid in state.zeros.sorted())
+    lines.extend(uid.name for uid in sorted(state.zeros))
     lines.append("PIVOTS")
     for uid in sorted(state.pivots):
         lines.append(f"{uid.name} = {format_affine(state.pivots[uid])}")
@@ -255,13 +253,14 @@ def read_solution(path: str) -> SolutionState:
             if section == "PIVOTS":
                 name, _, expr = line.partition("=")
                 if not _:
-                    raise ParseError("pivot line needs '='", lineno)
+                    raise ValueError("pivot line needs '='")
                 pivots[UnknownId.from_name(name.strip())] = parse_affine(expr)
             elif section == "ZEROS":
                 zeros.append(UnknownId.from_name(line))
             else:
                 free.add(UnknownId.from_name(line))
-        except ValueError as exc:
+        except (ValueError, ParseError) as exc:
+            # parse_affine knows no line number; this line is the culprit
             raise ParseError(str(exc), lineno) from exc
     domains = [set(zeros), set(pivots), free]
     for i in range(3):
@@ -273,4 +272,4 @@ def read_solution(path: str) -> SolutionState:
         if not set(rhs.coeffs) <= free:
             raise ParseError(f"pivot {uid.name} mentions non-free unknowns")
     universe = frozenset(zeros) | frozenset(pivots) | frozenset(free)
-    return SolutionState(universe, ZeroRegistry(zeros), pivots, free)
+    return SolutionState(universe, set(zeros), pivots, free)

@@ -208,16 +208,9 @@ class AffineForm:
             total += r * values[u]
         return total
 
-    def key(self) -> tuple:
-        """Byte-image identity of the form, used for explicit deduplication."""
-        return (self.const, tuple(sorted(self.coeffs.items())))
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, AffineForm)
                 and self.const == other.const and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash(self.key())
 
     def __repr__(self) -> str:
         return f"AffineForm({format_affine(self)})"
@@ -309,21 +302,6 @@ class LinearSystem:
     def sorted_universe(self) -> list[UnknownId]:
         return sorted(self.universe)
 
-    def deduplicated(self) -> "LinearSystem":
-        """Drop equations with an identical canonical byte-image.
-
-        Generation never calls this; redundant equations carry information
-        for the solver's statistics, so removal is strictly on request.
-        """
-        seen = set()
-        kept = []
-        for eq in self.equations:
-            k = canonicalize(eq).lhs.key()
-            if k not in seen:
-                seen.add(k)
-                kept.append(eq)
-        return LinearSystem(kept, self.universe)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, LinearSystem)
                 and self.universe == other.universe
@@ -340,7 +318,7 @@ class NullspaceResult(NamedTuple):
 def dense_nullspace_oracle(system: LinearSystem) -> NullspaceResult:
     """Rank and an explicit nullspace basis by exact Gauss-Jordan elimination.
 
-    Independent of the selective solver: no zero registry, no 1-term
+    Independent of the selective solver: no zero set, no 1-term
     shortcuts, just full elimination of the coefficient matrix (constants
     are ignored).  Guarded because elimination materializes fill-in.
     """

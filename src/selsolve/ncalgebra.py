@@ -9,16 +9,15 @@ conditions built from them split into linear equations.
 Derivations run through one Leibniz kernel, :meth:`Accumulator.add_derivation`,
 which adds every contribution into per-word sums of plain rationals and
 reduces each prefix * image * suffix in one call.  Images of inverse
-letters are computed only on demand (:meth:`Derivation.letter_image`): the
-kernel applies d(g^-1) = -g^-1 d(g) g^-1 by widening the sandwich around
-the letter instead.
+letters are never built: the kernel applies d(g^-1) = -g^-1 d(g) g^-1 by
+widening the sandwich around the letter instead.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .errors import NonlinearProductError, NotInvertibleError
+from .errors import NonlinearProductError
 from .linsys import AffineForm, Rational, UnknownId, format_affine
 
 U, V, U_INV, V_INV = 0, 1, 2, 3
@@ -71,9 +70,6 @@ class Word(tuple):
         if not isinstance(other, tuple):
             return NotImplemented
         return word_mul(self, other)
-
-    def __pow__(self, k: int) -> "Word":
-        return word_pow(self, k)
 
     def __str__(self) -> str:
         if not self:
@@ -271,32 +267,12 @@ def poly_mul(a: NCPoly, b: NCPoly) -> NCPoly:
     return NCPoly._from_acc(acc)
 
 
-def poly_pow(p: NCPoly, k: int) -> NCPoly:
-    """p**k; negative k only for a single word with unit coefficient."""
-    if k == 0:
-        return NCPoly.one()
-    if k > 0:
-        out = p
-        for _ in range(k - 1):
-            out = poly_mul(out, p)
-        return out
-    if len(p.terms) != 1:
-        raise NotInvertibleError(
-            "negative power of a multi-term polynomial")
-    (word, coeff), = p.terms.items()
-    if coeff.coeffs or coeff.const != 1:
-        raise NotInvertibleError(
-            "negative power requires unit coefficient")
-    return NCPoly.from_word(word_pow(word, k))
-
-
 class Derivation:
     """A derivation of the algebra, determined by its images of u and v.
 
-    Images of the inverses are derived, never stored:
-    d(g^-1) = -g^-1 d(g) g^-1, forced by d(g g^-1) = 0.
-    :meth:`letter_image` expands one on demand; the Leibniz kernel never
-    needs it, because it applies the identity to each word directly.
+    Images of the inverses are never stored: d(g^-1) = -g^-1 d(g) g^-1,
+    forced by d(g g^-1) = 0, and the Leibniz kernel applies that identity
+    to each word directly.
     """
 
     __slots__ = ("image_u", "image_v", "name")
@@ -306,28 +282,12 @@ class Derivation:
         self.image_v = image_v
         self.name = name
 
-    def letter_image(self, g: int) -> NCPoly:
-        image = self.image_v if g & 1 else self.image_u
-        if g & 2:
-            return _inverse_image(image, g)
-        return image
-
     @property
     def has_unknowns(self) -> bool:
         return self.image_u.has_unknowns or self.image_v.has_unknowns
 
     def __repr__(self) -> str:
         return f"Derivation({self.name or 'unnamed'})"
-
-
-def _inverse_image(image: NCPoly, inv_letter: int) -> NCPoly:
-    # -g^-1 * image * g^-1; sandwiching by a fixed word is injective, so the
-    # terms never collide.
-    g = (inv_letter,)
-    return NCPoly._from_acc({
-        word_mul(word_mul(g, w), g): c.scaled(-1)
-        for w, c in image.terms.items()
-    })
 
 
 def reduce_sandwich(left: tuple, mid: tuple, right: tuple) -> tuple:

@@ -31,12 +31,12 @@ from typing import Sequence
 
 from .errors import ParseError, SelSolveError, SingularSampleError
 from .linsys import KIND_C, Rational, UnknownId
-from .ncalgebra import U_INV, V_INV, Word
-from .solver import SolutionState, ZeroRegistry, lsss_solve
-from .symmetry import (COMMUTATOR_UV, ODESystem, SortedCondition,
-                       SymmetryAnsatz, _check_degree_guard, build_ansatz,
-                       formulate_nc, formulate_symcon, kontsevich_system,
-                       prune_ncpoly, selective_split, split_system)
+from .ncalgebra import U_INV, V_INV, Derivation, Word
+from .solver import SolutionState, lsss_solve
+from .symmetry import (COMMUTATOR_UV, SortedCondition, SymmetryAnsatz,
+                       _check_degree_guard, build_ansatz, formulate_nc,
+                       formulate_symcon, kontsevich_system, prune_ncpoly,
+                       selective_split, split_system)
 
 DEFAULT_VERIFY_SEED = 1729
 _INVERTIBLE_RETRIES = 100
@@ -147,10 +147,6 @@ class RunReport:
     free_count: int = 0
 
     @property
-    def peak_equations(self) -> int:
-        return max((s.equations for s in self.steps), default=0)
-
-    @property
     def final_equations(self) -> int:
         return self.steps[-1].equations if self.steps else 0
 
@@ -172,7 +168,7 @@ class RunReport:
 
 
 class _PipelineRun:
-    """Shared registry plus cached formulated conditions for one degree.
+    """Shared zero set plus cached formulated conditions for one degree.
 
     The conditions of N and S are formulated on first use, over the live
     unknowns, and kept as :class:`SortedCondition`s whose remainder each
@@ -183,7 +179,7 @@ class _PipelineRun:
         _check_degree_guard(degree)
         self.system = kontsevich_system()
         self.ansatz = build_ansatz(degree)
-        self.registry = ZeroRegistry()
+        self.zeros: set[UnknownId] = set()
         self.aux: tuple[UnknownId, ...] = ()
         self._conditions: dict[str, SortedCondition] = {}
         self.report = RunReport()
@@ -193,11 +189,11 @@ class _PipelineRun:
         if label not in self._conditions:
             if label == "N":
                 nc = formulate_nc(self.system, self.ansatz, COMMUTATOR_UV,
-                                  registry=self.registry)
+                                  self.zeros)
                 self.aux, poly = nc.aux, nc.residual
             else:
                 poly = formulate_symcon(self.system, self.ansatz, "u",
-                                        registry=self.registry)
+                                        self.zeros)
             self._conditions[label] = SortedCondition(poly)
         return self._conditions[label]
 
@@ -208,8 +204,8 @@ class _PipelineRun:
     def _harvest(self, label: str) -> int:
         started = time.perf_counter()
         condition = self._condition(label)
-        new = selective_split(condition, self.registry)
-        live = self.ansatz.unknown_count + len(self.aux) - len(self.registry)
+        new = selective_split(condition, self.zeros)
+        live = self.ansatz.unknown_count + len(self.aux) - len(self.zeros)
         self._record(label, started, new, 0, len(condition.terms), live)
         return new
 
@@ -222,13 +218,13 @@ class _PipelineRun:
     def step_f(self) -> SolutionState:
         started = time.perf_counter()
         conditions = [prune_ncpoly(self._condition(label).poly(),
-                                   self.registry) for label in "NS"]
+                                   self.zeros) for label in "NS"]
         conditions.append(formulate_symcon(self.system, self.ansatz, "v",
-                                           registry=self.registry))
+                                           self.zeros))
         system = split_system(conditions, self.ansatz.unknowns + self.aux)
-        zeros_before = len(self.registry)
-        self.state = lsss_solve(system, registry=self.registry)
-        self._record("F", started, len(self.registry) - zeros_before,
+        zeros_before = len(self.zeros)
+        self.state = lsss_solve(system, self.zeros)
+        self._record("F", started, len(self.zeros) - zeros_before,
                      len(system))
         report = self.report
         report.strategy_text = format_steps([s.label for s in report.steps])
@@ -359,7 +355,7 @@ class _LeibnizMatrices(_TrialMatrices):
         return hit
 
 
-def verify_by_matrices(system: ODESystem, ansatz: SymmetryAnsatz,
+def verify_by_matrices(system: Derivation, ansatz: SymmetryAnsatz,
                        state: SolutionState, dim: int, trials: int,
                        seed: int = DEFAULT_VERIFY_SEED) -> bool:
     """Check a solved symmetry on random invertible integer matrices.
@@ -392,7 +388,7 @@ def verify_by_matrices(system: ODESystem, ansatz: SymmetryAnsatz,
         q1, q2, p1, p2 = ([(w, c) for w, aff in image.terms.items()
                            if (c := aff.evaluate(values))]
                           for image in (dtau.image_u, dtau.image_v,
-                                        system.dt.image_u, system.dt.image_v))
+                                        system.image_u, system.image_v))
         d_tau, d_t = _LeibnizMatrices(trial, q1, q2), _LeibnizMatrices(
             trial, p1, p2)
         for px, qx in ((p1, q1), (p2, q2)):

@@ -4,69 +4,30 @@ most unknowns to zero.
 The entry point :func:`lsss_solve` chains three stages: harvest 1-term
 equations to a fixpoint (:func:`find_zeros`), bucket-sort what is left by
 size (:func:`length_sort`), then stream the remaining equations through an
-incrementally back-substituted pivot map (:func:`stream_solve`).
+incrementally back-substituted pivot map (:func:`stream_solve`).  The
+unknowns known to vanish are a plain set that grows within one solve: a
+zero never comes back with a nonzero value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import InconsistentSystemError
 from .linsys import (AffineForm, Equation, LinearSystem, Rational, UnknownId,
                      canonicalize, exact_div, format_rational, substitute)
 
 
-class ZeroRegistry:
-    """Set of unknowns known to vanish; a per-solve context object.
+def prune_zeros(form: AffineForm, zeros: set[UnknownId]) -> AffineForm:
+    """Drop every term whose unknown is known to be zero.
 
-    Grows monotonically within one solve; a registered unknown never
-    reappears with a nonzero value.  Hot loops read the set ``members``.
+    Equivalent to substituting 0 for each zero; a single pass with no other
+    rewriting.
     """
-
-    __slots__ = ("members",)
-
-    def __init__(self, zeros: Iterable[UnknownId] = ()):
-        self.members = set(zeros)
-
-    def add(self, uid: UnknownId) -> bool:
-        """Register one unknown; True if it was new."""
-        if uid in self.members:
-            return False
-        self.members.add(uid)
-        return True
-
-    def update(self, uids: Iterable[UnknownId]) -> int:
-        before = len(self.members)
-        self.members.update(uids)
-        return len(self.members) - before
-
-    def __contains__(self, uid: UnknownId) -> bool:
-        return uid in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[UnknownId]:
-        return iter(self.members)
-
-    def sorted(self) -> list[UnknownId]:
-        return sorted(self.members)
-
-    def __repr__(self) -> str:
-        return f"ZeroRegistry({len(self.members)} zeros)"
-
-
-def prune_zeros(form: AffineForm, registry: ZeroRegistry) -> AffineForm:
-    """Drop every term whose unknown is registered as zero.
-
-    Equivalent to substituting 0 for each registered unknown; a single pass
-    with no other rewriting.
-    """
-    hit = [u for u in form.coeffs if u in registry]
-    if not hit:
+    if form.coeffs.keys().isdisjoint(zeros):
         return form
-    coeffs = {u: r for u, r in form.coeffs.items() if u not in registry}
+    coeffs = {u: r for u, r in form.coeffs.items() if u not in zeros}
     return AffineForm._raw(form.const, coeffs)
 
 
@@ -86,11 +47,11 @@ def _contradiction(eq: Equation, form: AffineForm) -> InconsistentSystemError:
         f"{format_rational(form.const)} = 0")
 
 
-def find_zeros(system: LinearSystem, registry: ZeroRegistry) -> FindZerosResult:
+def find_zeros(system: LinearSystem, zeros: set[UnknownId]) -> FindZerosResult:
     """Repeatedly harvest 1-term equations r*x = 0 until a fixpoint.
 
-    Each round prunes against the registry as it stood at the round start
-    and registers the whole batch at the round boundary, so the per-round
+    Each round prunes against the zeros as they stood at the round start
+    and adds the whole batch at the round boundary, so the per-round
     counts are well defined.  Returns the pruned non-identity equations and
     the new-zero count of every round (the final sweep reports 0).
     """
@@ -100,7 +61,7 @@ def find_zeros(system: LinearSystem, registry: ZeroRegistry) -> FindZerosResult:
         batch: set[UnknownId] = set()
         kept: list[Equation] = []
         for eq in equations:
-            form = prune_zeros(eq.lhs, registry)
+            form = prune_zeros(eq.lhs, zeros)
             if form.is_zero:
                 continue
             if not form.coeffs:
@@ -118,7 +79,7 @@ def find_zeros(system: LinearSystem, registry: ZeroRegistry) -> FindZerosResult:
             remaining = LinearSystem([canonicalize(eq) for eq in kept],
                                      system.universe)
             return FindZerosResult(remaining, new_per_round)
-        registry.update(batch)
+        zeros.update(batch)
         equations = kept
 
 
@@ -148,7 +109,7 @@ class SolutionState:
     """
 
     universe: frozenset[UnknownId]
-    zeros: ZeroRegistry
+    zeros: set[UnknownId]
     pivots: dict[UnknownId, AffineForm]
     free: set[UnknownId]
     identities: int = 0
@@ -156,30 +117,15 @@ class SolutionState:
 
     @classmethod
     def fresh(cls, universe: Iterable[UnknownId],
-              registry: ZeroRegistry | None = None) -> "SolutionState":
+              zeros: set[UnknownId] | None = None) -> "SolutionState":
         uni = frozenset(universe)
-        reg = registry if registry is not None else ZeroRegistry()
-        free = {u for u in uni if u not in reg}
-        return cls(uni, reg, {}, free)
+        zeros = set() if zeros is None else zeros
+        free = {u for u in uni if u not in zeros}
+        return cls(uni, zeros, {}, free)
 
     @property
     def free_count(self) -> int:
         return len(self.free)
-
-    def check_invariants(self) -> None:
-        zs = set(self.zeros)
-        assert zs.isdisjoint(self.pivots) and zs.isdisjoint(self.free)
-        assert not set(self.pivots) & self.free
-        assert zs | set(self.pivots) | self.free == set(self.universe)
-        for rhs in self.pivots.values():
-            assert set(rhs.coeffs) <= self.free
-
-    def reduce_form(self, form: AffineForm) -> AffineForm:
-        """Apply zeros then pivots; the result mentions free unknowns only."""
-        return substitute(prune_zeros(form, self.zeros), self.pivots)
-
-    def satisfies(self, equation: Equation) -> bool:
-        return self.reduce_form(equation.lhs).is_zero
 
     def basis(self) -> list[dict[UnknownId, Rational]]:
         """Solution-space basis: one vector per free unknown, that unknown
@@ -272,16 +218,17 @@ def stream_solve(equations: Iterable[Equation],
 
 
 def lsss_solve(system: LinearSystem,
-               registry: ZeroRegistry | None = None) -> SolutionState:
+               zeros: set[UnknownId] | None = None) -> SolutionState:
     """Solve an arbitrary (under-, well-, or overdetermined) linear system.
 
-    Zeros first, then size-sorted streaming.  A pre-seeded registry lets a
-    staged pipeline carry harvested zeros into the final solve.  For a
-    homogeneous system the number of free unknowns is the nullity.
+    Zeros first, then size-sorted streaming.  Pre-seeded zeros let a staged
+    pipeline carry harvested zeros into the final solve; the set grows in
+    place.  For a homogeneous system the number of free unknowns is the
+    nullity.
     """
-    reg = registry if registry is not None else ZeroRegistry()
-    found = find_zeros(system, reg)
+    zeros = set() if zeros is None else zeros
+    found = find_zeros(system, zeros)
     ordered = length_sort(found.remaining)
-    state = SolutionState.fresh(system.universe, reg)
+    state = SolutionState.fresh(system.universe, zeros)
     state.zero_rounds = found.new_per_round
     return stream_solve(ordered.equations, state)

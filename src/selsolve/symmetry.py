@@ -11,17 +11,18 @@ equations, and harvests vanishing unknowns straight from a condition
 without materializing its system (selective splitting).
 
 The ansatz is live: it stores only its words and unknowns, and builds Q1
-and Q2 from the unknowns not yet registered as zero each time a condition
+and Q2 from the unknowns not yet known to be zero each time a condition
 is formulated.  Each condition is built in one accumulator pass.  A staged
 run keeps a formulated condition as a :class:`SortedCondition`, sorted into
 deglex order once; every later harvest is one pass in that order that
-prunes, registers 1-term words and keeps the remainder for the next pass.
+prunes, adds the unknown of each 1-term word to the zeros and keeps the
+remainder for the next pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .errors import NotFirstIntegralError, TooLargeError
 from .linsys import (FORMULATE_MAX_UNKNOWNS, KIND_A, KIND_B, KIND_C,
@@ -29,7 +30,7 @@ from .linsys import (FORMULATE_MAX_UNKNOWNS, KIND_A, KIND_B, KIND_C,
                      canonicalize, unknown_limit)
 from .ncalgebra import (EMPTY_WORD, U, U_INV, V, V_INV, Accumulator,
                         Derivation, NCPoly, Word, apply_derivation, word_pow)
-from .solver import SolutionState, ZeroRegistry, lsss_solve, prune_zeros
+from .solver import lsss_solve, prune_zeros
 
 #: Group commutator u v u^-1 v^-1 and its inverse: the generating first
 #: integrals of the default system.
@@ -59,21 +60,11 @@ def side_condition_k0(degree: int) -> int:
     return max(DEFAULT_K0, (degree + 5) // 4)
 
 
-@dataclass
-class ODESystem:
+def kontsevich_system() -> Derivation:
     """The system flow D_t, with unknown-free Laurent polynomial images."""
-
-    dt: Derivation
-
-    def __post_init__(self):
-        if self.dt.has_unknowns:
-            raise ValueError("system images must be unknown-free")
-
-
-def kontsevich_system() -> ODESystem:
     p1 = NCPoly({Word((U, V)): 1, Word((U, V_INV)): -1, Word((V_INV,)): -1})
     p2 = NCPoly({Word((V, U)): -1, Word((V, U_INV)): 1, Word((U_INV,)): 1})
-    return ODESystem(Derivation(p1, p2, name="Dt"))
+    return Derivation(p1, p2, name="Dt")
 
 
 def enumerate_words(max_degree: int) -> list[Word]:
@@ -109,13 +100,11 @@ class SymmetryAnsatz:
     Only words and unknowns are stored: ``unknowns[i]`` is the coefficient
     of ``words[i]`` in Q1 = u_tau and ``unknowns[t + i]`` its coefficient
     in Q2 = v_tau, where t = len(words).  :meth:`derivation` builds Q1 and
-    Q2 at the point of use from the unknowns a registry has not zeroed, so
-    no full image is built only to be pruned.  ``fixed`` gives the images
-    outright instead, for a probe flow.
+    Q2 at the point of use from the unknowns not known to be zero, so no
+    full image is built only to be pruned.
     """
 
     degree: int
-    fixed: Derivation | None
     words: tuple[Word, ...]
     unknowns: tuple[UnknownId, ...]
 
@@ -123,20 +112,8 @@ class SymmetryAnsatz:
     def unknown_count(self) -> int:
         return len(self.unknowns)
 
-    @property
-    def dtau(self) -> Derivation:
-        """D_tau with every unknown live."""
-        return self.derivation()
-
-    def derivation(self, registry: ZeroRegistry | None = None) -> Derivation:
-        """D_tau over the unknowns that are not in ``registry``."""
-        if self.fixed is not None:
-            if not registry:
-                return self.fixed
-            return Derivation(prune_ncpoly(self.fixed.image_u, registry),
-                              prune_ncpoly(self.fixed.image_v, registry),
-                              name=self.fixed.name)
-        zeros = registry.members if registry is not None else ()
+    def derivation(self, zeros: Collection[UnknownId] = ()) -> Derivation:
+        """D_tau over the unknowns that are not in ``zeros``."""
         t = len(self.words)
         q1, q2 = (NCPoly._raw({
             w: AffineForm._raw(0, {uid: 1})
@@ -150,39 +127,39 @@ def build_ansatz(degree: int) -> SymmetryAnsatz:
         raise ValueError("ansatz degree must be >= 1")
     words = enumerate_words(degree)
     unknowns = tuple(UnknownId(KIND_C, i) for i in range(2 * len(words)))
-    return SymmetryAnsatz(degree, None, tuple(words), unknowns)
+    return SymmetryAnsatz(degree, tuple(words), unknowns)
 
 
-def prune_ncpoly(p: NCPoly, registry: ZeroRegistry) -> NCPoly:
+def prune_ncpoly(p: NCPoly, zeros: set[UnknownId]) -> NCPoly:
     """Prune every coefficient; words whose coefficient vanishes drop out."""
-    if not len(registry):
+    if not zeros:
         return p
     acc = {}
     for w, c in p.terms.items():
-        pruned = prune_zeros(c, registry)
+        pruned = prune_zeros(c, zeros)
         if not pruned.is_zero:
             acc[w] = pruned
     return NCPoly._from_acc(acc)
 
 
-def formulate_symcon(system: ODESystem, ansatz: SymmetryAnsatz, which: str,
-                     registry: ZeroRegistry | None = None) -> NCPoly:
+def formulate_symcon(system: Derivation, ansatz: SymmetryAnsatz, which: str,
+                     zeros: Collection[UnknownId] = ()) -> NCPoly:
     """The commutator condition D_tau(D_t x) - D_t(D_tau x) for x = u or v.
 
     Identically zero exactly when the ansatz flow commutes with the system
-    on that generator.  With a registry only the live unknowns enter the
+    D_t on that generator.  Only the unknowns not in ``zeros`` enter the
     ansatz.  Both terms are added into one accumulator.
     """
     if which not in ("u", "v"):
         raise ValueError("which must be 'u' or 'v'")
-    dtau = ansatz.derivation(registry)
+    dtau = ansatz.derivation(zeros)
     if which == "u":
-        dtx, qx = system.dt.image_u, dtau.image_u
+        dtx, qx = system.image_u, dtau.image_u
     else:
-        dtx, qx = system.dt.image_v, dtau.image_v
+        dtx, qx = system.image_v, dtau.image_v
     acc = Accumulator()
     acc.add_derivation(dtau, dtx)
-    acc.add_derivation(system.dt, qx, sign=-1)
+    acc.add_derivation(system, qx, sign=-1)
     return acc.poly()
 
 
@@ -190,47 +167,43 @@ def formulate_symcon(system: ODESystem, ansatz: SymmetryAnsatz, which: str,
 class NecessaryCondition:
     """Residual of D_tau(target) = sum over k of aux[k0+k] * I^k."""
 
-    target: NCPoly
-    k0: int
     aux: tuple[UnknownId, ...]
     residual: NCPoly
 
 
-def formulate_nc(system: ODESystem, ansatz: SymmetryAnsatz,
-                 target: NCPoly | Word, k0: int | None = None,
-                 registry: ZeroRegistry | None = None) -> NecessaryCondition:
+def formulate_nc(system: Derivation, ansatz: SymmetryAnsatz,
+                 target: NCPoly | Word,
+                 zeros: Collection[UnknownId] = ()) -> NecessaryCondition:
     """First-order side condition for a first integral target.
 
     The target must satisfy D_t(target) = 0 (checked).  Fresh auxiliary
     unknowns a (for the commutator integral) or b (for its inverse) absorb
-    the span of integral powers; aux[i] multiplies I^(i - k0), and k0
-    defaults to :func:`side_condition_k0` of the ansatz degree.  With a
-    registry only the live unknowns enter the ansatz.
+    the span of integral powers; aux[i] multiplies I^(i - k0), with k0 from
+    :func:`side_condition_k0` of the ansatz degree.  Only the unknowns not
+    in ``zeros`` enter the ansatz.
     """
-    if k0 is None:
-        k0 = side_condition_k0(ansatz.degree)
+    k0 = side_condition_k0(ansatz.degree)
     if isinstance(target, Word):
         target = NCPoly.from_word(target)
-    if not apply_derivation(system.dt, target).is_zero:
+    if not apply_derivation(system, target).is_zero:
         raise NotFirstIntegralError(
             "target is not annihilated by the system flow")
     kind = KIND_B if COMMUTATOR_VU in target.terms else KIND_A
     aux = tuple(UnknownId(kind, i) for i in range(2 * k0 + 1))
     acc = Accumulator()
-    acc.add_derivation(ansatz.derivation(registry), target)
+    acc.add_derivation(ansatz.derivation(zeros), target)
     for i, uid in enumerate(aux):
         acc.add(word_pow(COMMUTATOR_UV, i - k0), uid, -1)
-    return NecessaryCondition(target, k0, aux, acc.poly())
+    return NecessaryCondition(aux, acc.poly())
 
 
-def complete_split(p: NCPoly, universe=None, start_id: int = 0) -> LinearSystem:
+def complete_split(p: NCPoly, universe: Iterable[UnknownId],
+                   start_id: int = 0) -> LinearSystem:
     """One equation per distinct word with a nonzero coefficient.
 
     Words are taken in deglex order; equations arising from distinct words
-    are never deduplicated even when their content coincides.
+    are kept apart even when their content coincides.
     """
-    if universe is None:
-        universe = p.unknowns()
     equations = [
         canonicalize(Equation(p.terms[w], start_id + i))
         for i, w in enumerate(p.sorted_words())
@@ -244,7 +217,7 @@ class SortedCondition:
     ``terms`` lists (word, coefficient) pairs in deglex order, sorted on
     first use; until then :meth:`poly` is the formulated polynomial.  Each
     :func:`selective_split` pass replaces them by the pruned remainder, in
-    order: words that registered a zero or pruned to zero drop out, and a
+    order: words that yielded a zero or pruned to zero drop out, and a
     nonzero constant stays, so the final split reports the contradiction.
     """
 
@@ -265,18 +238,16 @@ class SortedCondition:
         return NCPoly._from_acc(dict(held))
 
 
-def selective_split(p: NCPoly | SortedCondition, registry: ZeroRegistry) -> int:
+def selective_split(p: NCPoly | SortedCondition,
+                    zeros: set[UnknownId]) -> int:
     """Harvest zeros from words whose pruned coefficient is a single term.
 
-    One pass in deglex order; each coefficient is pruned against the
-    registry as it grows, so finds take effect immediately.  A polynomial
-    is not rewritten; a :class:`SortedCondition` keeps the remainder for
-    the next pass.  Returns the number of newly registered unknowns.
+    One pass in deglex order; each coefficient is pruned against ``zeros``
+    as the set grows, so finds take effect immediately.  A polynomial is
+    not rewritten; a :class:`SortedCondition` keeps the remainder for the
+    next pass.  Returns the number of unknowns added to ``zeros``.
     """
     condition = p if isinstance(p, SortedCondition) else SortedCondition(p)
-    # The registry's own set: one C-level disjointness test per
-    # coefficient instead of a method call per unknown.
-    zeros = registry.members
     found = 0
     kept = []
     for term in condition.terms:
@@ -288,7 +259,7 @@ def selective_split(p: NCPoly | SortedCondition, registry: ZeroRegistry) -> int:
             term = (term[0], coeff)
         if len(coeffs) == 1 and coeff.const == 0:
             (uid,) = coeffs
-            registry.add(uid)
+            zeros.add(uid)
             found += 1
         elif coeffs or coeff.const:
             kept.append(term)
@@ -382,12 +353,12 @@ def system_stats(degree: int) -> SystemStats:
                        len(terms_uv), sum(terms_uv), state.free_count)
 
 
-def find_first_integrals(system: ODESystem, degree: int) -> SolutionState:
-    """Dimension of the space of first integrals of degree <= n.
+def first_integral_basis(system: Derivation, degree: int) -> list[NCPoly]:
+    """A basis of the first integrals of degree <= n, constants included.
 
     Builds a one-polynomial ansatz with a fresh unknown per word, splits
-    D_t(ansatz) completely and solves; the free count is the dimension
-    (constants included).
+    D_t(ansatz) completely and solves once; each free unknown gives one
+    integral, so the basis length is the dimension of the space.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -395,19 +366,8 @@ def find_first_integrals(system: ODESystem, degree: int) -> SolutionState:
     unknowns = [UnknownId(KIND_C, i) for i in range(len(words))]
     ansatz = NCPoly._from_acc(
         {w: AffineForm.unknown(u) for w, u in zip(words, unknowns)})
-    condition = apply_derivation(system.dt, ansatz)
-    return lsss_solve(complete_split(condition, universe=unknowns))
-
-
-def first_integral_basis(system: ODESystem, degree: int) -> list[NCPoly]:
-    """Concrete integrals spanning the solution space of the search above."""
-    words = enumerate_words(degree)
-    unknowns = [UnknownId(KIND_C, i) for i in range(len(words))]
-    state = find_first_integrals(system, degree)
-    out = []
-    for vec in state.basis():
-        poly = NCPoly._from_acc(
-            {w: AffineForm.constant(vec[u])
-             for w, u in zip(words, unknowns) if vec.get(u, 0) != 0})
-        out.append(poly)
-    return out
+    condition = apply_derivation(system, ansatz)
+    state = lsss_solve(complete_split(condition, unknowns))
+    return [NCPoly._from_acc({w: AffineForm.constant(vec[u])
+                              for w, u in zip(words, unknowns) if u in vec})
+            for vec in state.basis()]

@@ -5,17 +5,20 @@ shared through module-scoped fixtures so the suite stays fast.
 """
 
 import dataclasses
+import hashlib
 import time
 
 import pytest
 
+from selsolve.cli import main
+from selsolve.formats import write_solution
 from selsolve.linsys import dense_nullspace_oracle
 from selsolve.ncalgebra import NCPoly, apply_derivation
 from selsolve.pipeline import default_strategy, run_strategy, verify_by_matrices
 from selsolve.solver import lsss_solve
 from selsolve.symmetry import (COMMUTATOR_UV, COMMUTATOR_VU, EXPECTED_STATS,
                                build_ansatz, build_symmetry_system,
-                               find_first_integrals, kontsevich_system,
+                               first_integral_basis, kontsevich_system,
                                system_stats)
 
 DEGREES = range(3, 9)
@@ -36,6 +39,19 @@ STEP_TRACES = {
     8: ("NNNNNNSNNNSNNNSNNSNSF",
         [17750, 4439, 658, 96, 8, 0, 1702, 555, 32, 0, 456, 125, 3, 0, 88,
          18, 0, 5, 0, 0, 2], (25937, 304, 8)),
+}
+
+
+#: sha256 of the ``gen --nc --degree n`` output and of the default strategy's
+#: solution file per degree; the files are byte-identical per input.
+SYSTEM_SHA256 = {
+    4: "faa0f793c055a6e2ea73d58428d996036697853574d95ca521aadb8ff00e7dfc",
+    5: "b962c45be35ca889bc4d5036573d0c8dd59c9bdc5e95a0d5f6c9662031b52955",
+}
+SOLUTION_SHA256 = {
+    4: "def21d3a399197872f085c0e1b207e9a8930af1883239640b2d9cfb395a9ee41",
+    5: "acc1ccf8d6a04df824b48e731d69d27cb797c6bc2d6a36b61e1738492e4aa6d6",
+    6: "c1ab55b9fce2be411d3d6caaf2947c151349a52f7203e7a452fd536944eaaf0e",
 }
 
 
@@ -79,8 +95,8 @@ def test_criterion_2_free_parameters_full_pipeline(pipeline_results):
         ansatz = build_ansatz(n)
         half = ansatz.unknown_count // 2
         vec = {}
-        for image, offset in ((system.dt.image_u, 0),
-                              (system.dt.image_v, half)):
+        for image, offset in ((system.image_u, 0),
+                              (system.image_v, half)):
             for word, coeff in image.terms.items():
                 index = ansatz.words.index(word)
                 vec[ansatz.unknowns[offset + index]] = coeff.const
@@ -101,11 +117,11 @@ def test_criterion_3_equation_and_term_counts(stats_results):
 
 def test_criterion_4_first_integrals():
     system = kontsevich_system()
-    assert apply_derivation(system.dt, NCPoly.from_word(COMMUTATOR_UV)).is_zero
-    assert apply_derivation(system.dt, NCPoly.from_word(COMMUTATOR_VU)).is_zero
+    assert apply_derivation(system, NCPoly.from_word(COMMUTATOR_UV)).is_zero
+    assert apply_derivation(system, NCPoly.from_word(COMMUTATOR_VU)).is_zero
     dims = {}
     for degree, expected in ((3, 1), (4, 3), (8, 5)):
-        dims[degree] = find_first_integrals(system, degree).free_count
+        dims[degree] = len(first_integral_basis(system, degree))
         assert dims[degree] == expected
     report(4, f"integral annihilation exact; dimensions {dims}")
 
@@ -202,3 +218,16 @@ def test_default_strategy_step_traces(pipeline_results):
     assert pipeline_results[8][1].strategy_text == "(N)6S(N)3S(N)3SNNSNSF"
     report("trace", "default strategy step labels, per-step yields and "
                     "final counts pinned for n=3..8")
+
+
+def test_file_bytes_are_pinned(pipeline_results, tmp_path, capsys):
+    for n, expected in SYSTEM_SHA256.items():
+        assert main(["gen", "--nc", "--degree", str(n)]) == 0
+        text = capsys.readouterr().out
+        assert hashlib.sha256(text.encode()).hexdigest() == expected, n
+    for n, expected in SOLUTION_SHA256.items():
+        path = tmp_path / f"n{n}.sol"
+        write_solution(pipeline_results[n][0], str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == expected, n
+    report("bytes", "gen --nc output n=4,5 and default solution files "
+                    "n=4..6 byte-identical to the pinned sha256")

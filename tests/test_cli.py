@@ -1,8 +1,13 @@
+import errno
 import gc
+import io
+import os
+import sys
 
 import pytest
 
 import selsolve.cli
+import selsolve.symmetry
 from selsolve.cli import main
 from selsolve.formats import write_solution
 from selsolve.linsys import GUARD_ENV_VAR
@@ -21,6 +26,18 @@ def test_integrals_degree_4(capsys):
     out = capsys.readouterr().out
     assert "free=3" in out
     assert "u v u^-1 v^-1" in out
+
+
+def test_integrals_solves_once(monkeypatch, capsys):
+    solves = []
+    solve = selsolve.symmetry.lsss_solve
+    monkeypatch.setattr(selsolve.symmetry, "lsss_solve",
+                        lambda system: solves.append(system) or solve(system))
+    assert main(["integrals", "--degree", "4"]) == 0
+    assert len(solves) == 1
+    assert capsys.readouterr().out == (
+        "free=3\nbasis 1: 1\nbasis 2: u v u^-1 v^-1\n"
+        "basis 3: v u v^-1 u^-1\n")
 
 
 def test_gen_solve_rank_verify_chain(tmp_path, capsys):
@@ -187,3 +204,30 @@ def test_main_pauses_the_collector_and_restores_it(monkeypatch, capsys,
     finally:
         (gc.enable if was_enabled else gc.disable)()
     assert seen == ([False] if code == 0 else [])
+
+
+class _ClosedPipe(io.TextIOBase):
+    """Standard output whose reader has gone, as under ``| head -1``."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+def test_error_without_a_file_names_no_path(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["integrals", "--degree", "2"]) == 1
+    assert capsys.readouterr().err == "error: Broken pipe\n"
+
+
+@pytest.mark.parametrize("pivot, message", [
+    ("c1 = 1/0*c2", "bad rational '1/0'"),
+    ("c1 = 2*q2", "bad unknown 'q2'"),
+], ids=["rational", "unknown"])
+def test_bad_pivot_expression_names_its_line(tmp_path, capsys, pivot,
+                                             message):
+    path = tmp_path / "bad.sol"
+    path.write_text(f"ZEROS\nc0\nPIVOTS\n{pivot}\nFREE\nc2\n")
+    assert main(["verify", "--degree", "3", "--solution", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: line 4: {message}\n"
+    assert captured.out == ""

@@ -1,3 +1,5 @@
+import os
+import stat
 from fractions import Fraction
 
 import pytest
@@ -123,3 +125,16 @@ def test_solution_parse_errors(tmp_path):
         handle.write("ZEROS\nc0\nFREE\nc0\n")
     with pytest.raises(ParseError):
         read_solution(path)
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["022", "077"])
+def test_written_files_follow_the_umask(tmp_path, umask, mode):
+    previous = os.umask(umask)
+    try:
+        write_system(small_system(), str(tmp_path / "s.sys"))
+        write_solution(lsss_solve(small_system()), str(tmp_path / "s.sol"))
+    finally:
+        os.umask(previous)
+    for name in ("s.sys", "s.sys.names", "s.sol"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode

@@ -12,11 +12,11 @@ from fractions import Fraction
 
 import pytest
 
-from selsolve.linsys import KIND_C, AffineForm, UnknownId
+from selsolve.linsys import KIND_A, KIND_C, AffineForm, UnknownId
 from selsolve.ncalgebra import (U_INV, V_INV, Derivation, NCPoly, Word,
                                 affine_product, apply_derivation, poly_mul,
-                                reduce_letters, reduce_sandwich, word_mul)
-from selsolve.solver import ZeroRegistry
+                                reduce_letters, reduce_sandwich, word_mul,
+                                word_pow)
 from selsolve.symmetry import (COMMUTATOR_UV, SortedCondition, build_ansatz,
                                formulate_nc, formulate_symcon,
                                kontsevich_system, prune_ncpoly,
@@ -46,53 +46,53 @@ def reference_apply(d, p):
     return NCPoly(acc)
 
 
-def reference_dtau(ansatz, registry):
+def reference_dtau(ansatz, zeros):
     t = len(ansatz.words)
     q1 = NCPoly({w: AffineForm.unknown(ansatz.unknowns[i])
                  for i, w in enumerate(ansatz.words)})
     q2 = NCPoly({w: AffineForm.unknown(ansatz.unknowns[t + i])
                  for i, w in enumerate(ansatz.words)})
-    return Derivation(prune_ncpoly(q1, registry), prune_ncpoly(q2, registry))
+    return Derivation(prune_ncpoly(q1, zeros), prune_ncpoly(q2, zeros))
 
 
-def reference_symcon(system, ansatz, which, registry):
-    dtau = reference_dtau(ansatz, registry)
-    dtx, qx = ((system.dt.image_u, dtau.image_u) if which == "u"
-               else (system.dt.image_v, dtau.image_v))
-    return reference_apply(dtau, dtx) - reference_apply(system.dt, qx)
+def reference_symcon(system, ansatz, which, zeros):
+    dtau = reference_dtau(ansatz, zeros)
+    dtx, qx = ((system.image_u, dtau.image_u) if which == "u"
+               else (system.image_v, dtau.image_v))
+    return reference_apply(dtau, dtx) - reference_apply(system, qx)
 
 
-def reference_nc(system, ansatz, k0, registry):
-    residual = reference_apply(reference_dtau(ansatz, registry),
+def reference_nc(ansatz, k0, zeros):
+    residual = reference_apply(reference_dtau(ansatz, zeros),
                                NCPoly.from_word(COMMUTATOR_UV))
-    aux = formulate_nc(system, build_ansatz(1), COMMUTATOR_UV, k0).aux
-    for i, uid in enumerate(aux):
-        power = Word(COMMUTATOR_UV) ** (i - k0)
-        residual = residual - NCPoly.from_word(power, AffineForm.unknown(uid))
+    for i in range(2 * k0 + 1):
+        power = word_pow(COMMUTATOR_UV, i - k0)
+        aux = AffineForm.unknown(UnknownId(KIND_A, i))
+        residual = residual - NCPoly.from_word(power, aux)
     return residual
 
 
 @pytest.mark.parametrize("degree", [3, 4, 5, 6])
 def test_formulations_match_reference(degree):
+    # k0 is 3 for every degree up to 10
     system = kontsevich_system()
     ansatz = build_ansatz(degree)
-    empty = ZeroRegistry()
-    harvested = ZeroRegistry()
-    selective_split(reference_nc(system, ansatz, 3, empty), harvested)
+    empty = set()
+    harvested = set()
+    selective_split(reference_nc(ansatz, 3, empty), harvested)
     assert len(harvested) > 0
-    for registry in (empty, harvested):
-        nc = formulate_nc(system, ansatz, COMMUTATOR_UV, 3,
-                          registry=registry)
-        assert nc.residual == reference_nc(system, ansatz, 3, registry)
+    for zeros in (empty, harvested):
+        nc = formulate_nc(system, ansatz, COMMUTATOR_UV, zeros)
+        assert nc.residual == reference_nc(ansatz, 3, zeros)
         for which in ("u", "v"):
-            assert formulate_symcon(system, ansatz, which, registry) \
-                == reference_symcon(system, ansatz, which, registry)
-        dtau = ansatz.derivation(registry)
+            assert formulate_symcon(system, ansatz, which, zeros) \
+                == reference_symcon(system, ansatz, which, zeros)
+        dtau = ansatz.derivation(zeros)
         assert apply_derivation(dtau, NCPoly.from_word(COMMUTATOR_UV)) \
-            == reference_apply(reference_dtau(ansatz, registry),
+            == reference_apply(reference_dtau(ansatz, zeros),
                                NCPoly.from_word(COMMUTATOR_UV))
-        assert apply_derivation(system.dt, dtau.image_u) \
-            == reference_apply(system.dt, dtau.image_u)
+        assert apply_derivation(system, dtau.image_u) \
+            == reference_apply(system, dtau.image_u)
 
 
 def random_affine_poly(rng, unknowns, with_const):
@@ -110,7 +110,7 @@ def test_kernel_matches_reference_on_random_polynomials():
     # between contributions.
     rng = random.Random(201)
     unknowns = [UnknownId(KIND_C, i) for i in range(6)]
-    dt = kontsevich_system().dt
+    dt = kontsevich_system()
     for _ in range(300):
         plain = random_poly(rng)
         affine = random_affine_poly(rng, unknowns, rng.random() < 0.5)
@@ -131,11 +131,11 @@ def test_reduce_sandwich_is_free_reduction():
 
 def test_live_derivation_equals_pruned_full_images():
     ansatz = build_ansatz(3)
-    registry = ZeroRegistry(ansatz.unknowns[::3])
-    live = ansatz.derivation(registry)
-    full = ansatz.dtau
-    assert live.image_u == prune_ncpoly(full.image_u, registry)
-    assert live.image_v == prune_ncpoly(full.image_v, registry)
+    zeros = set(ansatz.unknowns[::3])
+    live = ansatz.derivation(zeros)
+    full = ansatz.derivation()
+    assert live.image_u == prune_ncpoly(full.image_u, zeros)
+    assert live.image_v == prune_ncpoly(full.image_v, zeros)
     assert len(full.image_u.terms) == len(ansatz.words)
 
 
@@ -149,15 +149,15 @@ def test_sorted_condition_keeps_pruned_remainder_in_order():
     })
     condition = SortedCondition(p)
     assert [w for w, _ in condition.terms] == p.sorted_words()
-    registry = ZeroRegistry([c[3]])
+    zeros = {c[3]}
     # u registers c2 at once, so v u then prunes to the single term c1
-    assert selective_split(condition, registry) == 3
-    assert set(registry) == {c[1], c[2], c[3], c[4]}
+    assert selective_split(condition, zeros) == 3
+    assert zeros == {c[1], c[2], c[3], c[4]}
     # the constant left of u v stays for the final split to report
     assert condition.terms == [(Word((0, 1)), AffineForm.constant(3))]
-    assert condition.poly() == prune_ncpoly(p, registry)
-    assert selective_split(condition, registry) == 0
+    assert condition.poly() == prune_ncpoly(p, zeros)
+    assert selective_split(condition, zeros) == 0
     # a plain polynomial is harvested but never rewritten
     before = dict(p.terms)
-    assert selective_split(p, ZeroRegistry([c[3]])) == 3
+    assert selective_split(p, {c[3]}) == 3
     assert p.terms == before

@@ -21,7 +21,7 @@ from selsolve.formats import (parse_affine, read_solution, read_system,
                               write_solution, write_system)
 from selsolve.linsys import (KIND_A, KIND_B, KIND_C, AffineForm, Equation,
                              LinearSystem, UnknownId, format_affine)
-from selsolve.solver import SolutionState, ZeroRegistry
+from selsolve.solver import SolutionState
 
 fuzz = settings(derandomize=True, database=None, deadline=None,
                 max_examples=100)
@@ -127,8 +127,7 @@ def solutions(draw):
     rhs = st.builds(AffineForm, st.one_of(st.just(0), rationals),
                     st.dictionaries(st.sampled_from(sorted(free)), rationals,
                                     max_size=3) if free else st.just({}))
-    return SolutionState(frozenset(zeros | pivots | free),
-                         ZeroRegistry(zeros),
+    return SolutionState(frozenset(zeros | pivots | free), zeros,
                          {p: draw(rhs) for p in sorted(pivots)}, free)
 
 

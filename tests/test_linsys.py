@@ -132,10 +132,3 @@ def test_guard_rejects_bad_values(monkeypatch, raw):
     assert GUARD_ENV_VAR in str(info.value)
     assert repr(raw) in str(info.value)
 
-
-def test_deduplicated_keeps_first():
-    eqs = [Equation(form(0, x1=2), 0), Equation(form(0, x1=3), 1),
-           Equation(form(0, x2=1), 2)]
-    sys_ = LinearSystem(eqs, {X1, X2})
-    out = sys_.deduplicated()
-    assert [eq.id for eq in out.equations] == [0, 2]

@@ -5,9 +5,10 @@ import pytest
 from selsolve.errors import InconsistentSystemError
 from selsolve.linsys import (KIND_C, AffineForm, Equation, LinearSystem,
                              UnknownId)
-from selsolve.solver import (SolutionState, ZeroRegistry, find_zeros,
-                             length_sort, lsss_solve, prune_zeros,
-                             stream_solve)
+from selsolve.solver import (SolutionState, find_zeros, length_sort,
+                             lsss_solve, prune_zeros, stream_solve)
+
+from test_properties import check_invariants, satisfies
 
 X = [UnknownId(KIND_C, i) for i in range(8)]
 
@@ -23,20 +24,21 @@ def system(*forms):
 
 
 def test_prune_zeros():
-    reg = ZeroRegistry([X[2]])
-    assert prune_zeros(form(0, x1=1, x2=2, x3=1), reg) == form(0, x1=1, x3=1)
-    assert prune_zeros(form(0, x2=1), reg).is_zero
+    zeros = {X[2]}
+    assert prune_zeros(form(0, x1=1, x2=2, x3=1), zeros) \
+        == form(0, x1=1, x3=1)
+    assert prune_zeros(form(0, x2=1), zeros).is_zero
     f = form(0, x1=1)
-    assert prune_zeros(f, ZeroRegistry()) is f
+    assert prune_zeros(f, set()) is f
 
 
 def test_find_zeros_cascade():
     sys_ = system(form(0, x1=1),
                   form(0, x1=1, x2=2),
                   form(0, x2=3, x3=1, x4=-1))
-    reg = ZeroRegistry()
-    result = find_zeros(sys_, reg)
-    assert set(reg) == {X[1], X[2]}
+    zeros = set()
+    result = find_zeros(sys_, zeros)
+    assert zeros == {X[1], X[2]}
     assert result.rounds == 2
     assert result.new_per_round == [1, 1, 0]
     assert len(result.remaining.equations) == 1
@@ -45,27 +47,26 @@ def test_find_zeros_cascade():
 
 def test_find_zeros_no_one_term():
     sys_ = system(form(0, x1=1, x2=-1))
-    reg = ZeroRegistry()
-    result = find_zeros(sys_, reg)
-    assert len(reg) == 0
+    zeros = set()
+    result = find_zeros(sys_, zeros)
+    assert len(zeros) == 0
     assert result.rounds == 0
     assert result.remaining.equations[0].lhs == form(0, x1=1, x2=-1)
 
 
 def test_find_zeros_inconsistent():
-    reg = ZeroRegistry([X[1]])
     sys_ = system(form(1, x1=1))
     with pytest.raises(InconsistentSystemError,
                        match=r"equation 0 reduces to 1 = 0"):
-        find_zeros(sys_, reg)
+        find_zeros(sys_, {X[1]})
 
 
 def test_find_zeros_ignores_affine_one_term():
     # r*x + c with c != 0 is not a vanishing witness
     sys_ = system(form(1, x1=1))
-    reg = ZeroRegistry()
-    result = find_zeros(sys_, reg)
-    assert len(reg) == 0 and len(result.remaining.equations) == 1
+    zeros = set()
+    result = find_zeros(sys_, zeros)
+    assert len(zeros) == 0 and len(result.remaining.equations) == 1
 
 
 def test_length_sort_orders_and_is_stable():
@@ -95,7 +96,7 @@ def test_stream_solve_chains_and_identity():
     assert state.pivots == {X[1]: form(0, x3=1), X[2]: form(0, x3=1)}
     assert state.free == {X[3]}
     assert state.identities == 1
-    state.check_invariants()
+    check_invariants(state)
 
 
 def test_stream_solve_inconsistent():
@@ -139,15 +140,14 @@ def test_lsss_solve_combines_stages():
     state = lsss_solve(sys_)
     assert X[1] in state.zeros
     for eq in sys_.equations:
-        assert state.satisfies(eq)
+        assert satisfies(state, eq)
     assert state.free_count == 1
-    state.check_invariants()
+    check_invariants(state)
 
 
 def test_lsss_solve_preseeded_registry():
-    reg = ZeroRegistry([X[2]])
     sys_ = system(form(0, x1=1, x2=1))
-    state = lsss_solve(sys_, registry=reg)
+    state = lsss_solve(sys_, {X[2]})
     assert X[1] in state.zeros and X[2] in state.zeros
 
 

@@ -4,14 +4,14 @@ import pytest
 
 from selsolve.errors import NotFirstIntegralError
 from selsolve.linsys import KIND_A, KIND_B, KIND_C, AffineForm, UnknownId
-from selsolve.ncalgebra import (EMPTY_WORD, U, U_INV, V, V_INV, Derivation,
-                                NCPoly, Word)
-from selsolve.solver import ZeroRegistry, lsss_solve
+from selsolve.ncalgebra import EMPTY_WORD, U, U_INV, V, V_INV, NCPoly, Word
+from selsolve.pipeline import default_strategy, run_strategy
+from selsolve.solver import lsss_solve
 from selsolve.symmetry import (COMMUTATOR_UV, SortedCondition,
                                SymmetryAnsatz, ansatz_term_count,
                                build_ansatz, build_symmetry_system,
                                complete_split, enumerate_words,
-                               find_first_integrals, formulate_nc,
+                               first_integral_basis, formulate_nc,
                                formulate_symcon, kontsevich_system,
                                prune_ncpoly, selective_split,
                                side_condition_k0, system_stats)
@@ -32,7 +32,7 @@ def test_enumerate_words_matches_recursion():
 def test_build_ansatz_degree_one():
     ans = build_ansatz(1)
     assert ans.unknown_count == 10
-    assert set(ans.dtau.image_u.terms) == {
+    assert set(ans.derivation().image_u.terms) == {
         EMPTY_WORD, Word((U,)), Word((V,)), Word((U_INV,)), Word((V_INV,))}
 
 
@@ -42,48 +42,54 @@ def test_build_ansatz_counts():
 
 
 def test_trivial_symmetry_commutes():
-    # with Q := P the flow is the system itself, so the commutator vanishes
+    # with Q := P the flow is the system itself, so the commutator vanishes:
+    # the coefficients of D_t lie in the degree-2 solution space, staged or
+    # solved in full
     sysm = kontsevich_system()
     ans = build_ansatz(2)
-    trivial = Derivation(sysm.dt.image_u, sysm.dt.image_v)
-    probe = SymmetryAnsatz(2, trivial, ans.words, ())
-    for which in ("u", "v"):
-        assert formulate_symcon(sysm, probe, which).is_zero
+    vec = {}
+    for image, offset in ((sysm.image_u, 0), (sysm.image_v, len(ans.words))):
+        for word, coeff in image.terms.items():
+            vec[ans.unknowns[offset + ans.words.index(word)]] = coeff.const
+    full = lsss_solve(build_symmetry_system(2))
+    staged, _ = run_strategy(2, default_strategy(2))
+    for state in (full, staged):
+        assert state.free_count == 1
+        assert state.contains_vector(vec)
 
 
 def test_complete_split_combines_like_words():
     p = NCPoly({Word((U, V)): AffineForm.unknown(C[1])
                 + AffineForm.unknown(C[2]),
                 Word((V, U)): AffineForm.unknown(C[3])})
-    sys_ = complete_split(p)
+    sys_ = complete_split(p, p.unknowns())
     assert len(sys_.equations) == 2
     forms = [eq.lhs for eq in sys_.equations]
     assert AffineForm(0, {C[1]: 1, C[2]: 1}) in forms
     assert AffineForm(0, {C[3]: 1}) in forms
-    assert complete_split(NCPoly.zero()).equations == []
+    assert complete_split(NCPoly.zero(), ()).equations == []
 
 
 def test_selective_split_registers_single_unknown_coefficients():
     p = NCPoly({Word((U, V)): AffineForm.unknown(C[1]),
                 Word((V, U)): AffineForm.unknown(C[2])
                 + AffineForm.unknown(C[3])})
-    reg = ZeroRegistry()
-    assert selective_split(p, reg) == 1
-    assert set(reg) == {C[1]}
+    zeros = set()
+    assert selective_split(p, zeros) == 1
+    assert zeros == {C[1]}
     # with c3 already zero the second coefficient prunes to a single term
-    reg2 = ZeroRegistry([C[3]])
-    assert selective_split(p, reg2) == 2
-    assert set(reg2) == {C[1], C[2], C[3]}
+    zeros = {C[3]}
+    assert selective_split(p, zeros) == 2
+    assert zeros == {C[1], C[2], C[3]}
 
 
 def test_prune_ncpoly():
     p = NCPoly({Word((U, V)): AffineForm.unknown(C[1]),
                 Word((V, U)): AffineForm.unknown(C[1])
                 + AffineForm.unknown(C[2])})
-    reg = ZeroRegistry([C[1]])
-    out = prune_ncpoly(p, reg)
+    out = prune_ncpoly(p, {C[1]})
     assert out == NCPoly({Word((V, U)): AffineForm.unknown(C[2])})
-    assert prune_ncpoly(p, ZeroRegistry()) is p
+    assert prune_ncpoly(p, set()) is p
 
 
 def test_formulate_nc_checks_first_integral():
@@ -97,23 +103,22 @@ def test_side_condition_k0_follows_the_degree():
     # D_tau(I) reaches word degree n + 5 and I^k has degree 4|k|
     assert [side_condition_k0(n) for n in (1, 3, 10, 11, 14, 15)] \
         == [3, 3, 3, 4, 4, 5]
-    # without an explicit k0 the side condition spans I^-4 .. I^4 at n = 11;
-    # the probe flow Q = P keeps the ansatz itself empty
-    sysm = kontsevich_system()
-    trivial = Derivation(sysm.dt.image_u, sysm.dt.image_v)
-    probe = SymmetryAnsatz(11, trivial, (), ())
-    assert len(formulate_nc(sysm, probe, COMMUTATOR_UV).aux) == 9
+    # the side condition spans I^-4 .. I^4 at n = 11; an ansatz with no
+    # words keeps the formulation itself empty
+    probe = SymmetryAnsatz(11, (), ())
+    nc = formulate_nc(kontsevich_system(), probe, COMMUTATOR_UV)
+    assert len(nc.aux) == 9
 
 
 def test_formulate_nc_aux_unknowns():
     sysm = kontsevich_system()
     ans = build_ansatz(3)
-    nc = formulate_nc(sysm, ans, COMMUTATOR_UV, 3)
+    nc = formulate_nc(sysm, ans, COMMUTATOR_UV)
     assert len(nc.aux) == 7
     assert all(uid.kind == KIND_A for uid in nc.aux)
     assert nc.residual.unknowns() >= set(nc.aux)
     # solving the split side condition alone forces every auxiliary to zero
-    state = lsss_solve(complete_split(nc.residual))
+    state = lsss_solve(complete_split(nc.residual, nc.residual.unknowns()))
     for uid in nc.aux:
         gone = uid in state.zeros or (
             uid in state.pivots and state.pivots[uid].is_zero)
@@ -125,13 +130,13 @@ def test_selective_split_on_degree3_side_condition_finds_zeros():
     # get registered; the in-pass cascade may only add to that
     sysm = kontsevich_system()
     ans = build_ansatz(3)
-    nc = formulate_nc(sysm, ans, COMMUTATOR_UV, 3)
+    nc = formulate_nc(sysm, ans, COMMUTATOR_UV)
     singles = {uid for coeff in nc.residual.terms.values()
                if coeff.term_count == 1 for uid in coeff.coeffs}
-    reg = ZeroRegistry()
-    found = selective_split(nc.residual, reg)
+    zeros = set()
+    found = selective_split(nc.residual, zeros)
     assert found >= len(singles) > 0
-    assert singles <= set(reg)
+    assert singles <= zeros
 
 
 def test_unharvested_condition_is_the_formulated_polynomial():
@@ -148,7 +153,7 @@ def test_split_complete_reproduces_polynomial():
     sysm = kontsevich_system()
     ans = build_ansatz(2)
     poly = formulate_symcon(sysm, ans, "u")
-    split = complete_split(poly)
+    split = complete_split(poly, poly.unknowns())
     words = poly.sorted_words()
     assert len(split.equations) == len(words)
     for word, eq in zip(words, split.equations):
@@ -169,17 +174,17 @@ def test_selective_split_zero_soundness_against_oracle():
     for n in (3, 4, 5):
         sysm = kontsevich_system()
         ans = build_ansatz(n)
-        reg = ZeroRegistry()
-        residual = formulate_nc(sysm, ans, COMMUTATOR_UV, 3).residual
-        while selective_split(residual, reg):
-            residual = prune_ncpoly(residual, reg)
-        sym_u = formulate_symcon(sysm, ans, "u", registry=reg)
-        selective_split(sym_u, reg)
+        zeros = set()
+        residual = formulate_nc(sysm, ans, COMMUTATOR_UV).residual
+        while selective_split(residual, zeros):
+            residual = prune_ncpoly(residual, zeros)
+        sym_u = formulate_symcon(sysm, ans, "u", zeros)
+        selective_split(sym_u, zeros)
 
         full = build_symmetry_system(n, include_nc=True)
         _, basis = dense_nullspace_oracle(full)
         for vec in basis:
-            for zero in reg:
+            for zero in zeros:
                 assert vec.get(zero, 0) == 0
 
 
@@ -194,8 +199,8 @@ def test_stats_degree_3_and_4_match_reference():
 
 def test_first_integral_dimensions():
     sysm = kontsevich_system()
-    assert find_first_integrals(sysm, 3).free_count == 1
-    assert find_first_integrals(sysm, 4).free_count == 3
+    assert len(first_integral_basis(sysm, 3)) == 1
+    assert len(first_integral_basis(sysm, 4)) == 3
 
 
 def test_build_symmetry_system_shapes():

@@ -126,7 +126,7 @@ def _letter_images(img_u, img_v, uinv, vinv):
 def reference_verify(system, ansatz, state, dim, trials,
                      seed=DEFAULT_VERIFY_SEED):
     rng = random.Random(seed)
-    dtau = ansatz.dtau
+    dtau = ansatz.derivation()
     for _ in range(trials):
         umat, uinv = _reference_invertible(rng, dim)
         vmat, vinv = _reference_invertible(rng, dim)
@@ -138,8 +138,8 @@ def reference_verify(system, ansatz, state, dim, trials,
         values = state.full_assignment(free_values)
         q1 = _numeric_terms(dtau.image_u, values)
         q2 = _numeric_terms(dtau.image_v, values)
-        p1 = _numeric_terms(system.dt.image_u, values)
-        p2 = _numeric_terms(system.dt.image_v, values)
+        p1 = _numeric_terms(system.image_u, values)
+        p2 = _numeric_terms(system.image_v, values)
         tau_images = _letter_images(_eval_terms(q1, mats, dim),
                                     _eval_terms(q2, mats, dim), uinv, vinv)
         t_images = _letter_images(_eval_terms(p1, mats, dim),
