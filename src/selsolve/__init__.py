@@ -2,8 +2,8 @@
 application for a non-abelian Laurent ODE."""
 
 from .errors import (BoundsError, InconsistentSystemError,
-                     NonlinearProductError, NotFirstIntegralError, ParseError,
-                     SelSolveError, SingularSampleError, TooLargeError)
+                     NonlinearProductError, ParseError, SelSolveError,
+                     SingularSampleError, TooLargeError)
 from .linsys import (AffineForm, Equation, LinearSystem, UnknownId,
                      canonicalize, dense_nullspace_oracle, substitute)
 from .ncalgebra import (EMPTY_WORD, U, U_INV, V, V_INV, Derivation, NCPoly,

@@ -20,10 +20,6 @@ class TooLargeError(SelSolveError):
     """Problem exceeds the configured desk-scale guard."""
 
 
-class NotFirstIntegralError(SelSolveError):
-    """Side-condition target is not annihilated by the system flow."""
-
-
 class ParseError(SelSolveError):
     """Malformed input file."""
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .errors import NonlinearProductError
-from .linsys import AffineForm, Rational, UnknownId, format_affine
+from .linsys import AffineForm, Rational, format_affine
 
 U, V, U_INV, V_INV = 0, 1, 2, 3
 
@@ -116,6 +116,20 @@ def word_mul(a: tuple, b: tuple) -> Word:
         if not lb:
             return a if isinstance(a, Word) else _raw_word(tuple(a))
     return _raw_word(tuple(a[:la - k]) + tuple(b[k:]))
+
+
+def word_key(w: tuple) -> int:
+    """The int 4^len(w) + base-4 digits of w; integer order is deglex order."""
+    key = 1
+    for g in w:
+        key = key << 2 | g
+    return key
+
+
+def key_word(key: int) -> Word:
+    """Inverse of :func:`word_key` on reduced words."""
+    shifts = range(key.bit_length() - 3, -1, -2)
+    return _raw_word(tuple([key >> s & 3 for s in shifts]))
 
 
 def word_pow(w: tuple, k: int) -> Word:
@@ -331,12 +345,6 @@ class Accumulator:
 
     def __init__(self):
         self.words: dict[tuple, dict] = {}
-
-    def add(self, word: tuple, key: UnknownId | None, value: Rational) -> None:
-        slot = self.words.get(word)
-        if slot is None:
-            self.words[word] = slot = {}
-        slot[key] = slot.get(key, 0) + value
 
     def add_derivation(self, d: Derivation, p: NCPoly, sign: int = 1) -> None:
         """Add ``sign * d(p)`` by the Leibniz rule.

@@ -33,10 +33,10 @@ from .errors import ParseError, SelSolveError, SingularSampleError
 from .linsys import KIND_C, Rational, UnknownId
 from .ncalgebra import U_INV, V_INV, Derivation, Word
 from .solver import SolutionState, lsss_solve
-from .symmetry import (COMMUTATOR_UV, SortedCondition, SymmetryAnsatz,
-                       _check_degree_guard, build_ansatz, formulate_nc,
-                       formulate_symcon, kontsevich_system, prune_ncpoly,
-                       selective_split, split_system)
+from .symmetry import (NecessaryCondition, SortedCondition, SymmetryAnsatz,
+                       _check_degree_guard, build_ansatz, formulate_symcon,
+                       kontsevich_system, prune_ncpoly, selective_split,
+                       split_system)
 
 DEFAULT_VERIFY_SEED = 1729
 _INVERTIBLE_RETRIES = 100
@@ -188,13 +188,12 @@ class _PipelineRun:
     def _condition(self, label: str) -> SortedCondition:
         if label not in self._conditions:
             if label == "N":
-                nc = formulate_nc(self.system, self.ansatz, COMMUTATOR_UV,
-                                  self.zeros)
-                self.aux, poly = nc.aux, nc.residual
+                held = NecessaryCondition(self.ansatz, self.zeros)
+                self.aux = held.aux
             else:
-                poly = formulate_symcon(self.system, self.ansatz, "u",
+                held = formulate_symcon(self.system, self.ansatz, "u",
                                         self.zeros)
-            self._conditions[label] = SortedCondition(poly)
+            self._conditions[label] = SortedCondition(held)
         return self._conditions[label]
 
     def _record(self, label: str, started: float, new: int, *sizes) -> None:

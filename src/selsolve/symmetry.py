@@ -12,24 +12,27 @@ without materializing its system (selective splitting).
 
 The ansatz is live: it stores only its words and unknowns, and builds Q1
 and Q2 from the unknowns not yet known to be zero each time a condition
-is formulated.  Each condition is built in one accumulator pass.  A staged
-run keeps a formulated condition as a :class:`SortedCondition`, sorted into
-deglex order once; every later harvest is one pass in that order that
-prunes, adds the unknown of each 1-term word to the zeros and keeps the
-remainder for the next pass.
+is formulated.  A commutator is built in one accumulator pass, the side
+condition as a sorted incidence.  A staged run keeps a condition as a
+:class:`SortedCondition` in deglex order; every harvest is one pass in
+that order that prunes, adds the unknown of each 1-term word to the zeros
+and keeps the remainder for the next pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterable
+from functools import cached_property
+from itertools import groupby
+from typing import Collection, Iterable, Iterator
 
-from .errors import NotFirstIntegralError, TooLargeError
-from .linsys import (FORMULATE_MAX_UNKNOWNS, KIND_A, KIND_B, KIND_C,
-                     AffineForm, Equation, LinearSystem, UnknownId,
-                     canonicalize, unknown_limit)
+from .errors import TooLargeError
+from .linsys import (FORMULATE_MAX_UNKNOWNS, KIND_A, KIND_C, AffineForm,
+                     Equation, LinearSystem, UnknownId, canonicalize,
+                     unknown_limit)
 from .ncalgebra import (EMPTY_WORD, U, U_INV, V, V_INV, Accumulator,
-                        Derivation, NCPoly, Word, apply_derivation, word_pow)
+                        Derivation, NCPoly, Word, apply_derivation, key_word,
+                        reduce_letters, word_key, word_pow)
 from .solver import lsss_solve, prune_zeros
 
 #: Group commutator u v u^-1 v^-1 and its inverse: the generating first
@@ -163,38 +166,85 @@ def formulate_symcon(system: Derivation, ansatz: SymmetryAnsatz, which: str,
     return acc.poly()
 
 
-@dataclass
-class NecessaryCondition:
-    """Residual of D_tau(target) = sum over k of aux[k0+k] * I^k."""
+def sandwich_keys(left: tuple, right: tuple,
+                  keys: Iterable[int]) -> list[int]:
+    """:func:`word_key` of reduce(left w right) per reduced word w's key.
 
-    aux: tuple[UnknownId, ...]
-    residual: NCPoly
-
-
-def formulate_nc(system: Derivation, ansatz: SymmetryAnsatz,
-                 target: NCPoly | Word,
-                 zeros: Collection[UnknownId] = ()) -> NecessaryCondition:
-    """First-order side condition for a first integral target.
-
-    The target must satisfy D_t(target) = 0 (checked).  Fresh auxiliary
-    unknowns a (for the commutator integral) or b (for its inverse) absorb
-    the span of integral powers; aux[i] multiplies I^(i - k0), with k0 from
-    :func:`side_condition_k0` of the ansatz degree.  Only the unknowns not
-    in ``zeros`` enter the ansatz.
+    Only the first len(left) and last len(right) letters of w can cancel,
+    so a w as long as both takes one table lookup per end; a shorter one,
+    where left may meet right, is reduced letter by letter.
     """
-    k0 = side_condition_k0(ansatz.degree)
-    if isinstance(target, Word):
-        target = NCPoly.from_word(target)
-    if not apply_derivation(system, target).is_zero:
-        raise NotFirstIntegralError(
-            "target is not annihilated by the system flow")
-    kind = KIND_B if COMMUTATOR_VU in target.terms else KIND_A
-    aux = tuple(UnknownId(kind, i) for i in range(2 * k0 + 1))
-    acc = Accumulator()
-    acc.add_derivation(ansatz.derivation(zeros), target)
-    for i, uid in enumerate(aux):
-        acc.add(word_pow(COMMUTATOR_UV, i - k0), uid, -1)
-    return NecessaryCondition(aux, acc.poly())
+    nl, nr = len(left), len(right)
+    heads = [word_key(reduce_letters(left + key_word(4 ** nl + h)))
+             for h in range(4 ** nl)]
+    tails = [word_key(reduce_letters(key_word(4 ** nr + t) + right))
+             for t in range(4 ** nr)]
+    out = []
+    for key in keys:
+        m = key.bit_length() >> 1
+        if m < nl + nr:
+            out.append(word_key(reduce_letters(left + key_word(key) + right)))
+            continue
+        mid = 2 * (m - nl - nr)
+        head = heads[key >> 2 * (m - nl) & 4 ** nl - 1] << mid \
+            | key >> 2 * nr & (1 << mid) - 1
+        tail = tails[key & 4 ** nr - 1]
+        out.append((head - 1 << tail.bit_length() - 1) + tail)
+    return out
+
+
+class NecessaryCondition:
+    """D_tau(I) = sum over k of aux[k0+k] I^k as a sorted sparse incidence.
+
+    A letter of I = u v u^-1 v^-1 contributes +-L Q R, so the live unknown
+    of a word w in Q1 (Q2) occurs with +1 on reduce(L w R) around u (v)
+    and -1 around u^-1 (v^-1), or not at all where the two coincide; aux[i]
+    occurs with -1 on I^(i - k0), k0 from :func:`side_condition_k0`.  An
+    occurrence is an int, the word's :func:`word_key` above the unknown's
+    slot and sign: one sort orders the words deglex, none yet built.
+    """
+
+    def __init__(self, ansatz: SymmetryAnsatz,
+                 zeros: Collection[UnknownId] = ()):
+        k0 = side_condition_k0(ansatz.degree)
+        self.aux = tuple(UnknownId(KIND_A, i) for i in range(2 * k0 + 1))
+        self._unknowns = unknowns = ansatz.unknowns + self.aux
+        self._shift = shift = (2 * len(unknowns)).bit_length()
+        t, i_word = len(ansatz.words), COMMUTATOR_UV
+        entries = [word_key(word_pow(i_word, i - k0)) << shift
+                   | (2 * t + i) << 1 | 1 for i in range(2 * k0 + 1)]
+        keys = [word_key(w) for w in ansatz.words]
+        for g in (U, V):  # I holds g at position g, its inverse at g + 2
+            slots = [s for s in range(g * t, g * t + t)
+                     if unknowns[s] not in zeros]
+            words = [keys[s - g * t] for s in slots]
+            pairs = zip(sandwich_keys(i_word[:g], i_word[g + 1:], words),
+                        sandwich_keys(i_word[:g + 3], i_word[g + 2:], words))
+            for (plus, minus), s in zip(pairs, slots):
+                if plus != minus:
+                    entries += (plus << shift | s << 1,
+                                minus << shift | s << 1 | 1)
+        entries.sort()
+        self._entries = entries
+
+    def keyed_terms(self) -> Iterator[tuple[int, AffineForm]]:
+        """(word key, coefficient) per word, in deglex order."""
+        shift, unknowns = self._shift, self._unknowns
+        low = (1 << shift) - 1
+        for key, run in groupby(self._entries, lambda e: e >> shift):
+            yield key, AffineForm._raw(0, {
+                unknowns[(e & low) >> 1]: 1 - 2 * (e & 1) for e in run})
+
+    @cached_property
+    def residual(self) -> NCPoly:
+        return NCPoly._raw({key_word(k): c for k, c in self.keyed_terms()})
+
+
+def formulate_nc(ansatz: SymmetryAnsatz,
+                 zeros: Collection[UnknownId] = ()) -> NecessaryCondition:
+    """The side condition over the unknowns not in ``zeros``; its
+    ``residual`` polynomial is built on first use."""
+    return NecessaryCondition(ansatz, zeros)
 
 
 def complete_split(p: NCPoly, universe: Iterable[UnknownId],
@@ -215,7 +265,8 @@ class SortedCondition:
     """A formulated condition held for repeated harvesting.
 
     ``terms`` lists (word, coefficient) pairs in deglex order, sorted on
-    first use; until then :meth:`poly` is the formulated polynomial.  Each
+    first use (a side condition's first pass builds only the words it
+    keeps); until then :meth:`poly` is the formulated polynomial.  Each
     :func:`selective_split` pass replaces them by the pruned remainder, in
     order: words that yielded a zero or pruned to zero drop out, and a
     nonzero constant stays, so the final split reports the contradiction.
@@ -223,17 +274,20 @@ class SortedCondition:
 
     __slots__ = ("_held",)
 
-    def __init__(self, p: NCPoly):
-        self._held: NCPoly | list = p
+    def __init__(self, p: NCPoly | NecessaryCondition):
+        self._held: NCPoly | NecessaryCondition | list = p
 
     @property
     def terms(self) -> list[tuple[Word, AffineForm]]:
-        if isinstance(p := self._held, NCPoly):
+        if not isinstance(self._held, list):
+            p = self.poly()
             self._held = [(w, p.terms[w]) for w in p.sorted_words()]
         return self._held
 
     def poly(self) -> NCPoly:
-        if isinstance(held := self._held, NCPoly):
+        if isinstance(held := self._held, NecessaryCondition):
+            return held.residual
+        if isinstance(held, NCPoly):
             return held
         return NCPoly._from_acc(dict(held))
 
@@ -248,9 +302,10 @@ def selective_split(p: NCPoly | SortedCondition,
     next pass.  Returns the number of unknowns added to ``zeros``.
     """
     condition = p if isinstance(p, SortedCondition) else SortedCondition(p)
+    side = isinstance(held := condition._held, NecessaryCondition)
     found = 0
     kept = []
-    for term in condition.terms:
+    for term in held.keyed_terms() if side else condition.terms:
         coeff = term[1]
         coeffs = coeff.coeffs
         if not coeffs.keys().isdisjoint(zeros):
@@ -263,7 +318,7 @@ def selective_split(p: NCPoly | SortedCondition,
             found += 1
         elif coeffs or coeff.const:
             kept.append(term)
-    condition._held = kept
+    condition._held = [(key_word(k), c) for k, c in kept] if side else kept
     return found
 
 
@@ -293,7 +348,7 @@ def build_symmetry_system(degree: int,
     ansatz = build_ansatz(degree)
     conditions, universe = [], ansatz.unknowns
     if include_nc:
-        nc = formulate_nc(system, ansatz, COMMUTATOR_UV)
+        nc = formulate_nc(ansatz)
         conditions.append(nc.residual)
         universe += nc.aux
     conditions += [formulate_symcon(system, ansatz, x) for x in "uv"]
@@ -320,8 +375,8 @@ class SystemStats:
     p: int
 
 
-def _check_degree_guard(degree: int) -> None:
-    k = 2 * ansatz_term_count(degree)
+def _check_degree_guard(degree: int, images: int = 2) -> None:
+    k = images * ansatz_term_count(degree)
     limit = unknown_limit(FORMULATE_MAX_UNKNOWNS)
     if k > limit:
         raise TooLargeError(
@@ -339,7 +394,7 @@ def system_stats(degree: int) -> SystemStats:
     _check_degree_guard(degree)
     system = kontsevich_system()
     ansatz = build_ansatz(degree)
-    nc = formulate_nc(system, ansatz, COMMUTATOR_UV)
+    nc = formulate_nc(ansatz)
     sym_u = formulate_symcon(system, ansatz, "u")
     sym_v = formulate_symcon(system, ansatz, "v")
     terms_i = [len(c.coeffs.keys() - nc.aux)
@@ -362,6 +417,7 @@ def first_integral_basis(system: Derivation, degree: int) -> list[NCPoly]:
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
+    _check_degree_guard(degree, 1)
     words = enumerate_words(degree)
     unknowns = [UnknownId(KIND_C, i) for i in range(len(words))]
     ansatz = NCPoly._from_acc(

@@ -12,7 +12,7 @@ import pytest
 
 from selsolve.cli import main
 from selsolve.formats import write_solution
-from selsolve.linsys import dense_nullspace_oracle
+from selsolve.linsys import GUARD_ENV_VAR, dense_nullspace_oracle
 from selsolve.ncalgebra import NCPoly, apply_derivation
 from selsolve.pipeline import default_strategy, run_strategy, verify_by_matrices
 from selsolve.solver import lsss_solve
@@ -39,6 +39,23 @@ STEP_TRACES = {
     8: ("NNNNNNSNNNSNNNSNNSNSF",
         [17750, 4439, 658, 96, 8, 0, 1702, 555, 32, 0, 456, 125, 3, 0, 88,
          18, 0, 5, 0, 0, 2], (25937, 304, 8)),
+    9: ("NNNNNNSNNNNSNNNSNNNSNNSNSF",
+        [53227, 13336, 1984, 294, 32, 0, 5027, 1792, 182, 5, 0, 1267, 399,
+         23, 0, 354, 117, 1, 0, 94, 18, 0, 5, 0, 0, 4], (78161, 564, 12)),
+}
+
+#: The same for explicit strategies that formulate N after an S harvest,
+#: so the side condition starts from a nonempty zero set.
+STRATEGY_TRACES = {
+    ("SNF", 4): ("SNF", [181, 94, 30], (305, 22, 2)),
+    ("SNF", 5): ("SNF", [543, 275, 127], (945, 28, 4)),
+    ("SNF", 6): ("SNF", [1621, 817, 397], (2835, 81, 5)),
+    ("SNF", 7): ("SNF", [4850, 2486, 1279], (8615, 131, 7)),
+    ("S(N)3SF", 4): ("SNNNSF", [181, 94, 17, 1, 8, 4], (305, 22, 2)),
+    ("S(N)3SF", 5): ("SNNNSF", [543, 275, 63, 8, 36, 20], (945, 28, 4)),
+    ("S(N)3SF", 6): ("SNNNSF", [1621, 817, 218, 32, 110, 37], (2835, 81, 5)),
+    ("S(N)3SF", 7): ("SNNNSF", [4850, 2486, 700, 114, 272, 193],
+                     (8615, 131, 7)),
 }
 
 
@@ -52,6 +69,7 @@ SOLUTION_SHA256 = {
     4: "def21d3a399197872f085c0e1b207e9a8930af1883239640b2d9cfb395a9ee41",
     5: "acc1ccf8d6a04df824b48e731d69d27cb797c6bc2d6a36b61e1738492e4aa6d6",
     6: "c1ab55b9fce2be411d3d6caaf2947c151349a52f7203e7a452fd536944eaaf0e",
+    9: "3b99ad058b54c510fb6634aede6bb6a1b4aba140279aba9bd957367c3122fca7",
 }
 
 
@@ -207,17 +225,39 @@ def test_criterion_9_peak_size_reduction(pipeline_results):
               "full formulation for n=6..8")
 
 
+def assert_trace(run_report, trace):
+    labels, yields, final = trace
+    assert "".join(s.label for s in run_report.steps) == labels
+    assert [s.new_zeros for s in run_report.steps] == yields
+    assert (run_report.zero_count, run_report.pivot_count,
+            run_report.free_count) == final
+
+
 def test_default_strategy_step_traces(pipeline_results):
     for n in DEGREES:
-        _, run_report, _ = pipeline_results[n]
-        labels, yields, final = STEP_TRACES[n]
-        assert "".join(s.label for s in run_report.steps) == labels
-        assert [s.new_zeros for s in run_report.steps] == yields
-        assert (run_report.zero_count, run_report.pivot_count,
-                run_report.free_count) == final
+        assert_trace(pipeline_results[n][1], STEP_TRACES[n])
     assert pipeline_results[8][1].strategy_text == "(N)6S(N)3S(N)3SNNSNSF"
     report("trace", "default strategy step labels, per-step yields and "
                     "final counts pinned for n=3..8")
+
+
+def test_degree_9_step_trace_and_solution(monkeypatch, tmp_path):
+    # the staged benchmark's larger degree, whose first N step harvests
+    # 53,227 zeros; it needs the guard raised
+    monkeypatch.setenv(GUARD_ENV_VAR, "100000")
+    state, run_report = run_strategy(9, default_strategy(9))
+    assert_trace(run_report, STEP_TRACES[9])
+    path = tmp_path / "n9.sol"
+    write_solution(state, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SOLUTION_SHA256[9]
+    report("trace 9", "default strategy trace and solution file pinned")
+
+
+def test_strategies_with_n_after_s_are_pinned():
+    for (strategy, n), trace in STRATEGY_TRACES.items():
+        _, run_report = run_strategy(n, strategy)
+        assert_trace(run_report, trace)
+    report("strategies", "SNF and S(N)3SF traces pinned for n=4..7")
 
 
 def test_file_bytes_are_pinned(pipeline_results, tmp_path, capsys):
@@ -225,9 +265,12 @@ def test_file_bytes_are_pinned(pipeline_results, tmp_path, capsys):
         assert main(["gen", "--nc", "--degree", str(n)]) == 0
         text = capsys.readouterr().out
         assert hashlib.sha256(text.encode()).hexdigest() == expected, n
-    for n, expected in SOLUTION_SHA256.items():
+    for n in DEGREES:
+        if n not in SOLUTION_SHA256:
+            continue
         path = tmp_path / f"n{n}.sol"
         write_solution(pipeline_results[n][0], str(path))
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == expected, n
+        assert hashlib.sha256(path.read_bytes()).hexdigest() \
+            == SOLUTION_SHA256[n], n
     report("bytes", "gen --nc output n=4,5 and default solution files "
                     "n=4..6 byte-identical to the pinned sha256")

@@ -2,7 +2,9 @@ import errno
 import gc
 import io
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +40,38 @@ def test_integrals_solves_once(monkeypatch, capsys):
     assert capsys.readouterr().out == (
         "free=3\nbasis 1: 1\nbasis 2: u v u^-1 v^-1\n"
         "basis 3: v u v^-1 u^-1\n")
+
+
+def test_integrals_honours_the_guard(monkeypatch, capsys):
+    # 2 * 3^4 - 1 words, one unknown each; degree 8 (13,121) runs under
+    # the default guard in the acceptance suite
+    monkeypatch.setenv(GUARD_ENV_VAR, "10")
+    assert main(["integrals", "--degree", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: degree 4 needs 161 unknowns, over the "
+                            "guard of 10\n")
+    assert captured.out == ""
+
+
+NO_NUMPY = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from selsolve.cli import main
+for argv in (["pipeline", "--degree", "3"], ["gen", "--nc", "--degree", "3"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print("numpy" in sys.modules)
+"""
+
+
+def test_commands_never_import_numpy():
+    # importing numpy alone costs about 0.2 s and 14 MB, more than the
+    # whole set-up of a staged run
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", NO_NUMPY, str(src)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 def test_gen_solve_rank_verify_chain(tmp_path, capsys):

@@ -4,7 +4,9 @@ The reference is the straightforward loop: inverse-letter images
 materialized as -g^-1 d(g) g^-1 by polynomial products, every contribution
 added as an ``AffineForm``, the ansatz images built in full and then pruned,
 and conditions assembled by ``NCPoly`` subtraction.  The kernel must give
-exactly the same polynomials.
+exactly the same polynomials.  The side condition, an incidence in the
+package, is also checked against D_tau(I) accumulated by the kernel, and
+so is its first harvest.
 """
 
 import random
@@ -13,14 +15,15 @@ from fractions import Fraction
 import pytest
 
 from selsolve.linsys import KIND_A, KIND_C, AffineForm, UnknownId
-from selsolve.ncalgebra import (U_INV, V_INV, Derivation, NCPoly, Word,
-                                affine_product, apply_derivation, poly_mul,
-                                reduce_letters, reduce_sandwich, word_mul,
-                                word_pow)
-from selsolve.symmetry import (COMMUTATOR_UV, SortedCondition, build_ansatz,
-                               formulate_nc, formulate_symcon,
-                               kontsevich_system, prune_ncpoly,
-                               selective_split)
+from selsolve.ncalgebra import (U_INV, V_INV, Accumulator, Derivation,
+                                NCPoly, Word, affine_product,
+                                apply_derivation, poly_mul, reduce_letters,
+                                reduce_sandwich, word_mul, word_pow)
+from selsolve.symmetry import (COMMUTATOR_UV, NecessaryCondition,
+                               SortedCondition, build_ansatz, formulate_nc,
+                               formulate_symcon, kontsevich_system,
+                               prune_ncpoly, selective_split,
+                               side_condition_k0)
 
 from test_properties import random_poly, random_word
 
@@ -72,6 +75,19 @@ def reference_nc(ansatz, k0, zeros):
     return residual
 
 
+def accumulator_nc(ansatz, zeros):
+    """The side condition as the Leibniz kernel builds it: D_tau(I) summed
+    per word, then -a_k on each I^k."""
+    k0 = side_condition_k0(ansatz.degree)
+    acc = Accumulator()
+    acc.add_derivation(ansatz.derivation(zeros),
+                       NCPoly.from_word(COMMUTATOR_UV))
+    for i in range(2 * k0 + 1):
+        slot = acc.words.setdefault(word_pow(COMMUTATOR_UV, i - k0), {})
+        slot[UnknownId(KIND_A, i)] = -1
+    return acc.poly()
+
+
 @pytest.mark.parametrize("degree", [3, 4, 5, 6])
 def test_formulations_match_reference(degree):
     # k0 is 3 for every degree up to 10
@@ -82,8 +98,9 @@ def test_formulations_match_reference(degree):
     selective_split(reference_nc(ansatz, 3, empty), harvested)
     assert len(harvested) > 0
     for zeros in (empty, harvested):
-        nc = formulate_nc(system, ansatz, COMMUTATOR_UV, zeros)
+        nc = formulate_nc(ansatz, zeros)
         assert nc.residual == reference_nc(ansatz, 3, zeros)
+        assert nc.residual == accumulator_nc(ansatz, zeros)
         for which in ("u", "v"):
             assert formulate_symcon(system, ansatz, which, zeros) \
                 == reference_symcon(system, ansatz, which, zeros)
@@ -93,6 +110,26 @@ def test_formulations_match_reference(degree):
                                NCPoly.from_word(COMMUTATOR_UV))
         assert apply_derivation(system, dtau.image_u) \
             == reference_apply(system, dtau.image_u)
+
+
+@pytest.mark.parametrize("degree", range(3, 9))
+def test_first_harvest_matches_accumulator_reference(degree):
+    # the incidence's first pass registers the same zeros and keeps the
+    # same (word, coefficient) list, in order, as a pass over the sorted
+    # accumulated polynomial; once from nothing, once after an S harvest
+    ansatz = build_ansatz(degree)
+    harvested = set()
+    selective_split(formulate_symcon(kontsevich_system(), ansatz, "u"),
+                    harvested)
+    assert len(harvested) > 0
+    for start in (set(), harvested):
+        got_zeros, want_zeros = set(start), set(start)
+        got = SortedCondition(NecessaryCondition(ansatz, start))
+        want = SortedCondition(accumulator_nc(ansatz, start))
+        found = selective_split(got, got_zeros)
+        assert found == selective_split(want, want_zeros) > 0
+        assert got_zeros == want_zeros
+        assert got.terms == want.terms
 
 
 def random_affine_poly(rng, unknowns, with_const):

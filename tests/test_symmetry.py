@@ -1,20 +1,17 @@
 from fractions import Fraction
 
-import pytest
-
-from selsolve.errors import NotFirstIntegralError
 from selsolve.linsys import KIND_A, KIND_B, KIND_C, AffineForm, UnknownId
 from selsolve.ncalgebra import EMPTY_WORD, U, U_INV, V, V_INV, NCPoly, Word
 from selsolve.pipeline import default_strategy, run_strategy
 from selsolve.solver import lsss_solve
-from selsolve.symmetry import (COMMUTATOR_UV, SortedCondition,
-                               SymmetryAnsatz, ansatz_term_count,
-                               build_ansatz, build_symmetry_system,
-                               complete_split, enumerate_words,
-                               first_integral_basis, formulate_nc,
-                               formulate_symcon, kontsevich_system,
-                               prune_ncpoly, selective_split,
-                               side_condition_k0, system_stats)
+from selsolve.symmetry import (SortedCondition, SymmetryAnsatz,
+                               ansatz_term_count, build_ansatz,
+                               build_symmetry_system, complete_split,
+                               enumerate_words, first_integral_basis,
+                               formulate_nc, formulate_symcon,
+                               kontsevich_system, prune_ncpoly,
+                               selective_split, side_condition_k0,
+                               system_stats)
 
 C = [UnknownId(KIND_C, i) for i in range(8)]
 
@@ -92,13 +89,6 @@ def test_prune_ncpoly():
     assert prune_ncpoly(p, set()) is p
 
 
-def test_formulate_nc_checks_first_integral():
-    sysm = kontsevich_system()
-    ans = build_ansatz(1)
-    with pytest.raises(NotFirstIntegralError):
-        formulate_nc(sysm, ans, Word((U,)))
-
-
 def test_side_condition_k0_follows_the_degree():
     # D_tau(I) reaches word degree n + 5 and I^k has degree 4|k|
     assert [side_condition_k0(n) for n in (1, 3, 10, 11, 14, 15)] \
@@ -106,14 +96,13 @@ def test_side_condition_k0_follows_the_degree():
     # the side condition spans I^-4 .. I^4 at n = 11; an ansatz with no
     # words keeps the formulation itself empty
     probe = SymmetryAnsatz(11, (), ())
-    nc = formulate_nc(kontsevich_system(), probe, COMMUTATOR_UV)
+    nc = formulate_nc(probe)
     assert len(nc.aux) == 9
 
 
 def test_formulate_nc_aux_unknowns():
-    sysm = kontsevich_system()
     ans = build_ansatz(3)
-    nc = formulate_nc(sysm, ans, COMMUTATOR_UV)
+    nc = formulate_nc(ans)
     assert len(nc.aux) == 7
     assert all(uid.kind == KIND_A for uid in nc.aux)
     assert nc.residual.unknowns() >= set(nc.aux)
@@ -128,9 +117,8 @@ def test_formulate_nc_aux_unknowns():
 def test_selective_split_on_degree3_side_condition_finds_zeros():
     # brute-force oracle: every unknown standing alone as a coefficient must
     # get registered; the in-pass cascade may only add to that
-    sysm = kontsevich_system()
     ans = build_ansatz(3)
-    nc = formulate_nc(sysm, ans, COMMUTATOR_UV)
+    nc = formulate_nc(ans)
     singles = {uid for coeff in nc.residual.terms.values()
                if coeff.term_count == 1 for uid in coeff.coeffs}
     zeros = set()
@@ -175,7 +163,7 @@ def test_selective_split_zero_soundness_against_oracle():
         sysm = kontsevich_system()
         ans = build_ansatz(n)
         zeros = set()
-        residual = formulate_nc(sysm, ans, COMMUTATOR_UV).residual
+        residual = formulate_nc(ans).residual
         while selective_split(residual, zeros):
             residual = prune_ncpoly(residual, zeros)
         sym_u = formulate_symcon(sysm, ans, "u", zeros)

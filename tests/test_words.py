@@ -1,8 +1,32 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from selsolve.ncalgebra import (EMPTY_WORD, U, U_INV, V, V_INV, Word,
-                                inverse_letter, reduce_letters, word_mul,
-                                word_pow)
+from selsolve.ncalgebra import (EMPTY_WORD, U, U_INV, V, V_INV, NCPoly, Word,
+                                inverse_letter, key_word, reduce_letters,
+                                word_key, word_mul, word_pow)
+from selsolve.symmetry import COMMUTATOR_UV, enumerate_words, sandwich_keys
+
+keyed = settings(derandomize=True, database=None, deadline=None,
+                 max_examples=200)
+
+
+@st.composite
+def reduced_words(draw, max_size=12):
+    letters = []
+    for _ in range(draw(st.integers(0, max_size))):
+        draw_from = [g for g in (U, V, U_INV, V_INV)
+                     if not letters or g != letters[-1] ^ 2]
+        letters.append(draw(st.sampled_from(draw_from)))
+    return Word(letters)
+
+
+def side_sandwich(i):
+    """(L, R) around letter i of I: I[:i], I[i+1:] at u or v, and the
+    widened I[:i+1], I[i:] at an inverse letter."""
+    if COMMUTATOR_UV[i] & 2:
+        return COMMUTATOR_UV[:i + 1], COMMUTATOR_UV[i:]
+    return COMMUTATOR_UV[:i], COMMUTATOR_UV[i + 1:]
 
 
 def test_inverse_letter_involution():
@@ -81,3 +105,35 @@ def test_parse_and_str_roundtrip():
 
 def test_operator_mul():
     assert Word((U,)) * Word((U_INV,)) == EMPTY_WORD
+
+
+@keyed
+@given(st.lists(reduced_words(), max_size=30))
+def test_word_key_order_is_deglex_order(words):
+    poly = NCPoly({w: 1 for w in words})
+    assert sorted(poly.terms, key=word_key) == poly.sorted_words()
+
+
+@keyed
+@given(reduced_words())
+def test_key_word_decodes_word_key(w):
+    assert key_word(word_key(w)) == w
+    assert isinstance(key_word(word_key(w)), Word)
+
+
+@keyed
+@given(reduced_words(), st.integers(0, 3))
+def test_sandwich_key_is_free_reduction(w, i):
+    left, right = side_sandwich(i)
+    assert sandwich_keys(left, right, [word_key(w)]) \
+        == [word_key(reduce_letters(left + w + right))]
+
+
+def test_sandwich_keys_on_every_short_word():
+    # every word up to length 6: each shorter than L and R together, where
+    # they may meet, and the first ones that go through the tables
+    words = enumerate_words(6)
+    for i in range(4):
+        left, right = side_sandwich(i)
+        assert sandwich_keys(left, right, map(word_key, words)) \
+            == [word_key(reduce_letters(left + w + right)) for w in words]
