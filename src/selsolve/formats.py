@@ -122,12 +122,17 @@ def read_names(path: str) -> dict[int, UnknownId]:
 
 
 def read_system(path: str) -> LinearSystem:
-    """Read a sparse triple file and its name sidecar, if there is one."""
+    """Read a sparse triple file and its name sidecar, if there is one.
+
+    Entries are grouped by row as they are read, and only rows with
+    entries become equations, so the header's row count costs nothing;
+    row i is equation i - 1.
+    """
     names_path = names_path_for(path)
     names = read_names(names_path) if os.path.exists(names_path) else None
 
     header: tuple[int, int] | None = None
-    entries: dict[tuple[int, int], Rational] = {}
+    rows: dict[int, dict[int, Rational]] = {}
     terminated = False
     for lineno, line in _read_lines(path):
         parts = line.split()
@@ -156,15 +161,16 @@ def read_system(path: str) -> LinearSystem:
             raise BoundsError(f"row {i} outside 1..{header[0]}", lineno)
         if not 0 <= j <= header[1]:
             raise BoundsError(f"column {j} outside 0..{header[1]}", lineno)
-        if (i, j) in entries:
+        row = rows.setdefault(i, {})
+        if j in row:
             raise ParseError(f"duplicate entry ({i}, {j})", lineno)
-        entries[(i, j)] = _parse_rational(parts[2], lineno)
+        row[j] = _parse_rational(parts[2], lineno)
     if header is None:
         raise ParseError("empty file", 1)
     if not terminated:
         raise ParseError("missing '0 0 0' terminator", lineno)
 
-    m, n = header
+    n = header[1]
     if names is not None:
         missing = [j for j in range(1, n + 1) if j not in names]
         if missing:
@@ -176,16 +182,12 @@ def read_system(path: str) -> LinearSystem:
         column = names
     else:
         column = {j: UnknownId(0, j - 1) for j in range(1, n + 1)}
-    rows: list[dict[UnknownId, Rational]] = [{} for _ in range(m)]
-    consts: list[Rational] = [0] * m
-    for (i, j), value in entries.items():
-        if j == 0:
-            consts[i - 1] = value
-        else:
-            rows[i - 1][column[j]] = value
-    equations = [
-        Equation(AffineForm(consts[i], rows[i]), i) for i in range(m)
-    ]
+    equations = []
+    for i in sorted(rows):
+        row = rows.pop(i)
+        const = row.pop(0, 0)
+        equations.append(Equation(AffineForm(
+            const, {column[j]: value for j, value in row.items()}), i - 1))
     return LinearSystem(equations, frozenset(column.values()))
 
 

@@ -20,14 +20,13 @@ from .errors import SelSolveError, TooLargeError
 Rational = int | Fraction
 
 # Unknown kinds: ansatz coefficients plus the auxiliary constants brought in
-# by the two first-integral side conditions.
+# by the first-integral side condition.
 KIND_C = 0
 KIND_A = 1
-KIND_B = 2
 
-_KIND_NAMES = ("c", "a", "b")
-_KIND_LETTERS = ("C", "A", "B")
-KIND_BY_LETTER = {"C": KIND_C, "A": KIND_A, "B": KIND_B}
+_KIND_NAMES = ("c", "a")
+_KIND_LETTERS = ("C", "A")
+KIND_BY_LETTER = {"C": KIND_C, "A": KIND_A}
 #: An unknown is the int (kind + 1) * _INDEX_LIMIT + index: ordered by
 #: (kind, index), never falsy, never equal to a smaller int such as a column.
 _INDEX_LIMIT = 1 << 40

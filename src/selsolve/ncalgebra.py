@@ -23,19 +23,13 @@ from .linsys import AffineForm, Rational, format_affine
 U, V, U_INV, V_INV = 0, 1, 2, 3
 
 LETTER_NAMES = ("u", "v", "u^-1", "v^-1")
-_LETTER_BY_NAME = {name: g for g, name in enumerate(LETTER_NAMES)}
-
-
-def inverse_letter(g: int) -> int:
-    """The inverse generator; an involution."""
-    return g ^ 2
 
 
 class Word(tuple):
     """A freely reduced word; the empty word is the identity.
 
-    Words sort degree-lexicographically (:meth:`NCPoly.sorted_words`) with
-    the letter order u < v < u^-1 < v^-1.
+    Words sort degree-lexicographically by :func:`word_key`, with the
+    letter order u < v < u^-1 < v^-1; the inverse of letter g is g ^ 2.
     """
 
     __slots__ = ()
@@ -49,14 +43,6 @@ class Word(tuple):
             if b == (a ^ 2):
                 raise ValueError(f"word {seq!r} is not reduced")
         return tuple.__new__(cls, seq)
-
-    @classmethod
-    def parse(cls, text: str) -> "Word":
-        text = text.strip()
-        if text in ("", "1"):
-            return EMPTY_WORD
-        return reduce_letters(_LETTER_BY_NAME[tok]
-                              for tok in text.replace("*", " ").split())
 
     @property
     def degree(self) -> int:
@@ -189,10 +175,6 @@ class NCPoly:
         return cls._from_acc({})
 
     @classmethod
-    def one(cls) -> "NCPoly":
-        return cls.from_word(EMPTY_WORD)
-
-    @classmethod
     def from_word(cls, word: Word, coeff: AffineForm | Rational = 1) -> "NCPoly":
         aff = _as_affine(coeff)
         if aff.is_zero:
@@ -206,19 +188,6 @@ class NCPoly:
     @property
     def has_unknowns(self) -> bool:
         return any(c.coeffs for c in self.terms.values())
-
-    def unknowns(self) -> set:
-        out: set = set()
-        for c in self.terms.values():
-            out.update(c.coeffs)
-        return out
-
-    def sorted_words(self) -> list[Word]:
-        # Lexicographic, then stably by length: deglex order without a
-        # Python key call per word.
-        words = sorted(self.terms)
-        words.sort(key=len)
-        return words
 
     def scaled(self, r: Rational) -> "NCPoly":
         if r == 0:
@@ -245,7 +214,7 @@ class NCPoly:
         if not self.terms:
             return "0"
         out = []
-        for w in self.sorted_words():
+        for w in sorted(self.terms, key=word_key):
             c = self.terms[w]
             if c.coeffs:
                 negative = False

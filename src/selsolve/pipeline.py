@@ -6,10 +6,11 @@ A strategy is a sequence over three step kinds:
   S  prune the u-commutator condition and harvest 1-term zeros
   F  formulate whatever is still unknown, split completely, solve
 
-N and S formulate their condition once, over the live unknowns; every
-later N or S step harvests what is left of it in one deglex pass, and F
-splits what is left of both, with the v-commutator condition formulated
-over the unknowns still live.
+N and S formulate their condition once, over the live unknowns, as a
+list of (word key, coefficient) pairs in deglex order; every later N or S
+step harvests what is left of it in one pass, and F splits what is left
+of both, with the v-commutator condition formulated over the unknowns
+still live, through the one :func:`complete_split`.
 
 The default strategy runs to a fixpoint: N repeats until a step harvests
 nothing; then, while an S step harvests something, N repeats again until
@@ -34,9 +35,9 @@ from .linsys import KIND_C, Rational, UnknownId
 from .ncalgebra import U_INV, V_INV, Derivation, Word
 from .solver import SolutionState, lsss_solve
 from .symmetry import (NecessaryCondition, SortedCondition, SymmetryAnsatz,
-                       _check_degree_guard, build_ansatz, formulate_symcon,
-                       kontsevich_system, prune_ncpoly, selective_split,
-                       split_system)
+                       _check_degree_guard, build_ansatz, complete_split,
+                       formulate_symcon, kontsevich_system, selective_split,
+                       sorted_terms)
 
 DEFAULT_VERIFY_SEED = 1729
 _INVERTIBLE_RETRIES = 100
@@ -188,12 +189,13 @@ class _PipelineRun:
     def _condition(self, label: str) -> SortedCondition:
         if label not in self._conditions:
             if label == "N":
-                held = NecessaryCondition(self.ansatz, self.zeros)
-                self.aux = held.aux
+                nc = NecessaryCondition(self.ansatz, self.zeros)
+                self.aux = nc.aux
+                terms = nc.keyed_terms()
             else:
-                held = formulate_symcon(self.system, self.ansatz, "u",
-                                        self.zeros)
-            self._conditions[label] = SortedCondition(held)
+                terms = sorted_terms(formulate_symcon(
+                    self.system, self.ansatz, "u", self.zeros))
+            self._conditions[label] = SortedCondition(terms)
         return self._conditions[label]
 
     def _record(self, label: str, started: float, new: int, *sizes) -> None:
@@ -216,11 +218,11 @@ class _PipelineRun:
 
     def step_f(self) -> SolutionState:
         started = time.perf_counter()
-        conditions = [prune_ncpoly(self._condition(label).poly(),
-                                   self.zeros) for label in "NS"]
-        conditions.append(formulate_symcon(self.system, self.ansatz, "v",
-                                           self.zeros))
-        system = split_system(conditions, self.ansatz.unknowns + self.aux)
+        conditions = [self._condition(label).terms for label in "NS"]
+        conditions.append(sorted_terms(formulate_symcon(
+            self.system, self.ansatz, "v", self.zeros)))
+        system = complete_split(conditions, self.ansatz.unknowns + self.aux,
+                                self.zeros)
         zeros_before = len(self.zeros)
         self.state = lsss_solve(system, self.zeros)
         self._record("F", started, len(self.zeros) - zeros_before,

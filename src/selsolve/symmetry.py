@@ -12,11 +12,15 @@ without materializing its system (selective splitting).
 
 The ansatz is live: it stores only its words and unknowns, and builds Q1
 and Q2 from the unknowns not yet known to be zero each time a condition
-is formulated.  A commutator is built in one accumulator pass, the side
-condition as a sorted incidence.  A staged run keeps a condition as a
-:class:`SortedCondition` in deglex order; every harvest is one pass in
+is formulated.  A commutator is built in one accumulator pass and sorted
+by word key (:func:`sorted_terms`); the side condition is a sorted
+incidence that streams its terms in the same order.  Either way a
+condition is one list of (word key, coefficient) pairs in increasing key
+order, which is deglex order, and no harvested word is decoded.  A staged
+run holds it as a :class:`SortedCondition`; every harvest is one pass in
 that order that prunes, adds the unknown of each 1-term word to the zeros
-and keeps the remainder for the next pass.
+and keeps the remainder for the next pass.  :func:`complete_split` is the
+one path from such lists to a numbered :class:`LinearSystem`.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
+from operator import itemgetter
 from typing import Collection, Iterable, Iterator
 
 from .errors import TooLargeError
@@ -237,75 +242,51 @@ class NecessaryCondition:
 
     @cached_property
     def residual(self) -> NCPoly:
+        """The condition as a polynomial, a view for tests and tracing."""
         return NCPoly._raw({key_word(k): c for k, c in self.keyed_terms()})
 
 
 def formulate_nc(ansatz: SymmetryAnsatz,
                  zeros: Collection[UnknownId] = ()) -> NecessaryCondition:
-    """The side condition over the unknowns not in ``zeros``; its
-    ``residual`` polynomial is built on first use."""
+    """The side condition over the unknowns not in ``zeros``."""
     return NecessaryCondition(ansatz, zeros)
 
 
-def complete_split(p: NCPoly, universe: Iterable[UnknownId],
-                   start_id: int = 0) -> LinearSystem:
-    """One equation per distinct word with a nonzero coefficient.
-
-    Words are taken in deglex order; equations arising from distinct words
-    are kept apart even when their content coincides.
-    """
-    equations = [
-        canonicalize(Equation(p.terms[w], start_id + i))
-        for i, w in enumerate(p.sorted_words())
-    ]
-    return LinearSystem(equations, frozenset(universe))
+def sorted_terms(p: NCPoly) -> list[tuple[int, AffineForm]]:
+    """(word key, coefficient) per word of ``p``, in increasing key order,
+    which is deglex order (:func:`word_key`)."""
+    return sorted([(word_key(w), c) for w, c in p.terms.items()],
+                  key=itemgetter(0))
 
 
 class SortedCondition:
     """A formulated condition held for repeated harvesting.
 
-    ``terms`` lists (word, coefficient) pairs in deglex order, sorted on
-    first use (a side condition's first pass builds only the words it
-    keeps); until then :meth:`poly` is the formulated polynomial.  Each
-    :func:`selective_split` pass replaces them by the pruned remainder, in
-    order: words that yielded a zero or pruned to zero drop out, and a
-    nonzero constant stays, so the final split reports the contradiction.
+    ``terms`` are (word key, coefficient) pairs in increasing key order; a
+    side condition holds its incidence's stream until the first pass.
+    Each :func:`selective_split` pass replaces them by the pruned
+    remainder, in order: words that yielded a zero or pruned to zero drop
+    out, and a nonzero constant stays, so the final split reports the
+    contradiction.
     """
 
-    __slots__ = ("_held",)
+    __slots__ = ("terms",)
 
-    def __init__(self, p: NCPoly | NecessaryCondition):
-        self._held: NCPoly | NecessaryCondition | list = p
-
-    @property
-    def terms(self) -> list[tuple[Word, AffineForm]]:
-        if not isinstance(self._held, list):
-            p = self.poly()
-            self._held = [(w, p.terms[w]) for w in p.sorted_words()]
-        return self._held
-
-    def poly(self) -> NCPoly:
-        if isinstance(held := self._held, NecessaryCondition):
-            return held.residual
-        if isinstance(held, NCPoly):
-            return held
-        return NCPoly._from_acc(dict(held))
+    def __init__(self, terms: Iterable[tuple[int, AffineForm]]):
+        self.terms = terms
 
 
-def selective_split(p: NCPoly | SortedCondition,
-                    zeros: set[UnknownId]) -> int:
+def selective_split(p: SortedCondition, zeros: set[UnknownId]) -> int:
     """Harvest zeros from words whose pruned coefficient is a single term.
 
-    One pass in deglex order; each coefficient is pruned against ``zeros``
-    as the set grows, so finds take effect immediately.  A polynomial is
-    not rewritten; a :class:`SortedCondition` keeps the remainder for the
-    next pass.  Returns the number of unknowns added to ``zeros``.
+    One pass in key order; each coefficient is pruned against ``zeros`` as
+    the set grows, so finds take effect immediately.  The condition keeps
+    the remainder for the next pass.  Returns the number of unknowns added
+    to ``zeros``.
     """
-    condition = p if isinstance(p, SortedCondition) else SortedCondition(p)
-    side = isinstance(held := condition._held, NecessaryCondition)
     found = 0
     kept = []
-    for term in held.keyed_terms() if side else condition.terms:
+    for term in p.terms:
         coeff = term[1]
         coeffs = coeff.coeffs
         if not coeffs.keys().isdisjoint(zeros):
@@ -318,21 +299,29 @@ def selective_split(p: NCPoly | SortedCondition,
             found += 1
         elif coeffs or coeff.const:
             kept.append(term)
-    condition._held = [(key_word(k), c) for k, c in kept] if side else kept
+    p.terms = kept
     return found
 
 
-def split_system(conditions: Iterable[NCPoly],
-                 universe: Iterable[UnknownId]) -> LinearSystem:
+def complete_split(conditions: Iterable[Iterable[tuple[int, AffineForm]]],
+                   universe: Iterable[UnknownId],
+                   zeros: Collection[UnknownId]) -> LinearSystem:
     """Split each condition completely, in order, into one system.
 
-    Equation ids run 0.. across the conditions.
+    A condition is (word key, coefficient) pairs in key order.  Each
+    coefficient is pruned against ``zeros``; one equation is made per
+    word whose coefficient does not vanish, and the ids run 0.. across the
+    conditions.  Equations from distinct words stay apart even when their
+    content coincides.
     """
-    universe = frozenset(universe)
     equations: list[Equation] = []
-    for p in conditions:
-        equations += complete_split(p, universe, len(equations)).equations
-    return LinearSystem(equations, universe)
+    for terms in conditions:
+        for _, coeff in terms:
+            coeff = prune_zeros(coeff, zeros)
+            if not coeff.is_zero:
+                equations.append(
+                    canonicalize(Equation(coeff, len(equations))))
+    return LinearSystem(equations, frozenset(universe))
 
 
 def build_symmetry_system(degree: int,
@@ -349,10 +338,11 @@ def build_symmetry_system(degree: int,
     conditions, universe = [], ansatz.unknowns
     if include_nc:
         nc = formulate_nc(ansatz)
-        conditions.append(nc.residual)
+        conditions.append(nc.keyed_terms())
         universe += nc.aux
-    conditions += [formulate_symcon(system, ansatz, x) for x in "uv"]
-    return split_system(conditions, universe)
+    conditions += [sorted_terms(formulate_symcon(system, ansatz, x))
+                   for x in "uv"]
+    return complete_split(conditions, universe, ())
 
 
 @dataclass
@@ -388,21 +378,20 @@ def system_stats(degree: int) -> SystemStats:
 
     Each condition is formulated and split once.  The counts are read off
     the formulated conditions, one equation per word and one term per
-    unknown of its coefficient, as :func:`complete_split` would give them;
-    D_tau(I) is the side condition's residual without its auxiliary terms.
+    unknown of its coefficient, as :func:`complete_split` gives them;
+    D_tau(I) is the side condition without its auxiliary terms.
     """
     _check_degree_guard(degree)
     system = kontsevich_system()
     ansatz = build_ansatz(degree)
     nc = formulate_nc(ansatz)
-    sym_u = formulate_symcon(system, ansatz, "u")
-    sym_v = formulate_symcon(system, ansatz, "v")
-    terms_i = [len(c.coeffs.keys() - nc.aux)
-               for c in nc.residual.terms.values()]
-    terms_uv = [len(c.coeffs)
-                for p in (sym_u, sym_v) for c in p.terms.values()]
-    state = lsss_solve(split_system((nc.residual, sym_u, sym_v),
-                                    ansatz.unknowns + nc.aux))
+    side = list(nc.keyed_terms())
+    commutators = [sorted_terms(formulate_symcon(system, ansatz, x))
+                   for x in "uv"]
+    terms_i = [len(c.coeffs.keys() - nc.aux) for _, c in side]
+    terms_uv = [len(c.coeffs) for terms in commutators for _, c in terms]
+    state = lsss_solve(complete_split([side, *commutators],
+                                      ansatz.unknowns + nc.aux, ()))
     return SystemStats(degree, ansatz.unknown_count,
                        len(terms_i) - terms_i.count(0), sum(terms_i),
                        len(terms_uv), sum(terms_uv), state.free_count)
@@ -423,7 +412,8 @@ def first_integral_basis(system: Derivation, degree: int) -> list[NCPoly]:
     ansatz = NCPoly._from_acc(
         {w: AffineForm.unknown(u) for w, u in zip(words, unknowns)})
     condition = apply_derivation(system, ansatz)
-    state = lsss_solve(complete_split(condition, unknowns))
+    state = lsss_solve(complete_split([sorted_terms(condition)], unknowns,
+                                      ()))
     return [NCPoly._from_acc({w: AffineForm.constant(vec[u])
                               for w, u in zip(words, unknowns) if u in vec})
             for vec in state.basis()]

@@ -24,38 +24,41 @@ from selsolve.symmetry import (COMMUTATOR_UV, COMMUTATOR_VU, EXPECTED_STATS,
 DEGREES = range(3, 9)
 
 #: Step trace of the default strategy per degree: step labels, new zeros
-#: per step (F included), and the final zeros, pivots and free counts.
+#: per step (F included), and the final zeros, pivots and free counts and
+#: the number of equations F split.
 STEP_TRACES = {
-    3: ("NNNSNNSNSF", [86, 7, 0, 11, 1, 0, 1, 0, 0, 1], (107, 5, 1)),
-    4: ("NNNNSNNSF", [232, 43, 6, 0, 19, 3, 0, 0, 2], (305, 22, 2)),
+    3: ("NNNSNNSNSF", [86, 7, 0, 11, 1, 0, 1, 0, 0, 1], (107, 5, 1, 23)),
+    4: ("NNNNSNNSF", [232, 43, 6, 0, 19, 3, 0, 0, 2], (305, 22, 2, 104)),
     5: ("NNNNSNNSNNSF", [669, 152, 22, 0, 64, 20, 0, 12, 2, 0, 0, 4],
-        (945, 28, 4)),
+        (945, 28, 4, 134)),
     6: ("NNNNNSNNSNNSNSF",
         [1983, 482, 70, 8, 0, 192, 53, 0, 35, 6, 0, 2, 0, 0, 4],
-        (2835, 81, 5)),
+        (2835, 81, 5, 388)),
     7: ("NNNNNSNNNSNNSNNSNSF",
         [5924, 1473, 216, 30, 0, 578, 171, 1, 0, 134, 41, 0, 35, 6, 0, 2,
-         0, 0, 4], (8615, 131, 7)),
+         0, 0, 4], (8615, 131, 7, 656)),
     8: ("NNNNNNSNNNSNNNSNNSNSF",
         [17750, 4439, 658, 96, 8, 0, 1702, 555, 32, 0, 456, 125, 3, 0, 88,
-         18, 0, 5, 0, 0, 2], (25937, 304, 8)),
+         18, 0, 5, 0, 0, 2], (25937, 304, 8, 1486)),
     9: ("NNNNNNSNNNNSNNNSNNNSNNSNSF",
         [53227, 13336, 1984, 294, 32, 0, 5027, 1792, 182, 5, 0, 1267, 399,
-         23, 0, 354, 117, 1, 0, 94, 18, 0, 5, 0, 0, 4], (78161, 564, 12)),
+         23, 0, 354, 117, 1, 0, 94, 18, 0, 5, 0, 0, 4],
+        (78161, 564, 12, 2948)),
 }
 
 #: The same for explicit strategies that formulate N after an S harvest,
 #: so the side condition starts from a nonempty zero set.
 STRATEGY_TRACES = {
-    ("SNF", 4): ("SNF", [181, 94, 30], (305, 22, 2)),
-    ("SNF", 5): ("SNF", [543, 275, 127], (945, 28, 4)),
-    ("SNF", 6): ("SNF", [1621, 817, 397], (2835, 81, 5)),
-    ("SNF", 7): ("SNF", [4850, 2486, 1279], (8615, 131, 7)),
-    ("S(N)3SF", 4): ("SNNNSF", [181, 94, 17, 1, 8, 4], (305, 22, 2)),
-    ("S(N)3SF", 5): ("SNNNSF", [543, 275, 63, 8, 36, 20], (945, 28, 4)),
-    ("S(N)3SF", 6): ("SNNNSF", [1621, 817, 218, 32, 110, 37], (2835, 81, 5)),
+    ("SNF", 4): ("SNF", [181, 94, 30], (305, 22, 2, 250)),
+    ("SNF", 5): ("SNF", [543, 275, 127], (945, 28, 4, 816)),
+    ("SNF", 6): ("SNF", [1621, 817, 397], (2835, 81, 5, 2606)),
+    ("SNF", 7): ("SNF", [4850, 2486, 1279], (8615, 131, 7, 8019)),
+    ("S(N)3SF", 4): ("SNNNSF", [181, 94, 17, 1, 8, 4], (305, 22, 2, 120)),
+    ("S(N)3SF", 5): ("SNNNSF", [543, 275, 63, 8, 36, 20], (945, 28, 4, 244)),
+    ("S(N)3SF", 6): ("SNNNSF", [1621, 817, 218, 32, 110, 37],
+                     (2835, 81, 5, 620)),
     ("S(N)3SF", 7): ("SNNNSF", [4850, 2486, 700, 114, 272, 193],
-                     (8615, 131, 7)),
+                     (8615, 131, 7, 1813)),
 }
 
 
@@ -230,7 +233,7 @@ def assert_trace(run_report, trace):
     assert "".join(s.label for s in run_report.steps) == labels
     assert [s.new_zeros for s in run_report.steps] == yields
     assert (run_report.zero_count, run_report.pivot_count,
-            run_report.free_count) == final
+            run_report.free_count, run_report.final_equations) == final
 
 
 def test_default_strategy_step_traces(pipeline_results):

@@ -1,9 +1,11 @@
 import os
 import stat
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from selsolve.cli import main
 from selsolve.errors import BoundsError, ParseError
 from selsolve.formats import (parse_affine, read_solution, read_system,
                               render_solution, render_system, write_solution,
@@ -138,3 +140,42 @@ def test_written_files_follow_the_umask(tmp_path, umask, mode):
         os.umask(previous)
     for name in ("s.sys", "s.sys.names", "s.sol"):
         assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
+
+
+def test_declared_rows_without_entries_cost_nothing(tmp_path, capsys):
+    # a 16-byte file declaring a million rows: no equation is built for a
+    # row without entries, so the header alone allocates nothing per row
+    path = tmp_path / "big.sys"
+    path.write_text("1000000 1\n0 0 0\n")
+    tracemalloc.start()
+    try:
+        assert main(["rank", str(path)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == "rank=0 nullity=1\n"
+    assert peak < 4 * 2 ** 20
+
+
+def test_empty_middle_row_keeps_row_based_ids(tmp_path, capsys):
+    path = tmp_path / "mid.sys"
+    path.write_text("3 3\n1 1 1\n1 2 -1\n3 2 1\n3 3 2\n0 0 0\n")
+    assert [eq.id for eq in read_system(str(path)).equations] == [0, 2]
+    assert main(["solve", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] \
+        == "zeros=0 pivots=2 free=1 identities=0"
+    assert (tmp_path / "mid.sys.sol").read_text() \
+        == "ZEROS\nPIVOTS\nc0 = -2*c2\nc1 = -2*c2\nFREE\nc2\n"
+
+
+@pytest.mark.parametrize("name, text", [
+    ("n.sol", "ZEROS\nb3\nPIVOTS\nFREE\n"),
+    ("s.sys.names", "1 C 0 c0\n2 B 1 b1\n"),
+], ids=["solution", "sidecar"])
+def test_there_is_no_unknown_kind_b(tmp_path, name, text):
+    # only ansatz coefficients (c) and side-condition constants (a) exist
+    write_system(small_system(), str(tmp_path / "s.sys"))
+    (tmp_path / name).write_text(text)
+    reader = read_solution if name.endswith(".sol") else read_system
+    with pytest.raises(ParseError, match="line 2"):
+        reader(str(tmp_path / name.removesuffix(".names")))

@@ -18,12 +18,13 @@ from selsolve.linsys import KIND_A, KIND_C, AffineForm, UnknownId
 from selsolve.ncalgebra import (U_INV, V_INV, Accumulator, Derivation,
                                 NCPoly, Word, affine_product,
                                 apply_derivation, poly_mul, reduce_letters,
-                                reduce_sandwich, word_mul, word_pow)
+                                reduce_sandwich, word_key, word_mul, word_pow)
 from selsolve.symmetry import (COMMUTATOR_UV, NecessaryCondition,
-                               SortedCondition, build_ansatz, formulate_nc,
-                               formulate_symcon, kontsevich_system,
-                               prune_ncpoly, selective_split,
-                               side_condition_k0)
+                               SortedCondition, build_ansatz, complete_split,
+                               formulate_nc, formulate_symcon,
+                               kontsevich_system, prune_ncpoly,
+                               selective_split, side_condition_k0,
+                               sorted_terms)
 
 from test_properties import random_poly, random_word
 
@@ -95,7 +96,8 @@ def test_formulations_match_reference(degree):
     ansatz = build_ansatz(degree)
     empty = set()
     harvested = set()
-    selective_split(reference_nc(ansatz, 3, empty), harvested)
+    selective_split(SortedCondition(sorted_terms(
+        reference_nc(ansatz, 3, empty))), harvested)
     assert len(harvested) > 0
     for zeros in (empty, harvested):
         nc = formulate_nc(ansatz, zeros)
@@ -115,17 +117,18 @@ def test_formulations_match_reference(degree):
 @pytest.mark.parametrize("degree", range(3, 9))
 def test_first_harvest_matches_accumulator_reference(degree):
     # the incidence's first pass registers the same zeros and keeps the
-    # same (word, coefficient) list, in order, as a pass over the sorted
-    # accumulated polynomial; once from nothing, once after an S harvest
+    # same (word key, coefficient) list, in order, as a pass over the
+    # sorted accumulated polynomial; once from nothing, once after an S
+    # harvest
     ansatz = build_ansatz(degree)
     harvested = set()
-    selective_split(formulate_symcon(kontsevich_system(), ansatz, "u"),
-                    harvested)
+    selective_split(SortedCondition(sorted_terms(
+        formulate_symcon(kontsevich_system(), ansatz, "u"))), harvested)
     assert len(harvested) > 0
     for start in (set(), harvested):
         got_zeros, want_zeros = set(start), set(start)
-        got = SortedCondition(NecessaryCondition(ansatz, start))
-        want = SortedCondition(accumulator_nc(ansatz, start))
+        got = SortedCondition(NecessaryCondition(ansatz, start).keyed_terms())
+        want = SortedCondition(sorted_terms(accumulator_nc(ansatz, start)))
         found = selective_split(got, got_zeros)
         assert found == selective_split(want, want_zeros) > 0
         assert got_zeros == want_zeros
@@ -184,17 +187,18 @@ def test_sorted_condition_keeps_pruned_remainder_in_order():
         Word((0, 1)): AffineForm(3, {c[3]: 1}),
         Word((1,)): AffineForm(0, {c[3]: 2, c[4]: 1}),
     })
-    condition = SortedCondition(p)
-    assert [w for w, _ in condition.terms] == p.sorted_words()
+    condition = SortedCondition(sorted_terms(p))
+    assert [k for k, _ in condition.terms] == [
+        word_key(w) for w in (Word((0,)), Word((1,)), Word((0, 1)),
+                              Word((1, 0)))]
     zeros = {c[3]}
     # u registers c2 at once, so v u then prunes to the single term c1
     assert selective_split(condition, zeros) == 3
     assert zeros == {c[1], c[2], c[3], c[4]}
     # the constant left of u v stays for the final split to report
-    assert condition.terms == [(Word((0, 1)), AffineForm.constant(3))]
-    assert condition.poly() == prune_ncpoly(p, zeros)
+    assert condition.terms == [(word_key(Word((0, 1))),
+                                AffineForm.constant(3))]
     assert selective_split(condition, zeros) == 0
-    # a plain polynomial is harvested but never rewritten
-    before = dict(p.terms)
-    assert selective_split(p, {c[3]}) == 3
-    assert p.terms == before
+    split = complete_split([condition.terms], c, zeros)
+    assert [(eq.id, eq.lhs) for eq in split.equations] \
+        == [(0, AffineForm.constant(1))]

@@ -4,7 +4,7 @@ Every reader accepts arbitrary text or bytes by returning a result or
 raising a ``ParseError``, never another exception; rendering what was
 read gives back the same bytes.  Examples are derandomized, so the suite
 is deterministic.  Structured inputs use small numbers, because a system
-header declares how many rows and columns the reader allocates.
+header declares how many columns the reader allocates.
 """
 
 import copy
@@ -19,7 +19,7 @@ from selsolve.errors import ParseError
 from selsolve.formats import (parse_affine, read_solution, read_system,
                               render_names, render_solution, render_system,
                               write_solution, write_system)
-from selsolve.linsys import (KIND_A, KIND_B, KIND_C, AffineForm, Equation,
+from selsolve.linsys import (KIND_A, KIND_C, AffineForm, Equation,
                              LinearSystem, UnknownId, format_affine)
 from selsolve.solver import SolutionState
 
@@ -28,7 +28,7 @@ fuzz = settings(derandomize=True, database=None, deadline=None,
 
 INDEX_LIMIT = 1 << 40
 
-kinds = st.sampled_from((KIND_C, KIND_A, KIND_B))
+kinds = st.sampled_from((KIND_C, KIND_A))
 unknowns = st.builds(UnknownId, kinds, st.integers(0, 40))
 rationals = st.builds(Fraction, st.integers(-30, 30).filter(bool),
                       st.integers(1, 12))
@@ -114,9 +114,13 @@ def test_system_files_round_trip(workdir, system):
     path = str(workdir / "rt.sys")
     write_system(system, path)
     again = read_system(path)
-    assert again == system
-    assert render_system(again) == render_system(system)
+    # a row without entries makes no equation; the others keep their ids
+    assert again == LinearSystem(
+        [eq for eq in system.equations if not eq.lhs.is_zero],
+        system.universe)
     assert render_names(again) == render_names(system)
+    if len(again) == len(system):
+        assert render_system(again) == render_system(system)
 
 
 @st.composite
@@ -160,7 +164,7 @@ def test_unknown_ids_order_name_and_copy(a, b, small):
 
 
 @pytest.mark.parametrize("kind, index", [
-    (KIND_C, -1), (KIND_A, INDEX_LIMIT), (3, 0), (-1, 5)])
+    (KIND_C, -1), (KIND_A, INDEX_LIMIT), (2, 0), (3, 0), (-1, 5)])
 def test_unknown_id_out_of_range(kind, index):
     with pytest.raises(ValueError):
         UnknownId(kind, index)

@@ -1,7 +1,8 @@
 from fractions import Fraction
 
-from selsolve.linsys import KIND_A, KIND_B, KIND_C, AffineForm, UnknownId
-from selsolve.ncalgebra import EMPTY_WORD, U, U_INV, V, V_INV, NCPoly, Word
+from selsolve.linsys import KIND_A, KIND_C, AffineForm, UnknownId
+from selsolve.ncalgebra import (EMPTY_WORD, U, U_INV, V, V_INV, NCPoly, Word,
+                                key_word, word_key)
 from selsolve.pipeline import default_strategy, run_strategy
 from selsolve.solver import lsss_solve
 from selsolve.symmetry import (SortedCondition, SymmetryAnsatz,
@@ -11,9 +12,17 @@ from selsolve.symmetry import (SortedCondition, SymmetryAnsatz,
                                formulate_nc, formulate_symcon,
                                kontsevich_system, prune_ncpoly,
                                selective_split, side_condition_k0,
-                               system_stats)
+                               sorted_terms, system_stats)
 
 C = [UnknownId(KIND_C, i) for i in range(8)]
+
+
+def unknowns_of(p):
+    return {u for c in p.terms.values() for u in c.coeffs}
+
+
+def harvest(p, zeros):
+    return selective_split(SortedCondition(sorted_terms(p)), zeros)
 
 
 def test_enumerate_words_matches_recursion():
@@ -59,12 +68,28 @@ def test_complete_split_combines_like_words():
     p = NCPoly({Word((U, V)): AffineForm.unknown(C[1])
                 + AffineForm.unknown(C[2]),
                 Word((V, U)): AffineForm.unknown(C[3])})
-    sys_ = complete_split(p, p.unknowns())
+    sys_ = complete_split([sorted_terms(p)], unknowns_of(p), ())
     assert len(sys_.equations) == 2
     forms = [eq.lhs for eq in sys_.equations]
     assert AffineForm(0, {C[1]: 1, C[2]: 1}) in forms
     assert AffineForm(0, {C[3]: 1}) in forms
-    assert complete_split(NCPoly.zero(), ()).equations == []
+    assert complete_split([sorted_terms(NCPoly.zero())], (), ()) \
+        .equations == []
+
+
+def test_complete_split_prunes_and_numbers_across_conditions():
+    # ids run on across the conditions; a coefficient that prunes to zero
+    # makes no equation and takes no id, a nonzero constant stays
+    first = [(word_key(Word((U,))), AffineForm(0, {C[1]: 2, C[2]: 4})),
+             (word_key(Word((V,))), AffineForm.unknown(C[3]))]
+    second = [(word_key(EMPTY_WORD), AffineForm(5, {C[3]: 1})),
+              (word_key(Word((U, V))), AffineForm(0, {C[2]: -3, C[4]: 6}))]
+    sys_ = complete_split([first, second], C[1:5], {C[3]})
+    assert [eq.id for eq in sys_.equations] == [0, 1, 2]
+    assert [eq.lhs for eq in sys_.equations] == [
+        AffineForm(0, {C[1]: 1, C[2]: 2}), AffineForm.constant(1),
+        AffineForm(0, {C[2]: 1, C[4]: -2})]
+    assert sys_.universe == frozenset(C[1:5])
 
 
 def test_selective_split_registers_single_unknown_coefficients():
@@ -72,11 +97,11 @@ def test_selective_split_registers_single_unknown_coefficients():
                 Word((V, U)): AffineForm.unknown(C[2])
                 + AffineForm.unknown(C[3])})
     zeros = set()
-    assert selective_split(p, zeros) == 1
+    assert harvest(p, zeros) == 1
     assert zeros == {C[1]}
     # with c3 already zero the second coefficient prunes to a single term
     zeros = {C[3]}
-    assert selective_split(p, zeros) == 2
+    assert harvest(p, zeros) == 2
     assert zeros == {C[1], C[2], C[3]}
 
 
@@ -105,9 +130,10 @@ def test_formulate_nc_aux_unknowns():
     nc = formulate_nc(ans)
     assert len(nc.aux) == 7
     assert all(uid.kind == KIND_A for uid in nc.aux)
-    assert nc.residual.unknowns() >= set(nc.aux)
+    assert unknowns_of(nc.residual) >= set(nc.aux)
     # solving the split side condition alone forces every auxiliary to zero
-    state = lsss_solve(complete_split(nc.residual, nc.residual.unknowns()))
+    state = lsss_solve(complete_split([nc.keyed_terms()],
+                                      unknowns_of(nc.residual), ()))
     for uid in nc.aux:
         gone = uid in state.zeros or (
             uid in state.pivots and state.pivots[uid].is_zero)
@@ -122,17 +148,18 @@ def test_selective_split_on_degree3_side_condition_finds_zeros():
     singles = {uid for coeff in nc.residual.terms.values()
                if coeff.term_count == 1 for uid in coeff.coeffs}
     zeros = set()
-    found = selective_split(nc.residual, zeros)
+    found = selective_split(SortedCondition(nc.keyed_terms()), zeros)
     assert found >= len(singles) > 0
     assert singles <= zeros
 
 
 def test_unharvested_condition_is_the_formulated_polynomial():
+    # the formulated polynomial's terms, keyed, in deglex order
     poly = formulate_symcon(kontsevich_system(), build_ansatz(2), "u")
-    assert SortedCondition(poly).poly() is poly
-    condition = SortedCondition(poly)
-    assert [w for w, _ in condition.terms] == poly.sorted_words()
-    assert condition.poly() == poly
+    condition = SortedCondition(sorted_terms(poly))
+    assert [key_word(k) for k, _ in condition.terms] \
+        == sorted(poly.terms, key=lambda w: (len(w), tuple(w)))
+    assert {key_word(k): c for k, c in condition.terms} == poly.terms
 
 
 def test_split_complete_reproduces_polynomial():
@@ -141,8 +168,8 @@ def test_split_complete_reproduces_polynomial():
     sysm = kontsevich_system()
     ans = build_ansatz(2)
     poly = formulate_symcon(sysm, ans, "u")
-    split = complete_split(poly, poly.unknowns())
-    words = poly.sorted_words()
+    split = complete_split([sorted_terms(poly)], unknowns_of(poly), ())
+    words = sorted(poly.terms, key=word_key)
     assert len(split.equations) == len(words)
     for word, eq in zip(words, split.equations):
         coeff = poly.terms[word]
@@ -163,11 +190,10 @@ def test_selective_split_zero_soundness_against_oracle():
         sysm = kontsevich_system()
         ans = build_ansatz(n)
         zeros = set()
-        residual = formulate_nc(ans).residual
-        while selective_split(residual, zeros):
-            residual = prune_ncpoly(residual, zeros)
-        sym_u = formulate_symcon(sysm, ans, "u", zeros)
-        selective_split(sym_u, zeros)
+        condition = SortedCondition(formulate_nc(ans).keyed_terms())
+        while selective_split(condition, zeros):
+            pass
+        harvest(formulate_symcon(sysm, ans, "u", zeros), zeros)
 
         full = build_symmetry_system(n, include_nc=True)
         _, basis = dense_nullspace_oracle(full)
@@ -209,6 +235,6 @@ def test_side_condition_keeps_the_solution_space():
         plain = lsss_solve(build_symmetry_system(n))
         with_nc = lsss_solve(build_symmetry_system(n, include_nc=True))
         assert plain.free_count == with_nc.free_count == free
-        aux = {u for u in with_nc.universe if u.kind in (KIND_A, KIND_B)}
+        aux = {u for u in with_nc.universe if u.kind == KIND_A}
         assert aux == with_nc.universe - plain.universe
         assert aux and all(u in with_nc.zeros for u in aux)
