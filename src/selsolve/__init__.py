@@ -12,11 +12,11 @@ from .pipeline import (FixpointStrategy, RunReport, Strategy,
                        default_strategy, run_strategy, verify_by_matrices)
 from .solver import (SolutionState, find_zeros, length_sort, lsss_solve,
                      prune_zeros, stream_solve)
-from .symmetry import (COMMUTATOR_UV, COMMUTATOR_VU, NecessaryCondition,
-                       SortedCondition, SymmetryAnsatz, SystemStats,
-                       build_ansatz, build_symmetry_system, complete_split,
-                       first_integral_basis, formulate_nc, formulate_symcon,
-                       kontsevich_system, prune_ncpoly, selective_split,
-                       sorted_terms, system_stats)
+from .symmetry import (COMMUTATOR_UV, COMMUTATOR_VU, CommutatorCondition,
+                       NecessaryCondition, SortedCondition, SymmetryAnsatz,
+                       SystemStats, build_ansatz, build_symmetry_system,
+                       complete_split, first_integral_basis, formulate_nc,
+                       formulate_symcon, kontsevich_system, prune_ncpoly,
+                       selective_split, sorted_terms, system_stats)
 
 __version__ = "0.1.0"

@@ -6,11 +6,13 @@ junction.  Polynomials map words to coefficients that are affine in symbolic
 unknowns; products and derivations keep every coefficient linear, so the
 conditions built from them split into linear equations.
 
-Derivations run through one Leibniz kernel, :meth:`Accumulator.add_derivation`,
-which adds every contribution into per-word sums of plain rationals and
-reduces each prefix * image * suffix in one call.  Images of inverse
-letters are never built: the kernel applies d(g^-1) = -g^-1 d(g) g^-1 by
-widening the sandwich around the letter instead.
+A derivation with unknown-free images (the system flow D_t) is applied by
+one Leibniz kernel, :meth:`Accumulator.add_derivation`, which adds every
+contribution into per-word sums of plain rationals and reduces each
+prefix * image * suffix in one call.  Images of inverse letters are never
+built: the kernel applies d(g^-1) = -g^-1 d(g) g^-1 by widening the
+sandwich around the letter instead.  Words also pack into ints
+(:func:`word_key`), on which the symmetry conditions are formulated.
 """
 
 from __future__ import annotations
@@ -315,40 +317,36 @@ class Accumulator:
     def __init__(self):
         self.words: dict[tuple, dict] = {}
 
-    def add_derivation(self, d: Derivation, p: NCPoly, sign: int = 1) -> None:
-        """Add ``sign * d(p)`` by the Leibniz rule.
+    def add_derivation(self, d: Derivation, p: NCPoly) -> None:
+        """Add ``d(p)`` by the Leibniz rule.
 
         Each (term of p, letter position, image term) contribution lands
         straight in its word's slot.  An inverse letter g^-1 at position i
         contributes -(word[:i+1]) d(g) (word[i:]), the sandwich identity
         d(g^-1) = -g^-1 d(g) g^-1 widened by one letter on each side, so
-        inverse images are never built.  At most one of the derivation's
-        images and ``p``'s coefficients may carry unknowns.
+        inverse images are never built.  The derivation's images must be
+        free of unknowns; ``p``'s coefficients may carry them.
         """
-        if d.has_unknowns and p.has_unknowns:
+        if d.has_unknowns:
             raise NonlinearProductError(
-                "derivation images and polynomial both carry unknowns")
-        # The unknowns, if any, sit in p's coefficients; otherwise in the
-        # images, and p's coefficients are plain constants.
-        linear_in_p = not d.has_unknowns
+                "derivation images carry unknowns; only the polynomial may")
         # Per image term: the inverses of its first and last letters (-2
         # for the empty word), which flag a cancellation at a junction.
         images = tuple(
-            [(w, w[0] ^ 2 if w else -2, w[-1] ^ 2 if w else -2, c.const, c)
+            [(w, w[0] ^ 2 if w else -2, w[-1] ^ 2 if w else -2, c.const)
              for w, c in image.terms.items()]
             for image in (d.image_u, d.image_v))
         words = self.words
         for word, coeff in p.terms.items():
-            p_const = coeff.const
-            p_items = _affine_items(coeff) if linear_in_p else ()
+            p_items = _affine_items(coeff)
             for i, g in enumerate(word):
                 if g & 2:
-                    left, right, s = word[:i + 1], word[i:], -sign
+                    left, right, s = word[:i + 1], word[i:], -1
                 else:
-                    left, right, s = word[:i], word[i + 1:], sign
+                    left, right, s = word[:i], word[i + 1:], 1
                 left_end = left[-1] if left else -1
                 right_start = right[0] if right else -1
-                for mid, first, last, i_const, c in images[g & 1]:
+                for mid, first, last, i_const in images[g & 1]:
                     if first == left_end or last == right_start or not mid:
                         w = reduce_sandwich(left, mid, right)
                     else:
@@ -356,16 +354,9 @@ class Accumulator:
                     slot = words.get(w)
                     if slot is None:
                         words[w] = slot = {}
-                    if linear_in_p:
-                        factor = s * i_const
-                        for key, value in p_items:
-                            slot[key] = slot.get(key, 0) + factor * value
-                    else:
-                        factor = s * p_const
-                        for key, value in c.coeffs.items():
-                            slot[key] = slot.get(key, 0) + factor * value
-                        if i_const:
-                            slot[None] = slot.get(None, 0) + factor * i_const
+                    factor = s * i_const
+                    for key, value in p_items:
+                        slot[key] = slot.get(key, 0) + factor * value
 
     def poly(self) -> NCPoly:
         """The accumulated polynomial; words whose sum vanished drop out.
@@ -387,8 +378,8 @@ class Accumulator:
 def apply_derivation(d: Derivation, p: NCPoly) -> NCPoly:
     """Leibniz rule over every letter of every word of ``p``.
 
-    At most one of the derivation's images and ``p``'s coefficients may
-    carry unknowns, keeping the result affine.
+    The derivation's images must be free of unknowns, keeping the result
+    affine in ``p``'s.
     """
     acc = Accumulator()
     acc.add_derivation(d, p)

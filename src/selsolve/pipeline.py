@@ -36,8 +36,7 @@ from .ncalgebra import U_INV, V_INV, Derivation, Word
 from .solver import SolutionState, lsss_solve
 from .symmetry import (NecessaryCondition, SortedCondition, SymmetryAnsatz,
                        _check_degree_guard, build_ansatz, complete_split,
-                       formulate_symcon, kontsevich_system, selective_split,
-                       sorted_terms)
+                       formulate_symcon, kontsevich_system, selective_split)
 
 DEFAULT_VERIFY_SEED = 1729
 _INVERTIBLE_RETRIES = 100
@@ -75,25 +74,43 @@ def default_strategy(degree: int) -> FixpointStrategy:
     return FixpointStrategy()
 
 
+#: Most steps a strategy may expand to; the default run at degree 9 takes 26.
+MAX_STRATEGY_STEPS = 100_000
+
+
 def _parse_steps(text: str) -> list[str]:
     tokens = text.upper().replace(" ", "").replace("\t", "")
-    steps, pos = _parse_seq(tokens, 0)
+    try:
+        items, size, pos = _parse_seq(tokens, 0)
+    except RecursionError:
+        raise ParseError("strategy nests its groups too deeply") from None
     if pos != len(tokens):
         raise ParseError(f"unexpected {tokens[pos]!r} at position {pos}")
-    if not steps:
+    if not size:
         raise ParseError("empty strategy")
-    return steps
+    if size > MAX_STRATEGY_STEPS:
+        raise ParseError(f"strategy expands to {size} steps, over the "
+                         f"limit of {MAX_STRATEGY_STEPS}")
+    return _expand(items)
 
 
-def _parse_seq(tokens: str, pos: int) -> tuple[list[str], int]:
-    steps: list[str] = []
+def _parse_seq(tokens: str, pos: int) -> tuple[list, int, int]:
+    """Parse steps up to the first token that is not one.
+
+    Returns the items, a step letter or an (items, repeat count) group
+    each, the number of steps they expand to, counted without expanding
+    them, and the position after them.
+    """
+    items: list = []
+    size = 0
     while pos < len(tokens):
         ch = tokens[pos]
         if ch in "NSF":
-            steps.append(ch)
+            items.append(ch)
+            size += 1
             pos += 1
         elif ch == "(":
-            inner, pos = _parse_seq(tokens, pos + 1)
+            inner, inner_size, pos = _parse_seq(tokens, pos + 1)
             if pos >= len(tokens) or tokens[pos] != ")":
                 raise ParseError("unbalanced parenthesis in strategy")
             pos += 1
@@ -102,10 +119,28 @@ def _parse_seq(tokens: str, pos: int) -> tuple[list[str], int]:
                 pos += 1
             if start == pos:
                 raise ParseError("group needs a repeat count")
-            steps.extend(inner * int(tokens[start:pos]))
+            digits = tokens[start:pos].lstrip("0") or "0"
+            if len(digits) > len(str(MAX_STRATEGY_STEPS)):
+                raise ParseError(
+                    f"repeat count of {len(digits)} digits is over the "
+                    f"limit of {MAX_STRATEGY_STEPS} steps")
+            count = int(digits)
+            items.append((inner, count))
+            size += inner_size * count
         else:
             break
-    return steps, pos
+    return items, size, pos
+
+
+def _expand(items: list) -> list[str]:
+    steps: list[str] = []
+    for item in items:
+        if isinstance(item, str):
+            steps.append(item)
+        else:
+            inner, count = item
+            steps.extend(_expand(inner) * count)
+    return steps
 
 
 def format_steps(steps: Sequence[str]) -> str:
@@ -193,8 +228,8 @@ class _PipelineRun:
                 self.aux = nc.aux
                 terms = nc.keyed_terms()
             else:
-                terms = sorted_terms(formulate_symcon(
-                    self.system, self.ansatz, "u", self.zeros))
+                terms = formulate_symcon(self.system, self.ansatz, "u",
+                                         self.zeros).keyed_terms()
             self._conditions[label] = SortedCondition(terms)
         return self._conditions[label]
 
@@ -219,8 +254,8 @@ class _PipelineRun:
     def step_f(self) -> SolutionState:
         started = time.perf_counter()
         conditions = [self._condition(label).terms for label in "NS"]
-        conditions.append(sorted_terms(formulate_symcon(
-            self.system, self.ansatz, "v", self.zeros)))
+        conditions.append(formulate_symcon(
+            self.system, self.ansatz, "v", self.zeros).keyed_terms())
         system = complete_split(conditions, self.ansatz.unknowns + self.aux,
                                 self.zeros)
         zeros_before = len(self.zeros)

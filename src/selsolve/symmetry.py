@@ -10,16 +10,17 @@ unknowns.  This module formulates the conditions, splits them into
 equations, and harvests vanishing unknowns straight from a condition
 without materializing its system (selective splitting).
 
-The ansatz is live: it stores only its words and unknowns, and builds Q1
-and Q2 from the unknowns not yet known to be zero each time a condition
-is formulated.  A commutator is built in one accumulator pass and sorted
-by word key (:func:`sorted_terms`); the side condition is a sorted
-incidence that streams its terms in the same order.  Either way a
-condition is one list of (word key, coefficient) pairs in increasing key
-order, which is deglex order, and no harvested word is decoded.  A staged
-run holds it as a :class:`SortedCondition`; every harvest is one pass in
-that order that prunes, adds the unknown of each 1-term word to the zeros
-and keeps the remainder for the next pass.  :func:`complete_split` is the
+Words are packed ints (:func:`word_key`) throughout formulation.  The
+ansatz stores only its word keys and unknowns, and each condition is
+formulated over the unknowns not yet known to be zero.  A commutator
+condition sums its coefficients per word key
+(:class:`CommutatorCondition`); the side condition is a sorted incidence
+(:class:`NecessaryCondition`).  Either streams one list of (word key,
+coefficient) pairs in increasing key order, which is deglex order, and no
+harvested word is decoded.  A staged run holds it as a
+:class:`SortedCondition`; every harvest is one pass in that order that
+prunes, adds the unknown of each 1-term word to the zeros and keeps the
+remainder for the next pass.  :func:`complete_split` is the
 one path from such lists to a numbered :class:`LinearSystem`.
 """
 
@@ -31,13 +32,13 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Collection, Iterable, Iterator
 
-from .errors import TooLargeError
+from .errors import NonlinearProductError, TooLargeError
 from .linsys import (FORMULATE_MAX_UNKNOWNS, KIND_A, KIND_C, AffineForm,
-                     Equation, LinearSystem, UnknownId, canonicalize,
-                     unknown_limit)
-from .ncalgebra import (EMPTY_WORD, U, U_INV, V, V_INV, Accumulator,
-                        Derivation, NCPoly, Word, apply_derivation, key_word,
-                        reduce_letters, word_key, word_pow)
+                     Equation, LinearSystem, Rational, UnknownId,
+                     canonicalize, unknown_limit)
+from .ncalgebra import (U, U_INV, V, V_INV, Derivation, NCPoly, Word,
+                        apply_derivation, key_word, reduce_letters, word_key,
+                        word_pow)
 from .solver import lsss_solve, prune_zeros
 
 #: Group commutator u v u^-1 v^-1 and its inverse: the generating first
@@ -75,25 +76,25 @@ def kontsevich_system() -> Derivation:
     return Derivation(p1, p2, name="Dt")
 
 
-def enumerate_words(max_degree: int) -> list[Word]:
-    """All reduced words of degree <= max_degree, in deglex order.
+def enumerate_keys(max_degree: int) -> list[int]:
+    """:func:`word_key` of every reduced word of degree <= max_degree, in
+    increasing order, which is deglex order.
 
     Counts satisfy t(n) = 3 t(n-1) + 2 with t(0) = 1: every shorter word
-    extends by the three letters that do not cancel, and the empty word by
-    all four.
+    extends by the three letters that do not cancel its last one, and the
+    empty word (key 1) by all four.
     """
-    words = [EMPTY_WORD]
-    level: list[Word] = [EMPTY_WORD]
+    keys, level = [1], [1]
     for _ in range(max_degree):
-        nxt = []
-        for w in level:
-            last = w[-1] if w else None
-            for g in (U, V, U_INV, V_INV):
-                if last is None or g != (last ^ 2):
-                    nxt.append(Word(w + (g,)))
-        words.extend(nxt)
-        level = nxt
-    return words
+        level = [k << 2 | g for k in level for g in range(4)
+                 if g != (k & 3) ^ 2 or k == 1]
+        keys += level
+    return keys
+
+
+def enumerate_words(max_degree: int) -> list[Word]:
+    """All reduced words of degree <= max_degree, in deglex order."""
+    return [key_word(k) for k in enumerate_keys(max_degree)]
 
 
 def ansatz_term_count(degree: int) -> int:
@@ -105,15 +106,15 @@ def ansatz_term_count(degree: int) -> int:
 class SymmetryAnsatz:
     """Most general degree-n flow with one fresh unknown per term.
 
-    Only words and unknowns are stored: ``unknowns[i]`` is the coefficient
-    of ``words[i]`` in Q1 = u_tau and ``unknowns[t + i]`` its coefficient
-    in Q2 = v_tau, where t = len(words).  :meth:`derivation` builds Q1 and
-    Q2 at the point of use from the unknowns not known to be zero, so no
-    full image is built only to be pruned.
+    Only word keys and unknowns are stored: ``unknowns[i]`` is the
+    coefficient of the word with key ``keys[i]`` in Q1 = u_tau and
+    ``unknowns[t + i]`` its coefficient in Q2 = v_tau, where t = len(keys);
+    the keys are in deglex order.  The conditions read the keys directly;
+    :meth:`derivation` decodes the live words into Q1 and Q2.
     """
 
     degree: int
-    words: tuple[Word, ...]
+    keys: tuple[int, ...]
     unknowns: tuple[UnknownId, ...]
 
     @property
@@ -122,10 +123,10 @@ class SymmetryAnsatz:
 
     def derivation(self, zeros: Collection[UnknownId] = ()) -> Derivation:
         """D_tau over the unknowns that are not in ``zeros``."""
-        t = len(self.words)
+        t = len(self.keys)
         q1, q2 = (NCPoly._raw({
-            w: AffineForm._raw(0, {uid: 1})
-            for w, uid in zip(self.words, self.unknowns[start:start + t])
+            key_word(k): AffineForm._raw(0, {uid: 1})
+            for k, uid in zip(self.keys, self.unknowns[start:start + t])
             if uid not in zeros}) for start in (0, t))
         return Derivation(q1, q2, name="Dtau")
 
@@ -133,9 +134,9 @@ class SymmetryAnsatz:
 def build_ansatz(degree: int) -> SymmetryAnsatz:
     if degree < 1:
         raise ValueError("ansatz degree must be >= 1")
-    words = enumerate_words(degree)
-    unknowns = tuple(UnknownId(KIND_C, i) for i in range(2 * len(words)))
-    return SymmetryAnsatz(degree, tuple(words), unknowns)
+    keys = enumerate_keys(degree)
+    unknowns = tuple(UnknownId(KIND_C, i) for i in range(2 * len(keys)))
+    return SymmetryAnsatz(degree, tuple(keys), unknowns)
 
 
 def prune_ncpoly(p: NCPoly, zeros: set[UnknownId]) -> NCPoly:
@@ -148,27 +149,6 @@ def prune_ncpoly(p: NCPoly, zeros: set[UnknownId]) -> NCPoly:
         if not pruned.is_zero:
             acc[w] = pruned
     return NCPoly._from_acc(acc)
-
-
-def formulate_symcon(system: Derivation, ansatz: SymmetryAnsatz, which: str,
-                     zeros: Collection[UnknownId] = ()) -> NCPoly:
-    """The commutator condition D_tau(D_t x) - D_t(D_tau x) for x = u or v.
-
-    Identically zero exactly when the ansatz flow commutes with the system
-    D_t on that generator.  Only the unknowns not in ``zeros`` enter the
-    ansatz.  Both terms are added into one accumulator.
-    """
-    if which not in ("u", "v"):
-        raise ValueError("which must be 'u' or 'v'")
-    dtau = ansatz.derivation(zeros)
-    if which == "u":
-        dtx, qx = system.image_u, dtau.image_u
-    else:
-        dtx, qx = system.image_v, dtau.image_v
-    acc = Accumulator()
-    acc.add_derivation(dtau, dtx)
-    acc.add_derivation(system, qx, sign=-1)
-    return acc.poly()
 
 
 def sandwich_keys(left: tuple, right: tuple,
@@ -215,10 +195,10 @@ class NecessaryCondition:
         self.aux = tuple(UnknownId(KIND_A, i) for i in range(2 * k0 + 1))
         self._unknowns = unknowns = ansatz.unknowns + self.aux
         self._shift = shift = (2 * len(unknowns)).bit_length()
-        t, i_word = len(ansatz.words), COMMUTATOR_UV
+        keys, i_word = ansatz.keys, COMMUTATOR_UV
+        t = len(keys)
         entries = [word_key(word_pow(i_word, i - k0)) << shift
                    | (2 * t + i) << 1 | 1 for i in range(2 * k0 + 1)]
-        keys = [word_key(w) for w in ansatz.words]
         for g in (U, V):  # I holds g at position g, its inverse at g + 2
             slots = [s for s in range(g * t, g * t + t)
                      if unknowns[s] not in zeros]
@@ -250,6 +230,119 @@ def formulate_nc(ansatz: SymmetryAnsatz,
                  zeros: Collection[UnknownId] = ()) -> NecessaryCondition:
     """The side condition over the unknowns not in ``zeros``."""
     return NecessaryCondition(ansatz, zeros)
+
+
+class CommutatorCondition:
+    """A commutator condition as a map from word key to coefficient.
+
+    ``terms`` holds only the words whose coefficient does not vanish, in no
+    particular order; :meth:`keyed_terms` streams them in deglex order.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict[int, AffineForm]):
+        self.terms = terms
+
+    def keyed_terms(self) -> Iterator[tuple[int, AffineForm]]:
+        """(word key, coefficient) per word, in deglex order."""
+        terms = self.terms
+        for key in sorted(terms):
+            yield key, terms[key]
+
+
+def _join_keys(left: int, mid: tuple, right: int, bits: int) -> int:
+    """Key of reduce(L mid R), for L's key, mid's letters and the ``bits``
+    low bits of R's key: mid is pushed onto L letter by letter, then R's
+    letters cancel from the front until one does not."""
+    for g in mid:
+        if left > 1 and left & 3 == g ^ 2:
+            left >>= 2
+        else:
+            left = left << 2 | g
+    while bits and left > 1 and left & 3 == (right >> bits - 2) ^ 2:
+        left >>= 2
+        bits -= 2
+        right &= (1 << bits) - 1
+    return left << bits | right
+
+
+def formulate_symcon(system: Derivation, ansatz: SymmetryAnsatz, which: str,
+                     zeros: Collection[UnknownId] = ()) -> CommutatorCondition:
+    """The commutator condition D_tau(D_t x) - D_t(D_tau x) for x = u or v.
+
+    Identically zero exactly when the ansatz flow commutes with the system
+    D_t on that generator.  Only the unknowns not in ``zeros`` enter the
+    ansatz, and every word stays a key.  D_tau(P_x) takes one
+    :func:`sandwich_keys` call per letter of each term of P_x = D_t x;
+    D_t(Q_x) splits each live word's key around each letter and joins the
+    image of D_t in between.  At an inverse letter g^-1 both use
+    d(g^-1) = -g^-1 d(g) g^-1, the sandwich widened by one letter.  The
+    sums are kept per word key and unknown; zero sums drop out.
+    """
+    if which not in ("u", "v"):
+        raise ValueError("which must be 'u' or 'v'")
+    if system.has_unknowns:
+        raise NonlinearProductError(
+            "system images carry unknowns; the condition would not be linear")
+    x, t = "uv".index(which), len(ansatz.keys)
+    live = []  # per generator: the keys and unknowns of its live words
+    for start in (0, t):
+        pairs = [(k, uid) for k, uid in zip(
+            ansatz.keys, ansatz.unknowns[start:start + t]) if uid not in zeros]
+        live.append(([k for k, _ in pairs], [uid for _, uid in pairs]))
+    images = (system.image_u, system.image_v)
+    acc: dict[int, dict[UnknownId, Rational]] = {}
+    for word, coeff in images[x].terms.items():
+        for i, g in enumerate(word):
+            if g & 2:
+                left, right, c = word[:i + 1], word[i:], -coeff.const
+            else:
+                left, right, c = word[:i], word[i + 1:], coeff.const
+            keys, uids = live[g & 1]
+            for target, uid in zip(sandwich_keys(left, right, keys), uids):
+                slot = acc.get(target)
+                if slot is None:
+                    acc[target] = slot = {}
+                slot[uid] = slot.get(uid, 0) + c
+    # Per letter of a word: (digits, bits, first, last, coefficient, mid)
+    # per image term, first and last the inverses of mid's end letters
+    # (-2 for the empty word), which flag a cancellation at a junction;
+    # the coefficient carries the minus sign of -D_t(Q_x), flipped again
+    # at an inverse letter.
+    joins = [[(word_key(mid) - (1 << 2 * len(mid)), 2 * len(mid),
+               mid[0] ^ 2 if mid else -2, mid[-1] ^ 2 if mid else -2,
+               c.const if g & 2 else -c.const, mid)
+              for mid, c in images[g & 1].terms.items()] for g in range(4)]
+    for key, uid in zip(*live[x]):
+        for r in range(key.bit_length() - 3, -1, -2):
+            g = key >> r & 3  # the letter at bit offset r
+            if g & 2:
+                left, bits = key >> r, r + 2
+            else:
+                left, bits = key >> r + 2, r
+            right = key & (1 << bits) - 1
+            left_end = left & 3 if left > 1 else -1
+            right_start = right >> bits - 2 if bits else -1
+            for digits, mid_bits, first, last, c, mid in joins[g]:
+                if first == left_end or last == right_start or not mid_bits:
+                    target = _join_keys(left, mid, right, bits)
+                else:
+                    target = (left << mid_bits | digits) << bits | right
+                slot = acc.get(target)
+                if slot is None:
+                    acc[target] = slot = {}
+                slot[uid] = slot.get(uid, 0) + c
+    vanished = []
+    for key, slot in acc.items():
+        if 0 in slot.values():
+            slot = {u: c for u, c in slot.items() if c}
+            if not slot:
+                vanished.append(key)
+        acc[key] = AffineForm._raw(0, slot)
+    for key in vanished:
+        del acc[key]
+    return CommutatorCondition(acc)
 
 
 def sorted_terms(p: NCPoly) -> list[tuple[int, AffineForm]]:
@@ -340,7 +433,7 @@ def build_symmetry_system(degree: int,
         nc = formulate_nc(ansatz)
         conditions.append(nc.keyed_terms())
         universe += nc.aux
-    conditions += [sorted_terms(formulate_symcon(system, ansatz, x))
+    conditions += [formulate_symcon(system, ansatz, x).keyed_terms()
                    for x in "uv"]
     return complete_split(conditions, universe, ())
 
@@ -386,7 +479,7 @@ def system_stats(degree: int) -> SystemStats:
     ansatz = build_ansatz(degree)
     nc = formulate_nc(ansatz)
     side = list(nc.keyed_terms())
-    commutators = [sorted_terms(formulate_symcon(system, ansatz, x))
+    commutators = [list(formulate_symcon(system, ansatz, x).keyed_terms())
                    for x in "uv"]
     terms_i = [len(c.coeffs.keys() - nc.aux) for _, c in side]
     terms_uv = [len(c.coeffs) for terms in commutators for _, c in terms]

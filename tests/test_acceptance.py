@@ -13,7 +13,7 @@ import pytest
 from selsolve.cli import main
 from selsolve.formats import write_solution
 from selsolve.linsys import GUARD_ENV_VAR, dense_nullspace_oracle
-from selsolve.ncalgebra import NCPoly, apply_derivation
+from selsolve.ncalgebra import NCPoly, apply_derivation, word_key
 from selsolve.pipeline import default_strategy, run_strategy, verify_by_matrices
 from selsolve.solver import lsss_solve
 from selsolve.symmetry import (COMMUTATOR_UV, COMMUTATOR_VU, EXPECTED_STATS,
@@ -119,7 +119,7 @@ def test_criterion_2_free_parameters_full_pipeline(pipeline_results):
         for image, offset in ((system.image_u, 0),
                               (system.image_v, half)):
             for word, coeff in image.terms.items():
-                index = ansatz.words.index(word)
+                index = ansatz.keys.index(word_key(word))
                 vec[ansatz.unknowns[offset + index]] = coeff.const
         assert state.contains_vector(vec)
     times = ", ".join(f"n={n}: {pipeline_results[n][2]:.1f}s"

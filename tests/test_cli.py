@@ -146,6 +146,22 @@ def test_bad_strategy_exits_nonzero(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("strategy, message", [
+    # 15 characters that would expand to 10,000,001 steps
+    ("((N)1000)10000F",
+     "strategy expands to 10000001 steps, over the limit of 100000"),
+    ("(N)" + "9" * 5000 + "F",
+     "repeat count of 5000 digits is over the limit of 100000 steps"),
+    ("(" * 3000 + "N" + ")1" * 3000 + "F",
+     "strategy nests its groups too deeply"),
+])
+def test_oversized_strategy_exits_with_one_line(strategy, message, capsys):
+    assert main(["pipeline", "--degree", "3", "--strategy", strategy]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv, message", [
     (["gen", "--degree", "0"], "--degree must be at least 1, got 0"),
     (["stats", "--degree", "0"], "--degree must be at least 1, got 0"),

@@ -4,29 +4,126 @@ The reference is the straightforward loop: inverse-letter images
 materialized as -g^-1 d(g) g^-1 by polynomial products, every contribution
 added as an ``AffineForm``, the ansatz images built in full and then pruned,
 and conditions assembled by ``NCPoly`` subtraction.  The kernel must give
-exactly the same polynomials.  The side condition, an incidence in the
-package, is also checked against D_tau(I) accumulated by the kernel, and
-so is its first harvest.
+exactly the same polynomials.
+
+The package formulates both kinds of condition on word keys: the side
+condition as an incidence, the commutators by a keyed kernel.  Each is
+also checked against the word-tuple Leibniz kernel the package used
+before, kept here in full (:class:`ReferenceAccumulator`, with its mode
+for unknowns in the derivation's images), and so is the first harvest of
+each.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from selsolve.errors import NonlinearProductError
 from selsolve.linsys import KIND_A, KIND_C, AffineForm, UnknownId
-from selsolve.ncalgebra import (U_INV, V_INV, Accumulator, Derivation,
-                                NCPoly, Word, affine_product,
-                                apply_derivation, poly_mul, reduce_letters,
-                                reduce_sandwich, word_key, word_mul, word_pow)
+from selsolve.ncalgebra import (EMPTY_WORD, U, U_INV, V, V_INV, Accumulator,
+                                Derivation, NCPoly, Word, _affine_items,
+                                affine_product, apply_derivation, key_word,
+                                poly_mul, reduce_letters, reduce_sandwich,
+                                word_key, word_mul, word_pow)
 from selsolve.symmetry import (COMMUTATOR_UV, NecessaryCondition,
-                               SortedCondition, build_ansatz, complete_split,
-                               formulate_nc, formulate_symcon,
-                               kontsevich_system, prune_ncpoly,
-                               selective_split, side_condition_k0,
-                               sorted_terms)
+                               SortedCondition, _join_keys, build_ansatz,
+                               complete_split, enumerate_keys,
+                               enumerate_words, formulate_nc,
+                               formulate_symcon, kontsevich_system,
+                               prune_ncpoly, selective_split,
+                               side_condition_k0, sorted_terms)
 
 from test_properties import random_poly, random_word
+from test_words import reduced_words
+
+derandomized = settings(derandomize=True, database=None, deadline=None,
+                       max_examples=300)
+
+
+def reference_words(max_degree):
+    """Every reduced word of degree <= max_degree as a letter tuple, in
+    deglex order: each level extends the last by the letters that do not
+    cancel."""
+    words, level = [EMPTY_WORD], [EMPTY_WORD]
+    for _ in range(max_degree):
+        level = [Word(w + (g,)) for w in level for g in (U, V, U_INV, V_INV)
+                 if not w or g != w[-1] ^ 2]
+        words += level
+    return words
+
+
+def ansatz_words(ansatz):
+    return [key_word(k) for k in ansatz.keys]
+
+
+class ReferenceAccumulator(Accumulator):
+    """The Leibniz kernel over word tuples in both of its modes: unknowns
+    in the polynomial's coefficients, or in the derivation's images."""
+
+    def add_derivation(self, d, p, sign=1):
+        if d.has_unknowns and p.has_unknowns:
+            raise NonlinearProductError(
+                "derivation images and polynomial both carry unknowns")
+        linear_in_p = not d.has_unknowns
+        images = tuple(
+            [(w, w[0] ^ 2 if w else -2, w[-1] ^ 2 if w else -2, c.const, c)
+             for w, c in image.terms.items()]
+            for image in (d.image_u, d.image_v))
+        words = self.words
+        for word, coeff in p.terms.items():
+            p_const = coeff.const
+            p_items = _affine_items(coeff) if linear_in_p else ()
+            for i, g in enumerate(word):
+                if g & 2:
+                    left, right, s = word[:i + 1], word[i:], -sign
+                else:
+                    left, right, s = word[:i], word[i + 1:], sign
+                left_end = left[-1] if left else -1
+                right_start = right[0] if right else -1
+                for mid, first, last, i_const, c in images[g & 1]:
+                    if first == left_end or last == right_start or not mid:
+                        w = reduce_sandwich(left, mid, right)
+                    else:
+                        w = left + mid + right
+                    slot = words.get(w)
+                    if slot is None:
+                        words[w] = slot = {}
+                    if linear_in_p:
+                        factor = s * i_const
+                        for key, value in p_items:
+                            slot[key] = slot.get(key, 0) + factor * value
+                    else:
+                        factor = s * p_const
+                        for key, value in c.coeffs.items():
+                            slot[key] = slot.get(key, 0) + factor * value
+                        if i_const:
+                            slot[None] = slot.get(None, 0) + factor * i_const
+
+
+def reference_kernel(d, p):
+    acc = ReferenceAccumulator()
+    acc.add_derivation(d, p)
+    return acc.poly()
+
+
+def accumulator_symcon(system, ansatz, which, zeros):
+    """The commutator condition as the word-tuple kernel builds it:
+    D_tau(P_x) and -D_t(Q_x) summed into one accumulator."""
+    dtau = ansatz.derivation(zeros)
+    dtx, qx = ((system.image_u, dtau.image_u) if which == "u"
+               else (system.image_v, dtau.image_v))
+    acc = ReferenceAccumulator()
+    acc.add_derivation(dtau, dtx)
+    acc.add_derivation(system, qx, sign=-1)
+    return acc.poly()
+
+
+def keyed(condition):
+    """(word key, coefficient) list of a condition, in deglex order."""
+    return list(condition.keyed_terms())
 
 
 def reference_inverse_image(image, inv_letter):
@@ -51,11 +148,12 @@ def reference_apply(d, p):
 
 
 def reference_dtau(ansatz, zeros):
-    t = len(ansatz.words)
+    words = reference_words(ansatz.degree)
+    t = len(words)
     q1 = NCPoly({w: AffineForm.unknown(ansatz.unknowns[i])
-                 for i, w in enumerate(ansatz.words)})
+                 for i, w in enumerate(words)})
     q2 = NCPoly({w: AffineForm.unknown(ansatz.unknowns[t + i])
-                 for i, w in enumerate(ansatz.words)})
+                 for i, w in enumerate(words)})
     return Derivation(prune_ncpoly(q1, zeros), prune_ncpoly(q2, zeros))
 
 
@@ -80,7 +178,7 @@ def accumulator_nc(ansatz, zeros):
     """The side condition as the Leibniz kernel builds it: D_tau(I) summed
     per word, then -a_k on each I^k."""
     k0 = side_condition_k0(ansatz.degree)
-    acc = Accumulator()
+    acc = ReferenceAccumulator()
     acc.add_derivation(ansatz.derivation(zeros),
                        NCPoly.from_word(COMMUTATOR_UV))
     for i in range(2 * k0 + 1):
@@ -104,10 +202,11 @@ def test_formulations_match_reference(degree):
         assert nc.residual == reference_nc(ansatz, 3, zeros)
         assert nc.residual == accumulator_nc(ansatz, zeros)
         for which in ("u", "v"):
-            assert formulate_symcon(system, ansatz, which, zeros) \
-                == reference_symcon(system, ansatz, which, zeros)
+            assert keyed(formulate_symcon(system, ansatz, which, zeros)) \
+                == sorted_terms(reference_symcon(system, ansatz, which,
+                                                 zeros))
         dtau = ansatz.derivation(zeros)
-        assert apply_derivation(dtau, NCPoly.from_word(COMMUTATOR_UV)) \
+        assert reference_kernel(dtau, NCPoly.from_word(COMMUTATOR_UV)) \
             == reference_apply(reference_dtau(ansatz, zeros),
                                NCPoly.from_word(COMMUTATOR_UV))
         assert apply_derivation(system, dtau.image_u) \
@@ -122,8 +221,9 @@ def test_first_harvest_matches_accumulator_reference(degree):
     # harvest
     ansatz = build_ansatz(degree)
     harvested = set()
-    selective_split(SortedCondition(sorted_terms(
-        formulate_symcon(kontsevich_system(), ansatz, "u"))), harvested)
+    selective_split(SortedCondition(
+        formulate_symcon(kontsevich_system(), ansatz, "u").keyed_terms()),
+        harvested)
     assert len(harvested) > 0
     for start in (set(), harvested):
         got_zeros, want_zeros = set(start), set(start)
@@ -146,8 +246,9 @@ def random_affine_poly(rng, unknowns, with_const):
 
 
 def test_kernel_matches_reference_on_random_polynomials():
-    # Both kernel modes, with constants next to unknowns and cancellation
-    # between contributions.
+    # Both modes of the word-tuple kernel, the package's one among them,
+    # with constants next to unknowns and cancellation between
+    # contributions; the package refuses unknowns in the images.
     rng = random.Random(201)
     unknowns = [UnknownId(KIND_C, i) for i in range(6)]
     dt = kontsevich_system()
@@ -156,9 +257,12 @@ def test_kernel_matches_reference_on_random_polynomials():
         affine = random_affine_poly(rng, unknowns, rng.random() < 0.5)
         assert apply_derivation(dt, plain) == reference_apply(dt, plain)
         assert apply_derivation(dt, affine) == reference_apply(dt, affine)
+        assert reference_kernel(dt, affine) == reference_apply(dt, affine)
         d = Derivation(random_affine_poly(rng, unknowns, True),
                        random_affine_poly(rng, unknowns, False))
-        assert apply_derivation(d, plain) == reference_apply(d, plain)
+        assert reference_kernel(d, plain) == reference_apply(d, plain)
+        with pytest.raises(NonlinearProductError):
+            apply_derivation(d, plain)
 
 
 def test_reduce_sandwich_is_free_reduction():
@@ -176,7 +280,7 @@ def test_live_derivation_equals_pruned_full_images():
     full = ansatz.derivation()
     assert live.image_u == prune_ncpoly(full.image_u, zeros)
     assert live.image_v == prune_ncpoly(full.image_v, zeros)
-    assert len(full.image_u.terms) == len(ansatz.words)
+    assert list(full.image_u.terms) == ansatz_words(ansatz)
 
 
 def test_sorted_condition_keeps_pruned_remainder_in_order():
@@ -202,3 +306,105 @@ def test_sorted_condition_keeps_pruned_remainder_in_order():
     split = complete_split([condition.terms], c, zeros)
     assert [(eq.id, eq.lhs) for eq in split.equations] \
         == [(0, AffineForm.constant(1))]
+
+
+@pytest.mark.parametrize("degree", range(0, 8))
+def test_key_enumeration_matches_word_tuples(degree):
+    # the ansatz's keys are the word-tuple enumeration, keyed, and
+    # enumerate_words decodes them back
+    words = reference_words(degree)
+    assert enumerate_keys(degree) == [word_key(w) for w in words]
+    assert enumerate_words(degree) == words
+    assert all(isinstance(w, Word) for w in enumerate_words(degree))
+    if degree:
+        assert build_ansatz(degree).keys == tuple(map(word_key, words))
+
+
+@pytest.mark.parametrize("degree", range(1, 8))
+def test_keyed_symcon_matches_accumulator(degree):
+    # equal (word key, coefficient) lists for u and v: with no zeros,
+    # after the first N harvest and with random zero subsets, one of them
+    # dense enough to leave few words
+    system = kontsevich_system()
+    ansatz = build_ansatz(degree)
+    harvested = set()
+    selective_split(SortedCondition(formulate_nc(ansatz).keyed_terms()),
+                    harvested)
+    rng = random.Random(degree)
+    zero_sets = [set(), harvested,
+                 {u for u in ansatz.unknowns if rng.random() < 0.3},
+                 {u for u in ansatz.unknowns if rng.random() < 0.9}]
+    for zeros in zero_sets:
+        for which in "uv":
+            got = keyed(formulate_symcon(system, ansatz, which, zeros))
+            want = sorted_terms(accumulator_symcon(system, ansatz, which,
+                                                   zeros))
+            assert got == want, (which, len(zeros))
+            assert got
+
+
+@pytest.mark.parametrize("degree", range(3, 8))
+def test_keyed_symcon_harvest_matches_accumulator(degree):
+    # the S step's harvest, once from nothing and once after the N
+    # fixpoint, registers the same zeros and keeps the same list
+    system = kontsevich_system()
+    ansatz = build_ansatz(degree)
+    after_n = set()
+    nc = SortedCondition(formulate_nc(ansatz).keyed_terms())
+    while selective_split(nc, after_n):
+        pass
+    for start in (set(), after_n):
+        got_zeros, want_zeros = set(start), set(start)
+        got = SortedCondition(
+            formulate_symcon(system, ansatz, "u", start).keyed_terms())
+        want = SortedCondition(sorted_terms(
+            accumulator_symcon(system, ansatz, "u", start)))
+        assert selective_split(got, got_zeros) \
+            == selective_split(want, want_zeros) > 0
+        assert got_zeros == want_zeros
+        assert got.terms == want.terms
+
+
+def test_keyed_symcon_rejects_another_generator():
+    with pytest.raises(ValueError):
+        formulate_symcon(kontsevich_system(), build_ansatz(1), "w")
+
+
+@st.composite
+def cancelling_sandwiches(draw):
+    """(L, mid, R), reduced each, built to cancel: mid starts by undoing
+    the end of L, and R by undoing the end of L mid, so that mid may be
+    used up and the cancellation run on into L."""
+    left = draw(reduced_words(8))
+    k = draw(st.integers(0, len(left)))
+    mid = reduce_letters(Word(left[len(left) - k:]).inverse()
+                         + draw(reduced_words(3)))
+    joined = reduce_letters(left + mid)
+    j = draw(st.integers(0, len(joined)))
+    right = reduce_letters(Word(joined[len(joined) - j:]).inverse()
+                           + draw(reduced_words(4)))
+    return left, mid, right
+
+
+@derandomized
+@given(cancelling_sandwiches())
+def test_join_keys_is_free_reduction(sandwich):
+    left, mid, right = sandwich
+    bits = 2 * len(right)
+    assert _join_keys(word_key(left), mid, word_key(right) - (1 << bits),
+                      bits) == word_key(reduce_letters(left + mid + right))
+
+
+def test_join_keys_cascades_through_a_cancelled_middle():
+    # a v^-1 image term at a u after a v: mid cancels against L's v, and
+    # the cancellation runs on between L and R; an empty mid lets L meet R
+    for left, mid, right, want in (
+            ((U, V), (V_INV,), (U_INV, V), (V,)),
+            ((V, U, V), (V_INV, U_INV), (V_INV, U), (U,)),
+            ((U,), (U_INV,), (), ()),
+            ((), (), (V,), (V,)),
+            ((U, V), (), (V_INV, U_INV), ())):
+        bits = 2 * len(right)
+        assert _join_keys(word_key(left), mid,
+                          word_key(right) - (1 << bits), bits) \
+            == word_key(want)

@@ -2,7 +2,9 @@ import pytest
 
 from selsolve.errors import ParseError
 from selsolve.linsys import AffineForm
-from selsolve.pipeline import (Strategy, default_strategy, format_steps,
+from selsolve.ncalgebra import word_key
+from selsolve.pipeline import (MAX_STRATEGY_STEPS, Strategy,
+                               default_strategy, format_steps,
                                run_strategy, verify_by_matrices)
 from selsolve.symmetry import build_ansatz, kontsevich_system
 
@@ -28,6 +30,16 @@ def test_strategy_parse_errors():
         Strategy.parse("NFF")
     with pytest.raises(ParseError):
         Strategy.parse("")
+
+
+def test_strategy_expansion_is_bounded():
+    # counted before anything is expanded: the limit itself is fine, one
+    # step more is not, however the count is reached
+    assert len(Strategy.parse("(N)99999F").steps) == MAX_STRATEGY_STEPS
+    assert Strategy.parse("(N)0003()5F").steps == ("N", "N", "N", "F")
+    for text in ("(N)100000F", "((N)1000)100F", "((((N)99)99)99)99F"):
+        with pytest.raises(ParseError, match="steps, over the limit"):
+            Strategy.parse(text)
 
 
 def test_strategy_format_roundtrip():
@@ -118,7 +130,8 @@ def test_verify_trivial_symmetry():
     half = ans.unknown_count // 2
     for image, offset in ((sysm.image_u, 0), (sysm.image_v, half)):
         for word, coeff in image.terms.items():
-            vec[ans.unknowns[offset + ans.words.index(word)]] = coeff.const
+            vec[ans.unknowns[offset + ans.keys.index(word_key(word))]] \
+                = coeff.const
     assert state.contains_vector(vec)
 
 

@@ -54,9 +54,10 @@ def test_trivial_symmetry_commutes():
     sysm = kontsevich_system()
     ans = build_ansatz(2)
     vec = {}
-    for image, offset in ((sysm.image_u, 0), (sysm.image_v, len(ans.words))):
+    for image, offset in ((sysm.image_u, 0), (sysm.image_v, len(ans.keys))):
         for word, coeff in image.terms.items():
-            vec[ans.unknowns[offset + ans.words.index(word)]] = coeff.const
+            vec[ans.unknowns[offset + ans.keys.index(word_key(word))]] \
+                = coeff.const
     full = lsss_solve(build_symmetry_system(2))
     staged, _ = run_strategy(2, default_strategy(2))
     for state in (full, staged):
@@ -154,12 +155,13 @@ def test_selective_split_on_degree3_side_condition_finds_zeros():
 
 
 def test_unharvested_condition_is_the_formulated_polynomial():
-    # the formulated polynomial's terms, keyed, in deglex order
-    poly = formulate_symcon(kontsevich_system(), build_ansatz(2), "u")
-    condition = SortedCondition(sorted_terms(poly))
+    # the formulated condition's terms, in deglex order
+    formulated = formulate_symcon(kontsevich_system(), build_ansatz(2), "u")
+    condition = SortedCondition(list(formulated.keyed_terms()))
     assert [key_word(k) for k, _ in condition.terms] \
-        == sorted(poly.terms, key=lambda w: (len(w), tuple(w)))
-    assert {key_word(k): c for k, c in condition.terms} == poly.terms
+        == sorted(map(key_word, formulated.terms),
+                  key=lambda w: (len(w), tuple(w)))
+    assert dict(condition.terms) == formulated.terms
 
 
 def test_split_complete_reproduces_polynomial():
@@ -167,12 +169,13 @@ def test_split_complete_reproduces_polynomial():
     # multiple of the word coefficient it came from: no information is lost
     sysm = kontsevich_system()
     ans = build_ansatz(2)
-    poly = formulate_symcon(sysm, ans, "u")
-    split = complete_split([sorted_terms(poly)], unknowns_of(poly), ())
-    words = sorted(poly.terms, key=word_key)
-    assert len(split.equations) == len(words)
-    for word, eq in zip(words, split.equations):
-        coeff = poly.terms[word]
+    formulated = formulate_symcon(sysm, ans, "u")
+    split = complete_split([formulated.keyed_terms()],
+                           unknowns_of(formulated), ())
+    keys = sorted(formulated.terms)
+    assert len(split.equations) == len(keys)
+    for key, eq in zip(keys, split.equations):
+        coeff = formulated.terms[key]
         assert set(eq.lhs.coeffs) == set(coeff.coeffs)
         uid = next(iter(coeff.coeffs))
         ratio = Fraction(coeff.coeffs[uid]) / Fraction(eq.lhs.coeffs[uid])
@@ -193,7 +196,8 @@ def test_selective_split_zero_soundness_against_oracle():
         condition = SortedCondition(formulate_nc(ans).keyed_terms())
         while selective_split(condition, zeros):
             pass
-        harvest(formulate_symcon(sysm, ans, "u", zeros), zeros)
+        selective_split(SortedCondition(
+            formulate_symcon(sysm, ans, "u", zeros).keyed_terms()), zeros)
 
         full = build_symmetry_system(n, include_nc=True)
         _, basis = dense_nullspace_oracle(full)
