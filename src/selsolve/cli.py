@@ -13,8 +13,8 @@ import sys
 from .errors import SelSolveError
 from .formats import read_solution, read_system, write_solution, write_system
 from .linsys import dense_nullspace_oracle
-from .pipeline import (DEFAULT_VERIFY_SEED, default_strategy, run_strategy,
-                       verify_by_matrices)
+from .pipeline import (DEFAULT_VERIFY_SEED, check_solution_degree,
+                       default_strategy, run_strategy, verify_by_matrices)
 from .solver import lsss_solve
 from .symmetry import (EXPECTED_STATS, build_ansatz, build_symmetry_system,
                        first_integral_basis, kontsevich_system, system_stats)
@@ -93,6 +93,7 @@ def _cmd_rank(args) -> int:
 
 def _cmd_verify(args) -> int:
     state = read_solution(args.solution)
+    check_solution_degree(state, args.degree)
     system = kontsevich_system()
     ansatz = build_ansatz(args.degree)
     print(f"seed={args.seed} dim={args.dim} trials={args.trials}")

@@ -23,9 +23,10 @@ import secrets
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import BoundsError, ParseError
-from .linsys import (KIND_BY_LETTER, AffineForm, Equation, LinearSystem,
-                     Rational, UnknownId, format_affine, format_rational)
+from .errors import BoundsError, ParseError, TooLargeError
+from .linsys import (FORMULATE_MAX_UNKNOWNS, KIND_BY_LETTER, AffineForm,
+                     Equation, LinearSystem, Rational, UnknownId,
+                     format_affine, format_rational, unknown_limit)
 from .solver import SolutionState
 
 
@@ -99,8 +100,9 @@ def write_system(system: LinearSystem, path: str) -> None:
     atomic_write(names_path_for(path), render_names(system))
 
 
-def read_names(path: str) -> dict[int, UnknownId]:
-    """Column -> unknown; each column and each unknown appears once."""
+def read_names(path: str, columns: int) -> dict[int, UnknownId]:
+    """Column -> unknown for columns 1..``columns``; each column and each
+    unknown appears once, so reading stops within that many lines."""
     mapping: dict[int, UnknownId] = {}
     seen: set[UnknownId] = set()
     for lineno, line in _read_lines(path):
@@ -116,6 +118,9 @@ def read_names(path: str) -> dict[int, UnknownId]:
             raise ParseError(f"column {j} named twice", lineno)
         if uid in seen:
             raise ParseError(f"{uid.name} names two columns", lineno)
+        if not 1 <= j <= columns:
+            raise ParseError(f"sidecar names column {j}, outside the "
+                             f"header's 1..{columns}", lineno)
         mapping[j] = uid
         seen.add(uid)
     return mapping
@@ -126,11 +131,11 @@ def read_system(path: str) -> LinearSystem:
 
     Entries are grouped by row as they are read, and only rows with
     entries become equations, so the header's row count costs nothing;
-    row i is equation i - 1.
+    row i is equation i - 1.  Every declared column is an unknown, free
+    unless an entry says otherwise, so a header declaring more columns
+    than the unknown guard allows is refused before anything is built.
+    The sidecar is read after the system and may name only its columns.
     """
-    names_path = names_path_for(path)
-    names = read_names(names_path) if os.path.exists(names_path) else None
-
     header: tuple[int, int] | None = None
     rows: dict[int, dict[int, Rational]] = {}
     terminated = False
@@ -145,6 +150,10 @@ def read_system(path: str) -> LinearSystem:
                 raise ParseError("bad header", lineno) from exc
             if header[0] < 0 or header[1] < 0:
                 raise ParseError("negative header counts", lineno)
+            limit = unknown_limit(FORMULATE_MAX_UNKNOWNS)
+            if header[1] > limit:
+                raise TooLargeError(f"header declares {header[1]} unknowns, "
+                                    f"over the guard of {limit}")
             continue
         if terminated:
             raise ParseError("content after terminator", lineno)
@@ -171,15 +180,12 @@ def read_system(path: str) -> LinearSystem:
         raise ParseError("missing '0 0 0' terminator", lineno)
 
     n = header[1]
-    if names is not None:
-        missing = [j for j in range(1, n + 1) if j not in names]
+    names_path = names_path_for(path)
+    if os.path.exists(names_path):
+        column = read_names(names_path, n)
+        missing = [j for j in range(1, n + 1) if j not in column]
         if missing:
             raise ParseError(f"sidecar misses column {missing[0]}")
-        extra = sorted(j for j in names if not 1 <= j <= n)
-        if extra:
-            raise ParseError(f"sidecar names column {extra[0]}, outside "
-                             f"the header's 1..{n}")
-        column = names
     else:
         column = {j: UnknownId(0, j - 1) for j in range(1, n + 1)}
     equations = []

@@ -6,11 +6,13 @@ A strategy is a sequence over three step kinds:
   S  prune the u-commutator condition and harvest 1-term zeros
   F  formulate whatever is still unknown, split completely, solve
 
-N and S formulate their condition once, over the live unknowns, as a
-list of (word key, coefficient) pairs in deglex order; every later N or S
-step harvests what is left of it in one pass, and F splits what is left
-of both, with the v-commutator condition formulated over the unknowns
-still live, through the one :func:`complete_split`.
+N and S formulate their condition once, over the live unknowns: N as the
+side condition's sorted incidence of packed ints, which it stays until F,
+S as a list of (word key, coefficient) pairs in deglex order.  Every
+later N or S step harvests what is left of it in one pass, and F splits
+what is left of both, N decoded only then, with the v-commutator
+condition formulated over the unknowns still live, through the one
+:func:`complete_split`.
 
 The default strategy runs to a fixpoint: N repeats until a step harvests
 nothing; then, while an S step harvests something, N repeats again until
@@ -31,12 +33,13 @@ from operator import mul
 from typing import Sequence
 
 from .errors import ParseError, SelSolveError, SingularSampleError
-from .linsys import KIND_C, Rational, UnknownId
+from .linsys import KIND_A, KIND_C, Rational, UnknownId
 from .ncalgebra import U_INV, V_INV, Derivation, Word
 from .solver import SolutionState, lsss_solve
 from .symmetry import (NecessaryCondition, SortedCondition, SymmetryAnsatz,
-                       _check_degree_guard, build_ansatz, complete_split,
-                       formulate_symcon, kontsevich_system, selective_split)
+                       _check_degree_guard, ansatz_term_count, build_ansatz,
+                       complete_split, formulate_symcon, kontsevich_system,
+                       selective_split)
 
 DEFAULT_VERIFY_SEED = 1729
 _INVERTIBLE_RETRIES = 100
@@ -208,7 +211,8 @@ class _PipelineRun:
 
     The conditions of N and S are formulated on first use, over the live
     unknowns, and kept as :class:`SortedCondition`s whose remainder each
-    later step harvests in one pass and F finally splits.
+    later step harvests in one pass and F finally splits; N's holds its
+    :class:`NecessaryCondition` itself.
     """
 
     def __init__(self, degree: int):
@@ -224,9 +228,8 @@ class _PipelineRun:
     def _condition(self, label: str) -> SortedCondition:
         if label not in self._conditions:
             if label == "N":
-                nc = NecessaryCondition(self.ansatz, self.zeros)
-                self.aux = nc.aux
-                terms = nc.keyed_terms()
+                terms = NecessaryCondition(self.ansatz, self.zeros)
+                self.aux = terms.aux
             else:
                 terms = formulate_symcon(self.system, self.ansatz, "u",
                                          self.zeros).keyed_terms()
@@ -391,6 +394,17 @@ class _LeibnizMatrices(_TrialMatrices):
         return hit
 
 
+def check_solution_degree(state: SolutionState, degree: int) -> None:
+    """Refuse a solution whose ansatz unknowns are not c0 .. c(k-1), k the
+    degree's unknown count; nothing of the degree's size is built."""
+    first, after = UnknownId(KIND_C, 0), UnknownId(KIND_A, 0)  # id order
+    solved = [u for u in state.universe if first <= u < after]
+    k = 2 * ansatz_term_count(degree)
+    if len(solved) != k or solved and max(solved).index >= k:
+        raise SelSolveError(f"solution has {len(solved)} ansatz unknowns, "
+                            f"the degree {degree} ansatz has {k}")
+
+
 def verify_by_matrices(system: Derivation, ansatz: SymmetryAnsatz,
                        state: SolutionState, dim: int, trials: int,
                        seed: int = DEFAULT_VERIFY_SEED) -> bool:
@@ -408,11 +422,7 @@ def verify_by_matrices(system: Derivation, ansatz: SymmetryAnsatz,
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    solved = {u for u in state.universe if u.kind == KIND_C}
-    if solved != set(ansatz.unknowns):
-        raise SelSolveError(
-            f"solution has {len(solved)} ansatz unknowns, the degree "
-            f"{ansatz.degree} ansatz has {ansatz.unknown_count}")
+    check_solution_degree(state, ansatz.degree)
     rng = random.Random(seed)
     dtau = ansatz.derivation(state.zeros)  # a zero unknown adds no term
     for _ in range(trials):

@@ -15,20 +15,22 @@ ansatz stores only its word keys and unknowns, and each condition is
 formulated over the unknowns not yet known to be zero.  A commutator
 condition sums its coefficients per word key
 (:class:`CommutatorCondition`); the side condition is a sorted incidence
-(:class:`NecessaryCondition`).  Either streams one list of (word key,
-coefficient) pairs in increasing key order, which is deglex order, and no
-harvested word is decoded.  A staged run holds it as a
-:class:`SortedCondition`; every harvest is one pass in that order that
-prunes, adds the unknown of each 1-term word to the zeros and keeps the
-remainder for the next pass.  :func:`complete_split` is the
-one path from such lists to a numbered :class:`LinearSystem`.
+of packed ints (:class:`NecessaryCondition`).  Either streams one list of
+(word key, coefficient) pairs in increasing key order, which is deglex
+order, and no harvested word is decoded.  A staged run holds a condition
+as a :class:`SortedCondition`; every harvest is one pass in that order
+that prunes, adds the unknown of each 1-term word to the zeros and keeps
+the remainder for the next pass.  A commutator condition is held as its
+pairs; the side condition stays an incidence through every pass, which
+keeps the surviving ints, and is decoded only when it is split.
+:func:`complete_split` is the one path from such lists to a numbered
+:class:`LinearSystem`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
 from typing import Collection, Iterable, Iterator
 
@@ -187,6 +189,11 @@ class NecessaryCondition:
     occurs with -1 on I^(i - k0), k0 from :func:`side_condition_k0`.  An
     occurrence is an int, the word's :func:`word_key` above the unknown's
     slot and sign: one sort orders the words deglex, none yet built.
+
+    The condition stays these ints until it is split: :meth:`harvest` walks
+    them and keeps the live entries of the words that survive.  Iterating
+    decodes what is left as (word key, coefficient) pairs, and ``len`` is
+    the number of words left.
     """
 
     def __init__(self, ansatz: SymmetryAnsatz,
@@ -211,6 +218,16 @@ class NecessaryCondition:
                                 minus << shift | s << 1 | 1)
         entries.sort()
         self._entries = entries
+        self._words: int | None = None
+
+    def __len__(self) -> int:
+        if self._words is None:
+            shift = self._shift
+            self._words = len({e >> shift for e in self._entries})
+        return self._words
+
+    def __iter__(self) -> Iterator[tuple[int, AffineForm]]:
+        return self.keyed_terms()
 
     def keyed_terms(self) -> Iterator[tuple[int, AffineForm]]:
         """(word key, coefficient) per word, in deglex order."""
@@ -220,7 +237,35 @@ class NecessaryCondition:
             yield key, AffineForm._raw(0, {
                 unknowns[(e & low) >> 1]: 1 - 2 * (e & 1) for e in run})
 
-    @cached_property
+    def harvest(self, zeros: set[UnknownId]) -> int:
+        """One :func:`selective_split` pass over the ints, in key order.
+
+        An entry whose unknown is in ``zeros`` drops out as it is reached;
+        a word left with one entry adds its unknown to ``zeros``, one left
+        with more keeps them.  Every coefficient is +-1 on distinct
+        unknowns, so a word vanishes only by pruning.  Returns the number
+        of unknowns added.
+        """
+        shift, unknowns = self._shift, self._unknowns
+        low = (1 << shift) - 1
+        kept, run, word, found, words = [], [], 0, 0, 0
+        # a word is settled when the next begins; 0 is no word's key
+        for e in chain(self._entries, (0,)):
+            key = e >> shift
+            if key != word:
+                if len(run) == 1:
+                    zeros.add(unknowns[(run[0] & low) >> 1])
+                    found += 1
+                elif run:
+                    kept += run
+                    words += 1
+                run, word = [], key
+            if unknowns[(e & low) >> 1] not in zeros:
+                run.append(e)
+        self._entries, self._words = kept, words
+        return found
+
+    @property
     def residual(self) -> NCPoly:
         """The condition as a polynomial, a view for tests and tracing."""
         return NCPoly._raw({key_word(k): c for k, c in self.keyed_terms()})
@@ -355,9 +400,11 @@ def sorted_terms(p: NCPoly) -> list[tuple[int, AffineForm]]:
 class SortedCondition:
     """A formulated condition held for repeated harvesting.
 
-    ``terms`` are (word key, coefficient) pairs in increasing key order; a
-    side condition holds its incidence's stream until the first pass.
-    Each :func:`selective_split` pass replaces them by the pruned
+    ``terms`` are (word key, coefficient) pairs in increasing key order, or
+    a :class:`NecessaryCondition`, which stays an incidence of ints until
+    it is split and decodes into such pairs when iterated; ``len(terms)``
+    after a pass is the number of words left either way.  Each
+    :func:`selective_split` pass replaces the pairs by the pruned
     remainder, in order: words that yielded a zero or pruned to zero drop
     out, and a nonzero constant stays, so the final split reports the
     contradiction.
@@ -374,9 +421,12 @@ def selective_split(p: SortedCondition, zeros: set[UnknownId]) -> int:
 
     One pass in key order; each coefficient is pruned against ``zeros`` as
     the set grows, so finds take effect immediately.  The condition keeps
-    the remainder for the next pass.  Returns the number of unknowns added
-    to ``zeros``.
+    the remainder for the next pass; a side condition keeps it as ints
+    (:meth:`NecessaryCondition.harvest`).  Returns the number of unknowns
+    added to ``zeros``.
     """
+    if isinstance(p.terms, NecessaryCondition):
+        return p.terms.harvest(zeros)
     found = 0
     kept = []
     for term in p.terms:

@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -104,6 +105,37 @@ def test_verify_rejects_a_solution_of_another_degree(tmp_path, capsys,
     assert captured.err == (f"error: solution has {count} ansatz unknowns, "
                             "the degree 4 ansatz has 322\n")
     assert "verify:" not in captured.out
+
+
+def test_verify_refuses_another_degree_before_building_its_ansatz(
+        tmp_path, capsys):
+    # the degree-12 ansatz alone is 2,125,762 unknowns; the solution's 322
+    # are counted against that number and nothing of its size is built
+    state, _ = run_strategy(4, default_strategy(4))
+    path = str(tmp_path / "n4.sol")
+    write_solution(state, path)
+    tracemalloc.start()
+    try:
+        assert main(["verify", "--degree", "12", "--solution", path]) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert captured.err == ("error: solution has 322 ansatz unknowns, the "
+                            "degree 12 ansatz has 2125762\n")
+    assert captured.out == ""
+    assert peak < 4 * 2 ** 20
+
+
+def test_verify_refuses_ansatz_unknowns_off_the_degree(tmp_path, capsys):
+    # as many c unknowns as the degree-3 ansatz, but c1..c106, not c0..c105
+    path = tmp_path / "shifted.sol"
+    path.write_text("ZEROS\nPIVOTS\nFREE\n"
+                    + "".join(f"c{i}\n" for i in range(1, 107)))
+    assert main(["verify", "--degree", "3", "--solution", str(path)]) == 1
+    assert capsys.readouterr().err == ("error: solution has 106 ansatz "
+                                       "unknowns, the degree 3 ansatz has "
+                                       "106\n")
 
 
 def test_gen_stdout(capsys):

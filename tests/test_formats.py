@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 
 from selsolve.cli import main
-from selsolve.errors import BoundsError, ParseError
+from selsolve.errors import BoundsError, ParseError, TooLargeError
 from selsolve.formats import (parse_affine, read_solution, read_system,
                               render_solution, render_system, write_solution,
                               write_system)
-from selsolve.linsys import (KIND_C, AffineForm, Equation, LinearSystem,
-                             UnknownId, format_affine)
+from selsolve.linsys import (GUARD_ENV_VAR, KIND_C, AffineForm, Equation,
+                             LinearSystem, UnknownId, format_affine)
 from selsolve.solver import lsss_solve
 from selsolve.symmetry import build_symmetry_system
 
@@ -155,6 +155,45 @@ def test_declared_rows_without_entries_cost_nothing(tmp_path, capsys):
         tracemalloc.stop()
     assert capsys.readouterr().out == "rank=0 nullity=1\n"
     assert peak < 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("sidecar", [False, True], ids=["plain", "names"])
+def test_declared_columns_over_the_guard_are_refused(tmp_path, capsys,
+                                                     monkeypatch, sidecar):
+    # an 18-byte file declaring a million columns, each one a free unknown
+    # if read: refused at its header, before the sidecar is opened
+    monkeypatch.delenv(GUARD_ENV_VAR, raising=False)
+    path = tmp_path / "wide.sys"
+    path.write_text("1 1000000\n0 0 0\n")
+    if sidecar:
+        (tmp_path / "wide.sys.names").write_bytes(b"\xff not a sidecar\n")
+    tracemalloc.start()
+    try:
+        assert main(["solve", str(path)]) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == ("error: header declares 1000000 "
+                                       "unknowns, over the guard of 30000\n")
+    assert not (tmp_path / "wide.sys.sol").exists()
+    assert peak < 4 * 2 ** 20
+
+
+def test_column_guard_is_raised_by_the_environment(tmp_path, monkeypatch):
+    path = str(tmp_path / "s.sys")
+    write_system(small_system(), path)
+    monkeypatch.setenv(GUARD_ENV_VAR, "1")
+    with pytest.raises(TooLargeError, match="declares 2 unknowns, over the "
+                                            "guard of 1$"):
+        read_system(path)
+    monkeypatch.setenv(GUARD_ENV_VAR, "2")
+    assert read_system(path) == small_system()
+    # the sidecar is bounded by the header: its first column past it stops
+    # the read at that line
+    with open(path + ".names", "a") as handle:
+        handle.write("3 C 2 c2\n" + "4 C 3 c3\n" * 100)
+    with pytest.raises(ParseError, match="^line 3: sidecar names column 3"):
+        read_system(path)
 
 
 def test_empty_middle_row_keeps_row_based_ids(tmp_path, capsys):

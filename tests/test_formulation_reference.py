@@ -11,7 +11,8 @@ condition as an incidence, the commutators by a keyed kernel.  Each is
 also checked against the word-tuple Leibniz kernel the package used
 before, kept here in full (:class:`ReferenceAccumulator`, with its mode
 for unknowns in the derivation's images), and so is the first harvest of
-each.
+each.  The side condition, held as its incidence through a whole staged
+run, is checked pass by pass against its decoded pairs.
 """
 
 import random
@@ -227,12 +228,58 @@ def test_first_harvest_matches_accumulator_reference(degree):
     assert len(harvested) > 0
     for start in (set(), harvested):
         got_zeros, want_zeros = set(start), set(start)
-        got = SortedCondition(NecessaryCondition(ansatz, start).keyed_terms())
+        got = SortedCondition(NecessaryCondition(ansatz, start))
         want = SortedCondition(sorted_terms(accumulator_nc(ansatz, start)))
         found = selective_split(got, got_zeros)
         assert found == selective_split(want, want_zeros) > 0
         assert got_zeros == want_zeros
-        assert got.terms == want.terms
+        assert len(got.terms) == len(want.terms)
+        assert list(got.terms) == want.terms
+
+
+@pytest.mark.parametrize("degree", range(3, 9))
+def test_held_incidence_matches_decoded_pairs_pass_by_pass(degree):
+    # The fixpoint strategy run twice in lockstep: N held as the incidence,
+    # as a staged run holds it, and N decoded into (word key, coefficient)
+    # pairs up front.  Every pass finds as many zeros, the same ones, and
+    # leaves the same words; then both give the same F system.
+    system = kontsevich_system()
+    ansatz = build_ansatz(degree)
+    nc = NecessaryCondition(ansatz)
+    side = [SortedCondition(list(nc.keyed_terms())), SortedCondition(nc)]
+    zeros = [set(), set()]
+    commutator = []
+    passes = []
+
+    def harvest(conditions):
+        found = [selective_split(c, z) for c, z in zip(conditions, zeros)]
+        assert found[0] == found[1]
+        assert zeros[0] == zeros[1]
+        pairs, held = side
+        assert len(held.terms) == len(pairs.terms)
+        assert list(held.terms) == pairs.terms
+        passes.append(found[0])
+        return found[0]
+
+    def step_s():
+        if not commutator:
+            commutator.extend(SortedCondition(
+                formulate_symcon(system, ansatz, "u", z).keyed_terms())
+                for z in zeros)
+        return harvest(commutator)
+
+    while harvest(side):
+        pass
+    while step_s():
+        while harvest(side):
+            pass
+    assert len(passes) > 4 and sum(passes) > 0
+    pairs, held = (
+        complete_split([n.terms, s.terms, formulate_symcon(
+            system, ansatz, "v", z).keyed_terms()], ansatz.unknowns + nc.aux, z)
+        for n, s, z in zip(side, commutator, zeros))
+    assert held == pairs
+    assert len(held) > 0
 
 
 def random_affine_poly(rng, unknowns, with_const):

@@ -3,10 +3,11 @@ import pytest
 from selsolve.errors import ParseError
 from selsolve.linsys import AffineForm
 from selsolve.ncalgebra import word_key
-from selsolve.pipeline import (MAX_STRATEGY_STEPS, Strategy,
+from selsolve.pipeline import (MAX_STRATEGY_STEPS, Strategy, _PipelineRun,
                                default_strategy, format_steps,
                                run_strategy, verify_by_matrices)
-from selsolve.symmetry import build_ansatz, kontsevich_system
+from selsolve.symmetry import (NecessaryCondition, build_ansatz,
+                               kontsevich_system)
 
 
 def test_strategy_parse_basic():
@@ -105,6 +106,24 @@ def test_staged_run_materializes_fewer_equations():
     _, full = run_strategy(4, "F")
     _, staged = run_strategy(4, default_strategy(4))
     assert staged.final_equations < full.final_equations
+
+
+@pytest.mark.parametrize("strategy", ["fixpoint", "F", "S(N)3SF"])
+def test_side_condition_is_decoded_only_at_f(monkeypatch, strategy):
+    # N passes walk the incidence's ints; the one decode into (word key,
+    # coefficient) pairs, and so every AffineForm of N, comes with F
+    in_f, decoded = [], []
+    step_f, keyed_terms = _PipelineRun.step_f, NecessaryCondition.keyed_terms
+    monkeypatch.setattr(_PipelineRun, "step_f",
+                        lambda run: in_f.append(1) or step_f(run))
+    monkeypatch.setattr(NecessaryCondition, "keyed_terms",
+                        lambda nc: decoded.append(bool(in_f))
+                        or keyed_terms(nc))
+    if strategy == "fixpoint":
+        strategy = default_strategy(6)
+    _, report = run_strategy(6, strategy)
+    assert decoded == [True]
+    assert report.free_count == 5
 
 
 def test_repeated_harvest_yields_decrease_to_zero():
