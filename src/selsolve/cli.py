@@ -12,7 +12,7 @@ import sys
 
 from .errors import SelSolveError
 from .formats import read_solution, read_system, write_solution, write_system
-from .linsys import dense_nullspace_oracle
+from .linsys import check_oracle_guard, dense_nullspace_oracle
 from .pipeline import (DEFAULT_VERIFY_SEED, check_solution_degree,
                        default_strategy, run_strategy, verify_by_matrices)
 from .solver import lsss_solve
@@ -37,6 +37,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     system = read_system(args.file)
+    if args.oracle:
+        check_oracle_guard(system)
     state = lsss_solve(system)
     out = args.out or (args.file + ".sol")
     write_solution(state, out)
@@ -46,8 +48,13 @@ def _cmd_solve(args) -> int:
     if args.oracle:
         rank, basis = dense_nullspace_oracle(system)
         nullity = len(system.universe) - rank
-        ok = nullity == state.free_count and all(
-            state.contains_vector(vec) for vec in basis)
+        # The oracle's basis spans the homogeneous solutions; the constants
+        # are checked on the solution with every free unknown set to 0.
+        particular = state.full_assignment(dict.fromkeys(state.free, 0))
+        ok = (nullity == state.free_count
+              and all(state.contains_vector(vec) for vec in basis)
+              and all(eq.lhs.evaluate(particular) == 0
+                      for eq in system.equations))
         print(f"oracle: nullity={nullity} agreement={'ok' if ok else 'MISMATCH'}")
         if not ok:
             return 1

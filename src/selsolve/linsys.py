@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple
@@ -314,57 +315,126 @@ class NullspaceResult(NamedTuple):
     basis: list[dict[UnknownId, Rational]]
 
 
+def check_oracle_guard(system: LinearSystem) -> None:
+    """Refuse a system with more unknowns than the oracle guard allows."""
+    limit = unknown_limit(ORACLE_MAX_UNKNOWNS)
+    if len(system.universe) > limit:
+        raise TooLargeError(
+            f"{len(system.universe)} unknowns exceed the oracle guard of "
+            f"{limit}")
+
+
+def _divide_content(lead: int, row: dict[UnknownId, int]) -> int:
+    """Divide ``lead`` and the integers of ``row`` by their gcd in place;
+    returns the new ``lead``."""
+    g = math.gcd(lead, *row.values())
+    if g > 1:
+        for c, v in row.items():
+            row[c] = v // g
+        lead //= g
+    return lead
+
+
 def dense_nullspace_oracle(system: LinearSystem) -> NullspaceResult:
     """Rank and an explicit nullspace basis by exact Gauss-Jordan elimination.
 
     Independent of the selective solver: no zero set, no 1-term
     shortcuts, just full elimination of the coefficient matrix (constants
-    are ignored).  Guarded because elimination materializes fill-in.
+    are ignored), one row at a time in system order; each reduced row
+    pivots on its lowest unknown.  The arithmetic is integer-preserving
+    (Bareiss, Math. Comp. 22, 1968): a row is scaled to integers by the
+    lcm of its denominators, and a pivot row is held as integers over one
+    positive denominator, divided by their content after every update.  An
+    index from each unknown to the pivot rows that mention it lets a new
+    pivot update only those rows.  Fractions appear only in the returned
+    basis.  Guarded because elimination materializes fill-in.
     """
-    columns = system.sorted_universe()
-    limit = unknown_limit(ORACLE_MAX_UNKNOWNS)
-    if len(columns) > limit:
-        raise TooLargeError(
-            f"{len(columns)} unknowns exceed the oracle guard of {limit}")
+    check_oracle_guard(system)
 
-    # pivot_rows[p] holds the tail t with x_p = -sum(t[c] * x_c); tails never
-    # mention other pivot columns, so reducing a row is a single pass.
-    pivot_rows: dict[UnknownId, dict[UnknownId, Rational]] = {}
+    # Pivot p is denom[p] * x_p + sum(tails[p][c] * x_c) = 0, with integers
+    # of content 1 and denom[p] > 0.  Tails never mention a pivot column,
+    # so reducing a row is a single pass.
+    tails: dict[UnknownId, dict[UnknownId, int]] = {}
+    denom: dict[UnknownId, int] = {}
+    # mentions[c] holds every pivot whose tail has a nonzero entry at c; it
+    # may also hold pivots whose entry there has since cancelled.
+    mentions: defaultdict[UnknownId, set[UnknownId]] = defaultdict(set)
     for eq in system.equations:
         row = dict(eq.lhs.coeffs)
-        for p in [c for c in row if c in pivot_rows]:
+        # One Fraction among the coefficients makes their sum a Fraction.
+        if type(sum(row.values())) is not int:
+            scale = math.lcm(*(r.denominator for r in row.values()))
+            row = {c: r.numerator * (scale // r.denominator)
+                   for c, r in row.items()}
+        # Eliminate each pivot column: row := d * row - r * (d * x_p + tail).
+        for p in [c for c in row if c in tails]:
             r = row.pop(p)
-            for c, v in pivot_rows[p].items():
+            tail = tails[p]
+            if not tail:
+                continue
+            d = denom[p]
+            if d > 1:
+                for c, v in row.items():
+                    row[c] = v * d
+            for c, v in tail.items():
                 s = row.get(c, 0) - r * v
-                if s == 0:
-                    row.pop(c, None)
-                else:
+                if s:
                     row[c] = s
+                else:
+                    row.pop(c, None)
         if not row:
             continue
         p = min(row)
-        r = row.pop(p)
-        tail = {c: exact_div(v, r) for c, v in row.items()}
-        for q, tq in pivot_rows.items():
-            rq = tq.pop(p, 0)
-            if rq == 0:
+        d = row.pop(p)
+        if d < 0:
+            d = -d
+            for c, v in row.items():
+                row[c] = -v
+        if d > 1:  # with d = 1 the content is 1 already
+            d = _divide_content(d, row)
+        for c in row:
+            mentions[c].add(p)
+
+        # Substitute x_p = -sum(row[c] * x_c) / d into each pivot row q
+        # that mentions p: m * (denom[q] * x_q + tail_q) - t / g * (d * x_p
+        # + row), with t the entry of tail_q at p, g = gcd(d, t), m = d / g.
+        for q in mentions.pop(p, ()):
+            tq = tails[q]
+            t = tq.pop(p, 0)
+            if not t:
                 continue
-            for c, v in tail.items():
-                s = tq.get(c, 0) - rq * v
-                if s == 0:
-                    tq.pop(c, None)
+            if d > 1:
+                g = math.gcd(d, t)
+                t //= g
+                m = d // g
+                if m > 1:
+                    for c, v in tq.items():
+                        tq[c] = v * m
+                    denom[q] *= m
+            for c, v in row.items():
+                s = tq.get(c)
+                if s is None:
+                    tq[c] = -t * v
+                    mentions[c].add(q)
                 else:
-                    tq[c] = s
-        pivot_rows[p] = tail
+                    s -= t * v
+                    if s:
+                        tq[c] = s
+                    else:
+                        del tq[c]
+            if denom[q] > 1:
+                denom[q] = _divide_content(denom[q], tq)
+        tails[p] = row
+        denom[p] = d
 
     basis = []
-    for f in columns:
-        if f in pivot_rows:
+    for f in system.sorted_universe():
+        if f in tails:
             continue
         vec: dict[UnknownId, Rational] = {f: 1}
-        for p, tail in pivot_rows.items():
-            r = tail.get(f, 0)
-            if r != 0:
-                vec[p] = -r
+        for p in sorted(mentions.get(f, ())):
+            t = tails[p].get(f)
+            if t:
+                vec[p] = Fraction(-t, denom[p])
         basis.append(vec)
-    return NullspaceResult(len(pivot_rows), basis)
+    return NullspaceResult(len(tails), basis)

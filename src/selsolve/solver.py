@@ -141,12 +141,16 @@ class SolutionState:
         return out
 
     def contains_vector(self, vec: dict[UnknownId, Rational]) -> bool:
-        """Does a concrete assignment satisfy zeros and pivot relations?"""
+        """Is ``vec`` a direction of the solution set?
+
+        It must vanish on the zeros and satisfy every pivot relation with
+        its constant dropped, as a nullspace vector does.
+        """
         for z in self.zeros:
             if vec.get(z, 0) != 0:
                 return False
         for p, rhs in self.pivots.items():
-            value = rhs.const
+            value = 0
             for u, r in rhs.coeffs.items():
                 value += r * vec.get(u, 0)
             if vec.get(p, 0) != value:

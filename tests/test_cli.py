@@ -13,7 +13,7 @@ import selsolve.cli
 import selsolve.symmetry
 from selsolve.cli import main
 from selsolve.formats import write_solution
-from selsolve.linsys import GUARD_ENV_VAR
+from selsolve.linsys import GUARD_ENV_VAR, ORACLE_MAX_UNKNOWNS
 from selsolve.pipeline import default_strategy, run_strategy
 from selsolve.symmetry import build_ansatz
 
@@ -151,6 +151,36 @@ def test_solve_inconsistent_file(tmp_path, capsys):
         handle.write("1 1\n1 0 1\n0 0 0\n")
     assert main(["solve", path]) != 0
     assert "inconsistent" in capsys.readouterr().err
+
+
+def test_oracle_agrees_on_an_affine_system_with_a_free_unknown(tmp_path,
+                                                              capsys):
+    # 1 + c0 + c1 = 0: the oracle's basis vector (c0, c1) = (-1, 1) meets
+    # the relation c0 = -c1 - 1 only with its constant dropped
+    path = tmp_path / "affine.sys"
+    path.write_text("1 2\n1 0 1\n1 1 1\n1 2 1\n0 0 0\n")
+    assert main(["solve", str(path), "--oracle"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "zeros=0 pivots=1 free=1 identities=0",
+        f"wrote {path}.sol",
+        "oracle: nullity=1 agreement=ok",
+    ]
+    assert "c0 = -c1 - 1" in (tmp_path / "affine.sys.sol").read_text()
+
+
+def test_oracle_refuses_a_system_over_its_guard_before_solving(
+        tmp_path, capsys):
+    # the reader's guard is the larger one, so the file is read; the guard
+    # variable would lower both
+    wide = ORACLE_MAX_UNKNOWNS + 1
+    path = tmp_path / "wide.sys"
+    path.write_text(f"1 {wide}\n1 1 1\n1 {wide} 1\n0 0 0\n")
+    assert main(["solve", str(path), "--oracle"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {wide} unknowns exceed the oracle "
+                            f"guard of {ORACLE_MAX_UNKNOWNS}\n")
+    assert captured.out == ""
+    assert not (tmp_path / "wide.sys.sol").exists()
 
 
 def test_parse_error_exit(tmp_path, capsys):

@@ -160,3 +160,11 @@ def test_solution_basis_and_vectors():
     assert state.contains_vector(vec)
     assert vec.get(X[3], 0) == 0
     assert Fraction(vec[X[1]], vec[X[2]]) == 2
+
+
+def test_contains_vector_drops_constants():
+    # x1 + x2 + 1 = 0: the direction x2 - x1 lies in the solution set even
+    # though as an assignment it does not satisfy the equation.
+    state = lsss_solve(system(form(1, x1=1, x2=1)))
+    assert state.contains_vector({X[1]: -1, X[2]: 1})
+    assert not state.contains_vector({X[1]: 1, X[2]: 1})
