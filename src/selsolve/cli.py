@@ -178,6 +178,12 @@ def main(argv=None) -> int:
     # Commands make no cyclic garbage: collections would only rescan data.
     collecting = gc.isenabled()
     gc.disable()
+    # Exact coefficients may have any number of digits, so Python's limit
+    # on int/str conversions is lifted while the command runs.
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits is not None:
+        digits = sys.get_int_max_str_digits()
+        set_digits(0)
     try:
         _check_options(args)
         return args.func(args)
@@ -191,6 +197,8 @@ def main(argv=None) -> int:
     finally:
         if collecting:
             gc.enable()
+        if set_digits is not None:
+            set_digits(digits)
 
 
 if __name__ == "__main__":

@@ -48,14 +48,39 @@ def atomic_write(path: str, text: str) -> None:
             os.unlink(tmp)
 
 
-def _parse_rational(token: str, line: int | None) -> Rational:
+#: The grammar of an integer token: ASCII digits with an optional sign.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+#: A rational token: an integer, or integer/integer.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[+-]?[0-9]+)?")
+#: Characters of a token an error line shows before cutting it short.
+_SHOWN = 40
+#: Characters of a passed-on exception message an error line shows.
+_SHOWN_MESSAGE = 120
+
+
+def _cut(text: str, limit: int = _SHOWN) -> str:
+    """``text`` for an error line, cut to a short prefix when longer."""
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
+def _parse_integer(token: str) -> int | None:
+    """The integer a token spells, or None when it is not one."""
+    if _INTEGER.fullmatch(token) is None:
+        return None
     try:
-        if "/" in token:
-            num, den = token.split("/", 1)
-            return Fraction(int(num), int(den))
         return int(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {token!r}", line) from exc
+    except ValueError:  # over Python's int/str digit limit
+        return None
+
+
+def _parse_rational(token: str, line: int | None) -> Rational:
+    if _RATIONAL.fullmatch(token) is not None:
+        num, _, den = token.partition("/")
+        try:
+            return Fraction(int(num), int(den)) if den else int(num)
+        except (ValueError, ZeroDivisionError):  # digit limit; zero den
+            pass
+    raise ParseError(f"bad rational {_cut(token)!r}", line)
 
 
 def _read_lines(path: str) -> Iterator[tuple[int, str]]:
@@ -113,14 +138,14 @@ def read_names(path: str, columns: int) -> dict[int, UnknownId]:
             j = int(parts[0])
             uid = UnknownId(KIND_BY_LETTER[parts[1]], int(parts[2]))
         except ValueError as exc:
-            raise ParseError(str(exc), lineno) from exc
+            raise ParseError(_cut(str(exc), _SHOWN_MESSAGE), lineno) from exc
         if j in mapping:
             raise ParseError(f"column {j} named twice", lineno)
         if uid in seen:
             raise ParseError(f"{uid.name} names two columns", lineno)
         if not 1 <= j <= columns:
-            raise ParseError(f"sidecar names column {j}, outside the "
-                             f"header's 1..{columns}", lineno)
+            raise ParseError(f"sidecar names column {_cut(str(j))}, outside "
+                             f"the header's 1..{columns}", lineno)
         mapping[j] = uid
         seen.add(uid)
     return mapping
@@ -129,57 +154,44 @@ def read_names(path: str, columns: int) -> dict[int, UnknownId]:
 def read_system(path: str) -> LinearSystem:
     """Read a sparse triple file and its name sidecar, if there is one.
 
-    Entries are grouped by row as they are read, and only rows with
-    entries become equations, so the header's row count costs nothing;
-    row i is equation i - 1.  Every declared column is an unknown, free
-    unless an entry says otherwise, so a header declaring more columns
-    than the unknown guard allows is refused before anything is built.
-    The sidecar is read after the system and may name only its columns.
+    The file is read in one pass over its lines.  The header comes first;
+    a header declaring more columns than the unknown guard allows is
+    refused before anything is built.  The sidecar is read right after
+    the header and may name only its columns.  Each distinct column and
+    value token is parsed and checked once, and the row of the last row
+    token is kept, so rows given in order cost one check each; a token
+    that spells the same number another way, such as ``01`` for ``1``,
+    names the same row or column.  Every entry is checked against
+    duplicates.  Entries are grouped by row, and only rows with entries
+    become equations, so the header's row count costs nothing; row i is
+    equation i - 1.  Every declared column is an unknown, free unless an
+    entry says otherwise.
     """
-    header: tuple[int, int] | None = None
-    rows: dict[int, dict[int, Rational]] = {}
-    terminated = False
-    for lineno, line in _read_lines(path):
-        parts = line.split()
-        if header is None:
-            if len(parts) != 2:
-                raise ParseError("expected header 'm n'", lineno)
-            try:
-                header = (int(parts[0]), int(parts[1]))
-            except ValueError as exc:
-                raise ParseError("bad header", lineno) from exc
-            if header[0] < 0 or header[1] < 0:
-                raise ParseError("negative header counts", lineno)
-            limit = unknown_limit(FORMULATE_MAX_UNKNOWNS)
-            if header[1] > limit:
-                raise TooLargeError(f"header declares {header[1]} unknowns, "
-                                    f"over the guard of {limit}")
-            continue
-        if terminated:
-            raise ParseError("content after terminator", lineno)
-        if len(parts) != 3:
-            raise ParseError("expected 'i j value'", lineno)
-        if parts[0] == "0" and parts[1] == "0":
-            terminated = True
-            continue
+    with open(path, encoding="utf-8") as handle:
         try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ParseError("bad indices", lineno) from exc
-        if not 1 <= i <= header[0]:
-            raise BoundsError(f"row {i} outside 1..{header[0]}", lineno)
-        if not 0 <= j <= header[1]:
-            raise BoundsError(f"column {j} outside 0..{header[1]}", lineno)
-        row = rows.setdefault(i, {})
-        if j in row:
-            raise ParseError(f"duplicate entry ({i}, {j})", lineno)
-        row[j] = _parse_rational(parts[2], lineno)
-    if header is None:
-        raise ParseError("empty file", 1)
-    if not terminated:
-        raise ParseError("missing '0 0 0' terminator", lineno)
+            return _read_triples(path, enumerate(handle, start=1))
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text") from exc
 
-    n = header[1]
+
+def _read_triples(path: str, lines: Iterator[tuple[int, str]]) -> LinearSystem:
+    for lineno, raw in lines:
+        parts = raw.split()
+        if parts:
+            break
+    else:
+        raise ParseError("empty file", 1)
+    if len(parts) != 2:
+        raise ParseError("expected header 'm n'", lineno)
+    m, n = map(_parse_integer, parts)
+    if m is None or n is None:
+        raise ParseError("bad header", lineno)
+    if m < 0 or n < 0:
+        raise ParseError("negative header counts", lineno)
+    limit = unknown_limit(FORMULATE_MAX_UNKNOWNS)
+    if n > limit:
+        raise TooLargeError(f"header declares {_cut(str(n))} unknowns, "
+                            f"over the guard of {limit}")
     names_path = names_path_for(path)
     if os.path.exists(names_path):
         column = read_names(names_path, n)
@@ -188,12 +200,70 @@ def read_system(path: str) -> LinearSystem:
             raise ParseError(f"sidecar misses column {missing[0]}")
     else:
         column = {j: UnknownId(0, j - 1) for j in range(1, n + 1)}
+
+    # Row dicts are keyed by unknown, and by 0 for the constant, which no
+    # unknown equals.  A zero value token is never cached, so every row
+    # that holds one is marked and filtered at the end.
+    rows: dict[int, dict[int, Rational]] = {}
+    keys: dict[str, int] = {}
+    values: dict[str, Rational] = {}
+    zeroed: set[int] = set()
+    row_token = None
+    last = lineno
+    for lineno, raw in lines:
+        try:
+            i_token, j_token, value_token = raw.split()
+        except ValueError:
+            if raw.split():
+                raise ParseError("expected 'i j value'", lineno) from None
+            continue
+        last = lineno
+        if i_token != row_token:
+            if i_token == "0" and j_token == "0" and value_token == "0":
+                break
+            i = _parse_integer(i_token)
+            if i is None or (j_token not in keys
+                             and _parse_integer(j_token) is None):
+                raise ParseError("bad indices", lineno)
+            if not 1 <= i <= m:
+                raise BoundsError(f"row {_cut(str(i))} outside "
+                                  f"1..{_cut(str(m))}", lineno)
+            row = rows.get(i)
+            if row is None:
+                row = rows[i] = {}
+            row_token = i_token
+        key = keys.get(j_token)
+        if key is None:
+            j = _parse_integer(j_token)
+            if j is None:
+                raise ParseError("bad indices", lineno)
+            if not 0 <= j <= n:
+                raise BoundsError(f"column {_cut(str(j))} outside 0..{n}",
+                                  lineno)
+            key = keys[j_token] = column[j] if j else 0
+        if key in row:
+            raise ParseError(f"duplicate entry ({i}, {int(j_token)})", lineno)
+        value = values.get(value_token)
+        if value is None:
+            value = _parse_rational(value_token, lineno)
+            if value:
+                values[value_token] = value
+            else:
+                zeroed.add(i)
+        row[key] = value
+    else:
+        raise ParseError("missing '0 0 0' terminator", last)
+    for lineno, raw in lines:
+        if raw.split():
+            raise ParseError("content after terminator", lineno)
+
     equations = []
     for i in sorted(rows):
         row = rows.pop(i)
         const = row.pop(0, 0)
-        equations.append(Equation(AffineForm(
-            const, {column[j]: value for j, value in row.items()}), i - 1))
+        if i in zeroed:
+            row = {key: value for key, value in row.items() if value != 0}
+        equations.append(Equation(AffineForm._raw(const, row), i - 1))
     return LinearSystem(equations, frozenset(column.values()))
 
 
@@ -225,7 +295,7 @@ def parse_affine(text: str) -> AffineForm:
             try:
                 uid = UnknownId.from_name(name)
             except ValueError as exc:
-                raise ParseError(f"bad unknown {name!r}") from exc
+                raise ParseError(f"bad unknown {_cut(name)!r}") from exc
             coeffs[uid] = coeffs.get(uid, 0) + value
     return AffineForm(const, coeffs)
 
@@ -269,7 +339,8 @@ def read_solution(path: str) -> SolutionState:
                 free.add(UnknownId.from_name(line))
         except (ValueError, ParseError) as exc:
             # parse_affine knows no line number; this line is the culprit
-            raise ParseError(str(exc), lineno) from exc
+            raise ParseError(_cut(str(exc), _SHOWN_MESSAGE),
+                             lineno) from exc
     domains = [set(zeros), set(pivots), free]
     for i in range(3):
         for j in range(i + 1, 3):

@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import gc
 import io
@@ -12,8 +13,8 @@ import pytest
 import selsolve.cli
 import selsolve.symmetry
 from selsolve.cli import main
-from selsolve.formats import write_solution
-from selsolve.linsys import GUARD_ENV_VAR, ORACLE_MAX_UNKNOWNS
+from selsolve.formats import read_solution, render_solution, write_solution
+from selsolve.linsys import GUARD_ENV_VAR, ORACLE_MAX_UNKNOWNS, UnknownId
 from selsolve.pipeline import default_strategy, run_strategy
 from selsolve.symmetry import build_ansatz
 
@@ -343,3 +344,88 @@ def test_bad_pivot_expression_names_its_line(tmp_path, capsys, pivot,
     captured = capsys.readouterr()
     assert captured.err == f"error: line 4: {message}\n"
     assert captured.out == ""
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    """Lift Python's int/str digit limit, where it has one, for a block."""
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits is None:
+        yield
+        return
+    digits = sys.get_int_max_str_digits()
+    set_digits(0)
+    try:
+        yield
+    finally:
+        set_digits(digits)
+
+
+LONG = int("7" + "3" * 2999)
+WIDE = 10 ** 4400 - 1
+
+
+@pytest.mark.parametrize("text, pivots", [
+    # c0 = N*c1 and c1 = N*c2 with a 3,000-digit N: c0 has 6,000 digits
+    (f"2 3\n1 1 1\n1 2 {-LONG}\n2 2 1\n2 3 {-LONG}\n0 0 0\n",
+     {0: {2: LONG * LONG}, 1: {2: LONG}}),
+    # one 4,400-digit coefficient, over the digit limit already as read
+    ("1 2\n1 1 " + "9" * 4400 + "\n1 2 -1\n0 0 0\n",
+     {1: {0: WIDE}}),
+], ids=["6000-digit-pivot", "4400-digit-entry"])
+def test_integers_of_any_length_solve_and_round_trip(tmp_path, capsys, text,
+                                                     pivots):
+    path = tmp_path / "long.sys"
+    with no_digit_limit():
+        path.write_text(text)
+    assert main(["solve", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[0].startswith(f"zeros=0 pivots="
+                                                   f"{len(pivots)} free=1 ")
+    with no_digit_limit():
+        sol = (tmp_path / "long.sys.sol").read_text()
+        state = read_solution(str(tmp_path / "long.sys.sol"))
+        assert render_solution(state) == sol
+    assert {p.index: {u.index: r for u, r in form.coeffs.items()}
+            for p, form in state.pivots.items()} == pivots
+
+
+@pytest.mark.parametrize("argv, name, text", [
+    (["solve", "{p}"], "v.sys", "1 1\n1 1 " + "1" * 4999 + "x\n0 0 0\n"),
+    (["solve", "{p}"], "r.sys", "1 1\n" + "9" * 5000 + " 1 1\n0 0 0\n"),
+    (["solve", "{p}"], "c.sys", "1 1\n1 " + "9" * 5000 + " 1\n0 0 0\n"),
+    (["solve", "{p}"], "h.sys", "1 " + "9" * 5000 + "\n0 0 0\n"),
+    (["solve", "{p}"], "s.sys.names", "1 C " + "x" * 5000 + " c0\n"),
+    (["verify", "--degree", "3", "--solution", "{p}"], "r.sol",
+     "ZEROS\nPIVOTS\nc1 = " + "1" * 4999 + "x*c2\nFREE\nc2\n"),
+    (["verify", "--degree", "3", "--solution", "{p}"], "u.sol",
+     "ZEROS\nPIVOTS\nc1 = 2*q" + "9" * 5000 + "\nFREE\nc2\n"),
+], ids=["value", "row", "column", "header", "sidecar", "rational", "unknown"])
+def test_long_bad_tokens_give_a_short_error_line(tmp_path, capsys, argv,
+                                                 name, text):
+    (tmp_path / "s.sys").write_text("1 1\n1 1 1\n0 0 0\n")
+    (tmp_path / name).write_text(text)
+    path = tmp_path / name.removesuffix(".names")
+    assert main([arg.format(p=path) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert len(captured.err) < 200, captured.err
+    assert captured.out == ""
+
+
+def test_main_lifts_the_digit_limit_and_restores_it(monkeypatch, capsys):
+    get_digits = getattr(sys, "get_int_max_str_digits", None)
+    if get_digits is None:
+        pytest.skip("this Python has no int/str digit limit")
+    seen = []
+    command = selsolve.cli._cmd_integrals
+    monkeypatch.setattr(selsolve.cli, "_cmd_integrals",
+                        lambda args: seen.append(get_digits())
+                        or command(args))
+    before = get_digits()
+    assert main(["integrals", "--degree", "2"]) == 0
+    assert main(["pipeline", "--degree", "0"]) == 1
+    assert seen == [0]
+    assert get_digits() == before

@@ -218,3 +218,40 @@ def test_there_is_no_unknown_kind_b(tmp_path, name, text):
     reader = read_solution if name.endswith(".sol") else read_system
     with pytest.raises(ParseError, match="line 2"):
         reader(str(tmp_path / name.removesuffix(".names")))
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("10 1\n1_0 1 1\n0 0 0\n", ParseError, "line 2: bad indices"),
+    ("1 1\n1 1 1_000\n0 0 0\n", ParseError, "line 2: bad rational '1_000'"),
+    ("2 1\n١ 1 1\n0 0 0\n", ParseError, "line 2: bad indices"),
+    ("1 2\n1 １ 1\n0 0 0\n", ParseError, "line 2: bad indices"),
+    ("1 1\n1 1 １\n0 0 0\n", ParseError,
+     "line 2: bad rational '１'"),
+    ("1 1\n1 1 1/٢\n0 0 0\n", ParseError,
+     "line 2: bad rational '1/٢'"),
+    ("1 1\n1 1 1\n0 0 x\n", BoundsError, "line 3: row 0 outside 1..1"),
+    ("1_0 1\n0 0 0\n", ParseError, "line 1: bad header"),
+], ids=["underscore-index", "underscore-value", "arabic-indic-index",
+        "fullwidth-index", "fullwidth-value", "arabic-indic-denominator",
+        "terminator-third-field", "underscore-header"])
+def test_tokens_follow_the_format_grammar(tmp_path, text, error, message):
+    # indices and values are ASCII digits with an optional sign, and only
+    # the exact line 0 0 0 ends the entries; int() alone accepted all these
+    path = tmp_path / "g.sys"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(error) as info:
+        read_system(str(path))
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_signs_and_leading_zeros_alias_one_index(tmp_path):
+    path = tmp_path / "alias.sys"
+    path.write_text("2 2\n+1 01 -3/+6\n01 +0 4\n2 2 0\n1 002 0/7\n0 0 0\n")
+    system = read_system(str(path))
+    assert [(eq.id, eq.lhs.const, eq.lhs.coeffs) for eq in system.equations] \
+        == [(0, 4, {X1: Fraction(-1, 2)}), (1, 0, {})]
+    path.write_text("1 2\n1 1 1\n01 +1 2\n0 0 0\n")
+    with pytest.raises(ParseError,
+                       match=r"^line 3: duplicate entry \(1, 1\)$"):
+        read_system(str(path))
