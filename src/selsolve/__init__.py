@@ -17,6 +17,6 @@ from .symmetry import (COMMUTATOR_UV, COMMUTATOR_VU, CommutatorCondition,
                        SystemStats, build_ansatz, build_symmetry_system,
                        complete_split, first_integral_basis, formulate_nc,
                        formulate_symcon, kontsevich_system, prune_ncpoly,
-                       selective_split, sorted_terms, system_stats)
+                       selective_split, system_stats)
 
 __version__ = "0.1.0"

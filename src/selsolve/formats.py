@@ -134,9 +134,11 @@ def read_names(path: str, columns: int) -> dict[int, UnknownId]:
         parts = line.split()
         if len(parts) != 4 or parts[1] not in KIND_BY_LETTER:
             raise ParseError("expected 'j kind index name'", lineno)
+        j, index = _parse_integer(parts[0]), _parse_integer(parts[2])
+        if j is None or index is None:
+            raise ParseError("bad column or index", lineno)
         try:
-            j = int(parts[0])
-            uid = UnknownId(KIND_BY_LETTER[parts[1]], int(parts[2]))
+            uid = UnknownId(KIND_BY_LETTER[parts[1]], index)
         except ValueError as exc:
             raise ParseError(_cut(str(exc), _SHOWN_MESSAGE), lineno) from exc
         if j in mapping:

@@ -98,9 +98,12 @@ class UnknownId(int):
 
     @classmethod
     def from_name(cls, text: str) -> "UnknownId":
-        if not text or text[0] not in _KIND_NAMES:
+        """Inverse of :attr:`name`: a kind letter, then ASCII digits."""
+        digits = text[1:]
+        if not (text[:1] in _KIND_NAMES and digits.isascii()
+                and digits.isdigit()):
             raise ValueError(f"bad unknown name {text!r}")
-        return cls(_KIND_NAMES.index(text[0]), int(text[1:]))
+        return cls(_KIND_NAMES.index(text[0]), int(digits))
 
     def __repr__(self) -> str:
         return f"UnknownId({self.name})"

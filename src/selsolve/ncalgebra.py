@@ -6,13 +6,15 @@ junction.  Polynomials map words to coefficients that are affine in symbolic
 unknowns; products and derivations keep every coefficient linear, so the
 conditions built from them split into linear equations.
 
-A derivation with unknown-free images (the system flow D_t) is applied by
-one Leibniz kernel, :meth:`Accumulator.add_derivation`, which adds every
-contribution into per-word sums of plain rationals and reduces each
-prefix * image * suffix in one call.  Images of inverse letters are never
-built: the kernel applies d(g^-1) = -g^-1 d(g) g^-1 by widening the
-sandwich around the letter instead.  Words also pack into ints
-(:func:`word_key`), on which the symmetry conditions are formulated.
+Words also pack into ints (:func:`word_key`), and a derivation with
+unknown-free images (the system flow D_t) is applied on those keys by one
+Leibniz kernel, :func:`derive_keys`.  It adds every contribution into
+per-key sums of plain rationals, one per caller-given label, and joins
+each prefix * image * suffix with shifts and masks.  Images of inverse
+letters are never built: the kernel applies d(g^-1) = -g^-1 d(g) g^-1 by
+widening the sandwich around the letter instead.  The symmetry conditions
+and the first-integral search call it directly; :func:`apply_derivation`
+adapts it to polynomials.
 """
 
 from __future__ import annotations
@@ -275,112 +277,84 @@ class Derivation:
         return f"Derivation({self.name or 'unnamed'})"
 
 
-def reduce_sandwich(left: tuple, mid: tuple, right: tuple) -> tuple:
-    """Reduced product left * mid * right of three reduced words.
+def _join_keys(left: int, mid: tuple, right: int, bits: int) -> int:
+    """Key of reduce(L mid R), for L's key, mid's letters and the ``bits``
+    low bits of R's key: mid is pushed onto L letter by letter, then R's
+    letters cancel from the front until one does not."""
+    for g in mid:
+        if left > 1 and left & 3 == g ^ 2:
+            left >>= 2
+        else:
+            left = left << 2 | g
+    while bits and left > 1 and left & 3 == (right >> bits - 2) ^ 2:
+        left >>= 2
+        bits -= 2
+        right &= (1 << bits) - 1
+    return left << bits | right
 
-    ``mid`` cancels against the end of ``left`` and the start of
-    ``right``; only when it is used up can ``left`` meet ``right``.  The
-    result is a plain tuple or a :class:`Word`.
+
+def derive_keys(d: Derivation, keys: Iterable[int], labels: Iterable,
+                acc: dict[int, dict], sign: Rational = 1) -> None:
+    """Add ``sign * d(w)`` per word key w into ``acc``, under w's label.
+
+    ``acc`` maps a word key to a dict from label to rational; each
+    contribution of d(w) adds its coefficient to ``acc[key][label]``, so a
+    label stands for w's coefficient (an unknown, or a term index) and the
+    sums stay plain rationals.  The Leibniz rule splits w's key around
+    each letter and joins the image of ``d`` in between with shifts and
+    masks; at an inverse letter g^-1 it uses d(g^-1) = -g^-1 d(g) g^-1,
+    the sandwich widened by one letter, so inverse images are never built.
+    The images must be free of unknowns, keeping the sums linear.
     """
-    ll, lm = len(left), len(mid)
-    k = 0
-    while k < ll and k < lm and left[ll - 1 - k] == mid[k] ^ 2:
-        k += 1
-    if k == lm:
-        return word_mul(left[:ll - k], right)
-    lr, rest = len(right), lm - k
-    j = 0
-    while j < rest and j < lr and mid[lm - 1 - j] == right[j] ^ 2:
-        j += 1
-    if j == rest:
-        return word_mul(left[:ll - k], right[j:])
-    return left[:ll - k] + mid[k:lm - j] + right[j:]
-
-
-def _affine_items(coeff: AffineForm) -> list:
-    items = list(coeff.coeffs.items())
-    if coeff.const:
-        items.append((None, coeff.const))
-    return items
-
-
-class Accumulator:
-    """Sums of affine coefficients per word, kept as plain rationals.
-
-    ``words`` maps a word (a reduced letter tuple) to a dict from unknown
-    to rational, with the key ``None`` for the constant.  Contributions are
-    added in place; :meth:`poly` builds each word's ``AffineForm`` once.
-    """
-
-    __slots__ = ("words",)
-
-    def __init__(self):
-        self.words: dict[tuple, dict] = {}
-
-    def add_derivation(self, d: Derivation, p: NCPoly) -> None:
-        """Add ``d(p)`` by the Leibniz rule.
-
-        Each (term of p, letter position, image term) contribution lands
-        straight in its word's slot.  An inverse letter g^-1 at position i
-        contributes -(word[:i+1]) d(g) (word[i:]), the sandwich identity
-        d(g^-1) = -g^-1 d(g) g^-1 widened by one letter on each side, so
-        inverse images are never built.  The derivation's images must be
-        free of unknowns; ``p``'s coefficients may carry them.
-        """
-        if d.has_unknowns:
-            raise NonlinearProductError(
-                "derivation images carry unknowns; only the polynomial may")
-        # Per image term: the inverses of its first and last letters (-2
-        # for the empty word), which flag a cancellation at a junction.
-        images = tuple(
-            [(w, w[0] ^ 2 if w else -2, w[-1] ^ 2 if w else -2, c.const)
-             for w, c in image.terms.items()]
-            for image in (d.image_u, d.image_v))
-        words = self.words
-        for word, coeff in p.terms.items():
-            p_items = _affine_items(coeff)
-            for i, g in enumerate(word):
-                if g & 2:
-                    left, right, s = word[:i + 1], word[i:], -1
+    if d.has_unknowns:
+        raise NonlinearProductError(
+            "derivation images carry unknowns; the result would not be linear")
+    images = (d.image_u, d.image_v)
+    # Per letter of a word: (digits, bits, first, last, coefficient, mid)
+    # per image term, first and last the inverses of mid's end letters
+    # (-2 for the empty word), which flag a cancellation at a junction;
+    # the coefficient carries ``sign``, flipped at an inverse letter.
+    joins = [[(word_key(mid) - (1 << 2 * len(mid)), 2 * len(mid),
+               mid[0] ^ 2 if mid else -2, mid[-1] ^ 2 if mid else -2,
+               -sign * c.const if g & 2 else sign * c.const, mid)
+              for mid, c in images[g & 1].terms.items()] for g in range(4)]
+    for key, label in zip(keys, labels):
+        for r in range(key.bit_length() - 3, -1, -2):
+            g = key >> r & 3  # the letter at bit offset r
+            if g & 2:
+                left, bits = key >> r, r + 2
+            else:
+                left, bits = key >> r + 2, r
+            right = key & (1 << bits) - 1
+            left_end = left & 3 if left > 1 else -1
+            right_start = right >> bits - 2 if bits else -1
+            for digits, mid_bits, first, last, c, mid in joins[g]:
+                if first == left_end or last == right_start or not mid_bits:
+                    target = _join_keys(left, mid, right, bits)
                 else:
-                    left, right, s = word[:i], word[i + 1:], 1
-                left_end = left[-1] if left else -1
-                right_start = right[0] if right else -1
-                for mid, first, last, i_const in images[g & 1]:
-                    if first == left_end or last == right_start or not mid:
-                        w = reduce_sandwich(left, mid, right)
-                    else:
-                        w = left + mid + right
-                    slot = words.get(w)
-                    if slot is None:
-                        words[w] = slot = {}
-                    factor = s * i_const
-                    for key, value in p_items:
-                        slot[key] = slot.get(key, 0) + factor * value
-
-    def poly(self) -> NCPoly:
-        """The accumulated polynomial; words whose sum vanished drop out.
-
-        The slots become the coefficient maps, so the accumulator is left
-        empty.
-        """
-        terms: dict[Word, AffineForm] = {}
-        for w, slot in self.words.items():
-            const = slot.pop(None, 0)
-            if 0 in slot.values():
-                slot = {k: v for k, v in slot.items() if v}
-            if slot or const:
-                terms[_raw_word(w)] = AffineForm._raw(const, slot)
-        self.words = {}
-        return NCPoly._raw(terms)
+                    target = (left << mid_bits | digits) << bits | right
+                slot = acc.get(target)
+                if slot is None:
+                    acc[target] = slot = {}
+                slot[label] = slot.get(label, 0) + c
 
 
 def apply_derivation(d: Derivation, p: NCPoly) -> NCPoly:
     """Leibniz rule over every letter of every word of ``p``.
 
-    The derivation's images must be free of unknowns, keeping the result
-    affine in ``p``'s.
+    :func:`derive_keys` labels term j of ``p`` with j; each output word's
+    coefficient is then the sum of r * (coefficient of term j) over its
+    labels.  The derivation's images must be free of unknowns, keeping the
+    result affine in ``p``'s.
     """
-    acc = Accumulator()
-    acc.add_derivation(d, p)
-    return acc.poly()
+    coeffs = list(p.terms.values())
+    acc: dict[int, dict[int, Rational]] = {}
+    derive_keys(d, map(word_key, p.terms), range(len(coeffs)), acc)
+    terms: dict[Word, AffineForm] = {}
+    for key, slot in acc.items():
+        form = AffineForm.zero()
+        for j, r in slot.items():
+            form = form + coeffs[j].scaled(r)
+        if not form.is_zero:
+            terms[key_word(key)] = form
+    return NCPoly._raw(terms)

@@ -62,6 +62,12 @@ class Strategy:
     def __str__(self) -> str:
         return format_steps(self.steps)
 
+    def execute(self, run: _PipelineRun) -> None:
+        """Run the steps on ``run``, in order."""
+        steps = {"N": run.step_n, "S": run.step_s, "F": run.step_f}
+        for step in self.steps:
+            steps[step]()
+
 
 class FixpointStrategy:
     """The default: harvest N and S to a fixpoint, then F.
@@ -69,6 +75,15 @@ class FixpointStrategy:
     Each productive step registers at least one more zero out of finitely
     many unknowns, so the loops end.
     """
+
+    def execute(self, run: _PipelineRun) -> None:
+        """Run N and S to the fixpoint on ``run``, then F."""
+        while run.step_n():
+            pass
+        while run.step_s():
+            while run.step_n():
+                pass
+        run.step_f()
 
 
 def default_strategy(degree: int) -> FixpointStrategy:
@@ -279,17 +294,7 @@ def run_strategy(degree: int, strategy: Strategy | FixpointStrategy | str
     if isinstance(strategy, str):
         strategy = Strategy.parse(strategy)
     run = _PipelineRun(degree)
-    if isinstance(strategy, FixpointStrategy):
-        while run.step_n():
-            pass
-        while run.step_s():
-            while run.step_n():
-                pass
-        run.step_f()
-    else:
-        steps = {"N": run.step_n, "S": run.step_s, "F": run.step_f}
-        for step in strategy.steps:
-            steps[step]()
+    strategy.execute(run)
     return run.state, run.report
 
 

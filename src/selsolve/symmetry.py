@@ -31,15 +31,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, groupby
-from operator import itemgetter
 from typing import Collection, Iterable, Iterator
 
-from .errors import NonlinearProductError, TooLargeError
+from .errors import TooLargeError
 from .linsys import (FORMULATE_MAX_UNKNOWNS, KIND_A, KIND_C, AffineForm,
                      Equation, LinearSystem, Rational, UnknownId,
                      canonicalize, unknown_limit)
 from .ncalgebra import (U, U_INV, V, V_INV, Derivation, NCPoly, Word,
-                        apply_derivation, key_word, reduce_letters, word_key,
+                        derive_keys, key_word, reduce_letters, word_key,
                         word_pow)
 from .solver import lsss_solve, prune_zeros
 
@@ -92,11 +91,6 @@ def enumerate_keys(max_degree: int) -> list[int]:
                  if g != (k & 3) ^ 2 or k == 1]
         keys += level
     return keys
-
-
-def enumerate_words(max_degree: int) -> list[Word]:
-    """All reduced words of degree <= max_degree, in deglex order."""
-    return [key_word(k) for k in enumerate_keys(max_degree)]
 
 
 def ansatz_term_count(degree: int) -> int:
@@ -278,7 +272,8 @@ def formulate_nc(ansatz: SymmetryAnsatz,
 
 
 class CommutatorCondition:
-    """A commutator condition as a map from word key to coefficient.
+    """A condition summed by the Leibniz kernel, a commutator condition or
+    D_t of the first-integral ansatz, as a map from word key to coefficient.
 
     ``terms`` holds only the words whose coefficient does not vanish, in no
     particular order; :meth:`keyed_terms` streams them in deglex order.
@@ -289,27 +284,28 @@ class CommutatorCondition:
     def __init__(self, terms: dict[int, AffineForm]):
         self.terms = terms
 
+    @classmethod
+    def from_sums(cls, acc: dict[int, dict[UnknownId, Rational]]
+                  ) -> "CommutatorCondition":
+        """The condition of per-key sums of rationals per unknown, as
+        :func:`derive_keys` leaves them; zero sums drop out, and each
+        slot becomes its coefficient's map in place."""
+        vanished = []
+        for key, slot in acc.items():
+            if 0 in slot.values():
+                slot = {u: c for u, c in slot.items() if c}
+                if not slot:
+                    vanished.append(key)
+            acc[key] = AffineForm._raw(0, slot)
+        for key in vanished:
+            del acc[key]
+        return cls(acc)
+
     def keyed_terms(self) -> Iterator[tuple[int, AffineForm]]:
         """(word key, coefficient) per word, in deglex order."""
         terms = self.terms
         for key in sorted(terms):
             yield key, terms[key]
-
-
-def _join_keys(left: int, mid: tuple, right: int, bits: int) -> int:
-    """Key of reduce(L mid R), for L's key, mid's letters and the ``bits``
-    low bits of R's key: mid is pushed onto L letter by letter, then R's
-    letters cancel from the front until one does not."""
-    for g in mid:
-        if left > 1 and left & 3 == g ^ 2:
-            left >>= 2
-        else:
-            left = left << 2 | g
-    while bits and left > 1 and left & 3 == (right >> bits - 2) ^ 2:
-        left >>= 2
-        bits -= 2
-        right &= (1 << bits) - 1
-    return left << bits | right
 
 
 def formulate_symcon(system: Derivation, ansatz: SymmetryAnsatz, which: str,
@@ -319,17 +315,15 @@ def formulate_symcon(system: Derivation, ansatz: SymmetryAnsatz, which: str,
     Identically zero exactly when the ansatz flow commutes with the system
     D_t on that generator.  Only the unknowns not in ``zeros`` enter the
     ansatz, and every word stays a key.  D_tau(P_x) takes one
-    :func:`sandwich_keys` call per letter of each term of P_x = D_t x;
-    D_t(Q_x) splits each live word's key around each letter and joins the
-    image of D_t in between.  At an inverse letter g^-1 both use
-    d(g^-1) = -g^-1 d(g) g^-1, the sandwich widened by one letter.  The
-    sums are kept per word key and unknown; zero sums drop out.
+    :func:`sandwich_keys` call per letter of each term of P_x = D_t x, at
+    an inverse letter g^-1 by d(g^-1) = -g^-1 d(g) g^-1, the sandwich
+    widened by one letter; -D_t(Q_x) is the Leibniz kernel
+    :func:`derive_keys` on the live words' keys, labelled by their
+    unknowns.  The sums are kept per word key and unknown; zero sums drop
+    out.
     """
     if which not in ("u", "v"):
         raise ValueError("which must be 'u' or 'v'")
-    if system.has_unknowns:
-        raise NonlinearProductError(
-            "system images carry unknowns; the condition would not be linear")
     x, t = "uv".index(which), len(ansatz.keys)
     live = []  # per generator: the keys and unknowns of its live words
     for start in (0, t):
@@ -350,51 +344,8 @@ def formulate_symcon(system: Derivation, ansatz: SymmetryAnsatz, which: str,
                 if slot is None:
                     acc[target] = slot = {}
                 slot[uid] = slot.get(uid, 0) + c
-    # Per letter of a word: (digits, bits, first, last, coefficient, mid)
-    # per image term, first and last the inverses of mid's end letters
-    # (-2 for the empty word), which flag a cancellation at a junction;
-    # the coefficient carries the minus sign of -D_t(Q_x), flipped again
-    # at an inverse letter.
-    joins = [[(word_key(mid) - (1 << 2 * len(mid)), 2 * len(mid),
-               mid[0] ^ 2 if mid else -2, mid[-1] ^ 2 if mid else -2,
-               c.const if g & 2 else -c.const, mid)
-              for mid, c in images[g & 1].terms.items()] for g in range(4)]
-    for key, uid in zip(*live[x]):
-        for r in range(key.bit_length() - 3, -1, -2):
-            g = key >> r & 3  # the letter at bit offset r
-            if g & 2:
-                left, bits = key >> r, r + 2
-            else:
-                left, bits = key >> r + 2, r
-            right = key & (1 << bits) - 1
-            left_end = left & 3 if left > 1 else -1
-            right_start = right >> bits - 2 if bits else -1
-            for digits, mid_bits, first, last, c, mid in joins[g]:
-                if first == left_end or last == right_start or not mid_bits:
-                    target = _join_keys(left, mid, right, bits)
-                else:
-                    target = (left << mid_bits | digits) << bits | right
-                slot = acc.get(target)
-                if slot is None:
-                    acc[target] = slot = {}
-                slot[uid] = slot.get(uid, 0) + c
-    vanished = []
-    for key, slot in acc.items():
-        if 0 in slot.values():
-            slot = {u: c for u, c in slot.items() if c}
-            if not slot:
-                vanished.append(key)
-        acc[key] = AffineForm._raw(0, slot)
-    for key in vanished:
-        del acc[key]
-    return CommutatorCondition(acc)
-
-
-def sorted_terms(p: NCPoly) -> list[tuple[int, AffineForm]]:
-    """(word key, coefficient) per word of ``p``, in increasing key order,
-    which is deglex order (:func:`word_key`)."""
-    return sorted([(word_key(w), c) for w, c in p.terms.items()],
-                  key=itemgetter(0))
+    derive_keys(system, *live[x], acc, sign=-1)
+    return CommutatorCondition.from_sums(acc)
 
 
 class SortedCondition:
@@ -543,20 +494,22 @@ def system_stats(degree: int) -> SystemStats:
 def first_integral_basis(system: Derivation, degree: int) -> list[NCPoly]:
     """A basis of the first integrals of degree <= n, constants included.
 
-    Builds a one-polynomial ansatz with a fresh unknown per word, splits
-    D_t(ansatz) completely and solves once; each free unknown gives one
-    integral, so the basis length is the dimension of the space.
+    The ansatz is one fresh unknown per word key; the Leibniz kernel
+    :func:`derive_keys` sums D_t(ansatz) per word key, which is split
+    completely in key order and solved once.  Each free unknown gives one
+    integral, so the basis length is the dimension of the space; only the
+    basis decodes its keys into words.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
     _check_degree_guard(degree, 1)
-    words = enumerate_words(degree)
-    unknowns = [UnknownId(KIND_C, i) for i in range(len(words))]
-    ansatz = NCPoly._from_acc(
-        {w: AffineForm.unknown(u) for w, u in zip(words, unknowns)})
-    condition = apply_derivation(system, ansatz)
-    state = lsss_solve(complete_split([sorted_terms(condition)], unknowns,
+    keys = enumerate_keys(degree)
+    unknowns = [UnknownId(KIND_C, i) for i in range(len(keys))]
+    acc: dict[int, dict[UnknownId, Rational]] = {}
+    derive_keys(system, keys, unknowns, acc)
+    condition = CommutatorCondition.from_sums(acc)
+    state = lsss_solve(complete_split([condition.keyed_terms()], unknowns,
                                       ()))
-    return [NCPoly._from_acc({w: AffineForm.constant(vec[u])
-                              for w, u in zip(words, unknowns) if u in vec})
+    return [NCPoly._from_acc({key_word(k): AffineForm.constant(vec[u])
+                              for k, u in zip(keys, unknowns) if u in vec})
             for vec in state.basis()]

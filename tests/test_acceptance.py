@@ -136,15 +136,30 @@ def test_criterion_3_equation_and_term_counts(stats_results):
               "documented convention, p match included")
 
 
+#: sha256 of the ``integrals --degree n`` text; n = 4..7 print the same.
+INTEGRALS_SHA256 = {
+    4: "2eab20c5d8a51d3f9e976df4e3ea152e33e8b48d28fad4b94a5f970614442580",
+    8: "54630bd79e92f6e55f90e6b30d9ada80cf60b539385830e7fb44374544a666ad",
+}
+
+
 def test_criterion_4_first_integrals():
     system = kontsevich_system()
     assert apply_derivation(system, NCPoly.from_word(COMMUTATOR_UV)).is_zero
     assert apply_derivation(system, NCPoly.from_word(COMMUTATOR_VU)).is_zero
     dims = {}
     for degree, expected in ((3, 1), (4, 3), (8, 5)):
-        dims[degree] = len(first_integral_basis(system, degree))
+        basis = first_integral_basis(system, degree)
+        dims[degree] = len(basis)
         assert dims[degree] == expected
-    report(4, f"integral annihilation exact; dimensions {dims}")
+        if degree in INTEGRALS_SHA256:
+            # the text `selsolve integrals` prints for this basis
+            text = f"free={len(basis)}\n" + "".join(
+                f"basis {i}: {poly}\n" for i, poly in enumerate(basis, 1))
+            assert hashlib.sha256(text.encode()).hexdigest() \
+                == INTEGRALS_SHA256[degree], degree
+    report(4, f"integral annihilation exact; dimensions {dims}; "
+              f"basis text pinned at n={sorted(INTEGRALS_SHA256)}")
 
 
 def test_criterion_5_oracle_equivalence():

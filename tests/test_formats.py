@@ -245,6 +245,35 @@ def test_tokens_follow_the_format_grammar(tmp_path, text, error, message):
     assert str(info.value) == message
 
 
+def ten_column_sidecar(lineno, line):
+    """The sidecar naming columns 1..10 c0..c9, with one line replaced."""
+    lines = [f"{j} C {j - 1} c{j - 1}" for j in range(1, 11)]
+    lines[lineno - 1] = line
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("s.sys.names", ten_column_sidecar(10, "1_0 C 9 c9"),
+     "line 10: bad column or index"),
+    ("s.sys.names", ten_column_sidecar(2, "2 C ١ c1"),
+     "line 2: bad column or index"),
+    ("n.sol", "ZEROS\nc1_0\nPIVOTS\nFREE\n",
+     "line 2: bad unknown name 'c1_0'"),
+    ("n.sol", "ZEROS\nPIVOTS\nc٣ = 2*c0\nFREE\nc0\n",
+     "line 3: bad unknown name 'c٣'"),
+], ids=["sidecar-underscore-column", "sidecar-arabic-indic-index",
+        "solution-underscore-zero", "solution-arabic-indic-pivot"])
+def test_names_follow_the_format_grammar(tmp_path, name, text, message):
+    # sidecar columns and indices and the digits of an unknown's name are
+    # ASCII digits too; int() read these as column 10, c1, c10 and c3
+    (tmp_path / "s.sys").write_text("1 10\n1 10 1\n0 0 0\n")
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    reader = read_solution if name.endswith(".sol") else read_system
+    with pytest.raises(ParseError) as info:
+        reader(str(tmp_path / name.removesuffix(".names")))
+    assert str(info.value) == message
+
+
 def test_signs_and_leading_zeros_alias_one_index(tmp_path):
     path = tmp_path / "alias.sys"
     path.write_text("2 2\n+1 01 -3/+6\n01 +0 4\n2 2 0\n1 002 0/7\n0 0 0\n")

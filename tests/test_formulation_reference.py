@@ -7,9 +7,10 @@ and conditions assembled by ``NCPoly`` subtraction.  The kernel must give
 exactly the same polynomials.
 
 The package formulates both kinds of condition on word keys: the side
-condition as an incidence, the commutators by a keyed kernel.  Each is
-also checked against the word-tuple Leibniz kernel the package used
-before, kept here in full (:class:`ReferenceAccumulator`, with its mode
+condition as an incidence, the commutators and ``apply_derivation`` by
+one keyed Leibniz kernel.  Each is also checked against the word-tuple
+Leibniz kernel the package used before, kept here in full
+(:class:`ReferenceAccumulator`, with :func:`reduce_sandwich` and its mode
 for unknowns in the derivation's images), and so is the first harvest of
 each.  The side condition, held as its incidence through a whole staged
 run, is checked pass by pass against its decoded pairs.
@@ -24,21 +25,18 @@ from hypothesis import strategies as st
 
 from selsolve.errors import NonlinearProductError
 from selsolve.linsys import KIND_A, KIND_C, AffineForm, UnknownId
-from selsolve.ncalgebra import (EMPTY_WORD, U, U_INV, V, V_INV, Accumulator,
-                                Derivation, NCPoly, Word, _affine_items,
-                                affine_product, apply_derivation, key_word,
-                                poly_mul, reduce_letters, reduce_sandwich,
-                                word_key, word_mul, word_pow)
+from selsolve.ncalgebra import (EMPTY_WORD, U, U_INV, V, V_INV, Derivation,
+                                NCPoly, Word, _join_keys, affine_product,
+                                apply_derivation, key_word, poly_mul,
+                                reduce_letters, word_key, word_mul, word_pow)
 from selsolve.symmetry import (COMMUTATOR_UV, NecessaryCondition,
-                               SortedCondition, _join_keys, build_ansatz,
-                               complete_split, enumerate_keys,
-                               enumerate_words, formulate_nc,
-                               formulate_symcon, kontsevich_system,
-                               prune_ncpoly, selective_split,
-                               side_condition_k0, sorted_terms)
+                               SortedCondition, build_ansatz, complete_split,
+                               enumerate_keys, formulate_nc, formulate_symcon,
+                               kontsevich_system, prune_ncpoly,
+                               selective_split, side_condition_k0)
 
 from test_properties import random_poly, random_word
-from test_words import reduced_words
+from test_words import enumerate_words, reduced_words, sorted_terms
 
 derandomized = settings(derandomize=True, database=None, deadline=None,
                        max_examples=300)
@@ -60,9 +58,48 @@ def ansatz_words(ansatz):
     return [key_word(k) for k in ansatz.keys]
 
 
-class ReferenceAccumulator(Accumulator):
+def reduce_sandwich(left, mid, right):
+    """Reduced product left * mid * right of three reduced words.
+
+    ``mid`` cancels against the end of ``left`` and the start of
+    ``right``; only when it is used up can ``left`` meet ``right``.  The
+    result is a plain tuple or a :class:`Word`.
+    """
+    ll, lm = len(left), len(mid)
+    k = 0
+    while k < ll and k < lm and left[ll - 1 - k] == mid[k] ^ 2:
+        k += 1
+    if k == lm:
+        return word_mul(left[:ll - k], right)
+    lr, rest = len(right), lm - k
+    j = 0
+    while j < rest and j < lr and mid[lm - 1 - j] == right[j] ^ 2:
+        j += 1
+    if j == rest:
+        return word_mul(left[:ll - k], right[j:])
+    return left[:ll - k] + mid[k:lm - j] + right[j:]
+
+
+def _affine_items(coeff):
+    items = list(coeff.coeffs.items())
+    if coeff.const:
+        items.append((None, coeff.const))
+    return items
+
+
+class ReferenceAccumulator:
     """The Leibniz kernel over word tuples in both of its modes: unknowns
-    in the polynomial's coefficients, or in the derivation's images."""
+    in the polynomial's coefficients, or in the derivation's images.
+
+    ``words`` maps a word (a reduced letter tuple) to a dict from unknown
+    to rational, with the key ``None`` for the constant.  An inverse
+    letter g^-1 at position i contributes -(word[:i+1]) d(g) (word[i:]),
+    the sandwich identity d(g^-1) = -g^-1 d(g) g^-1 widened by one letter
+    on each side.
+    """
+
+    def __init__(self):
+        self.words = {}
 
     def add_derivation(self, d, p, sign=1):
         if d.has_unknowns and p.has_unknowns:
@@ -102,6 +139,17 @@ class ReferenceAccumulator(Accumulator):
                             slot[key] = slot.get(key, 0) + factor * value
                         if i_const:
                             slot[None] = slot.get(None, 0) + factor * i_const
+
+    def poly(self):
+        """The accumulated polynomial; words whose sum vanished drop out."""
+        terms = {}
+        for w, slot in self.words.items():
+            const = slot.pop(None, 0)
+            slot = {k: v for k, v in slot.items() if v}
+            if slot or const:
+                terms[Word(w)] = AffineForm(const, slot)
+        self.words = {}
+        return NCPoly(terms)
 
 
 def reference_kernel(d, p):
@@ -293,7 +341,7 @@ def random_affine_poly(rng, unknowns, with_const):
 
 
 def test_kernel_matches_reference_on_random_polynomials():
-    # Both modes of the word-tuple kernel, the package's one among them,
+    # The package's keyed kernel and both modes of the word-tuple one,
     # with constants next to unknowns and cancellation between
     # contributions; the package refuses unknowns in the images.
     rng = random.Random(201)

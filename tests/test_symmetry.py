@@ -8,11 +8,12 @@ from selsolve.solver import lsss_solve
 from selsolve.symmetry import (SortedCondition, SymmetryAnsatz,
                                ansatz_term_count, build_ansatz,
                                build_symmetry_system, complete_split,
-                               enumerate_words, first_integral_basis,
-                               formulate_nc, formulate_symcon,
-                               kontsevich_system, prune_ncpoly,
-                               selective_split, side_condition_k0,
-                               sorted_terms, system_stats)
+                               first_integral_basis, formulate_nc,
+                               formulate_symcon, kontsevich_system,
+                               prune_ncpoly, selective_split,
+                               side_condition_k0, system_stats)
+
+from test_words import enumerate_words, sorted_terms
 
 C = [UnknownId(KIND_C, i) for i in range(8)]
 

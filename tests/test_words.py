@@ -1,3 +1,5 @@
+from operator import itemgetter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,10 +7,22 @@ from hypothesis import strategies as st
 from selsolve.ncalgebra import (EMPTY_WORD, U, U_INV, V, V_INV, Word,
                                 key_word, reduce_letters, word_key, word_mul,
                                 word_pow)
-from selsolve.symmetry import COMMUTATOR_UV, enumerate_words, sandwich_keys
+from selsolve.symmetry import COMMUTATOR_UV, enumerate_keys, sandwich_keys
 
 keyed = settings(derandomize=True, database=None, deadline=None,
                  max_examples=200)
+
+
+def enumerate_words(max_degree):
+    """All reduced words of degree <= max_degree, in deglex order."""
+    return [key_word(k) for k in enumerate_keys(max_degree)]
+
+
+def sorted_terms(p):
+    """(word key, coefficient) per word of ``p``, in increasing key order,
+    which is deglex order."""
+    return sorted([(word_key(w), c) for w, c in p.terms.items()],
+                  key=itemgetter(0))
 
 
 @st.composite
