@@ -20,13 +20,12 @@ from __future__ import annotations
 import os
 import re
 import secrets
-from fractions import Fraction
 from typing import Iterator
 
 from .errors import BoundsError, ParseError, TooLargeError
-from .linsys import (FORMULATE_MAX_UNKNOWNS, KIND_BY_LETTER, AffineForm,
-                     Equation, LinearSystem, Rational, UnknownId,
-                     format_affine, format_rational, unknown_limit)
+from .linsys import (FORMULATE_MAX_UNKNOWNS, KIND_BY_LETTER, KIND_C,
+                     AffineForm, Equation, LinearSystem, Rational, UnknownId,
+                     exact_div, format_affine, format_rational, unknown_limit)
 from .solver import SolutionState
 
 
@@ -74,10 +73,12 @@ def _parse_integer(token: str) -> int | None:
 
 
 def _parse_rational(token: str, line: int | None) -> Rational:
+    """The rational a token spells; an int when it is a whole number, so
+    ``6/3`` reads as 2, as :func:`selsolve.linsys.exact_div` gives it."""
     if _RATIONAL.fullmatch(token) is not None:
         num, _, den = token.partition("/")
         try:
-            return Fraction(int(num), int(den)) if den else int(num)
+            return exact_div(int(num), int(den)) if den else int(num)
         except (ValueError, ZeroDivisionError):  # digit limit; zero den
             pass
     raise ParseError(f"bad rational {_cut(token)!r}", line)
@@ -127,7 +128,8 @@ def write_system(system: LinearSystem, path: str) -> None:
 
 def read_names(path: str, columns: int) -> dict[int, UnknownId]:
     """Column -> unknown for columns 1..``columns``; each column and each
-    unknown appears once, so reading stops within that many lines."""
+    unknown appears once, so reading stops within that many lines.  A
+    line's name must be the one its kind and index spell."""
     mapping: dict[int, UnknownId] = {}
     seen: set[UnknownId] = set()
     for lineno, line in _read_lines(path):
@@ -141,6 +143,9 @@ def read_names(path: str, columns: int) -> dict[int, UnknownId]:
             uid = UnknownId(KIND_BY_LETTER[parts[1]], index)
         except ValueError as exc:
             raise ParseError(_cut(str(exc), _SHOWN_MESSAGE), lineno) from exc
+        if parts[3] != uid.name:
+            raise ParseError(f"name {_cut(parts[3])!r} does not match its "
+                             f"kind and index ({uid.name})", lineno)
         if j in mapping:
             raise ParseError(f"column {j} named twice", lineno)
         if uid in seen:
@@ -201,7 +206,7 @@ def _read_triples(path: str, lines: Iterator[tuple[int, str]]) -> LinearSystem:
         if missing:
             raise ParseError(f"sidecar misses column {missing[0]}")
     else:
-        column = {j: UnknownId(0, j - 1) for j in range(1, n + 1)}
+        column = dict(enumerate(UnknownId.span(KIND_C, n), start=1))
 
     # Row dicts are keyed by unknown, and by 0 for the constant, which no
     # unknown equals.  A zero value token is never cached, so every row

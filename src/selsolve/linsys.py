@@ -5,6 +5,12 @@ Coefficients are arbitrary-precision rationals (plain ``int`` or
 ``AffineForm`` is a constant plus a sparse map from unknown identifiers to
 nonzero rational coefficients, and an ``Equation`` states that such a form
 equals zero.
+
+Whole numbers stay ints: :func:`exact_div` returns a ``Fraction`` only
+for a quotient that is not whole, so a system with integer coefficients is
+solved in int arithmetic as far as its quotients are exact.  Fraction
+arithmetic can still give a whole ``Fraction``; every function here treats
+it as the equal int, so no result depends on which of the two a value is.
 """
 
 from __future__ import annotations
@@ -14,10 +20,13 @@ import os
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Mapping, NamedTuple
 
 from .errors import SelSolveError, TooLargeError
 
+#: An exact rational; a whole number is normally an ``int`` (see
+#: :func:`exact_div`), and a whole ``Fraction`` is treated as its equal int.
 Rational = int | Fraction
 
 # Unknown kinds: ansatz coefficients plus the auxiliary constants brought in
@@ -61,9 +70,14 @@ def unknown_limit(default: int) -> int:
 
 
 def exact_div(a: Rational, b: Rational) -> Rational:
-    """a / b without ever falling into floating point."""
+    """a / b without ever falling into floating point.
+
+    Two ints give an int when b divides a and a ``Fraction`` otherwise; a
+    ``Fraction`` operand gives a ``Fraction``, as Fraction division does.
+    """
     if isinstance(a, int) and isinstance(b, int):
-        return Fraction(a, b)
+        q, rem = divmod(a, b)
+        return Fraction(a, b) if rem else q
     return a / b
 
 
@@ -95,6 +109,19 @@ class UnknownId(int):
     @property
     def kind_letter(self) -> str:
         return _KIND_LETTERS[self.kind]
+
+    @classmethod
+    def span(cls, kind: int, count: int) -> tuple["UnknownId", ...]:
+        """The unknowns of ``kind`` with indices 0..count-1, in id order.
+
+        Equal to ``cls(kind, i)`` for each i, checked once for the whole
+        range rather than per unknown.
+        """
+        if not (0 <= kind < len(_KIND_NAMES) and 0 <= count <= _INDEX_LIMIT):
+            raise ValueError(f"unknown kind {kind} count {count} out of range")
+        base = (kind + 1) * _INDEX_LIMIT
+        return tuple(map(int.__new__, repeat(cls, count),
+                         range(base, base + count)))
 
     @classmethod
     def from_name(cls, text: str) -> "UnknownId":

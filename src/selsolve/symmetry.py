@@ -131,7 +131,7 @@ def build_ansatz(degree: int) -> SymmetryAnsatz:
     if degree < 1:
         raise ValueError("ansatz degree must be >= 1")
     keys = enumerate_keys(degree)
-    unknowns = tuple(UnknownId(KIND_C, i) for i in range(2 * len(keys)))
+    unknowns = UnknownId.span(KIND_C, 2 * len(keys))
     return SymmetryAnsatz(degree, tuple(keys), unknowns)
 
 
@@ -193,7 +193,7 @@ class NecessaryCondition:
     def __init__(self, ansatz: SymmetryAnsatz,
                  zeros: Collection[UnknownId] = ()):
         k0 = side_condition_k0(ansatz.degree)
-        self.aux = tuple(UnknownId(KIND_A, i) for i in range(2 * k0 + 1))
+        self.aux = UnknownId.span(KIND_A, 2 * k0 + 1)
         self._unknowns = unknowns = ansatz.unknowns + self.aux
         self._shift = shift = (2 * len(unknowns)).bit_length()
         keys, i_word = ansatz.keys, COMMUTATOR_UV
@@ -504,7 +504,7 @@ def first_integral_basis(system: Derivation, degree: int) -> list[NCPoly]:
         raise ValueError("degree must be >= 1")
     _check_degree_guard(degree, 1)
     keys = enumerate_keys(degree)
-    unknowns = [UnknownId(KIND_C, i) for i in range(len(keys))]
+    unknowns = UnknownId.span(KIND_C, len(keys))
     acc: dict[int, dict[UnknownId, Rational]] = {}
     derive_keys(system, keys, unknowns, acc)
     condition = CommutatorCondition.from_sums(acc)

@@ -243,6 +243,19 @@ def test_criterion_9_peak_size_reduction(pipeline_results):
               "full formulation for n=6..8")
 
 
+def test_staged_solve_stays_in_ints(pipeline_results):
+    # every quotient of the staged F solve is whole, so its pivots are
+    # ints, never Fractions (the fast path of exact_div)
+    for n in DEGREES:
+        pivots = pipeline_results[n][0].pivots.values()
+        values = [v for rhs in pivots
+                  for v in (rhs.const, *rhs.coeffs.values())]
+        assert {type(v) for v in values} == {int}, n
+    assert len(values) == 664  # at n = 8, the last degree
+    report("ints", "every pivot coefficient of the staged solve is an int "
+                   "for n=3..8")
+
+
 def assert_trace(run_report, trace):
     labels, yields, final = trace
     assert "".join(s.label for s in run_report.steps) == labels

@@ -261,11 +261,17 @@ def ten_column_sidecar(lineno, line):
      "line 2: bad unknown name 'c1_0'"),
     ("n.sol", "ZEROS\nPIVOTS\nc٣ = 2*c0\nFREE\nc0\n",
      "line 3: bad unknown name 'c٣'"),
+    ("s.sys.names", ten_column_sidecar(1, "1 C 0 c7"),
+     "line 1: name 'c7' does not match its kind and index (c0)"),
+    ("s.sys.names", ten_column_sidecar(4, "4 A 3 c3"),
+     "line 4: name 'c3' does not match its kind and index (a3)"),
 ], ids=["sidecar-underscore-column", "sidecar-arabic-indic-index",
-        "solution-underscore-zero", "solution-arabic-indic-pivot"])
+        "solution-underscore-zero", "solution-arabic-indic-pivot",
+        "sidecar-name-not-its-index", "sidecar-name-not-its-kind"])
 def test_names_follow_the_format_grammar(tmp_path, name, text, message):
     # sidecar columns and indices and the digits of an unknown's name are
-    # ASCII digits too; int() read these as column 10, c1, c10 and c3
+    # ASCII digits too; int() read these as column 10, c1, c10 and c3.  A
+    # sidecar name must be the one its kind and index columns spell.
     (tmp_path / "s.sys").write_text("1 10\n1 10 1\n0 0 0\n")
     (tmp_path / name).write_text(text, encoding="utf-8")
     reader = read_solution if name.endswith(".sol") else read_system
@@ -284,3 +290,25 @@ def test_signs_and_leading_zeros_alias_one_index(tmp_path):
     with pytest.raises(ParseError,
                        match=r"^line 3: duplicate entry \(1, 1\)$"):
         read_system(str(path))
+
+
+def test_integral_tokens_read_as_ints(tmp_path):
+    # a whole number is an int however it is spelled; the text written
+    # back is the same as for the Fraction it used to be read as
+    path = tmp_path / "whole.sys"
+    path.write_text("1 3\n1 0 6/3\n1 1 -4/1\n1 2 1/2\n1 3 -8/-4\n0 0 0\n")
+    (eq,) = read_system(str(path)).equations
+    values = [eq.lhs.const, *eq.lhs.coeffs.values()]
+    assert values == [2, -4, Fraction(1, 2), 2]
+    assert [type(v) for v in values] == [int, int, Fraction, int]
+    assert render_system(read_system(str(path))) \
+        == "1 3\n1 0 2\n1 1 -4\n1 2 1/2\n1 3 2\n0 0 0\n"
+
+    path = tmp_path / "whole.sol"
+    path.write_text("ZEROS\nPIVOTS\nc0 = -4/2*c1 + 1/2*c2 + 9/3\nFREE\n"
+                    "c1\nc2\n")
+    rhs = read_solution(str(path)).pivots[X1]
+    assert [type(v) for v in (rhs.const, *rhs.coeffs.values())] \
+        == [int, int, Fraction]
+    assert render_solution(read_solution(str(path))) \
+        == "ZEROS\nPIVOTS\nc0 = -2*c1 + 1/2*c2 + 3\nFREE\nc1\nc2\n"

@@ -5,7 +5,7 @@ import pytest
 from selsolve.errors import SelSolveError, TooLargeError
 from selsolve.linsys import (GUARD_ENV_VAR, KIND_A, KIND_C, AffineForm,
                              Equation, LinearSystem, UnknownId, canonicalize,
-                             dense_nullspace_oracle, format_affine,
+                             dense_nullspace_oracle, exact_div, format_affine,
                              substitute, unknown_limit)
 
 X1 = UnknownId(KIND_C, 1)
@@ -25,6 +25,39 @@ def test_unknown_id_ordering_and_names():
     assert UnknownId.from_name("a3") == UnknownId(KIND_A, 3)
     with pytest.raises(ValueError):
         UnknownId.from_name("q1")
+
+
+def test_unknown_id_span_equals_the_per_index_constructor():
+    for kind in (KIND_C, KIND_A):
+        span = UnknownId.span(kind, 12)
+        assert span == tuple(UnknownId(kind, i) for i in range(12))
+        assert all(type(uid) is UnknownId for uid in span)
+    assert UnknownId.span(KIND_A, 0) == ()
+
+
+@pytest.mark.parametrize("kind, count", [(2, 1), (-1, 1), (KIND_C, -1),
+                                         (KIND_C, (1 << 40) + 1)])
+def test_unknown_id_span_refuses_a_bad_kind_or_count(kind, count):
+    with pytest.raises(ValueError, match="out of range"):
+        UnknownId.span(kind, count)
+
+
+@pytest.mark.parametrize("a, b, quotient", [
+    (6, 3, 2), (-6, 3, -2), (6, -3, -2), (0, 5, 0), (7, 1, 7),
+    (7, 2, Fraction(7, 2)), (6, -4, Fraction(-3, 2)), (-1, 3, Fraction(-1, 3)),
+    (Fraction(4, 2), 2, Fraction(1)), (4, Fraction(2), Fraction(2)),
+    (Fraction(1, 2), Fraction(1, 4), Fraction(2)),
+])
+def test_exact_div_keeps_exact_int_quotients_ints(a, b, quotient):
+    # two ints give an int when the quotient is whole; a Fraction operand
+    # gives a Fraction, whole or not
+    out = exact_div(a, b)
+    assert out == quotient and type(out) is type(quotient)
+
+
+def test_exact_div_by_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        exact_div(1, 0)
 
 
 def test_affine_basicas():

@@ -5,11 +5,12 @@ became one streaming pass that parses each distinct token once: every
 line is parsed in full with ``int()``, rows are grouped with
 ``setdefault`` and the sidecar is read after the entries.  The two must
 return the same system, equation by equation and term by term in the same
-order and with the same value types, or raise the same exception type
-with the same message.  The token spellings the reader's grammar now
-refuses (underscores, non-ASCII digits, a terminator whose third field is
-not ``0``) are left out; ``tests/test_formats.py`` pins them.  Examples
-are derandomized, so the suite is deterministic.
+order and with the same value types (a whole number is an int, ``4/2``
+included), or raise the same exception type with the same message.  The
+token spellings the reader's grammar now refuses (underscores, non-ASCII
+digits, a terminator whose third field is not ``0``) are left out;
+``tests/test_formats.py`` pins them.  Examples are derandomized, so the
+suite is deterministic.
 """
 
 import os
@@ -35,7 +36,8 @@ def _reference_rational(token: str, line: int | None) -> Rational:
     try:
         if "/" in token:
             num, den = token.split("/", 1)
-            return Fraction(int(num), int(den))
+            value = Fraction(int(num), int(den))
+            return value.numerator if value.denominator == 1 else value
         return int(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {token!r}", line) from exc

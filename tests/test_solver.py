@@ -1,13 +1,18 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given
 
 from selsolve.errors import InconsistentSystemError
+from selsolve.formats import render_solution
 from selsolve.linsys import (KIND_C, AffineForm, Equation, LinearSystem,
                              UnknownId)
 from selsolve.solver import (SolutionState, find_zeros, length_sort,
                              lsss_solve, prune_zeros, stream_solve)
+from selsolve.symmetry import build_symmetry_system
 
+from test_oracle_reference import derandomized, systems
 from test_properties import check_invariants, satisfies
 
 X = [UnknownId(KIND_C, i) for i in range(8)]
@@ -168,3 +173,40 @@ def test_contains_vector_drops_constants():
     state = lsss_solve(system(form(1, x1=1, x2=1)))
     assert state.contains_vector({X[1]: -1, X[2]: 1})
     assert not state.contains_vector({X[1]: 1, X[2]: 1})
+
+
+def fraction_div(a, b):
+    """The quotient as a Fraction whenever both operands are ints."""
+    if isinstance(a, int) and isinstance(b, int):
+        return Fraction(a, b)
+    return a / b
+
+
+def solve_outcome(system):
+    """The solution file text, identity count and zero rounds of
+    ``lsss_solve``, or the message of the inconsistency it finds."""
+    try:
+        state = lsss_solve(system)
+    except InconsistentSystemError as exc:
+        return str(exc)
+    return render_solution(state), state.identities, state.zero_rounds
+
+
+def assert_solve_as_with_fraction_quotients(system):
+    fast = solve_outcome(system)
+    with mock.patch("selsolve.solver.exact_div", fraction_div):
+        assert solve_outcome(system) == fast
+
+
+@derandomized
+@given(systems())
+def test_int_quotients_solve_as_fraction_quotients(system):
+    # zeros, pivots and free unknowns through the written solution, whose
+    # text does not tell an int from a whole Fraction
+    assert_solve_as_with_fraction_quotients(system)
+
+
+@pytest.mark.parametrize("degree", [6, 7])
+def test_int_quotients_solve_symmetry_systems_as_fractions(degree):
+    assert_solve_as_with_fraction_quotients(
+        build_symmetry_system(degree, include_nc=True))
