@@ -63,8 +63,12 @@ def _cut(text: str, limit: int = _SHOWN) -> str:
 
 
 def _parse_integer(token: str) -> int | None:
-    """The integer a token spells, or None when it is not one."""
-    if _INTEGER.fullmatch(token) is None:
+    """The integer a token spells, or None when it is not one.
+
+    Plain ASCII digits, the common case, skip the grammar's regex.
+    """
+    if not (token.isascii() and token.isdigit()) \
+            and _INTEGER.fullmatch(token) is None:
         return None
     try:
         return int(token)

@@ -285,31 +285,34 @@ def canonicalize(equation: Equation) -> Equation:
     """Integer content 1, sign fixed by the lowest unknown, terms sorted.
 
     A trivially true equation maps to the empty form; a pure nonzero
-    constant normalizes to 1 = 0.
+    constant normalizes to 1 = 0.  An equation already in this form is
+    returned as it is.
     """
     form = equation.lhs
     if form.is_zero:
         if not form.coeffs and isinstance(form.const, int):
             return equation
         return Equation(AffineForm.zero(), equation.id)
-    lcm = form.const.denominator
-    for r in form.coeffs.values():
-        lcm = math.lcm(lcm, r.denominator)
-    const = form.const.numerator * (lcm // form.const.denominator)
-    ints = {u: r.numerator * (lcm // r.denominator)
-            for u, r in form.coeffs.items()}
-    g = abs(const)
-    for value in ints.values():
-        g = math.gcd(g, abs(value))
-    if ints:
-        lead = min(ints)
-        if ints[lead] < 0:
-            g = -g
-    elif const < 0:
+    const, coeffs = form.const, form.coeffs
+    if type(sum(coeffs.values(), const)) is int:  # no Fraction among them
+        g = math.gcd(const, *coeffs.values())
+        ints = coeffs
+    else:
+        lcm = const.denominator
+        for r in coeffs.values():
+            lcm = math.lcm(lcm, r.denominator)
+        const = const.numerator * (lcm // const.denominator)
+        ints = {u: r.numerator * (lcm // r.denominator)
+                for u, r in coeffs.items()}
+        g = math.gcd(const, *ints.values())
+    order = sorted(ints)
+    if (ints[order[0]] if order else const) < 0:
         g = -g
-    const //= g
-    coeffs = {u: ints[u] // g for u in sorted(ints)}
-    return Equation(AffineForm._raw(const, coeffs), equation.id)
+    elif g == 1 and ints is coeffs and order == list(coeffs):
+        return equation
+    return Equation(AffineForm._raw(const // g, {u: ints[u] // g
+                                                  for u in order}),
+                    equation.id)
 
 
 @dataclass

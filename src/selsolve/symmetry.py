@@ -30,7 +30,7 @@ keeps the surviving ints, and is decoded only when it is split.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import chain, compress, groupby
 from typing import Collection, Iterable, Iterator
 
 from .errors import TooLargeError
@@ -153,24 +153,35 @@ def sandwich_keys(left: tuple, right: tuple,
 
     Only the first len(left) and last len(right) letters of w can cancel,
     so a w as long as both takes one table lookup per end; a shorter one,
-    where left may meet right, is reduced letter by letter.
+    where left may meet right, is reduced letter by letter.  The keys are
+    taken in runs of one length, which share every shift, and each run is
+    one comprehension.
     """
     nl, nr = len(left), len(right)
-    heads = [word_key(reduce_letters(left + key_word(4 ** nl + h)))
-             for h in range(4 ** nl)]
+    # the head of w, its first nl letters, has a key h in [4^nl, 2 * 4^nl),
+    # and reduce(left head) changes it by moves[h]; h indexes moves as it
+    # is, so the first 4^nl entries are never read
+    moves = [0] * 4 ** nl + [word_key(reduce_letters(left + key_word(h))) - h
+                             for h in range(4 ** nl, 2 * 4 ** nl)]
+    # the tail of w, its last nr letters, reduces against right to a key
+    # of s letter bits; a key k followed by it is (k << s) + offset
     tails = [word_key(reduce_letters(key_word(4 ** nr + t) + right))
              for t in range(4 ** nr)]
-    out = []
-    for key in keys:
-        m = key.bit_length() >> 1
+    shifts = [t.bit_length() - 1 for t in tails]
+    offsets = [t - (1 << s) for t, s in zip(tails, shifts)]
+    tail_mask, drop = 4 ** nr - 1, 2 * nr
+    out: list[int] = []
+    for bits, run in groupby(keys, int.bit_length):
+        m = bits >> 1
         if m < nl + nr:
-            out.append(word_key(reduce_letters(left + key_word(key) + right)))
+            out += [word_key(reduce_letters(left + key_word(k) + right))
+                    for k in run]
             continue
-        mid = 2 * (m - nl - nr)
-        head = heads[key >> 2 * (m - nl) & 4 ** nl - 1] << mid \
-            | key >> 2 * nr & (1 << mid) - 1
-        tail = tails[key & 4 ** nr - 1]
-        out.append((head - 1 << tail.bit_length() - 1) + tail)
+        # k >> drop is the key of w without its tail; k >> at, its head's
+        mid, at = 2 * (m - nl - nr), 2 * (m - nl)
+        placed = [move << mid for move in moves]
+        out += [((k >> drop) + placed[k >> at] << shifts[k & tail_mask])
+                + offsets[k & tail_mask] for k in run]
     return out
 
 
@@ -201,15 +212,19 @@ class NecessaryCondition:
         entries = [word_key(word_pow(i_word, i - k0)) << shift
                    | (2 * t + i) << 1 | 1 for i in range(2 * k0 + 1)]
         for g in (U, V):  # I holds g at position g, its inverse at g + 2
-            slots = [s for s in range(g * t, g * t + t)
-                     if unknowns[s] not in zeros]
-            words = [keys[s - g * t] for s in slots]
-            pairs = zip(sandwich_keys(i_word[:g], i_word[g + 1:], words),
-                        sandwich_keys(i_word[:g + 3], i_word[g + 2:], words))
-            for (plus, minus), s in zip(pairs, slots):
-                if plus != minus:
-                    entries += (plus << shift | s << 1,
-                                minus << shift | s << 1 | 1)
+            # live words and slots are read through the mask where they are
+            # used, so no list of them is held next to the entries
+            first = g * t
+            live = [u not in zeros for u in unknowns[first:first + t]]
+            plus = sandwich_keys(i_word[:g], i_word[g + 1:],
+                                 compress(keys, live))
+            minus = sandwich_keys(i_word[:g + 3], i_word[g + 2:],
+                                  compress(keys, live))
+            slots = range(first, first + t)
+            entries += [p << shift | s << 1 for p, q, s in
+                        zip(plus, minus, compress(slots, live)) if p != q]
+            entries += [q << shift | s << 1 | 1 for p, q, s in
+                        zip(plus, minus, compress(slots, live)) if p != q]
         entries.sort()
         self._entries = entries
         self._words: int | None = None
@@ -327,9 +342,10 @@ def formulate_symcon(system: Derivation, ansatz: SymmetryAnsatz, which: str,
     x, t = "uv".index(which), len(ansatz.keys)
     live = []  # per generator: the keys and unknowns of its live words
     for start in (0, t):
-        pairs = [(k, uid) for k, uid in zip(
-            ansatz.keys, ansatz.unknowns[start:start + t]) if uid not in zeros]
-        live.append(([k for k, _ in pairs], [uid for _, uid in pairs]))
+        uids = ansatz.unknowns[start:start + t]
+        mask = [uid not in zeros for uid in uids]
+        live.append((list(compress(ansatz.keys, mask)),
+                     list(compress(uids, mask))))
     images = (system.image_u, system.image_v)
     acc: dict[int, dict[UnknownId, Rational]] = {}
     for word, coeff in images[x].terms.items():
@@ -406,7 +422,7 @@ def complete_split(conditions: Iterable[Iterable[tuple[int, AffineForm]]],
     coefficient is pruned against ``zeros``; one equation is made per
     word whose coefficient does not vanish, and the ids run 0.. across the
     conditions.  Equations from distinct words stay apart even when their
-    content coincides.
+    content coincides.  ``zeros`` holds unknowns of ``universe`` only.
     """
     equations: list[Equation] = []
     for terms in conditions:
@@ -415,7 +431,11 @@ def complete_split(conditions: Iterable[Iterable[tuple[int, AffineForm]]],
             if not coeff.is_zero:
                 equations.append(
                     canonicalize(Equation(coeff, len(equations))))
-    return LinearSystem(equations, frozenset(universe))
+    # A frozenset joined with a set is sized once for both; one grown item
+    # by item holds its last two tables at once, 6 MB at degree 9, where a
+    # staged run peaks.
+    live = frozenset(u for u in universe if u not in zeros)
+    return LinearSystem(equations, live.union(zeros) if zeros else live)
 
 
 def build_symmetry_system(degree: int,

@@ -1,5 +1,6 @@
 import os
 import stat
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -243,6 +244,23 @@ def test_tokens_follow_the_format_grammar(tmp_path, text, error, message):
         read_system(str(path))
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("line", ["9" * 5000 + " 1 1",
+                                  "1 " + "9" * 5000 + " 1"],
+                         ids=["row", "column"])
+def test_index_past_the_digit_limit_is_a_parse_error(tmp_path, line):
+    # outside the CLI Python's int/str digit limit holds: an all-digit
+    # index past it is a bad index, not a ValueError
+    get_digits = getattr(sys, "get_int_max_str_digits", None)
+    if get_digits is None or not 0 < get_digits() < 5000:
+        pytest.skip("this Python has no int/str digit limit below 5,000")
+    path = tmp_path / "long.sys"
+    path.write_text(f"1 1\n{line}\n0 0 0\n")
+    with pytest.raises(ParseError) as info:
+        read_system(str(path))
+    assert type(info.value) is ParseError
+    assert str(info.value) == "line 2: bad indices"
 
 
 def ten_column_sidecar(lineno, line):

@@ -29,6 +29,7 @@ from selsolve.ncalgebra import (EMPTY_WORD, U, U_INV, V, V_INV, Derivation,
                                 NCPoly, Word, _join_keys, affine_product,
                                 apply_derivation, key_word, poly_mul,
                                 reduce_letters, word_key, word_mul, word_pow)
+from selsolve.pipeline import run_strategy
 from selsolve.symmetry import (COMMUTATOR_UV, NecessaryCondition,
                                SortedCondition, build_ansatz, complete_split,
                                enumerate_keys, formulate_nc, formulate_symcon,
@@ -328,6 +329,43 @@ def test_held_incidence_matches_decoded_pairs_pass_by_pass(degree):
         for n, s, z in zip(side, commutator, zeros))
     assert held == pairs
     assert len(held) > 0
+
+
+def reference_incidence(ansatz, zeros):
+    """The side condition's sorted ints built slot by slot: each live
+    unknown's two target words reduced letter by letter, one pair of
+    entries appended per slot."""
+    k0 = side_condition_k0(ansatz.degree)
+    unknowns = ansatz.unknowns + UnknownId.span(KIND_A, 2 * k0 + 1)
+    shift = (2 * len(unknowns)).bit_length()
+    keys, i_word = ansatz.keys, COMMUTATOR_UV
+    t = len(keys)
+    entries = [word_key(word_pow(i_word, i - k0)) << shift
+               | (2 * t + i) << 1 | 1 for i in range(2 * k0 + 1)]
+    for g in (U, V):
+        for s in range(g * t, g * t + t):
+            if unknowns[s] in zeros:
+                continue
+            w = key_word(keys[s - g * t])
+            plus = word_key(reduce_letters(i_word[:g] + w + i_word[g + 1:]))
+            minus = word_key(reduce_letters(i_word[:g + 3] + w
+                                            + i_word[g + 2:]))
+            if plus != minus:
+                entries += (plus << shift | s << 1,
+                            minus << shift | s << 1 | 1)
+    return sorted(entries)
+
+
+@pytest.mark.parametrize("degree", range(3, 8))
+def test_incidence_matches_per_slot_reference(degree):
+    # from nothing, and from the zeros of an SNF run
+    ansatz = build_ansatz(degree)
+    state, _ = run_strategy(degree, "SNF")
+    live = [u for u in ansatz.unknowns if u not in state.zeros]
+    assert 0 < len(live) < ansatz.unknown_count
+    for zeros in (set(), state.zeros):
+        assert NecessaryCondition(ansatz, zeros)._entries \
+            == reference_incidence(ansatz, zeros)
 
 
 def random_affine_poly(rng, unknowns, with_const):

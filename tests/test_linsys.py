@@ -1,6 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selsolve.errors import SelSolveError, TooLargeError
 from selsolve.linsys import (GUARD_ENV_VAR, KIND_A, KIND_C, AffineForm,
@@ -87,6 +90,75 @@ def test_canonicalize_idempotent():
     eq = Equation(form(Fraction(2, 3), x1=Fraction(-4, 3), x4=2))
     once = canonicalize(eq)
     assert canonicalize(once).lhs == once.lhs
+
+
+def reference_canonicalize(equation):
+    """canonicalize as it was before its int path: an lcm over every
+    denominator, then a gcd per value."""
+    form = equation.lhs
+    if form.is_zero:
+        if not form.coeffs and isinstance(form.const, int):
+            return equation
+        return Equation(AffineForm.zero(), equation.id)
+    lcm = form.const.denominator
+    for r in form.coeffs.values():
+        lcm = math.lcm(lcm, r.denominator)
+    const = form.const.numerator * (lcm // form.const.denominator)
+    ints = {u: r.numerator * (lcm // r.denominator)
+            for u, r in form.coeffs.items()}
+    g = abs(const)
+    for value in ints.values():
+        g = math.gcd(g, abs(value))
+    if ints:
+        lead = min(ints)
+        if ints[lead] < 0:
+            g = -g
+    elif const < 0:
+        g = -g
+    const //= g
+    coeffs = {u: ints[u] // g for u in sorted(ints)}
+    return Equation(AffineForm._raw(const, coeffs), equation.id)
+
+
+small_ints = st.integers(-40, 40)
+
+
+@st.composite
+def equations(draw):
+    """Forms with int, Fraction or mixed values, whole Fractions among
+    them, terms in any order, any lead sign, or no terms at all."""
+    values = st.one_of(small_ints, st.integers(-10 ** 30, 10 ** 30),
+                       st.builds(Fraction, small_ints, st.integers(1, 12)))
+    coeffs = draw(st.dictionaries(st.integers(0, 9), values, max_size=6))
+    order = draw(st.permutations(sorted(coeffs)))
+    form = AffineForm(draw(values), {UnknownId(KIND_C, i): coeffs[i]
+                                     for i in order})
+    return Equation(form, draw(st.integers(0, 99)))
+
+
+def exact_items(form):
+    """A form's (unknown, value, type) list in its own order, and its
+    constant with its type: equal only when printed alike."""
+    return ([(u, r, type(r)) for u, r in form.coeffs.items()],
+            (form.const, type(form.const)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(equations())
+def test_canonicalize_matches_reference(eq):
+    got, want = canonicalize(eq), reference_canonicalize(eq)
+    assert got.id == want.id == eq.id
+    assert exact_items(got.lhs) == exact_items(want.lhs)
+
+
+def test_canonicalize_returns_a_canonical_equation_itself():
+    eq = Equation(form(0, x1=2, x3=-3), 4)
+    assert canonicalize(eq) is eq
+    for other in (form(0, x3=-3, x1=2), form(0, x1=4, x3=-6),
+                  form(0, x1=-2, x3=3), form(0, x1=Fraction(2), x3=-3)):
+        out = canonicalize(Equation(other, 4))
+        assert out.lhs is not other
+        assert exact_items(out.lhs) == exact_items(eq.lhs)
 
 
 def test_substitute():

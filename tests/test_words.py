@@ -137,6 +137,41 @@ def test_sandwich_key_is_free_reduction(w, i):
         == [word_key(reduce_letters(left + w + right))]
 
 
+@st.composite
+def sandwich_runs(draw):
+    """(L, R, words): L and R of 0-4 letters each, and words of mixed
+    lengths, unsorted and with repeats, some built to undo the end of L
+    or the start of R or both, so that L w R may cancel to the empty
+    word."""
+    left, right = draw(reduced_words(4)), draw(reduced_words(4))
+    undoing = st.builds(
+        lambda mid, a, b: reduce_letters((left.inverse() if a else ()) + mid
+                                         + (right.inverse() if b else ())),
+        reduced_words(3), st.booleans(), st.booleans())
+    words = draw(st.lists(st.one_of(reduced_words(10), undoing),
+                          max_size=40))
+    words += words[:draw(st.integers(0, len(words)))]
+    return left, right, draw(st.permutations(words))
+
+
+@keyed
+@given(sandwich_runs())
+def test_sandwich_keys_on_runs_of_mixed_lengths(case):
+    left, right, words = case
+    assert sandwich_keys(left, right, iter(map(word_key, words))) \
+        == [word_key(reduce_letters(left + w + right)) for w in words]
+
+
+def test_sandwich_keys_cancel_to_the_empty_word():
+    left, right = Word((U, V)), Word((V, U_INV, V_INV))
+    whole = reduce_letters(left.inverse() + right.inverse())
+    short = Word((U,))
+    keys = [word_key(w) for w in (whole, short, whole, EMPTY_WORD)]
+    assert sandwich_keys(left, right, iter(keys)) \
+        == [1, word_key(reduce_letters(left + short + right)), 1,
+            word_key(left + right)]
+
+
 def test_sandwich_keys_on_every_short_word():
     # every word up to length 6: each shorter than L and R together, where
     # they may meet, and the first ones that go through the tables
