@@ -9,7 +9,8 @@ from .linsys import (AffineForm, Equation, LinearSystem, UnknownId,
 from .ncalgebra import (EMPTY_WORD, U, U_INV, V, V_INV, Derivation, NCPoly,
                         Word, apply_derivation, poly_mul, word_mul)
 from .pipeline import (FixpointStrategy, RunReport, Strategy,
-                       default_strategy, run_strategy, verify_by_matrices)
+                       default_strategy, run_pipeline, run_strategy,
+                       verify_by_matrices)
 from .solver import (SolutionState, find_zeros, length_sort, lsss_solve,
                      prune_zeros, stream_solve)
 from .symmetry import (COMMUTATOR_UV, COMMUTATOR_VU, CommutatorCondition,

@@ -14,7 +14,7 @@ from .errors import SelSolveError
 from .formats import read_solution, read_system, write_solution, write_system
 from .linsys import check_oracle_guard, dense_nullspace_oracle
 from .pipeline import (DEFAULT_VERIFY_SEED, check_solution_degree,
-                       default_strategy, run_strategy, verify_by_matrices)
+                       default_strategy, run_pipeline, verify_by_matrices)
 from .solver import lsss_solve
 from .symmetry import (EXPECTED_STATS, build_ansatz, build_symmetry_system,
                        first_integral_basis, kontsevich_system, system_stats)
@@ -85,7 +85,8 @@ def _cmd_stats(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     strategy = args.strategy or default_strategy(args.degree)
-    _, report = run_strategy(args.degree, strategy)
+    # the report alone: the full solution state is never assembled
+    report = run_pipeline(args.degree, strategy).report
     for line in report.lines():
         print(line)
     return 0

@@ -6,13 +6,20 @@ A strategy is a sequence over three step kinds:
   S  prune the u-commutator condition and harvest 1-term zeros
   F  formulate whatever is still unknown, split completely, solve
 
-N and S formulate their condition once, over the live unknowns: N as the
-side condition's sorted incidence of packed ints, which it stays until F,
-S as a list of (word key, coefficient) pairs in deglex order.  Every
-later N or S step harvests what is left of it in one pass, and F splits
-what is left of both, N decoded only then, with the v-commutator
-condition formulated over the unknowns still live, through the one
-:func:`complete_split`.
+A run numbers its unknowns by slot: slot i < 2t is the ansatz unknown
+c_i and slot 2t + j the side condition's auxiliary a_j.  The unknowns
+known to vanish are a ``bytearray`` mask over the slots, and every
+condition is labelled by slot.  N and S formulate their condition once,
+over the live slots: N as the side condition's sorted incidence of packed
+ints, which it stays until F, S as a list of (word key, coefficient)
+pairs in deglex order.  Every later N or S step harvests what is left of
+it in one pass and marks the slots it finds dead.  F makes an
+:class:`UnknownId` for each live slot only, relabels what is left of both
+conditions, N decoded only then, and the v-commutator condition
+formulated over the live slots, through the one :func:`complete_split`,
+and solves that live system.  The full :class:`SolutionState`, every
+zero included, is assembled from the mask only when it is asked for
+(:func:`run_strategy`); the ``pipeline`` command reads the report alone.
 
 The default strategy runs to a fixpoint: N repeats until a step harvests
 nothing; then, while an S step harvests something, N repeats again until
@@ -29,6 +36,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from operator import mul
 from typing import Sequence
 
@@ -39,7 +47,7 @@ from .solver import SolutionState, lsss_solve
 from .symmetry import (NecessaryCondition, SortedCondition, SymmetryAnsatz,
                        _check_degree_guard, ansatz_term_count, build_ansatz,
                        complete_split, formulate_symcon, kontsevich_system,
-                       selective_split)
+                       relabelled, selective_split)
 
 DEFAULT_VERIFY_SEED = 1729
 _INVERTIBLE_RETRIES = 100
@@ -222,32 +230,37 @@ class RunReport:
 
 
 class _PipelineRun:
-    """Shared zero set plus cached formulated conditions for one degree.
+    """One degree's slot mask plus its cached formulated conditions.
 
-    The conditions of N and S are formulated on first use, over the live
-    unknowns, and kept as :class:`SortedCondition`s whose remainder each
-    later step harvests in one pass and F finally splits; N's holds its
-    :class:`NecessaryCondition` itself.
+    ``dead`` holds one byte per slot of the ansatz and the side
+    condition's auxiliaries, 1 once the slot's unknown is known to vanish;
+    ``zero_count`` counts those bytes.  The conditions of N and S are
+    formulated on first use, over the live slots, and each is kept as a
+    :class:`SortedCondition` whose remainder every later step harvests in
+    one pass; N's holds its :class:`NecessaryCondition` itself.  F
+    makes an unknown for each live slot only, and solves the live system;
+    :meth:`solution` assembles the whole solution from the mask.
     """
 
     def __init__(self, degree: int):
         _check_degree_guard(degree)
         self.system = kontsevich_system()
         self.ansatz = build_ansatz(degree)
-        self.zeros: set[UnknownId] = set()
-        self.aux: tuple[UnknownId, ...] = ()
+        self.dead = bytearray(self.ansatz.slot_count)
+        self.zero_count = 0
+        self._aux_count = 0  # the auxiliaries are live once N is formulated
         self._conditions: dict[str, SortedCondition] = {}
         self.report = RunReport()
-        self.state: SolutionState | None = None
+        self._solved: SolutionState | None = None
 
     def _condition(self, label: str) -> SortedCondition:
         if label not in self._conditions:
             if label == "N":
-                terms = NecessaryCondition(self.ansatz, self.zeros)
-                self.aux = terms.aux
+                terms = NecessaryCondition(self.ansatz, self.dead)
+                self._aux_count = len(self.dead) - self.ansatz.unknown_count
             else:
                 terms = formulate_symcon(self.system, self.ansatz, "u",
-                                         self.zeros).keyed_terms()
+                                         self.dead).keyed_terms()
             self._conditions[label] = SortedCondition(terms)
         return self._conditions[label]
 
@@ -258,8 +271,9 @@ class _PipelineRun:
     def _harvest(self, label: str) -> int:
         started = time.perf_counter()
         condition = self._condition(label)
-        new = selective_split(condition, self.zeros)
-        live = self.ansatz.unknown_count + len(self.aux) - len(self.zeros)
+        new = selective_split(condition, self.dead)
+        self.zero_count += new
+        live = self.ansatz.unknown_count + self._aux_count - self.zero_count
         self._record(label, started, new, 0, len(condition.terms), live)
         return new
 
@@ -269,33 +283,52 @@ class _PipelineRun:
     def step_s(self) -> int:
         return self._harvest("S")
 
-    def step_f(self) -> SolutionState:
+    def step_f(self) -> None:
+        """Split what is left of N and S, and S_v formulated now, over the
+        live slots' unknowns, and solve that live system."""
         started = time.perf_counter()
         conditions = [self._condition(label).terms for label in "NS"]
         conditions.append(formulate_symcon(
-            self.system, self.ansatz, "v", self.zeros).keyed_terms())
-        system = complete_split(conditions, self.ansatz.unknowns + self.aux,
-                                self.zeros)
-        zeros_before = len(self.zeros)
-        self.state = lsss_solve(system, self.zeros)
-        self._record("F", started, len(self.zeros) - zeros_before,
-                     len(system))
+            self.system, self.ansatz, "v", self.dead).keyed_terms())
+        ids = self.ansatz.live_unknowns(self.dead)
+        system = complete_split([relabelled(terms, ids)
+                                 for terms in conditions], ids.values())
+        self._solved = solved = lsss_solve(system)
+        self._record("F", started, len(solved.zeros), len(system))
         report = self.report
         report.strategy_text = format_steps([s.label for s in report.steps])
-        report.zero_count = len(self.state.zeros)
-        report.pivot_count = len(self.state.pivots)
-        report.free_count = self.state.free_count
-        return self.state
+        report.zero_count = self.zero_count + len(solved.zeros)
+        report.pivot_count = len(solved.pivots)
+        report.free_count = solved.free_count
+
+    def solution(self) -> SolutionState:
+        """The whole solution after F: every slot's unknown in the
+        universe, the dead ones among the zeros next to those F found."""
+        solved = self._solved
+        unknowns = self.ansatz.slot_unknowns()
+        zeros = set(compress(unknowns, self.dead))
+        zeros |= solved.zeros
+        return SolutionState(frozenset(unknowns), zeros, solved.pivots,
+                             solved.free, solved.identities,
+                             solved.zero_rounds)
+
+
+def run_pipeline(degree: int, strategy: Strategy | FixpointStrategy | str
+                 ) -> _PipelineRun:
+    """Execute a strategy for one degree; returns the finished run, whose
+    report reads without assembling the solution."""
+    if isinstance(strategy, str):
+        strategy = Strategy.parse(strategy)
+    run = _PipelineRun(degree)
+    strategy.execute(run)
+    return run
 
 
 def run_strategy(degree: int, strategy: Strategy | FixpointStrategy | str
                  ) -> tuple[SolutionState, RunReport]:
     """Execute a strategy for one degree; returns the state and its trace."""
-    if isinstance(strategy, str):
-        strategy = Strategy.parse(strategy)
-    run = _PipelineRun(degree)
-    strategy.execute(run)
-    return run.state, run.report
+    run = run_pipeline(degree, strategy)
+    return run.solution(), run.report
 
 
 # --- independent verification with random integer matrices -----------------

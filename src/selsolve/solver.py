@@ -225,10 +225,10 @@ def lsss_solve(system: LinearSystem,
                zeros: set[UnknownId] | None = None) -> SolutionState:
     """Solve an arbitrary (under-, well-, or overdetermined) linear system.
 
-    Zeros first, then size-sorted streaming.  Pre-seeded zeros let a staged
-    pipeline carry harvested zeros into the final solve; the set grows in
-    place.  For a homogeneous system the number of free unknowns is the
-    nullity.
+    Zeros first, then size-sorted streaming.  Pre-seeded zeros are taken
+    as known; the set grows in place.  (A staged pipeline hands over only
+    its live system instead.)  For a homogeneous system the number of
+    free unknowns is the nullity.
     """
     zeros = set() if zeros is None else zeros
     found = find_zeros(system, zeros)

@@ -10,28 +10,32 @@ unknowns.  This module formulates the conditions, splits them into
 equations, and harvests vanishing unknowns straight from a condition
 without materializing its system (selective splitting).
 
-Words are packed ints (:func:`word_key`) throughout formulation.  The
-ansatz stores only its word keys and unknowns, and each condition is
-formulated over the unknowns not yet known to be zero.  A commutator
-condition sums its coefficients per word key
+Words are packed ints (:func:`word_key`) and unknowns are slots
+throughout formulation.  The ansatz stores only its word keys; slot i of
+the 2t ansatz slots is the unknown c_i, and slot 2t + j is the side
+condition's auxiliary a_j.  The unknowns known to vanish are a
+``bytearray`` mask over the slots, 1 per dead slot, and each condition
+is formulated over the live slots and labels them by slot number.  A
+commutator condition sums its coefficients per word key
 (:class:`CommutatorCondition`); the side condition is a sorted incidence
 of packed ints (:class:`NecessaryCondition`).  Either streams one list of
 (word key, coefficient) pairs in increasing key order, which is deglex
 order, and no harvested word is decoded.  A staged run holds a condition
 as a :class:`SortedCondition`; every harvest is one pass in that order
-that prunes, adds the unknown of each 1-term word to the zeros and keeps
-the remainder for the next pass.  A commutator condition is held as its
+that prunes, marks the slot of each 1-term word dead and keeps the
+remainder for the next pass.  A commutator condition is held as its
 pairs; the side condition stays an incidence through every pass, which
 keeps the surviving ints, and is decoded only when it is split.
-:func:`complete_split` is the one path from such lists to a numbered
-:class:`LinearSystem`.
+:func:`relabelled` turns the slots into their unknowns, dropping dead
+ones, and :func:`complete_split` is the one path from such lists to a
+numbered :class:`LinearSystem`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, compress, groupby
-from typing import Collection, Iterable, Iterator
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import TooLargeError
 from .linsys import (FORMULATE_MAX_UNKNOWNS, KIND_A, KIND_C, AffineForm,
@@ -98,31 +102,57 @@ def ansatz_term_count(degree: int) -> int:
     return 2 * 3 ** degree - 1
 
 
+#: ``mask.translate(FLIP)`` turns a dead mask into a live one.
+FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+
+
 @dataclass
 class SymmetryAnsatz:
     """Most general degree-n flow with one fresh unknown per term.
 
-    Only word keys and unknowns are stored: ``unknowns[i]`` is the
-    coefficient of the word with key ``keys[i]`` in Q1 = u_tau and
-    ``unknowns[t + i]`` its coefficient in Q2 = v_tau, where t = len(keys);
-    the keys are in deglex order.  The conditions read the keys directly;
-    :meth:`derivation` decodes the live words into Q1 and Q2.
+    Only word keys are stored, in deglex order.  Slot i is the coefficient
+    of the word with key ``keys[i]`` in Q1 = u_tau and slot t + i its
+    coefficient in Q2 = v_tau, where t = len(keys); the side condition's
+    auxiliaries follow in slots 2t .. :attr:`slot_count` - 1.  The
+    conditions read the keys and label by slot; the unknown of a slot is
+    made only where one is needed (:meth:`slot_unknowns`,
+    :meth:`live_unknowns`), and :meth:`derivation` decodes the live words
+    into Q1 and Q2.
     """
 
     degree: int
     keys: tuple[int, ...]
-    unknowns: tuple[UnknownId, ...]
 
     @property
     def unknown_count(self) -> int:
-        return len(self.unknowns)
+        return 2 * len(self.keys)
+
+    @property
+    def slot_count(self) -> int:
+        """Ansatz slots plus the 2 k0 + 1 auxiliaries of the side condition."""
+        return self.unknown_count + 2 * side_condition_k0(self.degree) + 1
+
+    def slot_unknowns(self) -> tuple[UnknownId, ...]:
+        """The unknown of every slot, in slot order, which is id order:
+        c_i for slot i < 2t, a_j for slot 2t + j."""
+        c = self.unknown_count
+        return (UnknownId.span(KIND_C, c)
+                + UnknownId.span(KIND_A, self.slot_count - c))
+
+    def live_unknowns(self, dead: bytes) -> dict[int, UnknownId]:
+        """The unknown of each slot ``dead`` leaves live, by slot; no
+        unknown is made for a dead slot."""
+        c = self.unknown_count
+        return {s: UnknownId(KIND_C, s) if s < c else UnknownId(KIND_A, s - c)
+                for s in compress(range(len(dead)), dead.translate(FLIP))}
 
     def derivation(self, zeros: Collection[UnknownId] = ()) -> Derivation:
         """D_tau over the unknowns that are not in ``zeros``."""
         t = len(self.keys)
+        unknowns = UnknownId.span(KIND_C, 2 * t)
         q1, q2 = (NCPoly._raw({
             key_word(k): AffineForm._raw(0, {uid: 1})
-            for k, uid in zip(self.keys, self.unknowns[start:start + t])
+            for k, uid in zip(self.keys, unknowns[start:start + t])
             if uid not in zeros}) for start in (0, t))
         return Derivation(q1, q2, name="Dtau")
 
@@ -130,9 +160,15 @@ class SymmetryAnsatz:
 def build_ansatz(degree: int) -> SymmetryAnsatz:
     if degree < 1:
         raise ValueError("ansatz degree must be >= 1")
-    keys = enumerate_keys(degree)
-    unknowns = UnknownId.span(KIND_C, 2 * len(keys))
-    return SymmetryAnsatz(degree, tuple(keys), unknowns)
+    return SymmetryAnsatz(degree, tuple(enumerate_keys(degree)))
+
+
+def _live_mask(dead: bytes | None, start: int, stop: int) -> bytes:
+    """1 per live slot of [start, stop), 0 per dead one; all live when
+    there is no mask."""
+    if dead is None:
+        return b"\1" * (stop - start)
+    return dead[start:stop].translate(FLIP)
 
 
 def prune_ncpoly(p: NCPoly, zeros: set[UnknownId]) -> NCPoly:
@@ -188,25 +224,25 @@ def sandwich_keys(left: tuple, right: tuple,
 class NecessaryCondition:
     """D_tau(I) = sum over k of aux[k0+k] I^k as a sorted sparse incidence.
 
-    A letter of I = u v u^-1 v^-1 contributes +-L Q R, so the live unknown
+    A letter of I = u v u^-1 v^-1 contributes +-L Q R, so the live slot
     of a word w in Q1 (Q2) occurs with +1 on reduce(L w R) around u (v)
     and -1 around u^-1 (v^-1), or not at all where the two coincide; aux[i]
-    occurs with -1 on I^(i - k0), k0 from :func:`side_condition_k0`.  An
-    occurrence is an int, the word's :func:`word_key` above the unknown's
-    slot and sign: one sort orders the words deglex, none yet built.
+    in slot 2t + i occurs with -1 on I^(i - k0), k0 from
+    :func:`side_condition_k0`.  An occurrence is an int, the word's
+    :func:`word_key` above the slot and sign: one sort orders the words
+    deglex, none yet built.  Only the slots live in ``dead`` enter; the
+    auxiliaries always do.
 
     The condition stays these ints until it is split: :meth:`harvest` walks
     them and keeps the live entries of the words that survive.  Iterating
-    decodes what is left as (word key, coefficient) pairs, and ``len`` is
-    the number of words left.
+    decodes what is left as (word key, coefficient over slots) pairs, and
+    ``len`` is the number of words left.
     """
 
-    def __init__(self, ansatz: SymmetryAnsatz,
-                 zeros: Collection[UnknownId] = ()):
-        k0 = side_condition_k0(ansatz.degree)
-        self.aux = UnknownId.span(KIND_A, 2 * k0 + 1)
-        self._unknowns = unknowns = ansatz.unknowns + self.aux
-        self._shift = shift = (2 * len(unknowns)).bit_length()
+    def __init__(self, ansatz: SymmetryAnsatz, dead: bytes | None = None):
+        self._ansatz = ansatz
+        self._k0 = k0 = side_condition_k0(ansatz.degree)
+        self._shift = shift = (2 * ansatz.slot_count).bit_length()
         keys, i_word = ansatz.keys, COMMUTATOR_UV
         t = len(keys)
         entries = [word_key(word_pow(i_word, i - k0)) << shift
@@ -215,7 +251,7 @@ class NecessaryCondition:
             # live words and slots are read through the mask where they are
             # used, so no list of them is held next to the entries
             first = g * t
-            live = [u not in zeros for u in unknowns[first:first + t]]
+            live = _live_mask(dead, first, first + t)
             plus = sandwich_keys(i_word[:g], i_word[g + 1:],
                                  compress(keys, live))
             minus = sandwich_keys(i_word[:g + 3], i_word[g + 2:],
@@ -238,24 +274,32 @@ class NecessaryCondition:
     def __iter__(self) -> Iterator[tuple[int, AffineForm]]:
         return self.keyed_terms()
 
-    def keyed_terms(self) -> Iterator[tuple[int, AffineForm]]:
-        """(word key, coefficient) per word, in deglex order."""
-        shift, unknowns = self._shift, self._unknowns
+    @property
+    def aux(self) -> tuple[UnknownId, ...]:
+        """The auxiliary unknowns a_0 .. a_2k0."""
+        return UnknownId.span(KIND_A, 2 * self._k0 + 1)
+
+    def keyed_terms(self, labels: Sequence | None = None
+                    ) -> Iterator[tuple[int, AffineForm]]:
+        """(word key, coefficient) per word, in deglex order, over slots
+        or over ``labels``, the label of each slot."""
+        shift = self._shift
         low = (1 << shift) - 1
+        if labels is None:
+            labels = range(self._ansatz.slot_count)
         for key, run in groupby(self._entries, lambda e: e >> shift):
             yield key, AffineForm._raw(0, {
-                unknowns[(e & low) >> 1]: 1 - 2 * (e & 1) for e in run})
+                labels[(e & low) >> 1]: 1 - 2 * (e & 1) for e in run})
 
-    def harvest(self, zeros: set[UnknownId]) -> int:
+    def harvest(self, dead: bytearray) -> int:
         """One :func:`selective_split` pass over the ints, in key order.
 
-        An entry whose unknown is in ``zeros`` drops out as it is reached;
-        a word left with one entry adds its unknown to ``zeros``, one left
-        with more keeps them.  Every coefficient is +-1 on distinct
-        unknowns, so a word vanishes only by pruning.  Returns the number
-        of unknowns added.
+        An entry whose slot is dead drops out as it is reached; a word
+        left with one entry marks its slot dead, one left with more keeps
+        them.  Every coefficient is +-1 on distinct slots, so a word
+        vanishes only by pruning.  Returns the number of slots marked.
         """
-        shift, unknowns = self._shift, self._unknowns
+        shift = self._shift
         low = (1 << shift) - 1
         kept, run, word, found, words = [], [], 0, 0, 0
         # a word is settled when the next begins; 0 is no word's key
@@ -263,27 +307,29 @@ class NecessaryCondition:
             key = e >> shift
             if key != word:
                 if len(run) == 1:
-                    zeros.add(unknowns[(run[0] & low) >> 1])
+                    dead[(run[0] & low) >> 1] = 1
                     found += 1
                 elif run:
                     kept += run
                     words += 1
                 run, word = [], key
-            if unknowns[(e & low) >> 1] not in zeros:
+            if not dead[(e & low) >> 1]:
                 run.append(e)
         self._entries, self._words = kept, words
         return found
 
     @property
     def residual(self) -> NCPoly:
-        """The condition as a polynomial, a view for tests and tracing."""
-        return NCPoly._raw({key_word(k): c for k, c in self.keyed_terms()})
+        """The condition as a polynomial over its unknowns, a view for
+        tests and tracing."""
+        return NCPoly._raw({key_word(k): c for k, c in self.keyed_terms(
+            self._ansatz.slot_unknowns())})
 
 
 def formulate_nc(ansatz: SymmetryAnsatz,
-                 zeros: Collection[UnknownId] = ()) -> NecessaryCondition:
-    """The side condition over the unknowns not in ``zeros``."""
-    return NecessaryCondition(ansatz, zeros)
+                 dead: bytes | None = None) -> NecessaryCondition:
+    """The side condition over the slots live in ``dead``."""
+    return NecessaryCondition(ansatz, dead)
 
 
 class CommutatorCondition:
@@ -300,18 +346,18 @@ class CommutatorCondition:
         self.terms = terms
 
     @classmethod
-    def from_sums(cls, acc: dict[int, dict[UnknownId, Rational]]
+    def from_sums(cls, acc: dict[int, dict[int, Rational]]
                   ) -> "CommutatorCondition":
-        """The condition of per-key sums of rationals per unknown, as
+        """The condition of per-key sums of rationals per label, as
         :func:`derive_keys` leaves them; zero sums drop out, and each
-        slot becomes its coefficient's map in place."""
+        key's sums become its coefficient's map in place."""
         vanished = []
-        for key, slot in acc.items():
-            if 0 in slot.values():
-                slot = {u: c for u, c in slot.items() if c}
-                if not slot:
+        for key, sums in acc.items():
+            if 0 in sums.values():
+                sums = {u: c for u, c in sums.items() if c}
+                if not sums:
                     vanished.append(key)
-            acc[key] = AffineForm._raw(0, slot)
+            acc[key] = AffineForm._raw(0, sums)
         for key in vanished:
             del acc[key]
         return cls(acc)
@@ -324,42 +370,44 @@ class CommutatorCondition:
 
 
 def formulate_symcon(system: Derivation, ansatz: SymmetryAnsatz, which: str,
-                     zeros: Collection[UnknownId] = ()) -> CommutatorCondition:
+                     dead: bytes | None = None,
+                     labels: Sequence | None = None) -> CommutatorCondition:
     """The commutator condition D_tau(D_t x) - D_t(D_tau x) for x = u or v.
 
     Identically zero exactly when the ansatz flow commutes with the system
-    D_t on that generator.  Only the unknowns not in ``zeros`` enter the
+    D_t on that generator.  Only the slots live in ``dead`` enter the
     ansatz, and every word stays a key.  D_tau(P_x) takes one
     :func:`sandwich_keys` call per letter of each term of P_x = D_t x, at
     an inverse letter g^-1 by d(g^-1) = -g^-1 d(g) g^-1, the sandwich
     widened by one letter; -D_t(Q_x) is the Leibniz kernel
-    :func:`derive_keys` on the live words' keys, labelled by their
-    unknowns.  The sums are kept per word key and unknown; zero sums drop
-    out.
+    :func:`derive_keys` on the live words' keys, labelled by their slots
+    or by ``labels``, the label of each ansatz slot.  The sums are kept
+    per word key and label; zero sums drop out.
     """
     if which not in ("u", "v"):
         raise ValueError("which must be 'u' or 'v'")
     x, t = "uv".index(which), len(ansatz.keys)
-    live = []  # per generator: the keys and unknowns of its live words
+    if labels is None:
+        labels = range(2 * t)
+    live = []  # per generator: the keys and labels of its live words
     for start in (0, t):
-        uids = ansatz.unknowns[start:start + t]
-        mask = [uid not in zeros for uid in uids]
+        mask = _live_mask(dead, start, start + t)
         live.append((list(compress(ansatz.keys, mask)),
-                     list(compress(uids, mask))))
+                     list(compress(labels[start:start + t], mask))))
     images = (system.image_u, system.image_v)
-    acc: dict[int, dict[UnknownId, Rational]] = {}
+    acc: dict[int, dict] = {}
     for word, coeff in images[x].terms.items():
         for i, g in enumerate(word):
             if g & 2:
                 left, right, c = word[:i + 1], word[i:], -coeff.const
             else:
                 left, right, c = word[:i], word[i + 1:], coeff.const
-            keys, uids = live[g & 1]
-            for target, uid in zip(sandwich_keys(left, right, keys), uids):
-                slot = acc.get(target)
-                if slot is None:
-                    acc[target] = slot = {}
-                slot[uid] = slot.get(uid, 0) + c
+            keys, labelled = live[g & 1]
+            for target, u in zip(sandwich_keys(left, right, keys), labelled):
+                sums = acc.get(target)
+                if sums is None:
+                    acc[target] = sums = {}
+                sums[u] = sums.get(u, 0) + c
     derive_keys(system, *live[x], acc, sign=-1)
     return CommutatorCondition.from_sums(acc)
 
@@ -383,29 +431,30 @@ class SortedCondition:
         self.terms = terms
 
 
-def selective_split(p: SortedCondition, zeros: set[UnknownId]) -> int:
+def selective_split(p: SortedCondition, dead: bytearray) -> int:
     """Harvest zeros from words whose pruned coefficient is a single term.
 
-    One pass in key order; each coefficient is pruned against ``zeros`` as
-    the set grows, so finds take effect immediately.  The condition keeps
-    the remainder for the next pass; a side condition keeps it as ints
-    (:meth:`NecessaryCondition.harvest`).  Returns the number of unknowns
-    added to ``zeros``.
+    One pass in key order over coefficients labelled by slot; each is
+    pruned against the ``dead`` mask as it grows, so finds take effect
+    immediately.  The condition keeps the remainder for the next pass; a
+    side condition keeps it as ints (:meth:`NecessaryCondition.harvest`).
+    Returns the number of slots marked dead.
     """
     if isinstance(p.terms, NecessaryCondition):
-        return p.terms.harvest(zeros)
+        return p.terms.harvest(dead)
     found = 0
     kept = []
+    is_dead = dead.__getitem__
     for term in p.terms:
         coeff = term[1]
         coeffs = coeff.coeffs
-        if not coeffs.keys().isdisjoint(zeros):
-            coeffs = {u: r for u, r in coeffs.items() if u not in zeros}
+        if any(map(is_dead, coeffs)):
+            coeffs = {s: r for s, r in coeffs.items() if not dead[s]}
             coeff = AffineForm._raw(coeff.const, coeffs)
             term = (term[0], coeff)
         if len(coeffs) == 1 and coeff.const == 0:
-            (uid,) = coeffs
-            zeros.add(uid)
+            (s,) = coeffs
+            dead[s] = 1
             found += 1
         elif coeffs or coeff.const:
             kept.append(term)
@@ -413,29 +462,41 @@ def selective_split(p: SortedCondition, zeros: set[UnknownId]) -> int:
     return found
 
 
+def relabelled(terms: Iterable[tuple[int, AffineForm]],
+               ids: Mapping[int, UnknownId]
+               ) -> Iterator[tuple[int, AffineForm]]:
+    """(word key, coefficient) pairs over slots, each slot replaced by its
+    unknown in ``ids``.
+
+    A slot ``ids`` lacks is dead and drops out, and so does a word left
+    with neither an unknown nor a constant.
+    """
+    get = ids.get
+    for key, coeff in terms:
+        coeffs = coeff.coeffs
+        # every dead slot lands on the one key None
+        labelled = dict(zip(map(get, coeffs), coeffs.values()))
+        labelled.pop(None, None)
+        if labelled or coeff.const:
+            yield key, AffineForm._raw(coeff.const, labelled)
+
+
 def complete_split(conditions: Iterable[Iterable[tuple[int, AffineForm]]],
-                   universe: Iterable[UnknownId],
-                   zeros: Collection[UnknownId]) -> LinearSystem:
+                   universe: Iterable[UnknownId]) -> LinearSystem:
     """Split each condition completely, in order, into one system.
 
-    A condition is (word key, coefficient) pairs in key order.  Each
-    coefficient is pruned against ``zeros``; one equation is made per
-    word whose coefficient does not vanish, and the ids run 0.. across the
-    conditions.  Equations from distinct words stay apart even when their
-    content coincides.  ``zeros`` holds unknowns of ``universe`` only.
+    A condition is (word key, coefficient) pairs in key order; one
+    equation is made per word whose coefficient does not vanish, and the
+    ids run 0.. across the conditions.  Equations from distinct words stay
+    apart even when their content coincides.
     """
     equations: list[Equation] = []
     for terms in conditions:
         for _, coeff in terms:
-            coeff = prune_zeros(coeff, zeros)
             if not coeff.is_zero:
                 equations.append(
                     canonicalize(Equation(coeff, len(equations))))
-    # A frozenset joined with a set is sized once for both; one grown item
-    # by item holds its last two tables at once, 6 MB at degree 9, where a
-    # staged run peaks.
-    live = frozenset(u for u in universe if u not in zeros)
-    return LinearSystem(equations, live.union(zeros) if zeros else live)
+    return LinearSystem(equations, universe)
 
 
 def build_symmetry_system(degree: int,
@@ -444,19 +505,20 @@ def build_symmetry_system(degree: int,
 
     Both commutator conditions are always included; ``include_nc`` prepends
     the split of the first-integral side condition together with its
-    auxiliary unknowns.
+    auxiliary unknowns.  Every slot's unknown is made in bulk, and the
+    conditions are labelled by them.
     """
     _check_degree_guard(degree)
     system = kontsevich_system()
     ansatz = build_ansatz(degree)
-    conditions, universe = [], ansatz.unknowns
+    universe = ansatz.slot_unknowns()
     if include_nc:
-        nc = formulate_nc(ansatz)
-        conditions.append(nc.keyed_terms())
-        universe += nc.aux
-    conditions += [formulate_symcon(system, ansatz, x).keyed_terms()
-                   for x in "uv"]
-    return complete_split(conditions, universe, ())
+        conditions = [formulate_nc(ansatz).keyed_terms(universe)]
+    else:
+        conditions, universe = [], universe[:ansatz.unknown_count]
+    conditions += [formulate_symcon(system, ansatz, x, labels=universe)
+                   .keyed_terms() for x in "uv"]
+    return complete_split(conditions, universe)
 
 
 @dataclass
@@ -492,20 +554,23 @@ def system_stats(degree: int) -> SystemStats:
 
     Each condition is formulated and split once.  The counts are read off
     the formulated conditions, one equation per word and one term per
-    unknown of its coefficient, as :func:`complete_split` gives them;
-    D_tau(I) is the side condition without its auxiliary terms.
+    slot of its coefficient, as :func:`complete_split` gives them;
+    D_tau(I) is the side condition without its auxiliary terms.  The
+    system is solved over its slots, whose order is the unknowns' order,
+    so no unknown is made.
     """
     _check_degree_guard(degree)
     system = kontsevich_system()
     ansatz = build_ansatz(degree)
-    nc = formulate_nc(ansatz)
-    side = list(nc.keyed_terms())
+    side = list(formulate_nc(ansatz).keyed_terms())
     commutators = [list(formulate_symcon(system, ansatz, x).keyed_terms())
                    for x in "uv"]
-    terms_i = [len(c.coeffs.keys() - nc.aux) for _, c in side]
-    terms_uv = [len(c.coeffs) for terms in commutators for _, c in terms]
+    c = ansatz.unknown_count
+    terms_i = [sum(s < c for s in coeff.coeffs) for _, coeff in side]
+    terms_uv = [len(coeff.coeffs) for terms in commutators
+                for _, coeff in terms]
     state = lsss_solve(complete_split([side, *commutators],
-                                      ansatz.unknowns + nc.aux, ()))
+                                      range(ansatz.slot_count)))
     return SystemStats(degree, ansatz.unknown_count,
                        len(terms_i) - terms_i.count(0), sum(terms_i),
                        len(terms_uv), sum(terms_uv), state.free_count)
@@ -528,8 +593,7 @@ def first_integral_basis(system: Derivation, degree: int) -> list[NCPoly]:
     acc: dict[int, dict[UnknownId, Rational]] = {}
     derive_keys(system, keys, unknowns, acc)
     condition = CommutatorCondition.from_sums(acc)
-    state = lsss_solve(complete_split([condition.keyed_terms()], unknowns,
-                                      ()))
+    state = lsss_solve(complete_split([condition.keyed_terms()], unknowns))
     return [NCPoly._from_acc({key_word(k): AffineForm.constant(vec[u])
                               for k, u in zip(keys, unknowns) if u in vec})
             for vec in state.basis()]

@@ -115,12 +115,13 @@ def test_criterion_2_free_parameters_full_pipeline(pipeline_results):
         # the trivial symmetry (the system's own flow) lies in the span
         ansatz = build_ansatz(n)
         half = ansatz.unknown_count // 2
+        unknowns = ansatz.slot_unknowns()
         vec = {}
         for image, offset in ((system.image_u, 0),
                               (system.image_v, half)):
             for word, coeff in image.terms.items():
                 index = ansatz.keys.index(word_key(word))
-                vec[ansatz.unknowns[offset + index]] = coeff.const
+                vec[unknowns[offset + index]] = coeff.const
         assert state.contains_vector(vec)
     times = ", ".join(f"n={n}: {pipeline_results[n][2]:.1f}s"
                       for n in DEGREES)

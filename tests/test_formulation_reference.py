@@ -18,6 +18,7 @@ run, is checked pass by pass against its decoded pairs.
 
 import random
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +34,7 @@ from selsolve.pipeline import run_strategy
 from selsolve.symmetry import (COMMUTATOR_UV, NecessaryCondition,
                                SortedCondition, build_ansatz, complete_split,
                                enumerate_keys, formulate_nc, formulate_symcon,
-                               kontsevich_system, prune_ncpoly,
+                               kontsevich_system, prune_ncpoly, relabelled,
                                selective_split, side_condition_k0)
 
 from test_properties import random_poly, random_word
@@ -57,6 +58,31 @@ def reference_words(max_degree):
 
 def ansatz_words(ansatz):
     return [key_word(k) for k in ansatz.keys]
+
+
+def mask_of(ansatz, zeros):
+    """The dead mask over the ansatz's slots of a set of unknowns."""
+    slot = {u: s for s, u in enumerate(ansatz.slot_unknowns())}
+    dead = bytearray(ansatz.slot_count)
+    for u in zeros:
+        dead[slot[u]] = 1
+    return dead
+
+
+def zeros_of(ansatz, dead):
+    """The unknowns of the dead slots."""
+    return set(compress(ansatz.slot_unknowns(), dead))
+
+
+def labelled(ansatz, terms):
+    """(word key, coefficient) pairs over slots, over unknowns instead."""
+    return list(relabelled(terms, dict(enumerate(ansatz.slot_unknowns()))))
+
+
+def slotted(ansatz, terms):
+    """(word key, coefficient) pairs over unknowns, over slots instead."""
+    return list(relabelled(terms, {u: s for s, u in
+                                   enumerate(ansatz.slot_unknowns())}))
 
 
 def reduce_sandwich(left, mid, right):
@@ -171,9 +197,10 @@ def accumulator_symcon(system, ansatz, which, zeros):
     return acc.poly()
 
 
-def keyed(condition):
-    """(word key, coefficient) list of a condition, in deglex order."""
-    return list(condition.keyed_terms())
+def keyed(ansatz, condition):
+    """(word key, coefficient) list of a condition, in deglex order, over
+    the unknowns of its slots."""
+    return labelled(ansatz, condition.keyed_terms())
 
 
 def reference_inverse_image(image, inv_letter):
@@ -200,9 +227,10 @@ def reference_apply(d, p):
 def reference_dtau(ansatz, zeros):
     words = reference_words(ansatz.degree)
     t = len(words)
-    q1 = NCPoly({w: AffineForm.unknown(ansatz.unknowns[i])
+    unknowns = ansatz.slot_unknowns()
+    q1 = NCPoly({w: AffineForm.unknown(unknowns[i])
                  for i, w in enumerate(words)})
-    q2 = NCPoly({w: AffineForm.unknown(ansatz.unknowns[t + i])
+    q2 = NCPoly({w: AffineForm.unknown(unknowns[t + i])
                  for i, w in enumerate(words)})
     return Derivation(prune_ncpoly(q1, zeros), prune_ncpoly(q2, zeros))
 
@@ -243,16 +271,19 @@ def test_formulations_match_reference(degree):
     system = kontsevich_system()
     ansatz = build_ansatz(degree)
     empty = set()
-    harvested = set()
-    selective_split(SortedCondition(sorted_terms(
-        reference_nc(ansatz, 3, empty))), harvested)
+    harvested = bytearray(ansatz.slot_count)
+    selective_split(SortedCondition(slotted(ansatz, sorted_terms(
+        reference_nc(ansatz, 3, empty)))), harvested)
+    harvested = zeros_of(ansatz, harvested)
     assert len(harvested) > 0
     for zeros in (empty, harvested):
-        nc = formulate_nc(ansatz, zeros)
+        dead = mask_of(ansatz, zeros)
+        nc = formulate_nc(ansatz, dead)
         assert nc.residual == reference_nc(ansatz, 3, zeros)
         assert nc.residual == accumulator_nc(ansatz, zeros)
         for which in ("u", "v"):
-            assert keyed(formulate_symcon(system, ansatz, which, zeros)) \
+            assert keyed(ansatz, formulate_symcon(system, ansatz, which,
+                                                  dead)) \
                 == sorted_terms(reference_symcon(system, ansatz, which,
                                                  zeros))
         dtau = ansatz.derivation(zeros)
@@ -270,18 +301,19 @@ def test_first_harvest_matches_accumulator_reference(degree):
     # sorted accumulated polynomial; once from nothing, once after an S
     # harvest
     ansatz = build_ansatz(degree)
-    harvested = set()
+    harvested = bytearray(ansatz.slot_count)
     selective_split(SortedCondition(
         formulate_symcon(kontsevich_system(), ansatz, "u").keyed_terms()),
         harvested)
-    assert len(harvested) > 0
-    for start in (set(), harvested):
-        got_zeros, want_zeros = set(start), set(start)
+    assert any(harvested)
+    for start in (bytearray(ansatz.slot_count), harvested):
+        got_dead, want_dead = bytearray(start), bytearray(start)
         got = SortedCondition(NecessaryCondition(ansatz, start))
-        want = SortedCondition(sorted_terms(accumulator_nc(ansatz, start)))
-        found = selective_split(got, got_zeros)
-        assert found == selective_split(want, want_zeros) > 0
-        assert got_zeros == want_zeros
+        want = SortedCondition(slotted(ansatz, sorted_terms(
+            accumulator_nc(ansatz, zeros_of(ansatz, start)))))
+        found = selective_split(got, got_dead)
+        assert found == selective_split(want, want_dead) > 0
+        assert got_dead == want_dead
         assert len(got.terms) == len(want.terms)
         assert list(got.terms) == want.terms
 
@@ -296,7 +328,7 @@ def test_held_incidence_matches_decoded_pairs_pass_by_pass(degree):
     ansatz = build_ansatz(degree)
     nc = NecessaryCondition(ansatz)
     side = [SortedCondition(list(nc.keyed_terms())), SortedCondition(nc)]
-    zeros = [set(), set()]
+    zeros = [bytearray(ansatz.slot_count), bytearray(ansatz.slot_count)]
     commutator = []
     passes = []
 
@@ -324,27 +356,29 @@ def test_held_incidence_matches_decoded_pairs_pass_by_pass(degree):
             pass
     assert len(passes) > 4 and sum(passes) > 0
     pairs, held = (
-        complete_split([n.terms, s.terms, formulate_symcon(
-            system, ansatz, "v", z).keyed_terms()], ansatz.unknowns + nc.aux, z)
-        for n, s, z in zip(side, commutator, zeros))
+        complete_split([relabelled(terms, ids) for terms in (
+            n.terms, s.terms,
+            formulate_symcon(system, ansatz, "v", z).keyed_terms())],
+            ids.values())
+        for n, s, z in zip(side, commutator, zeros)
+        for ids in [ansatz.live_unknowns(z)])
     assert held == pairs
     assert len(held) > 0
 
 
-def reference_incidence(ansatz, zeros):
+def reference_incidence(ansatz, dead):
     """The side condition's sorted ints built slot by slot: each live
-    unknown's two target words reduced letter by letter, one pair of
-    entries appended per slot."""
+    slot's two target words reduced letter by letter, one pair of entries
+    appended per slot."""
     k0 = side_condition_k0(ansatz.degree)
-    unknowns = ansatz.unknowns + UnknownId.span(KIND_A, 2 * k0 + 1)
-    shift = (2 * len(unknowns)).bit_length()
+    shift = (2 * ansatz.slot_count).bit_length()
     keys, i_word = ansatz.keys, COMMUTATOR_UV
     t = len(keys)
     entries = [word_key(word_pow(i_word, i - k0)) << shift
                | (2 * t + i) << 1 | 1 for i in range(2 * k0 + 1)]
     for g in (U, V):
         for s in range(g * t, g * t + t):
-            if unknowns[s] in zeros:
+            if dead[s]:
                 continue
             w = key_word(keys[s - g * t])
             plus = word_key(reduce_letters(i_word[:g] + w + i_word[g + 1:]))
@@ -361,11 +395,13 @@ def test_incidence_matches_per_slot_reference(degree):
     # from nothing, and from the zeros of an SNF run
     ansatz = build_ansatz(degree)
     state, _ = run_strategy(degree, "SNF")
-    live = [u for u in ansatz.unknowns if u not in state.zeros]
+    live = [u for u in ansatz.slot_unknowns()[:ansatz.unknown_count]
+            if u not in state.zeros]
     assert 0 < len(live) < ansatz.unknown_count
     for zeros in (set(), state.zeros):
-        assert NecessaryCondition(ansatz, zeros)._entries \
-            == reference_incidence(ansatz, zeros)
+        dead = mask_of(ansatz, zeros)
+        assert NecessaryCondition(ansatz, dead)._entries \
+            == reference_incidence(ansatz, dead)
 
 
 def random_affine_poly(rng, unknowns, with_const):
@@ -408,7 +444,7 @@ def test_reduce_sandwich_is_free_reduction():
 
 def test_live_derivation_equals_pruned_full_images():
     ansatz = build_ansatz(3)
-    zeros = set(ansatz.unknowns[::3])
+    zeros = set(ansatz.slot_unknowns()[:ansatz.unknown_count:3])
     live = ansatz.derivation(zeros)
     full = ansatz.derivation()
     assert live.image_u == prune_ncpoly(full.image_u, zeros)
@@ -417,7 +453,7 @@ def test_live_derivation_equals_pruned_full_images():
 
 
 def test_sorted_condition_keeps_pruned_remainder_in_order():
-    c = [UnknownId(KIND_C, i) for i in range(5)]
+    c = range(5)  # slots
     p = NCPoly({
         Word((1, 0)): AffineForm(0, {c[1]: 1, c[2]: 1}),
         Word((0,)): AffineForm.unknown(c[2]),
@@ -428,15 +464,16 @@ def test_sorted_condition_keeps_pruned_remainder_in_order():
     assert [k for k, _ in condition.terms] == [
         word_key(w) for w in (Word((0,)), Word((1,)), Word((0, 1)),
                               Word((1, 0)))]
-    zeros = {c[3]}
-    # u registers c2 at once, so v u then prunes to the single term c1
-    assert selective_split(condition, zeros) == 3
-    assert zeros == {c[1], c[2], c[3], c[4]}
+    dead = bytearray(5)
+    dead[3] = 1
+    # u registers slot 2 at once, so v u then prunes to the single slot 1
+    assert selective_split(condition, dead) == 3
+    assert dead == bytearray((0, 1, 1, 1, 1))
     # the constant left of u v stays for the final split to report
     assert condition.terms == [(word_key(Word((0, 1))),
                                 AffineForm.constant(3))]
-    assert selective_split(condition, zeros) == 0
-    split = complete_split([condition.terms], c, zeros)
+    assert selective_split(condition, dead) == 0
+    split = complete_split([condition.terms], c)
     assert [(eq.id, eq.lhs) for eq in split.equations] \
         == [(0, AffineForm.constant(1))]
 
@@ -460,16 +497,19 @@ def test_keyed_symcon_matches_accumulator(degree):
     # dense enough to leave few words
     system = kontsevich_system()
     ansatz = build_ansatz(degree)
-    harvested = set()
+    harvested = bytearray(ansatz.slot_count)
     selective_split(SortedCondition(formulate_nc(ansatz).keyed_terms()),
                     harvested)
     rng = random.Random(degree)
-    zero_sets = [set(), harvested,
-                 {u for u in ansatz.unknowns if rng.random() < 0.3},
-                 {u for u in ansatz.unknowns if rng.random() < 0.9}]
+    unknowns = ansatz.slot_unknowns()[:ansatz.unknown_count]
+    zero_sets = [set(), zeros_of(ansatz, harvested),
+                 {u for u in unknowns if rng.random() < 0.3},
+                 {u for u in unknowns if rng.random() < 0.9}]
     for zeros in zero_sets:
+        dead = mask_of(ansatz, zeros)
         for which in "uv":
-            got = keyed(formulate_symcon(system, ansatz, which, zeros))
+            got = keyed(ansatz, formulate_symcon(system, ansatz, which,
+                                                 dead))
             want = sorted_terms(accumulator_symcon(system, ansatz, which,
                                                    zeros))
             assert got == want, (which, len(zeros))
@@ -482,19 +522,20 @@ def test_keyed_symcon_harvest_matches_accumulator(degree):
     # fixpoint, registers the same zeros and keeps the same list
     system = kontsevich_system()
     ansatz = build_ansatz(degree)
-    after_n = set()
+    after_n = bytearray(ansatz.slot_count)
     nc = SortedCondition(formulate_nc(ansatz).keyed_terms())
     while selective_split(nc, after_n):
         pass
-    for start in (set(), after_n):
-        got_zeros, want_zeros = set(start), set(start)
+    for start in (bytearray(ansatz.slot_count), after_n):
+        got_dead, want_dead = bytearray(start), bytearray(start)
         got = SortedCondition(
             formulate_symcon(system, ansatz, "u", start).keyed_terms())
-        want = SortedCondition(sorted_terms(
-            accumulator_symcon(system, ansatz, "u", start)))
-        assert selective_split(got, got_zeros) \
-            == selective_split(want, want_zeros) > 0
-        assert got_zeros == want_zeros
+        want = SortedCondition(slotted(ansatz, sorted_terms(
+            accumulator_symcon(system, ansatz, "u",
+                               zeros_of(ansatz, start)))))
+        assert selective_split(got, got_dead) \
+            == selective_split(want, want_dead) > 0
+        assert got_dead == want_dead
         assert got.terms == want.terms
 
 

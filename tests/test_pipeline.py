@@ -1,13 +1,17 @@
+import re
+
 import pytest
 
+from selsolve import cli, pipeline, symmetry
 from selsolve.errors import ParseError
-from selsolve.linsys import AffineForm
+from selsolve.linsys import AffineForm, UnknownId
 from selsolve.ncalgebra import word_key
 from selsolve.pipeline import (MAX_STRATEGY_STEPS, Strategy, _PipelineRun,
-                               default_strategy, format_steps,
+                               default_strategy, format_steps, run_pipeline,
                                run_strategy, verify_by_matrices)
+from selsolve.solver import lsss_solve
 from selsolve.symmetry import (NecessaryCondition, build_ansatz,
-                               kontsevich_system)
+                               build_symmetry_system, kontsevich_system)
 
 
 def test_strategy_parse_basic():
@@ -126,6 +130,72 @@ def test_side_condition_is_decoded_only_at_f(monkeypatch, strategy):
     assert report.free_count == 5
 
 
+def untimed(lines):
+    return [re.sub(r"  time=\S+", "", line) for line in lines]
+
+
+@pytest.mark.parametrize("degree", range(3, 7))
+def test_report_only_run_matches_run_strategy(degree):
+    # The pipeline command reads the report of a run that never assembles
+    # its solution.  F and SF formulate N only at F, over a nonempty mask
+    # for SF, which is where the auxiliary slots enter.  Each assembled
+    # solution is the all-at-once one, and F's is the solve of the system
+    # gen writes.
+    full, _ = run_strategy(degree, "F")
+    written = lsss_solve(build_symmetry_system(degree, include_nc=True))
+    assert (full.universe, full.zeros, full.pivots, full.free) \
+        == (written.universe, written.zeros, written.pivots, written.free)
+    for text in (None, "F", "SF", "NF", "SNF"):
+        strategy = text or default_strategy(degree)
+        run = run_pipeline(degree, strategy)
+        state, report = run_strategy(degree, strategy)
+        assert untimed(run.report.lines()) == untimed(report.lines())
+        solution = run.solution()
+        for got in (solution, state):
+            assert got.universe == full.universe
+            assert got.zeros == full.zeros
+            assert got.free_count == full.free_count
+            assert got.basis() == full.basis()
+
+
+def test_report_only_pipeline_makes_unknowns_for_live_slots_only(
+        monkeypatch, capsys):
+    # Every unknown the staged path makes is counted, in bulk or one at a
+    # time; a report-only run makes exactly F's live universe.
+    made = []
+
+    class Counted(UnknownId):
+        __slots__ = ()
+
+        def __new__(cls, kind, index):
+            made.append(1)
+            return super().__new__(cls, kind, index)
+
+        @classmethod
+        def span(cls, kind, count):
+            made.append(count)
+            return super().span(kind, count)
+
+    for module in (symmetry, pipeline):
+        monkeypatch.setattr(module, "UnknownId", Counted)
+    universes = []
+    solve = pipeline.lsss_solve
+    monkeypatch.setattr(pipeline, "lsss_solve",
+                        lambda system: universes.append(system.universe)
+                        or solve(system))
+    assert cli.main(["pipeline", "--degree", "8"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "final: zeros=25937 pivots=304 free=8"
+    (universe,) = universes
+    assert all(type(u) is Counted for u in universe)
+    assert sum(made) == len(universe)
+    # the live slots at F: every slot but those dead before F
+    f_zeros = int(re.search(r": F  new_zeros=(\d+)", out).group(1))
+    dead = 25937 - f_zeros
+    assert len(universe) == build_ansatz(8).slot_count - dead
+    assert 0 < len(universe) < 1000
+
+
 def test_repeated_harvest_yields_decrease_to_zero():
     # desk-scale shape of the repeated-extraction trace: each rescan of the
     # side condition finds strictly fewer zeros until none remain
@@ -147,9 +217,10 @@ def test_verify_trivial_symmetry():
     state, _ = run_strategy(2, "F")
     vec = {}
     half = ans.unknown_count // 2
+    unknowns = ans.slot_unknowns()
     for image, offset in ((sysm.image_u, 0), (sysm.image_v, half)):
         for word, coeff in image.terms.items():
-            vec[ans.unknowns[offset + ans.keys.index(word_key(word))]] \
+            vec[unknowns[offset + ans.keys.index(word_key(word))]] \
                 = coeff.const
     assert state.contains_vector(vec)
 

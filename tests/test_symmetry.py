@@ -1,16 +1,17 @@
 from fractions import Fraction
+from itertools import compress
 
 from selsolve.linsys import KIND_A, KIND_C, AffineForm, UnknownId
 from selsolve.ncalgebra import (EMPTY_WORD, U, U_INV, V, V_INV, NCPoly, Word,
                                 key_word, word_key)
 from selsolve.pipeline import default_strategy, run_strategy
-from selsolve.solver import lsss_solve
+from selsolve.solver import lsss_solve, prune_zeros
 from selsolve.symmetry import (SortedCondition, SymmetryAnsatz,
                                ansatz_term_count, build_ansatz,
                                build_symmetry_system, complete_split,
                                first_integral_basis, formulate_nc,
                                formulate_symcon, kontsevich_system,
-                               prune_ncpoly, selective_split,
+                               prune_ncpoly, relabelled, selective_split,
                                side_condition_k0, system_stats)
 
 from test_words import enumerate_words, sorted_terms
@@ -22,8 +23,12 @@ def unknowns_of(p):
     return {u for c in p.terms.values() for u in c.coeffs}
 
 
-def harvest(p, zeros):
-    return selective_split(SortedCondition(sorted_terms(p)), zeros)
+def harvest(p, dead):
+    return selective_split(SortedCondition(sorted_terms(p)), dead)
+
+
+def slots_of(dead):
+    return {s for s, d in enumerate(dead) if d}
 
 
 def test_enumerate_words_matches_recursion():
@@ -54,10 +59,11 @@ def test_trivial_symmetry_commutes():
     # solved in full
     sysm = kontsevich_system()
     ans = build_ansatz(2)
+    unknowns = ans.slot_unknowns()
     vec = {}
     for image, offset in ((sysm.image_u, 0), (sysm.image_v, len(ans.keys))):
         for word, coeff in image.terms.items():
-            vec[ans.unknowns[offset + ans.keys.index(word_key(word))]] \
+            vec[unknowns[offset + ans.keys.index(word_key(word))]] \
                 = coeff.const
     full = lsss_solve(build_symmetry_system(2))
     staged, _ = run_strategy(2, default_strategy(2))
@@ -70,23 +76,24 @@ def test_complete_split_combines_like_words():
     p = NCPoly({Word((U, V)): AffineForm.unknown(C[1])
                 + AffineForm.unknown(C[2]),
                 Word((V, U)): AffineForm.unknown(C[3])})
-    sys_ = complete_split([sorted_terms(p)], unknowns_of(p), ())
+    sys_ = complete_split([sorted_terms(p)], unknowns_of(p))
     assert len(sys_.equations) == 2
     forms = [eq.lhs for eq in sys_.equations]
     assert AffineForm(0, {C[1]: 1, C[2]: 1}) in forms
     assert AffineForm(0, {C[3]: 1}) in forms
-    assert complete_split([sorted_terms(NCPoly.zero())], (), ()) \
+    assert complete_split([sorted_terms(NCPoly.zero())], ()) \
         .equations == []
 
 
 def test_complete_split_prunes_and_numbers_across_conditions():
-    # ids run on across the conditions; a coefficient that prunes to zero
+    # ids run on across the conditions; a coefficient pruned to zero
     # makes no equation and takes no id, a nonzero constant stays
     first = [(word_key(Word((U,))), AffineForm(0, {C[1]: 2, C[2]: 4})),
              (word_key(Word((V,))), AffineForm.unknown(C[3]))]
     second = [(word_key(EMPTY_WORD), AffineForm(5, {C[3]: 1})),
               (word_key(Word((U, V))), AffineForm(0, {C[2]: -3, C[4]: 6}))]
-    sys_ = complete_split([first, second], C[1:5], {C[3]})
+    sys_ = complete_split([[(k, prune_zeros(c, {C[3]})) for k, c in terms]
+                           for terms in (first, second)], C[1:5])
     assert [eq.id for eq in sys_.equations] == [0, 1, 2]
     assert [eq.lhs for eq in sys_.equations] == [
         AffineForm(0, {C[1]: 1, C[2]: 2}), AffineForm.constant(1),
@@ -95,16 +102,16 @@ def test_complete_split_prunes_and_numbers_across_conditions():
 
 
 def test_selective_split_registers_single_unknown_coefficients():
-    p = NCPoly({Word((U, V)): AffineForm.unknown(C[1]),
-                Word((V, U)): AffineForm.unknown(C[2])
-                + AffineForm.unknown(C[3])})
-    zeros = set()
-    assert harvest(p, zeros) == 1
-    assert zeros == {C[1]}
-    # with c3 already zero the second coefficient prunes to a single term
-    zeros = {C[3]}
-    assert harvest(p, zeros) == 2
-    assert zeros == {C[1], C[2], C[3]}
+    # coefficients over slots 1..3 of a four-slot mask
+    p = NCPoly({Word((U, V)): AffineForm.unknown(1),
+                Word((V, U)): AffineForm.unknown(2) + AffineForm.unknown(3)})
+    dead = bytearray(4)
+    assert harvest(p, dead) == 1
+    assert slots_of(dead) == {1}
+    # with slot 3 already dead the second coefficient prunes to one term
+    dead = bytearray((0, 0, 0, 1))
+    assert harvest(p, dead) == 2
+    assert slots_of(dead) == {1, 2, 3}
 
 
 def test_prune_ncpoly():
@@ -122,7 +129,7 @@ def test_side_condition_k0_follows_the_degree():
         == [3, 3, 3, 4, 4, 5]
     # the side condition spans I^-4 .. I^4 at n = 11; an ansatz with no
     # words keeps the formulation itself empty
-    probe = SymmetryAnsatz(11, (), ())
+    probe = SymmetryAnsatz(11, ())
     nc = formulate_nc(probe)
     assert len(nc.aux) == 9
 
@@ -134,8 +141,9 @@ def test_formulate_nc_aux_unknowns():
     assert all(uid.kind == KIND_A for uid in nc.aux)
     assert unknowns_of(nc.residual) >= set(nc.aux)
     # solving the split side condition alone forces every auxiliary to zero
-    state = lsss_solve(complete_split([nc.keyed_terms()],
-                                      unknowns_of(nc.residual), ()))
+    ids = dict(enumerate(ans.slot_unknowns()))
+    state = lsss_solve(complete_split([relabelled(nc.keyed_terms(), ids)],
+                                      unknowns_of(nc.residual)))
     for uid in nc.aux:
         gone = uid in state.zeros or (
             uid in state.pivots and state.pivots[uid].is_zero)
@@ -149,10 +157,10 @@ def test_selective_split_on_degree3_side_condition_finds_zeros():
     nc = formulate_nc(ans)
     singles = {uid for coeff in nc.residual.terms.values()
                if coeff.term_count == 1 for uid in coeff.coeffs}
-    zeros = set()
-    found = selective_split(SortedCondition(nc.keyed_terms()), zeros)
+    dead = bytearray(ans.slot_count)
+    found = selective_split(SortedCondition(nc.keyed_terms()), dead)
     assert found >= len(singles) > 0
-    assert singles <= zeros
+    assert singles <= set(compress(ans.slot_unknowns(), dead))
 
 
 def test_unharvested_condition_is_the_formulated_polynomial():
@@ -172,7 +180,7 @@ def test_split_complete_reproduces_polynomial():
     ans = build_ansatz(2)
     formulated = formulate_symcon(sysm, ans, "u")
     split = complete_split([formulated.keyed_terms()],
-                           unknowns_of(formulated), ())
+                           unknowns_of(formulated))
     keys = sorted(formulated.terms)
     assert len(split.equations) == len(keys)
     for key, eq in zip(keys, split.equations):
@@ -193,12 +201,13 @@ def test_selective_split_zero_soundness_against_oracle():
     for n in (3, 4, 5):
         sysm = kontsevich_system()
         ans = build_ansatz(n)
-        zeros = set()
+        dead = bytearray(ans.slot_count)
         condition = SortedCondition(formulate_nc(ans).keyed_terms())
-        while selective_split(condition, zeros):
+        while selective_split(condition, dead):
             pass
         selective_split(SortedCondition(
-            formulate_symcon(sysm, ans, "u", zeros).keyed_terms()), zeros)
+            formulate_symcon(sysm, ans, "u", dead).keyed_terms()), dead)
+        zeros = set(compress(ans.slot_unknowns(), dead))
 
         full = build_symmetry_system(n, include_nc=True)
         _, basis = dense_nullspace_oracle(full)
