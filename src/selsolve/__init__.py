@@ -13,8 +13,8 @@ from .pipeline import (FixpointStrategy, RunReport, Strategy,
                        verify_by_matrices)
 from .solver import (SolutionState, find_zeros, length_sort, lsss_solve,
                      prune_zeros, stream_solve)
-from .symmetry import (COMMUTATOR_UV, COMMUTATOR_VU, CommutatorCondition,
-                       NecessaryCondition, SortedCondition, SymmetryAnsatz,
+from .symmetry import (COMMUTATOR_UV, COMMUTATOR_VU, Incidence,
+                       NecessaryCondition, SymmetryAnsatz,
                        SystemStats, build_ansatz, build_symmetry_system,
                        complete_split, first_integral_basis, formulate_nc,
                        formulate_symcon, kontsevich_system, prune_ncpoly,

@@ -85,10 +85,13 @@ def _cmd_stats(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     strategy = args.strategy or default_strategy(args.degree)
-    # the report alone: the full solution state is never assembled
-    report = run_pipeline(args.degree, strategy).report
-    for line in report.lines():
+    run = run_pipeline(args.degree, strategy)
+    for line in run.report.lines():
         print(line)
+    # the full solution state is assembled only to be written
+    if args.out:
+        write_solution(run.solution(), args.out)
+        print(f"wrote {args.out}")
     return 0
 
 
@@ -146,6 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="staged formulate/extract/solve run")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--strategy", help="explicit step text, e.g. (N)3SF")
+    p.add_argument("--out", help="solution path, in the solve format")
     p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("rank", help="rank and nullity of a system file")

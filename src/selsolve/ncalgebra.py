@@ -8,18 +8,20 @@ conditions built from them split into linear equations.
 
 Words also pack into ints (:func:`word_key`), and a derivation with
 unknown-free images (the system flow D_t) is applied on those keys by one
-Leibniz kernel, :func:`derive_keys`.  It adds every contribution into
-per-key sums of plain rationals, one per caller-given label, and joins
-each prefix * image * suffix with shifts and masks.  Images of inverse
-letters are never built: the kernel applies d(g^-1) = -g^-1 d(g) g^-1 by
-widening the sandwich around the letter instead.  The symmetry conditions
-and the first-integral search call it directly; :func:`apply_derivation`
-adapts it to polynomials.
+Leibniz kernel, :func:`derive_keys`.  It sums each source word's
+contributions in that word's own dict, from target key to plain
+rational, and hands the dict back before it begins the next word, so no
+table of sums over every word is built; each prefix * image * suffix is
+joined with shifts and masks.  Images of inverse letters are never
+built: the kernel applies d(g^-1) = -g^-1 d(g) g^-1 by widening the
+sandwich around the letter instead.  The symmetry conditions and the
+first-integral search pack its dicts into an incidence slot by slot;
+:func:`apply_derivation` adapts it to polynomials.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import NonlinearProductError
 from .linsys import AffineForm, Rational, format_affine
@@ -293,18 +295,22 @@ def _join_keys(left: int, mid: tuple, right: int, bits: int) -> int:
     return left << bits | right
 
 
-def derive_keys(d: Derivation, keys: Iterable[int], labels: Iterable,
-                acc: dict[int, dict], sign: Rational = 1) -> None:
-    """Add ``sign * d(w)`` per word key w into ``acc``, under w's label.
+def derive_keys(d: Derivation, keys: Iterable[int], sign: Rational = 1,
+                sums: Iterable[dict] | None = None) -> Iterator[dict]:
+    """``sign * d(w)`` per word key w, in turn, as one dict from target
+    key to coefficient; ``d`` is checked at once, and each word is
+    derived as the returned iterator reaches it.
 
-    ``acc`` maps a word key to a dict from label to rational; each
-    contribution of d(w) adds its coefficient to ``acc[key][label]``, so a
-    label stands for w's coefficient (an unknown, or a term index) and the
-    sums stay plain rationals.  The Leibniz rule splits w's key around
-    each letter and joins the image of ``d`` in between with shifts and
-    masks; at an inverse letter g^-1 it uses d(g^-1) = -g^-1 d(g) g^-1,
-    the sandwich widened by one letter, so inverse images are never built.
-    The images must be free of unknowns, keeping the sums linear.
+    Each word's contributions are summed in that word's own dict, which
+    is handed back before the next word is begun, so no sums of another
+    word are held; the dict is taken from ``sums`` in turn when given,
+    adding d(w) to what the caller has for w already, or made fresh.  A
+    sum that cancels stays in as 0.  The Leibniz rule splits w's key
+    around each letter and joins the image of ``d`` in between with
+    shifts and masks; at an inverse letter g^-1 it uses
+    d(g^-1) = -g^-1 d(g) g^-1, the sandwich widened by one letter, so
+    inverse images are never built.  The images must be free of
+    unknowns, keeping the sums linear.
     """
     if d.has_unknowns:
         raise NonlinearProductError(
@@ -318,7 +324,15 @@ def derive_keys(d: Derivation, keys: Iterable[int], labels: Iterable,
                mid[0] ^ 2 if mid else -2, mid[-1] ^ 2 if mid else -2,
                -sign * c.const if g & 2 else sign * c.const, mid)
               for mid, c in images[g & 1].terms.items()] for g in range(4)]
-    for key, label in zip(keys, labels):
+    # iter(dict, None) makes a fresh dict per word, without end
+    return _leibniz(joins, keys, iter(dict, None) if sums is None else sums)
+
+
+def _leibniz(joins: list, keys: Iterable[int],
+             sums: Iterable[dict]) -> Iterator[dict]:
+    # the loop of derive_keys, which has checked d and built ``joins``
+    for key, acc in zip(keys, sums):
+        get = acc.get
         for r in range(key.bit_length() - 3, -1, -2):
             g = key >> r & 3  # the letter at bit offset r
             if g & 2:
@@ -333,28 +347,23 @@ def derive_keys(d: Derivation, keys: Iterable[int], labels: Iterable,
                     target = _join_keys(left, mid, right, bits)
                 else:
                     target = (left << mid_bits | digits) << bits | right
-                slot = acc.get(target)
-                if slot is None:
-                    acc[target] = slot = {}
-                slot[label] = slot.get(label, 0) + c
+                acc[target] = get(target, 0) + c
+        yield acc
 
 
 def apply_derivation(d: Derivation, p: NCPoly) -> NCPoly:
     """Leibniz rule over every letter of every word of ``p``.
 
-    :func:`derive_keys` labels term j of ``p`` with j; each output word's
-    coefficient is then the sum of r * (coefficient of term j) over its
-    labels.  The derivation's images must be free of unknowns, keeping the
-    result affine in ``p``'s.
+    :func:`derive_keys` sums d(w) per word w of ``p``; each output word's
+    coefficient is then the sum of r * (coefficient of w) over the words
+    that reach it with r.  The derivation's images must be free of
+    unknowns, keeping the result affine in ``p``'s.
     """
-    coeffs = list(p.terms.values())
-    acc: dict[int, dict[int, Rational]] = {}
-    derive_keys(d, map(word_key, p.terms), range(len(coeffs)), acc)
-    terms: dict[Word, AffineForm] = {}
-    for key, slot in acc.items():
-        form = AffineForm.zero()
-        for j, r in slot.items():
-            form = form + coeffs[j].scaled(r)
-        if not form.is_zero:
-            terms[key_word(key)] = form
-    return NCPoly._raw(terms)
+    acc: dict[int, AffineForm] = {}
+    for coeff, sums in zip(p.terms.values(),
+                           derive_keys(d, map(word_key, p.terms))):
+        for key, r in sums.items():
+            form = coeff.scaled(r)
+            acc[key] = form if key not in acc else acc[key] + form
+    return NCPoly._raw({key_word(k): form for k, form in acc.items()
+                        if not form.is_zero})

@@ -10,16 +10,17 @@ A run numbers its unknowns by slot: slot i < 2t is the ansatz unknown
 c_i and slot 2t + j the side condition's auxiliary a_j.  The unknowns
 known to vanish are a ``bytearray`` mask over the slots, and every
 condition is labelled by slot.  N and S formulate their condition once,
-over the live slots: N as the side condition's sorted incidence of packed
-ints, which it stays until F, S as a list of (word key, coefficient)
-pairs in deglex order.  Every later N or S step harvests what is left of
-it in one pass and marks the slots it finds dead.  F makes an
-:class:`UnknownId` for each live slot only, relabels what is left of both
-conditions, N decoded only then, and the v-commutator condition
-formulated over the live slots, through the one :func:`complete_split`,
-and solves that live system.  The full :class:`SolutionState`, every
-zero included, is assembled from the mask only when it is asked for
-(:func:`run_strategy`); the ``pipeline`` command reads the report alone.
+over the live slots, as a sorted incidence of packed ints: N the side
+condition, S the u-commutator condition, its sums made per source word.
+Each stays ints until F; every later N or S step harvests what is left
+of it in one int walk and marks the slots it finds dead.  F makes an
+:class:`UnknownId` for each live slot only, decodes what is left of both
+conditions and the v-commutator condition, formulated over the live
+slots, over those unknowns, through the one :func:`complete_split`, and
+solves that live system.  The full :class:`SolutionState`, every zero
+included, is assembled from the mask only when it is asked for
+(:func:`run_strategy`, ``pipeline --out``); the ``pipeline`` command
+otherwise reads the report alone.
 
 The default strategy runs to a fixpoint: N repeats until a step harvests
 nothing; then, while an S step harvests something, N repeats again until
@@ -44,10 +45,10 @@ from .errors import ParseError, SelSolveError, SingularSampleError
 from .linsys import KIND_A, KIND_C, Rational, UnknownId
 from .ncalgebra import U_INV, V_INV, Derivation, Word
 from .solver import SolutionState, lsss_solve
-from .symmetry import (NecessaryCondition, SortedCondition, SymmetryAnsatz,
+from .symmetry import (Incidence, NecessaryCondition, SymmetryAnsatz,
                        _check_degree_guard, ansatz_term_count, build_ansatz,
                        complete_split, formulate_symcon, kontsevich_system,
-                       relabelled, selective_split)
+                       selective_split)
 
 DEFAULT_VERIFY_SEED = 1729
 _INVERTIBLE_RETRIES = 100
@@ -235,11 +236,11 @@ class _PipelineRun:
     ``dead`` holds one byte per slot of the ansatz and the side
     condition's auxiliaries, 1 once the slot's unknown is known to vanish;
     ``zero_count`` counts those bytes.  The conditions of N and S are
-    formulated on first use, over the live slots, and each is kept as a
-    :class:`SortedCondition` whose remainder every later step harvests in
-    one pass; N's holds its :class:`NecessaryCondition` itself.  F
-    makes an unknown for each live slot only, and solves the live system;
-    :meth:`solution` assembles the whole solution from the mask.
+    formulated on first use, over the live slots, and each is kept as its
+    :class:`Incidence`, whose remainder every later step harvests in one
+    pass.  F makes an unknown for each live slot only, and solves the
+    live system; :meth:`solution` assembles the whole solution from the
+    mask.
     """
 
     def __init__(self, degree: int):
@@ -249,19 +250,19 @@ class _PipelineRun:
         self.dead = bytearray(self.ansatz.slot_count)
         self.zero_count = 0
         self._aux_count = 0  # the auxiliaries are live once N is formulated
-        self._conditions: dict[str, SortedCondition] = {}
+        self._conditions: dict[str, Incidence] = {}
         self.report = RunReport()
         self._solved: SolutionState | None = None
 
-    def _condition(self, label: str) -> SortedCondition:
+    def _condition(self, label: str) -> Incidence:
         if label not in self._conditions:
             if label == "N":
-                terms = NecessaryCondition(self.ansatz, self.dead)
+                condition = NecessaryCondition(self.ansatz, self.dead)
                 self._aux_count = len(self.dead) - self.ansatz.unknown_count
             else:
-                terms = formulate_symcon(self.system, self.ansatz, "u",
-                                         self.dead).keyed_terms()
-            self._conditions[label] = SortedCondition(terms)
+                condition = formulate_symcon(self.system, self.ansatz, "u",
+                                             self.dead)
+            self._conditions[label] = condition
         return self._conditions[label]
 
     def _record(self, label: str, started: float, new: int, *sizes) -> None:
@@ -274,7 +275,7 @@ class _PipelineRun:
         new = selective_split(condition, self.dead)
         self.zero_count += new
         live = self.ansatz.unknown_count + self._aux_count - self.zero_count
-        self._record(label, started, new, 0, len(condition.terms), live)
+        self._record(label, started, new, 0, len(condition), live)
         return new
 
     def step_n(self) -> int:
@@ -287,12 +288,12 @@ class _PipelineRun:
         """Split what is left of N and S, and S_v formulated now, over the
         live slots' unknowns, and solve that live system."""
         started = time.perf_counter()
-        conditions = [self._condition(label).terms for label in "NS"]
-        conditions.append(formulate_symcon(
-            self.system, self.ansatz, "v", self.dead).keyed_terms())
-        ids = self.ansatz.live_unknowns(self.dead)
-        system = complete_split([relabelled(terms, ids)
-                                 for terms in conditions], ids.values())
+        conditions = [self._condition(label) for label in "NS"]
+        conditions.append(formulate_symcon(self.system, self.ansatz, "v",
+                                           self.dead))
+        labels = self.ansatz.live_unknowns(self.dead)
+        system = complete_split([c.keyed_terms(labels) for c in conditions],
+                                [u for u in labels if u is not None])
         self._solved = solved = lsss_solve(system)
         self._record("F", started, len(solved.zeros), len(system))
         report = self.report

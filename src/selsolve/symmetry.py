@@ -15,27 +15,30 @@ throughout formulation.  The ansatz stores only its word keys; slot i of
 the 2t ansatz slots is the unknown c_i, and slot 2t + j is the side
 condition's auxiliary a_j.  The unknowns known to vanish are a
 ``bytearray`` mask over the slots, 1 per dead slot, and each condition
-is formulated over the live slots and labels them by slot number.  A
-commutator condition sums its coefficients per word key
-(:class:`CommutatorCondition`); the side condition is a sorted incidence
-of packed ints (:class:`NecessaryCondition`).  Either streams one list of
-(word key, coefficient) pairs in increasing key order, which is deglex
-order, and no harvested word is decoded.  A staged run holds a condition
-as a :class:`SortedCondition`; every harvest is one pass in that order
-that prunes, marks the slot of each 1-term word dead and keeps the
-remainder for the next pass.  A commutator condition is held as its
-pairs; the side condition stays an incidence through every pass, which
-keeps the surviving ints, and is decoded only when it is split.
-:func:`relabelled` turns the slots into their unknowns, dropping dead
-ones, and :func:`complete_split` is the one path from such lists to a
-numbered :class:`LinearSystem`.
+is formulated over the live slots and labels them by slot.  Every
+condition is an :class:`Incidence`: a sorted list of packed ints
+``key << shift | slot << 1 | sign``, one per nonzero coefficient, whose
+order is deglex order; a coefficient that is not +-1 keeps its exact
+value in a side table.  The side condition (:class:`NecessaryCondition`)
+packs two entries per live slot directly.  A commutator condition sums
+per source word: each live slot's dict of sums is seeded with its
+D_tau(P_x) targets, the Leibniz kernel adds -D_t(Q_x) into it, and its
+nonzero sums are packed before the next slot's dict is made, so no table
+over every word is held and no word is decoded.  A staged run holds
+each condition as its incidence; every harvest is one pass over the ints
+in key order that prunes, marks the slot of each 1-term word dead and
+keeps the surviving ints for the next pass.  A condition is decoded into
+(word key, coefficient) pairs once, when it is split, labelling each
+live slot by its unknown and dropping dead ones; :func:`complete_split`
+is the one path from such pairs to a numbered :class:`LinearSystem`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain, compress, groupby
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import TooLargeError
 from .linsys import (FORMULATE_MAX_UNKNOWNS, KIND_A, KIND_C, AffineForm,
@@ -139,12 +142,15 @@ class SymmetryAnsatz:
         return (UnknownId.span(KIND_C, c)
                 + UnknownId.span(KIND_A, self.slot_count - c))
 
-    def live_unknowns(self, dead: bytes) -> dict[int, UnknownId]:
-        """The unknown of each slot ``dead`` leaves live, by slot; no
-        unknown is made for a dead slot."""
+    def live_unknowns(self, dead: bytes) -> list[UnknownId | None]:
+        """The unknown of each slot ``dead`` leaves live, None for a dead
+        one, in slot order; no unknown is made for a dead slot."""
         c = self.unknown_count
-        return {s: UnknownId(KIND_C, s) if s < c else UnknownId(KIND_A, s - c)
-                for s in compress(range(len(dead)), dead.translate(FLIP))}
+        labels: list[UnknownId | None] = [None] * len(dead)
+        for s in compress(range(len(dead)), dead.translate(FLIP)):
+            labels[s] = (UnknownId(KIND_C, s) if s < c
+                         else UnknownId(KIND_A, s - c))
+        return labels
 
     def derivation(self, zeros: Collection[UnknownId] = ()) -> Derivation:
         """D_tau over the unknowns that are not in ``zeros``."""
@@ -221,49 +227,57 @@ def sandwich_keys(left: tuple, right: tuple,
     return out
 
 
-class NecessaryCondition:
-    """D_tau(I) = sum over k of aux[k0+k] I^k as a sorted sparse incidence.
+#: The sign bit of an entry whose coefficient is +-1.
+_UNIT_SIGN = {1: 0, -1: 1}
 
-    A letter of I = u v u^-1 v^-1 contributes +-L Q R, so the live slot
-    of a word w in Q1 (Q2) occurs with +1 on reduce(L w R) around u (v)
-    and -1 around u^-1 (v^-1), or not at all where the two coincide; aux[i]
-    in slot 2t + i occurs with -1 on I^(i - k0), k0 from
-    :func:`side_condition_k0`.  An occurrence is an int, the word's
-    :func:`word_key` above the slot and sign: one sort orders the words
-    deglex, none yet built.  Only the slots live in ``dead`` enter; the
-    auxiliaries always do.
 
-    The condition stays these ints until it is split: :meth:`harvest` walks
-    them and keeps the live entries of the words that survive.  Iterating
-    decodes what is left as (word key, coefficient over slots) pairs, and
-    ``len`` is the number of words left.
+class Incidence:
+    """A condition as a sorted sparse incidence of words and slots.
+
+    An entry is one int, ``key << shift | slot << 1 | sign``: the word's
+    :func:`word_key` above the slot whose coefficient it carries, and 1 in
+    the sign bit for a negative one.  One sort orders the words deglex,
+    and within a word every slot occurs at most once.  A coefficient
+    that is not +-1 keeps its exact value in a side table keyed by the
+    entry, read only when decoding; the conditions of the default system
+    have none.
+
+    The condition stays these ints until it is split: :meth:`harvest`
+    walks them and keeps the live entries of the words that survive.
+    :meth:`keyed_terms` decodes what is left, and ``len`` is the number
+    of words left.
     """
 
-    def __init__(self, ansatz: SymmetryAnsatz, dead: bytes | None = None):
-        self._ansatz = ansatz
-        self._k0 = k0 = side_condition_k0(ansatz.degree)
-        self._shift = shift = (2 * ansatz.slot_count).bit_length()
-        keys, i_word = ansatz.keys, COMMUTATOR_UV
-        t = len(keys)
-        entries = [word_key(word_pow(i_word, i - k0)) << shift
-                   | (2 * t + i) << 1 | 1 for i in range(2 * k0 + 1)]
-        for g in (U, V):  # I holds g at position g, its inverse at g + 2
-            # live words and slots are read through the mask where they are
-            # used, so no list of them is held next to the entries
-            first = g * t
-            live = _live_mask(dead, first, first + t)
-            plus = sandwich_keys(i_word[:g], i_word[g + 1:],
-                                 compress(keys, live))
-            minus = sandwich_keys(i_word[:g + 3], i_word[g + 2:],
-                                  compress(keys, live))
-            slots = range(first, first + t)
-            entries += [p << shift | s << 1 for p, q, s in
-                        zip(plus, minus, compress(slots, live)) if p != q]
-            entries += [q << shift | s << 1 | 1 for p, q, s in
-                        zip(plus, minus, compress(slots, live)) if p != q]
+    __slots__ = ("_entries", "_shift", "_exact", "_words")
+
+    def __init__(self, entries: list[int], shift: int,
+                 exact: dict[int, Rational] | None = None):
         entries.sort()
-        self._entries = entries
+        self._entries, self._shift = entries, shift
+        self._exact = exact or {}
         self._words: int | None = None
+
+    @classmethod
+    def pack(cls, sums: Iterable[tuple[int, Mapping[int, Rational]]],
+             slot_count: int) -> "Incidence":
+        """The incidence of per-slot sums: (slot, map from word key to
+        coefficient) per slot; a sum of 0 drops out."""
+        shift = (2 * slot_count).bit_length()
+        entries: list[int] = []
+        exact: dict[int, Rational] = {}
+        for slot, by_key in sums:
+            base = slot << 1
+            try:
+                entries += [k << shift | base | _UNIT_SIGN[c]
+                            for k, c in by_key.items() if c]
+            except KeyError:  # a sum that is not +-1 is kept exactly
+                for k, c in by_key.items():
+                    if c:
+                        e = k << shift | base | (c < 0)
+                        entries.append(e)
+                        if c != 1 and c != -1:
+                            exact[e] = c
+        return cls(entries, shift, exact)
 
     def __len__(self) -> int:
         if self._words is None:
@@ -271,32 +285,41 @@ class NecessaryCondition:
             self._words = len({e >> shift for e in self._entries})
         return self._words
 
-    def __iter__(self) -> Iterator[tuple[int, AffineForm]]:
-        return self.keyed_terms()
-
-    @property
-    def aux(self) -> tuple[UnknownId, ...]:
-        """The auxiliary unknowns a_0 .. a_2k0."""
-        return UnknownId.span(KIND_A, 2 * self._k0 + 1)
-
     def keyed_terms(self, labels: Sequence | None = None
                     ) -> Iterator[tuple[int, AffineForm]]:
-        """(word key, coefficient) per word, in deglex order, over slots
-        or over ``labels``, the label of each slot."""
-        shift = self._shift
+        """(word key, coefficient) per word left, in deglex order, over
+        slots or over ``labels``, the label of each slot.  A slot labelled
+        None is dead and drops out, and so does a word left with none."""
+        shift, exact = self._shift, self._exact
         low = (1 << shift) - 1
         if labels is None:
-            labels = range(self._ansatz.slot_count)
-        for key, run in groupby(self._entries, lambda e: e >> shift):
-            yield key, AffineForm._raw(0, {
-                labels[(e & low) >> 1]: 1 - 2 * (e & 1) for e in run})
+            labels = range(1 << shift - 1)
+        unit = (1, -1)
+        word, coeffs = 0, {}  # 0 is no word's key
+        for e in self._entries:
+            key = e >> shift
+            if key != word:
+                coeffs.pop(None, None)
+                if coeffs:
+                    yield word, AffineForm._raw(0, coeffs)
+                word, coeffs = key, {}
+            coeffs[labels[(e & low) >> 1]] = exact.get(e) or unit[e & 1]
+        coeffs.pop(None, None)
+        if coeffs:
+            yield word, AffineForm._raw(0, coeffs)
+
+    @property
+    def terms(self) -> "DecodedTerms":
+        """Word key to coefficient over slots, a view for tests and
+        tracing."""
+        return DecodedTerms(self)
 
     def harvest(self, dead: bytearray) -> int:
         """One :func:`selective_split` pass over the ints, in key order.
 
         An entry whose slot is dead drops out as it is reached; a word
         left with one entry marks its slot dead, one left with more keeps
-        them.  Every coefficient is +-1 on distinct slots, so a word
+        them.  Every coefficient is nonzero on distinct slots, so a word
         vanishes only by pruning.  Returns the number of slots marked.
         """
         shift = self._shift
@@ -318,6 +341,75 @@ class NecessaryCondition:
         self._entries, self._words = kept, words
         return found
 
+
+class DecodedTerms(Mapping):
+    """The words left in an :class:`Incidence`, word key to coefficient
+    over slots, decoded each time they are read; ``len`` decodes
+    nothing."""
+
+    __slots__ = ("_incidence",)
+
+    def __init__(self, incidence: Incidence):
+        self._incidence = incidence
+
+    def __len__(self) -> int:
+        return len(self._incidence)
+
+    def __iter__(self) -> Iterator[int]:
+        return (key for key, _ in self._incidence.keyed_terms())
+
+    def __getitem__(self, key: int) -> AffineForm:
+        return dict(self._incidence.keyed_terms())[key]
+
+    def items(self) -> Iterator[tuple[int, AffineForm]]:
+        return self._incidence.keyed_terms()
+
+    def values(self) -> Iterator[AffineForm]:
+        return (coeff for _, coeff in self._incidence.keyed_terms())
+
+
+class NecessaryCondition(Incidence):
+    """D_tau(I) = sum over k of aux[k0+k] I^k as an :class:`Incidence`.
+
+    A letter of I = u v u^-1 v^-1 contributes +-L Q R, so the live slot
+    of a word w in Q1 (Q2) occurs with +1 on reduce(L w R) around u (v)
+    and -1 around u^-1 (v^-1), or not at all where the two coincide; aux[i]
+    in slot 2t + i occurs with -1 on I^(i - k0), k0 from
+    :func:`side_condition_k0`.  Only the slots live in ``dead`` enter; the
+    auxiliaries always do.
+    """
+
+    __slots__ = ("_ansatz", "_k0")
+
+    def __init__(self, ansatz: SymmetryAnsatz, dead: bytes | None = None):
+        self._ansatz = ansatz
+        self._k0 = k0 = side_condition_k0(ansatz.degree)
+        shift = (2 * ansatz.slot_count).bit_length()
+        keys, i_word = ansatz.keys, COMMUTATOR_UV
+        t = len(keys)
+        entries = [word_key(word_pow(i_word, i - k0)) << shift
+                   | (2 * t + i) << 1 | 1 for i in range(2 * k0 + 1)]
+        for g in (U, V):  # I holds g at position g, its inverse at g + 2
+            # live words and slots are read through the mask where they are
+            # used, so no list of them is held next to the entries
+            first = g * t
+            live = _live_mask(dead, first, first + t)
+            plus = sandwich_keys(i_word[:g], i_word[g + 1:],
+                                 compress(keys, live))
+            minus = sandwich_keys(i_word[:g + 3], i_word[g + 2:],
+                                  compress(keys, live))
+            slots = range(first, first + t)
+            entries += [p << shift | s << 1 for p, q, s in
+                        zip(plus, minus, compress(slots, live)) if p != q]
+            entries += [q << shift | s << 1 | 1 for p, q, s in
+                        zip(plus, minus, compress(slots, live)) if p != q]
+        super().__init__(entries, shift)
+
+    @property
+    def aux(self) -> tuple[UnknownId, ...]:
+        """The auxiliary unknowns a_0 .. a_2k0."""
+        return UnknownId.span(KIND_A, 2 * self._k0 + 1)
+
     @property
     def residual(self) -> NCPoly:
         """The condition as a polynomial over its unknowns, a view for
@@ -332,46 +424,8 @@ def formulate_nc(ansatz: SymmetryAnsatz,
     return NecessaryCondition(ansatz, dead)
 
 
-class CommutatorCondition:
-    """A condition summed by the Leibniz kernel, a commutator condition or
-    D_t of the first-integral ansatz, as a map from word key to coefficient.
-
-    ``terms`` holds only the words whose coefficient does not vanish, in no
-    particular order; :meth:`keyed_terms` streams them in deglex order.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[int, AffineForm]):
-        self.terms = terms
-
-    @classmethod
-    def from_sums(cls, acc: dict[int, dict[int, Rational]]
-                  ) -> "CommutatorCondition":
-        """The condition of per-key sums of rationals per label, as
-        :func:`derive_keys` leaves them; zero sums drop out, and each
-        key's sums become its coefficient's map in place."""
-        vanished = []
-        for key, sums in acc.items():
-            if 0 in sums.values():
-                sums = {u: c for u, c in sums.items() if c}
-                if not sums:
-                    vanished.append(key)
-            acc[key] = AffineForm._raw(0, sums)
-        for key in vanished:
-            del acc[key]
-        return cls(acc)
-
-    def keyed_terms(self) -> Iterator[tuple[int, AffineForm]]:
-        """(word key, coefficient) per word, in deglex order."""
-        terms = self.terms
-        for key in sorted(terms):
-            yield key, terms[key]
-
-
 def formulate_symcon(system: Derivation, ansatz: SymmetryAnsatz, which: str,
-                     dead: bytes | None = None,
-                     labels: Sequence | None = None) -> CommutatorCondition:
+                     dead: bytes | None = None) -> Incidence:
     """The commutator condition D_tau(D_t x) - D_t(D_tau x) for x = u or v.
 
     Identically zero exactly when the ansatz flow commutes with the system
@@ -379,106 +433,58 @@ def formulate_symcon(system: Derivation, ansatz: SymmetryAnsatz, which: str,
     ansatz, and every word stays a key.  D_tau(P_x) takes one
     :func:`sandwich_keys` call per letter of each term of P_x = D_t x, at
     an inverse letter g^-1 by d(g^-1) = -g^-1 d(g) g^-1, the sandwich
-    widened by one letter; -D_t(Q_x) is the Leibniz kernel
-    :func:`derive_keys` on the live words' keys, labelled by their slots
-    or by ``labels``, the label of each ansatz slot.  The sums are kept
-    per word key and label; zero sums drop out.
+    widened by one letter.  Each live slot's targets seed its own dict of
+    sums, into which the Leibniz kernel :func:`derive_keys` adds
+    -D_t(Q_x) for a slot of Q_x; each nonzero sum becomes one entry of
+    the :class:`Incidence`, labelled by slot, and no other slot's sums
+    are held meanwhile.
     """
     if which not in ("u", "v"):
         raise ValueError("which must be 'u' or 'v'")
     x, t = "uv".index(which), len(ansatz.keys)
-    if labels is None:
-        labels = range(2 * t)
-    live = []  # per generator: the keys and labels of its live words
+    live = []  # per generator: the keys and slots of its live words
     for start in (0, t):
         mask = _live_mask(dead, start, start + t)
         live.append((list(compress(ansatz.keys, mask)),
-                     list(compress(labels[start:start + t], mask))))
+                     list(compress(range(start, start + t), mask))))
     images = (system.image_u, system.image_v)
-    acc: dict[int, dict] = {}
+    # per generator: (sandwich targets of its live words, coefficient) per
+    # letter of P_x's terms that is that generator or its inverse
+    columns: tuple[list, list] = ([], [])
     for word, coeff in images[x].terms.items():
         for i, g in enumerate(word):
             if g & 2:
                 left, right, c = word[:i + 1], word[i:], -coeff.const
             else:
                 left, right, c = word[:i], word[i + 1:], coeff.const
-            keys, labelled = live[g & 1]
-            for target, u in zip(sandwich_keys(left, right, keys), labelled):
-                sums = acc.get(target)
-                if sums is None:
-                    acc[target] = sums = {}
-                sums[u] = sums.get(u, 0) + c
-    derive_keys(system, *live[x], acc, sign=-1)
-    return CommutatorCondition.from_sums(acc)
+            columns[g & 1].append(
+                (sandwich_keys(left, right, live[g & 1][0]), c))
+
+    def seeded(y: int) -> Iterator[dict]:
+        for i in range(len(live[y][0])):
+            sums: dict = {}
+            for targets, c in columns[y]:
+                key = targets[i]
+                sums[key] = sums.get(key, 0) + c
+            yield sums
+
+    keys, slots = live[x]
+    other = 1 - x
+    return Incidence.pack(chain(
+        zip(slots, derive_keys(system, keys, -1, seeded(x))),
+        zip(live[other][1], seeded(other))), ansatz.slot_count)
 
 
-class SortedCondition:
-    """A formulated condition held for repeated harvesting.
-
-    ``terms`` are (word key, coefficient) pairs in increasing key order, or
-    a :class:`NecessaryCondition`, which stays an incidence of ints until
-    it is split and decodes into such pairs when iterated; ``len(terms)``
-    after a pass is the number of words left either way.  Each
-    :func:`selective_split` pass replaces the pairs by the pruned
-    remainder, in order: words that yielded a zero or pruned to zero drop
-    out, and a nonzero constant stays, so the final split reports the
-    contradiction.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Iterable[tuple[int, AffineForm]]):
-        self.terms = terms
-
-
-def selective_split(p: SortedCondition, dead: bytearray) -> int:
+def selective_split(p: Incidence, dead: bytearray) -> int:
     """Harvest zeros from words whose pruned coefficient is a single term.
 
-    One pass in key order over coefficients labelled by slot; each is
-    pruned against the ``dead`` mask as it grows, so finds take effect
-    immediately.  The condition keeps the remainder for the next pass; a
-    side condition keeps it as ints (:meth:`NecessaryCondition.harvest`).
-    Returns the number of slots marked dead.
+    One pass in key order over the incidence's ints, labelled by slot;
+    each word is pruned against the ``dead`` mask as it is reached, so
+    finds take effect immediately, and the incidence keeps the remainder
+    for the next pass (:meth:`Incidence.harvest`).  Returns the number of
+    slots marked dead.
     """
-    if isinstance(p.terms, NecessaryCondition):
-        return p.terms.harvest(dead)
-    found = 0
-    kept = []
-    is_dead = dead.__getitem__
-    for term in p.terms:
-        coeff = term[1]
-        coeffs = coeff.coeffs
-        if any(map(is_dead, coeffs)):
-            coeffs = {s: r for s, r in coeffs.items() if not dead[s]}
-            coeff = AffineForm._raw(coeff.const, coeffs)
-            term = (term[0], coeff)
-        if len(coeffs) == 1 and coeff.const == 0:
-            (s,) = coeffs
-            dead[s] = 1
-            found += 1
-        elif coeffs or coeff.const:
-            kept.append(term)
-    p.terms = kept
-    return found
-
-
-def relabelled(terms: Iterable[tuple[int, AffineForm]],
-               ids: Mapping[int, UnknownId]
-               ) -> Iterator[tuple[int, AffineForm]]:
-    """(word key, coefficient) pairs over slots, each slot replaced by its
-    unknown in ``ids``.
-
-    A slot ``ids`` lacks is dead and drops out, and so does a word left
-    with neither an unknown nor a constant.
-    """
-    get = ids.get
-    for key, coeff in terms:
-        coeffs = coeff.coeffs
-        # every dead slot lands on the one key None
-        labelled = dict(zip(map(get, coeffs), coeffs.values()))
-        labelled.pop(None, None)
-        if labelled or coeff.const:
-            yield key, AffineForm._raw(coeff.const, labelled)
+    return p.harvest(dead)
 
 
 def complete_split(conditions: Iterable[Iterable[tuple[int, AffineForm]]],
@@ -516,8 +522,8 @@ def build_symmetry_system(degree: int,
         conditions = [formulate_nc(ansatz).keyed_terms(universe)]
     else:
         conditions, universe = [], universe[:ansatz.unknown_count]
-    conditions += [formulate_symcon(system, ansatz, x, labels=universe)
-                   .keyed_terms() for x in "uv"]
+    conditions += [formulate_symcon(system, ansatz, x).keyed_terms(universe)
+                   for x in "uv"]
     return complete_split(conditions, universe)
 
 
@@ -580,20 +586,21 @@ def first_integral_basis(system: Derivation, degree: int) -> list[NCPoly]:
     """A basis of the first integrals of degree <= n, constants included.
 
     The ansatz is one fresh unknown per word key; the Leibniz kernel
-    :func:`derive_keys` sums D_t(ansatz) per word key, which is split
-    completely in key order and solved once.  Each free unknown gives one
-    integral, so the basis length is the dimension of the space; only the
-    basis decodes its keys into words.
+    :func:`derive_keys` sums D_t of each word, packed into one
+    :class:`Incidence` by slot, which is split completely in key order
+    and solved once.  Each free unknown gives one integral, so the basis
+    length is the dimension of the space; only the basis decodes its keys
+    into words.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
     _check_degree_guard(degree, 1)
     keys = enumerate_keys(degree)
     unknowns = UnknownId.span(KIND_C, len(keys))
-    acc: dict[int, dict[UnknownId, Rational]] = {}
-    derive_keys(system, keys, unknowns, acc)
-    condition = CommutatorCondition.from_sums(acc)
-    state = lsss_solve(complete_split([condition.keyed_terms()], unknowns))
+    condition = Incidence.pack(
+        enumerate(derive_keys(system, keys)), len(keys))
+    state = lsss_solve(complete_split([condition.keyed_terms(unknowns)],
+                                      unknowns))
     return [NCPoly._from_acc({key_word(k): AffineForm.constant(vec[u])
                               for k, u in zip(keys, unknowns) if u in vec})
             for vec in state.basis()]

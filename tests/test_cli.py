@@ -1,6 +1,7 @@
 import contextlib
 import errno
 import gc
+import hashlib
 import io
 import os
 import subprocess
@@ -202,6 +203,39 @@ def test_pipeline_explicit_strategy(capsys):
     assert main(["pipeline", "--degree", "3", "--strategy", "NNF"]) == 0
     out = capsys.readouterr().out
     assert "step 3: F" in out
+
+
+#: sha256 of the solution file ``solve`` writes for ``gen --nc --degree 7``
+#: (the pin of ``perfbench/worker.py`` and the CI package job).
+SOLUTION_7_SHA256 = \
+    "7b65518a1adec3d8ab8722db44eb3f22a0e2f00ed65a317d0d8d22ae8ae9c731"
+
+
+def test_pipeline_out_writes_the_solve_solution(tmp_path, capsys):
+    # the staged run's assembled solution, byte for byte the file solve
+    # writes after formulating everything
+    path = tmp_path / "p7.sol"
+    assert main(["pipeline", "--degree", "7", "--out", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["final: zeros=8615 pivots=131 free=7",
+                          f"wrote {path}"]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SOLUTION_7_SHA256
+    missing = tmp_path / "no-such-dir" / "p3.sol"
+    assert main(["pipeline", "--degree", "3", "--out", str(missing)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {missing}: ")
+
+
+def test_pipeline_out_passes_verify_at_degree_9(tmp_path, monkeypatch,
+                                                capsys):
+    # beyond the reference table: the written solution passes the matrix
+    # check from the command line
+    monkeypatch.setenv(GUARD_ENV_VAR, "100000")
+    path = tmp_path / "p9.sol"
+    assert main(["pipeline", "--degree", "9", "--out", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-2] \
+        == "final: zeros=78161 pivots=564 free=12"
+    assert main(["verify", "--degree", "9", "--solution", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "verify: PASS"
 
 
 def test_bad_strategy_exits_nonzero(capsys):

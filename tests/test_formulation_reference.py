@@ -6,14 +6,17 @@ added as an ``AffineForm``, the ansatz images built in full and then pruned,
 and conditions assembled by ``NCPoly`` subtraction.  The kernel must give
 exactly the same polynomials.
 
-The package formulates both kinds of condition on word keys: the side
-condition as an incidence, the commutators and ``apply_derivation`` by
-one keyed Leibniz kernel.  Each is also checked against the word-tuple
-Leibniz kernel the package used before, kept here in full
-(:class:`ReferenceAccumulator`, with :func:`reduce_sandwich` and its mode
-for unknowns in the derivation's images), and so is the first harvest of
-each.  The side condition, held as its incidence through a whole staged
-run, is checked pass by pass against its decoded pairs.
+The package formulates both kinds of condition on word keys as a sorted
+incidence of packed ints: the side condition directly, the commutators
+and ``apply_derivation`` by one keyed Leibniz kernel.  Each is also
+checked against the word-tuple Leibniz kernel the package used before,
+kept here in full (:class:`ReferenceAccumulator`, with
+:func:`reduce_sandwich` and its mode for unknowns in the derivation's
+images), and so is the first harvest of each.  The harvest the package
+ran on (word key, coefficient) pairs before is kept here too
+(:class:`PairCondition`, :func:`pair_split`, :func:`relabelled`); each
+condition, held as its incidence through a whole staged run, is checked
+pass by pass against its decoded pairs harvested that way.
 """
 
 import random
@@ -31,10 +34,10 @@ from selsolve.ncalgebra import (EMPTY_WORD, U, U_INV, V, V_INV, Derivation,
                                 apply_derivation, key_word, poly_mul,
                                 reduce_letters, word_key, word_mul, word_pow)
 from selsolve.pipeline import run_strategy
-from selsolve.symmetry import (COMMUTATOR_UV, NecessaryCondition,
-                               SortedCondition, build_ansatz, complete_split,
-                               enumerate_keys, formulate_nc, formulate_symcon,
-                               kontsevich_system, prune_ncpoly, relabelled,
+from selsolve.symmetry import (COMMUTATOR_UV, Incidence, NecessaryCondition,
+                               build_ansatz, complete_split, enumerate_keys,
+                               formulate_nc, formulate_symcon,
+                               kontsevich_system, prune_ncpoly,
                                selective_split, side_condition_k0)
 
 from test_properties import random_poly, random_word
@@ -42,6 +45,43 @@ from test_words import enumerate_words, reduced_words, sorted_terms
 
 derandomized = settings(derandomize=True, database=None, deadline=None,
                        max_examples=300)
+
+
+class PairCondition:
+    """A condition held as (word key, coefficient) pairs in increasing key
+    order, harvested by :func:`pair_split`."""
+
+    def __init__(self, terms):
+        self.terms = list(terms)
+
+
+def pair_split(p, dead):
+    """The selective split on pairs: one pass in key order, each
+    coefficient pruned against the ``dead`` mask as it is reached; a
+    coefficient left with one slot and no constant marks that slot dead,
+    and the words left with a slot or a constant stay, in order."""
+    found = 0
+    kept = []
+    for key, coeff in p.terms:
+        coeffs = {s: r for s, r in coeff.coeffs.items() if not dead[s]}
+        if len(coeffs) == 1 and coeff.const == 0:
+            (s,) = coeffs
+            dead[s] = 1
+            found += 1
+        elif coeffs or coeff.const:
+            kept.append((key, AffineForm._raw(coeff.const, coeffs)))
+    p.terms = kept
+    return found
+
+
+def relabelled(terms, ids):
+    """(word key, coefficient) pairs over slots, each slot replaced by its
+    unknown in the mapping ``ids``; a slot it lacks drops out, and so does
+    a word left with neither an unknown nor a constant."""
+    for key, coeff in terms:
+        labelled = {ids[s]: r for s, r in coeff.coeffs.items() if s in ids}
+        if labelled or coeff.const:
+            yield key, AffineForm._raw(coeff.const, labelled)
 
 
 def reference_words(max_degree):
@@ -272,7 +312,7 @@ def test_formulations_match_reference(degree):
     ansatz = build_ansatz(degree)
     empty = set()
     harvested = bytearray(ansatz.slot_count)
-    selective_split(SortedCondition(slotted(ansatz, sorted_terms(
+    pair_split(PairCondition(slotted(ansatz, sorted_terms(
         reference_nc(ansatz, 3, empty)))), harvested)
     harvested = zeros_of(ansatz, harvested)
     assert len(harvested) > 0
@@ -302,68 +342,92 @@ def test_first_harvest_matches_accumulator_reference(degree):
     # harvest
     ansatz = build_ansatz(degree)
     harvested = bytearray(ansatz.slot_count)
-    selective_split(SortedCondition(
-        formulate_symcon(kontsevich_system(), ansatz, "u").keyed_terms()),
-        harvested)
+    selective_split(formulate_symcon(kontsevich_system(), ansatz, "u"),
+                    harvested)
     assert any(harvested)
     for start in (bytearray(ansatz.slot_count), harvested):
         got_dead, want_dead = bytearray(start), bytearray(start)
-        got = SortedCondition(NecessaryCondition(ansatz, start))
-        want = SortedCondition(slotted(ansatz, sorted_terms(
+        got = NecessaryCondition(ansatz, start)
+        want = PairCondition(slotted(ansatz, sorted_terms(
             accumulator_nc(ansatz, zeros_of(ansatz, start)))))
         found = selective_split(got, got_dead)
-        assert found == selective_split(want, want_dead) > 0
+        assert found == pair_split(want, want_dead) > 0
         assert got_dead == want_dead
-        assert len(got.terms) == len(want.terms)
-        assert list(got.terms) == want.terms
+        assert len(got) == len(want.terms)
+        assert list(got.keyed_terms()) == want.terms
+
+
+def lockstep_run(degree, paired):
+    """The fixpoint strategy run twice in lockstep: every condition held
+    as its incidence, as a staged run holds it, and the same run with the
+    condition labelled ``paired`` ("N" or "S") decoded into (word key,
+    coefficient) pairs up front and harvested by :func:`pair_split`.
+    Every pass finds as many zeros, the same ones, and leaves the same
+    words; then both give the same F system.  Returns the zeros per pass.
+    """
+    system = kontsevich_system()
+    ansatz = build_ansatz(degree)
+    zeros = [bytearray(ansatz.slot_count), bytearray(ansatz.slot_count)]
+    conditions = {}
+    passes = []
+
+    def formulate(label, dead):
+        if label == "N":
+            return NecessaryCondition(ansatz, dead)
+        return formulate_symcon(system, ansatz, "u", dead)
+
+    def harvest(label):
+        if label not in conditions:
+            held = formulate(label, zeros[1])
+            pairs = formulate(label, zeros[0])
+            if label == paired:
+                pairs = PairCondition(pairs.keyed_terms())
+            conditions[label] = (pairs, held)
+        pairs, held = conditions[label]
+        split = pair_split if label == paired else selective_split
+        found = [split(pairs, zeros[0]), selective_split(held, zeros[1])]
+        assert found[0] == found[1]
+        assert zeros[0] == zeros[1]
+        if label == paired:
+            assert len(held) == len(pairs.terms)
+            assert list(held.keyed_terms()) == pairs.terms
+        passes.append(found[0])
+        return found[0]
+
+    while harvest("N"):
+        pass
+    while harvest("S"):
+        while harvest("N"):
+            pass
+    assert paired in conditions
+    f_systems = []
+    for side, dead in enumerate(zeros):
+        held = [conditions[label][side] for label in "NS"]
+        held.append(formulate_symcon(system, ansatz, "v", dead))
+        labels = ansatz.live_unknowns(dead)
+        ids = {s: u for s, u in enumerate(labels) if u is not None}
+        f_systems.append(complete_split(
+            [relabelled(c.terms, ids) if isinstance(c, PairCondition)
+             else c.keyed_terms(labels) for c in held], ids.values()))
+    pairs, held = f_systems
+    assert held == pairs
+    assert len(held) > 0
+    return passes
 
 
 @pytest.mark.parametrize("degree", range(3, 9))
 def test_held_incidence_matches_decoded_pairs_pass_by_pass(degree):
-    # The fixpoint strategy run twice in lockstep: N held as the incidence,
-    # as a staged run holds it, and N decoded into (word key, coefficient)
-    # pairs up front.  Every pass finds as many zeros, the same ones, and
-    # leaves the same words; then both give the same F system.
-    system = kontsevich_system()
-    ansatz = build_ansatz(degree)
-    nc = NecessaryCondition(ansatz)
-    side = [SortedCondition(list(nc.keyed_terms())), SortedCondition(nc)]
-    zeros = [bytearray(ansatz.slot_count), bytearray(ansatz.slot_count)]
-    commutator = []
-    passes = []
-
-    def harvest(conditions):
-        found = [selective_split(c, z) for c, z in zip(conditions, zeros)]
-        assert found[0] == found[1]
-        assert zeros[0] == zeros[1]
-        pairs, held = side
-        assert len(held.terms) == len(pairs.terms)
-        assert list(held.terms) == pairs.terms
-        passes.append(found[0])
-        return found[0]
-
-    def step_s():
-        if not commutator:
-            commutator.extend(SortedCondition(
-                formulate_symcon(system, ansatz, "u", z).keyed_terms())
-                for z in zeros)
-        return harvest(commutator)
-
-    while harvest(side):
-        pass
-    while step_s():
-        while harvest(side):
-            pass
+    # the side condition held as its incidence against its pairs
+    passes = lockstep_run(degree, "N")
     assert len(passes) > 4 and sum(passes) > 0
-    pairs, held = (
-        complete_split([relabelled(terms, ids) for terms in (
-            n.terms, s.terms,
-            formulate_symcon(system, ansatz, "v", z).keyed_terms())],
-            ids.values())
-        for n, s, z in zip(side, commutator, zeros)
-        for ids in [ansatz.live_unknowns(z)])
-    assert held == pairs
-    assert len(held) > 0
+
+
+@pytest.mark.parametrize("degree", range(3, 9))
+def test_held_commutator_matches_pair_harvest_pass_by_pass(degree):
+    # S_u held as its incidence, each S pass one int walk, against the
+    # pair harvest of its decoded (word key, coefficient) pairs
+    passes = lockstep_run(degree, "S")
+    assert len(passes) > 4 and sum(passes) > 0
 
 
 def reference_incidence(ansatz, dead):
@@ -453,29 +517,34 @@ def test_live_derivation_equals_pruned_full_images():
 
 
 def test_sorted_condition_keeps_pruned_remainder_in_order():
-    c = range(5)  # slots
-    p = NCPoly({
-        Word((1, 0)): AffineForm(0, {c[1]: 1, c[2]: 1}),
-        Word((0,)): AffineForm.unknown(c[2]),
-        Word((0, 1)): AffineForm(3, {c[3]: 1}),
-        Word((1,)): AffineForm(0, {c[3]: 2, c[4]: 1}),
-    })
-    condition = SortedCondition(sorted_terms(p))
-    assert [k for k, _ in condition.terms] == [
-        word_key(w) for w in (Word((0,)), Word((1,)), Word((0, 1)),
-                              Word((1, 0)))]
+    # an incidence over five slots, packed from per-slot sums; the pass
+    # walks its words in key order, and a coefficient that is not +-1
+    # keeps its exact value through the harvest
+    u, v, uv, vu = (word_key(Word(w)) for w in ((0,), (1,), (0, 1), (1, 0)))
+    third = Fraction(-1, 3)
+    condition = Incidence.pack([
+        (0, {uv: third}), (1, {uv: 5, vu: 1}), (2, {u: 1, vu: 1}),
+        (3, {v: 2, uv: 1}), (4, {v: 1})], 5)
+    assert [k for k, _ in condition.keyed_terms()] == [u, v, uv, vu]
+    assert dict(condition.keyed_terms())[v] == AffineForm(0, {3: 2, 4: 1})
     dead = bytearray(5)
     dead[3] = 1
-    # u registers slot 2 at once, so v u then prunes to the single slot 1
+    # u marks slot 2 at once and v prunes to slot 4; u v keeps two live
+    # slots, and v u then prunes to the single slot 1
     assert selective_split(condition, dead) == 3
     assert dead == bytearray((0, 1, 1, 1, 1))
-    # the constant left of u v stays for the final split to report
-    assert condition.terms == [(word_key(Word((0, 1))),
-                                AffineForm.constant(3))]
-    assert selective_split(condition, dead) == 0
-    split = complete_split([condition.terms], c)
-    assert [(eq.id, eq.lhs) for eq in split.equations] \
-        == [(0, AffineForm.constant(1))]
+    assert len(condition) == 1
+    assert list(condition.keyed_terms()) == [
+        (uv, AffineForm(0, {0: third, 1: 5}))]
+    # decoded over labels, a dead slot drops out
+    labels = ["c0", None, None, None, None]
+    assert list(condition.keyed_terms(labels)) == [
+        (uv, AffineForm(0, {"c0": third}))]
+    assert selective_split(condition, dead) == 1
+    assert dead == bytearray((1, 1, 1, 1, 1))
+    assert len(condition) == 0
+    assert complete_split([condition.keyed_terms()], range(5)).equations \
+        == []
 
 
 @pytest.mark.parametrize("degree", range(0, 8))
@@ -498,8 +567,7 @@ def test_keyed_symcon_matches_accumulator(degree):
     system = kontsevich_system()
     ansatz = build_ansatz(degree)
     harvested = bytearray(ansatz.slot_count)
-    selective_split(SortedCondition(formulate_nc(ansatz).keyed_terms()),
-                    harvested)
+    selective_split(formulate_nc(ansatz), harvested)
     rng = random.Random(degree)
     unknowns = ansatz.slot_unknowns()[:ansatz.unknown_count]
     zero_sets = [set(), zeros_of(ansatz, harvested),
@@ -523,20 +591,72 @@ def test_keyed_symcon_harvest_matches_accumulator(degree):
     system = kontsevich_system()
     ansatz = build_ansatz(degree)
     after_n = bytearray(ansatz.slot_count)
-    nc = SortedCondition(formulate_nc(ansatz).keyed_terms())
+    nc = formulate_nc(ansatz)
     while selective_split(nc, after_n):
         pass
     for start in (bytearray(ansatz.slot_count), after_n):
         got_dead, want_dead = bytearray(start), bytearray(start)
-        got = SortedCondition(
-            formulate_symcon(system, ansatz, "u", start).keyed_terms())
-        want = SortedCondition(slotted(ansatz, sorted_terms(
+        got = formulate_symcon(system, ansatz, "u", start)
+        want = PairCondition(slotted(ansatz, sorted_terms(
             accumulator_symcon(system, ansatz, "u",
                                zeros_of(ansatz, start)))))
         assert selective_split(got, got_dead) \
-            == selective_split(want, want_dead) > 0
+            == pair_split(want, want_dead) > 0
         assert got_dead == want_dead
-        assert got.terms == want.terms
+        assert len(got) == len(want.terms)
+        assert list(got.keyed_terms()) == want.terms
+
+
+def non_unit_system():
+    """2 D_t with the v^-1 term of u's image at -1/3 instead."""
+    dt = kontsevich_system()
+    image_u = {w: Fraction(-1, 3) if w == Word((V_INV,)) else 2 * c.const
+               for w, c in dt.image_u.terms.items()}
+    return Derivation(NCPoly(image_u), dt.image_v.scaled(2))
+
+
+@pytest.mark.parametrize("degree", range(2, 7))
+def test_non_unit_derivation_formulates_exactly(degree):
+    # every sum of the commutator conditions is a multiple of 2 or of
+    # 1/3, none of them +-1: the incidence keeps each exactly, decodes it
+    # as the accumulator sums it, and harvests as the pairs do
+    system = non_unit_system()
+    ansatz = build_ansatz(degree)
+    rng = random.Random(degree)
+    unknowns = ansatz.slot_unknowns()[:ansatz.unknown_count]
+    for zeros in (set(), {u for u in unknowns if rng.random() < 0.3}):
+        dead = mask_of(ansatz, zeros)
+        for which in "uv":
+            condition = formulate_symcon(system, ansatz, which, dead)
+            got = keyed(ansatz, condition)
+            want = sorted_terms(accumulator_symcon(system, ansatz, which,
+                                                   zeros))
+            assert got == want, (which, len(zeros))
+            values = {r for _, c in got for r in c.coeffs.values()}
+            assert values and not values & {1, -1}
+            if degree <= 4 and not zeros:
+                assert got == sorted_terms(reference_symcon(
+                    system, ansatz, which, zeros))
+            got_dead, want_dead = bytearray(dead), bytearray(dead)
+            pairs = PairCondition(slotted(ansatz, want))
+            assert selective_split(condition, got_dead) \
+                == pair_split(pairs, want_dead)
+            assert got_dead == want_dead
+            assert list(condition.keyed_terms()) == pairs.terms
+    poly = ansatz.derivation().image_u
+    assert apply_derivation(system, poly) == reference_apply(system, poly)
+
+
+def test_flow_without_its_own_letter_formulates_exactly():
+    # u_t = v, v_t = u: D_t u has no u, so the slots of Q_1 get no
+    # D_tau(D_t u) targets in S_u, only the kernel's -D_t(Q_1)
+    system = Derivation(NCPoly({Word((V,)): 1}), NCPoly({Word((U,)): 1}))
+    ansatz = build_ansatz(3)
+    for which in "uv":
+        got = keyed(ansatz, formulate_symcon(system, ansatz, which))
+        assert got == sorted_terms(accumulator_symcon(system, ansatz, which,
+                                                      set()))
+        assert got
 
 
 def test_keyed_symcon_rejects_another_generator():

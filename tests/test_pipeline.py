@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import pytest
 
@@ -10,7 +11,7 @@ from selsolve.pipeline import (MAX_STRATEGY_STEPS, Strategy, _PipelineRun,
                                default_strategy, format_steps, run_pipeline,
                                run_strategy, verify_by_matrices)
 from selsolve.solver import lsss_solve
-from selsolve.symmetry import (NecessaryCondition, build_ansatz,
+from selsolve.symmetry import (Incidence, build_ansatz,
                                build_symmetry_system, kontsevich_system)
 
 
@@ -114,20 +115,42 @@ def test_staged_run_materializes_fewer_equations():
 
 @pytest.mark.parametrize("strategy", ["fixpoint", "F", "S(N)3SF"])
 def test_side_condition_is_decoded_only_at_f(monkeypatch, strategy):
-    # N passes walk the incidence's ints; the one decode into (word key,
-    # coefficient) pairs, and so every AffineForm of N, comes with F
+    # N and S passes walk their incidences' ints; the one decode of each
+    # condition into (word key, coefficient) pairs, N, S_u and S_v, and
+    # so every AffineForm of them, comes with F
     in_f, decoded = [], []
-    step_f, keyed_terms = _PipelineRun.step_f, NecessaryCondition.keyed_terms
+    step_f, keyed_terms = _PipelineRun.step_f, Incidence.keyed_terms
     monkeypatch.setattr(_PipelineRun, "step_f",
                         lambda run: in_f.append(1) or step_f(run))
-    monkeypatch.setattr(NecessaryCondition, "keyed_terms",
-                        lambda nc: decoded.append(bool(in_f))
-                        or keyed_terms(nc))
+    monkeypatch.setattr(Incidence, "keyed_terms",
+                        lambda c, *labels: decoded.append(
+                            (type(c).__name__, bool(in_f)))
+                        or keyed_terms(c, *labels))
     if strategy == "fixpoint":
         strategy = default_strategy(6)
     _, report = run_strategy(6, strategy)
-    assert decoded == [True]
+    assert decoded == [("NecessaryCondition", True), ("Incidence", True),
+                       ("Incidence", True)]
     assert report.free_count == 5
+
+
+def test_first_s_step_memory_at_degree_8():
+    # the first S step, formulation and first harvest, after the N
+    # fixpoint: S_u's per-word sums are packed slot by slot, so the step
+    # peaks near 1.7 MB and holds 0.75 MB; sums for every word at once,
+    # each turned into an AffineForm, peaked at 3.6 MB and held 1.8 MB
+    run = _PipelineRun(8)
+    while run.step_n():
+        pass
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert run.step_s() == 1702
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 2.2e6
+    assert held - before <= 1.0e6
 
 
 def untimed(lines):

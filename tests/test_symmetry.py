@@ -6,13 +6,13 @@ from selsolve.ncalgebra import (EMPTY_WORD, U, U_INV, V, V_INV, NCPoly, Word,
                                 key_word, word_key)
 from selsolve.pipeline import default_strategy, run_strategy
 from selsolve.solver import lsss_solve, prune_zeros
-from selsolve.symmetry import (SortedCondition, SymmetryAnsatz,
-                               ansatz_term_count, build_ansatz,
-                               build_symmetry_system, complete_split,
-                               first_integral_basis, formulate_nc,
-                               formulate_symcon, kontsevich_system,
-                               prune_ncpoly, relabelled, selective_split,
-                               side_condition_k0, system_stats)
+from selsolve.symmetry import (Incidence, SymmetryAnsatz, ansatz_term_count,
+                               build_ansatz, build_symmetry_system,
+                               complete_split, first_integral_basis,
+                               formulate_nc, formulate_symcon,
+                               kontsevich_system, prune_ncpoly,
+                               selective_split, side_condition_k0,
+                               system_stats)
 
 from test_words import enumerate_words, sorted_terms
 
@@ -24,7 +24,13 @@ def unknowns_of(p):
 
 
 def harvest(p, dead):
-    return selective_split(SortedCondition(sorted_terms(p)), dead)
+    """One selective split of a polynomial over slots, packed into an
+    incidence slot by slot."""
+    sums = {}
+    for w, coeff in p.terms.items():
+        for s, c in coeff.coeffs.items():
+            sums.setdefault(s, {})[word_key(w)] = c
+    return selective_split(Incidence.pack(sums.items(), len(dead)), dead)
 
 
 def slots_of(dead):
@@ -141,8 +147,7 @@ def test_formulate_nc_aux_unknowns():
     assert all(uid.kind == KIND_A for uid in nc.aux)
     assert unknowns_of(nc.residual) >= set(nc.aux)
     # solving the split side condition alone forces every auxiliary to zero
-    ids = dict(enumerate(ans.slot_unknowns()))
-    state = lsss_solve(complete_split([relabelled(nc.keyed_terms(), ids)],
+    state = lsss_solve(complete_split([nc.keyed_terms(ans.slot_unknowns())],
                                       unknowns_of(nc.residual)))
     for uid in nc.aux:
         gone = uid in state.zeros or (
@@ -158,7 +163,7 @@ def test_selective_split_on_degree3_side_condition_finds_zeros():
     singles = {uid for coeff in nc.residual.terms.values()
                if coeff.term_count == 1 for uid in coeff.coeffs}
     dead = bytearray(ans.slot_count)
-    found = selective_split(SortedCondition(nc.keyed_terms()), dead)
+    found = selective_split(nc, dead)
     assert found >= len(singles) > 0
     assert singles <= set(compress(ans.slot_unknowns(), dead))
 
@@ -166,11 +171,12 @@ def test_selective_split_on_degree3_side_condition_finds_zeros():
 def test_unharvested_condition_is_the_formulated_polynomial():
     # the formulated condition's terms, in deglex order
     formulated = formulate_symcon(kontsevich_system(), build_ansatz(2), "u")
-    condition = SortedCondition(list(formulated.keyed_terms()))
-    assert [key_word(k) for k, _ in condition.terms] \
+    terms = list(formulated.keyed_terms())
+    assert [key_word(k) for k, _ in terms] \
         == sorted(map(key_word, formulated.terms),
                   key=lambda w: (len(w), tuple(w)))
-    assert dict(condition.terms) == formulated.terms
+    assert dict(terms) == formulated.terms
+    assert len(formulated) == len(terms)
 
 
 def test_split_complete_reproduces_polynomial():
@@ -202,11 +208,10 @@ def test_selective_split_zero_soundness_against_oracle():
         sysm = kontsevich_system()
         ans = build_ansatz(n)
         dead = bytearray(ans.slot_count)
-        condition = SortedCondition(formulate_nc(ans).keyed_terms())
+        condition = formulate_nc(ans)
         while selective_split(condition, dead):
             pass
-        selective_split(SortedCondition(
-            formulate_symcon(sysm, ans, "u", dead).keyed_terms()), dead)
+        selective_split(formulate_symcon(sysm, ans, "u", dead), dead)
         zeros = set(compress(ans.slot_unknowns(), dead))
 
         full = build_symmetry_system(n, include_nc=True)
