@@ -11,34 +11,40 @@ equations, and harvests vanishing unknowns straight from a condition
 without materializing its system (selective splitting).
 
 Words are packed ints (:func:`word_key`) and unknowns are slots
-throughout formulation.  The ansatz stores only its word keys; slot i of
-the 2t ansatz slots is the unknown c_i, and slot 2t + j is the side
-condition's auxiliary a_j.  The unknowns known to vanish are a
-``bytearray`` mask over the slots, 1 per dead slot, and each condition
-is formulated over the live slots and labels them by slot.  Every
-condition is an :class:`Incidence`: a sorted list of packed ints
+throughout formulation.  The ansatz stores only its word keys, in an
+``array('Q')``; slot i of the 2t ansatz slots is the unknown c_i, and
+slot 2t + j is the side condition's auxiliary a_j.  The unknowns known
+to vanish are a ``bytearray`` mask over the slots, 1 per dead slot, and
+each condition is formulated over the live slots and labels them by
+slot.  Every condition is an :class:`Incidence` of packed ints
 ``key << shift | slot << 1 | sign``, one per nonzero coefficient, whose
 order is deglex order; a coefficient that is not +-1 keeps its exact
-value in a side table.  The side condition (:class:`NecessaryCondition`)
-packs two entries per live slot directly.  A commutator condition sums
-per source word: each live slot's dict of sums is seeded with its
+value in a side table.  The entries are made in chunks and live as
+key-ordered ``array('Q')`` buckets until the first harvest; a walk sorts
+one bucket at a time, so no list of every entry exists as Python ints.
+The side condition (:class:`NecessaryCondition`) packs two entries per
+live slot directly, half a chunk of slots at a time.  A commutator condition
+sums per source word: each live slot's dict of sums is seeded with its
 D_tau(P_x) targets, the Leibniz kernel adds -D_t(Q_x) into it, and its
 nonzero sums are packed before the next slot's dict is made, so no table
 over every word is held and no word is decoded.  A staged run holds
 each condition as its incidence; every harvest is one pass over the ints
 in key order that prunes, marks the slot of each 1-term word dead and
-keeps the surviving ints for the next pass.  A condition is decoded into
-(word key, coefficient) pairs once, when it is split, labelling each
-live slot by its unknown and dropping dead ones; :func:`complete_split`
-is the one path from such pairs to a numbered :class:`LinearSystem`.
+keeps the surviving ints, as a list, for the next pass.  A condition is
+decoded into (word key, coefficient) pairs once, when it is split,
+labelling each live slot by its unknown and dropping dead ones;
+:func:`complete_split` is the one path from such pairs to a numbered
+:class:`LinearSystem`.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain, compress, groupby
-from typing import Collection, Iterable, Iterator, Sequence
+from itertools import chain, compress, groupby, islice
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import TooLargeError
 from .linsys import (FORMULATE_MAX_UNKNOWNS, KIND_A, KIND_C, AffineForm,
@@ -92,12 +98,17 @@ def enumerate_keys(max_degree: int) -> list[int]:
     extends by the three letters that do not cancel its last one, and the
     empty word (key 1) by all four.
     """
-    keys, level = [1], [1]
+    return list(chain.from_iterable(_key_levels(max_degree)))
+
+
+def _key_levels(max_degree: int) -> Iterator[list[int]]:
+    """The keys of :func:`enumerate_keys`, one word length at a time."""
+    level = [1]
+    yield level
     for _ in range(max_degree):
         level = [k << 2 | g for k in level for g in range(4)
                  if g != (k & 3) ^ 2 or k == 1]
-        keys += level
-    return keys
+        yield level
 
 
 def ansatz_term_count(degree: int) -> int:
@@ -113,18 +124,19 @@ FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 class SymmetryAnsatz:
     """Most general degree-n flow with one fresh unknown per term.
 
-    Only word keys are stored, in deglex order.  Slot i is the coefficient
-    of the word with key ``keys[i]`` in Q1 = u_tau and slot t + i its
-    coefficient in Q2 = v_tau, where t = len(keys); the side condition's
-    auxiliaries follow in slots 2t .. :attr:`slot_count` - 1.  The
-    conditions read the keys and label by slot; the unknown of a slot is
-    made only where one is needed (:meth:`slot_unknowns`,
-    :meth:`live_unknowns`), and :meth:`derivation` decodes the live words
-    into Q1 and Q2.
+    Only word keys are stored, in deglex order, in an ``array('Q')``
+    from :func:`build_ansatz` (any sequence of keys will do).  Slot i is
+    the coefficient of the word with key ``keys[i]`` in Q1 = u_tau and
+    slot t + i its coefficient in Q2 = v_tau, where t = len(keys); the
+    side condition's auxiliaries follow in slots 2t ..
+    :attr:`slot_count` - 1.  The conditions read the keys and label by
+    slot; the unknown of a slot is made only where one is needed
+    (:meth:`slot_unknowns`, :meth:`live_unknowns`), and
+    :meth:`derivation` decodes the live words into Q1 and Q2.
     """
 
     degree: int
-    keys: tuple[int, ...]
+    keys: Sequence[int]
 
     @property
     def unknown_count(self) -> int:
@@ -166,7 +178,10 @@ class SymmetryAnsatz:
 def build_ansatz(degree: int) -> SymmetryAnsatz:
     if degree < 1:
         raise ValueError("ansatz degree must be >= 1")
-    return SymmetryAnsatz(degree, tuple(enumerate_keys(degree)))
+    keys = array("Q")
+    for level in _key_levels(degree):
+        keys.fromlist(level)
+    return SymmetryAnsatz(degree, keys)
 
 
 def _live_mask(dead: bytes | None, start: int, stop: int) -> bytes:
@@ -191,7 +206,14 @@ def prune_ncpoly(p: NCPoly, zeros: set[UnknownId]) -> NCPoly:
 
 def sandwich_keys(left: tuple, right: tuple,
                   keys: Iterable[int]) -> list[int]:
-    """:func:`word_key` of reduce(left w right) per reduced word w's key.
+    """:func:`word_key` of reduce(left w right) per reduced word w's key."""
+    return sandwich(left, right)(keys)
+
+
+def sandwich(left: tuple, right: tuple) -> Callable[[Iterable[int]],
+                                                     list[int]]:
+    """The map of :func:`sandwich_keys` for one left and right, its tables
+    built once for every batch of keys it is given.
 
     Only the first len(left) and last len(right) letters of w can cancel,
     so a w as long as both takes one table lookup per end; a shorter one,
@@ -212,23 +234,82 @@ def sandwich_keys(left: tuple, right: tuple,
     shifts = [t.bit_length() - 1 for t in tails]
     offsets = [t - (1 << s) for t, s in zip(tails, shifts)]
     tail_mask, drop = 4 ** nr - 1, 2 * nr
-    out: list[int] = []
-    for bits, run in groupby(keys, int.bit_length):
-        m = bits >> 1
-        if m < nl + nr:
-            out += [word_key(reduce_letters(left + key_word(k) + right))
-                    for k in run]
-            continue
-        # k >> drop is the key of w without its tail; k >> at, its head's
-        mid, at = 2 * (m - nl - nr), 2 * (m - nl)
-        placed = [move << mid for move in moves]
-        out += [((k >> drop) + placed[k >> at] << shifts[k & tail_mask])
-                + offsets[k & tail_mask] for k in run]
-    return out
+
+    def apply(keys: Iterable[int]) -> list[int]:
+        out: list[int] = []
+        for bits, run in groupby(keys, int.bit_length):
+            m = bits >> 1
+            if m < nl + nr:
+                out += [word_key(reduce_letters(left + key_word(k) + right))
+                        for k in run]
+                continue
+            # k >> drop is the key of w without its tail; k >> at, its head's
+            mid, at = 2 * (m - nl - nr), 2 * (m - nl)
+            placed = [move << mid for move in moves]
+            out += [((k >> drop) + placed[k >> at] << shifts[k & tail_mask])
+                    + offsets[k & tail_mask] for k in run]
+        return out
+    return apply
 
 
 #: The sign bit of an entry whose coefficient is +-1.
 _UNIT_SIGN = {1: 0, -1: 1}
+
+#: Packed entries reach an :class:`Incidence` in chunks of about this
+#: many ints; N's chunks hold half as many live slots.
+_CHUNK = 1 << 12
+#: A bucket holds the entries of one bit length that agree in this many
+#: top bits, its leading 1 included.
+_TOP_BITS = 7
+#: An ``array('Q')`` item holds the 64 low bits of an entry; the bits
+#: above them lie in its bucket's top bits, so no entry may be wider.
+WIDEST_ENTRY_BITS = 64 + _TOP_BITS
+
+
+def _bucketed(chunks: Iterable[list[int]]) -> list[tuple[int, array]]:
+    """Packed ints into buckets, as (least int of the bucket, its ints)
+    per bucket in increasing order.
+
+    A bucket holds the ints of one bit length that agree in their top
+    :data:`_TOP_BITS` bits, in an ``array('Q')`` in arrival order.  Each
+    chunk is sorted once and cut at the bucket bounds by bisection, so no
+    int is handled alone in Python.  An int wider than 64 bits is held
+    less the bits from 64 up of its bucket's least int, which it shares
+    up to :data:`WIDEST_ENTRY_BITS` bits; a wider one overflows the
+    array.
+    """
+    buckets: dict[int, array] = {}
+    for chunk in chunks:
+        chunk.sort()
+        i, end = 0, len(chunk)
+        while i < end:
+            low = max(chunk[i].bit_length() - _TOP_BITS, 0)
+            least = chunk[i] >> low << low
+            j = bisect_left(chunk, least + (1 << low), i)
+            high = least >> 64 << 64
+            part = [e - high for e in chunk[i:j]] if high else chunk[i:j]
+            if least in buckets:
+                buckets[least].fromlist(part)
+            else:
+                buckets[least] = array("Q", part)
+            i = j
+    return sorted(buckets.items())
+
+
+def _sorted_bucket(bucket: tuple[int, array]) -> list[int]:
+    """A bucket's ints as a sorted list, their bits above 64 restored."""
+    least, items = bucket
+    high = least >> 64 << 64
+    ordered = sorted(items)
+    return [high + e for e in ordered] if high else ordered
+
+
+def _drained(buckets: list[tuple[int, array]]) -> Iterator[list[int]]:
+    """Each bucket sorted, in order, and dropped from ``buckets`` as it
+    is."""
+    buckets.reverse()
+    while buckets:
+        yield _sorted_bucket(buckets.pop())
 
 
 class Incidence:
@@ -236,53 +317,71 @@ class Incidence:
 
     An entry is one int, ``key << shift | slot << 1 | sign``: the word's
     :func:`word_key` above the slot whose coefficient it carries, and 1 in
-    the sign bit for a negative one.  One sort orders the words deglex,
+    the sign bit for a negative one.  In int order the words run deglex,
     and within a word every slot occurs at most once.  A coefficient
     that is not +-1 keeps its exact value in a side table keyed by the
     entry, read only when decoding; the conditions of the default system
     have none.
 
-    The condition stays these ints until it is split: :meth:`harvest`
-    walks them and keeps the live entries of the words that survive.
-    :meth:`keyed_terms` decodes what is left, and ``len`` is the number
-    of words left.
+    The entries arrive in chunks and are held in key-ordered
+    ``array('Q')`` buckets (:func:`_bucketed`) until the first
+    :meth:`harvest`, which sorts and drops one bucket at a time, so no
+    list of every entry exists as Python ints; it keeps the live entries
+    of the words that survive as a list, and later passes walk that.
+    The condition stays these ints until it is split: :meth:`keyed_terms`
+    decodes what is left, and ``len`` is the number of words left.
     """
 
-    __slots__ = ("_entries", "_shift", "_exact", "_words")
+    __slots__ = ("_buckets", "_entries", "_shift", "_exact", "_words")
 
-    def __init__(self, entries: list[int], shift: int,
+    def __init__(self, chunks: Iterable[list[int]], shift: int,
                  exact: dict[int, Rational] | None = None):
-        entries.sort()
-        self._entries, self._shift = entries, shift
-        self._exact = exact or {}
+        self._buckets: list | None = _bucketed(chunks)
+        self._entries: list[int] = []
+        self._shift = shift
+        self._exact = exact if exact is not None else {}
         self._words: int | None = None
 
     @classmethod
     def pack(cls, sums: Iterable[tuple[int, Mapping[int, Rational]]],
              slot_count: int) -> "Incidence":
         """The incidence of per-slot sums: (slot, map from word key to
-        coefficient) per slot; a sum of 0 drops out."""
+        coefficient) per slot; a sum of 0 drops out.  The sums are packed
+        as they arrive and spilled into the buckets chunk by chunk."""
         shift = (2 * slot_count).bit_length()
-        entries: list[int] = []
         exact: dict[int, Rational] = {}
-        for slot, by_key in sums:
-            base = slot << 1
-            try:
-                entries += [k << shift | base | _UNIT_SIGN[c]
-                            for k, c in by_key.items() if c]
-            except KeyError:  # a sum that is not +-1 is kept exactly
-                for k, c in by_key.items():
-                    if c:
-                        e = k << shift | base | (c < 0)
-                        entries.append(e)
-                        if c != 1 and c != -1:
-                            exact[e] = c
-        return cls(entries, shift, exact)
+
+        def chunks() -> Iterator[list[int]]:
+            entries: list[int] = []
+            for slot, by_key in sums:
+                base = slot << 1
+                try:
+                    entries += [k << shift | base | _UNIT_SIGN[c]
+                                for k, c in by_key.items() if c]
+                except KeyError:  # a sum that is not +-1 is kept exactly
+                    for k, c in by_key.items():
+                        if c:
+                            e = k << shift | base | (c < 0)
+                            entries.append(e)
+                            if c != 1 and c != -1:
+                                exact[e] = c
+                if len(entries) >= _CHUNK:
+                    yield entries
+                    entries = []
+            yield entries
+        return cls(chunks(), shift, exact)
+
+    def walk(self) -> Iterable[int]:
+        """The entries left, in key order; buckets not yet harvested are
+        sorted one at a time as they are reached, and kept."""
+        if self._buckets is None:
+            return self._entries
+        return chain.from_iterable(map(_sorted_bucket, self._buckets))
 
     def __len__(self) -> int:
         if self._words is None:
             shift = self._shift
-            self._words = len({e >> shift for e in self._entries})
+            self._words = len({e >> shift for e in self.walk()})
         return self._words
 
     def keyed_terms(self, labels: Sequence | None = None
@@ -296,7 +395,7 @@ class Incidence:
             labels = range(1 << shift - 1)
         unit = (1, -1)
         word, coeffs = 0, {}  # 0 is no word's key
-        for e in self._entries:
+        for e in self.walk():
             key = e >> shift
             if key != word:
                 coeffs.pop(None, None)
@@ -324,9 +423,12 @@ class Incidence:
         """
         shift = self._shift
         low = (1 << shift) - 1
+        entries, buckets, self._buckets = self._entries, self._buckets, None
+        if buckets is not None:
+            entries = chain.from_iterable(_drained(buckets))
         kept, run, word, found, words = [], [], 0, 0, 0
         # a word is settled when the next begins; 0 is no word's key
-        for e in chain(self._entries, (0,)):
+        for e in chain(entries, (0,)):
             key = e >> shift
             if key != word:
                 if len(run) == 1:
@@ -383,27 +485,35 @@ class NecessaryCondition(Incidence):
 
     def __init__(self, ansatz: SymmetryAnsatz, dead: bytes | None = None):
         self._ansatz = ansatz
-        self._k0 = k0 = side_condition_k0(ansatz.degree)
+        self._k0 = side_condition_k0(ansatz.degree)
         shift = (2 * ansatz.slot_count).bit_length()
-        keys, i_word = ansatz.keys, COMMUTATOR_UV
+        super().__init__(self._chunks(dead, shift), shift)
+
+    def _chunks(self, dead: bytes | None, shift: int
+                ) -> Iterator[list[int]]:
+        """The entries in chunks: the auxiliaries', then those of up to
+        half a chunk of live slots at a time, generator by generator."""
+        keys, k0, i_word = self._ansatz.keys, self._k0, COMMUTATOR_UV
         t = len(keys)
-        entries = [word_key(word_pow(i_word, i - k0)) << shift
-                   | (2 * t + i) << 1 | 1 for i in range(2 * k0 + 1)]
+        yield [word_key(word_pow(i_word, i - k0)) << shift
+               | (2 * t + i) << 1 | 1 for i in range(2 * k0 + 1)]
+        size = max(_CHUNK // 2, 1)
         for g in (U, V):  # I holds g at position g, its inverse at g + 2
-            # live words and slots are read through the mask where they are
-            # used, so no list of them is held next to the entries
+            plus_of = sandwich(i_word[:g], i_word[g + 1:])
+            minus_of = sandwich(i_word[:g + 3], i_word[g + 2:])
             first = g * t
             live = _live_mask(dead, first, first + t)
-            plus = sandwich_keys(i_word[:g], i_word[g + 1:],
-                                 compress(keys, live))
-            minus = sandwich_keys(i_word[:g + 3], i_word[g + 2:],
-                                  compress(keys, live))
-            slots = range(first, first + t)
-            entries += [p << shift | s << 1 for p, q, s in
-                        zip(plus, minus, compress(slots, live)) if p != q]
-            entries += [q << shift | s << 1 | 1 for p, q, s in
-                        zip(plus, minus, compress(slots, live)) if p != q]
-        super().__init__(entries, shift)
+            live_keys = compress(keys, live)
+            # each live slot s as s << 1, the low bits of its entries
+            live_slots = compress(range(2 * first, 2 * (first + t), 2), live)
+            while chunk := list(islice(live_keys, size)):
+                slots = list(islice(live_slots, len(chunk)))
+                plus, minus = plus_of(chunk), minus_of(chunk)
+                entries = [p << shift | s for p, q, s in
+                           zip(plus, minus, slots) if p != q]
+                entries += [q << shift | s | 1 for p, q, s in
+                            zip(plus, minus, slots) if p != q]
+                yield entries
 
     @property
     def aux(self) -> tuple[UnknownId, ...]:
@@ -547,12 +657,35 @@ class SystemStats:
     p: int
 
 
+def widest_entry_bits(degree: int, images: int = 2) -> int:
+    """Bit length of the widest :class:`Incidence` entry of a degree-n
+    formulation over an ansatz of ``images`` images.
+
+    With both images, the side condition's: D_tau(I) reaches n + 5
+    letters and I^+-k0 4 k0, over its slots and auxiliaries; with one,
+    the first integrals': D_t adds at most two letters to a word.
+    """
+    slots = images * ansatz_term_count(degree)
+    if images == 2:
+        k0 = side_condition_k0(degree)
+        slots += 2 * k0 + 1
+        letters = max(degree + 5, 4 * k0)
+    else:
+        letters = degree + 2
+    return 2 * letters + 1 + (2 * slots).bit_length()
+
+
 def _check_degree_guard(degree: int, images: int = 2) -> None:
     k = images * ansatz_term_count(degree)
     limit = unknown_limit(FORMULATE_MAX_UNKNOWNS)
     if k > limit:
         raise TooLargeError(
             f"degree {degree} needs {k} unknowns, over the guard of {limit}")
+    bits = widest_entry_bits(degree, images)
+    if bits > WIDEST_ENTRY_BITS:
+        raise TooLargeError(
+            f"degree {degree} packs entries of {bits} bits, over the "
+            f"{WIDEST_ENTRY_BITS} an incidence holds")
 
 
 def system_stats(degree: int) -> SystemStats:

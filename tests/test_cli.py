@@ -6,6 +6,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -17,7 +18,8 @@ from selsolve.cli import main
 from selsolve.formats import read_solution, render_solution, write_solution
 from selsolve.linsys import GUARD_ENV_VAR, ORACLE_MAX_UNKNOWNS, UnknownId
 from selsolve.pipeline import default_strategy, run_strategy
-from selsolve.symmetry import build_ansatz
+from selsolve.symmetry import (WIDEST_ENTRY_BITS, _check_degree_guard,
+                               build_ansatz, widest_entry_bits)
 
 
 def test_stats_row_matches(capsys):
@@ -54,6 +56,37 @@ def test_integrals_honours_the_guard(monkeypatch, capsys):
     assert captured.err == ("error: degree 4 needs 161 unknowns, over the "
                             "guard of 10\n")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, bits", [
+    (["pipeline", "--degree", "16"], 72), (["gen", "--degree", "16"], 72),
+    (["stats", "--degree", "16"], 72), (["integrals", "--degree", "18"], 72)])
+def test_entry_width_guard_exits_before_any_ansatz(argv, bits, monkeypatch,
+                                                   capsys):
+    # with the unknown guard out of the way, the first degree whose
+    # packed entries an incidence cannot hold is refused by its width,
+    # before anything is built
+    monkeypatch.setenv(GUARD_ENV_VAR, str(10 ** 9))
+    started = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - started < 0.5
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: degree {argv[-1]} packs entries of {bits} bits, over the "
+        f"{WIDEST_ENTRY_BITS} an incidence holds\n")
+    assert captured.out == ""
+
+
+def test_entry_width_guard_passes_the_degrees_below(monkeypatch):
+    # degree 14 packs 65-bit entries and 15 68-bit ones, the widest an
+    # incidence holds with their bits above 64 in the bucket; first
+    # integrals reach that width at degree 17
+    monkeypatch.setenv(GUARD_ENV_VAR, str(10 ** 9))
+    assert [widest_entry_bits(n) for n in (13, 14, 15)] == [61, 65, 68]
+    assert widest_entry_bits(17, 1) == 68
+    for degree in (13, 14, 15):
+        _check_degree_guard(degree)
+    _check_degree_guard(17, 1)
 
 
 NO_NUMPY = """

@@ -464,7 +464,7 @@ def test_incidence_matches_per_slot_reference(degree):
     assert 0 < len(live) < ansatz.unknown_count
     for zeros in (set(), state.zeros):
         dead = mask_of(ansatz, zeros)
-        assert NecessaryCondition(ansatz, dead)._entries \
+        assert list(NecessaryCondition(ansatz, dead).walk()) \
             == reference_incidence(ansatz, dead)
 
 
@@ -550,13 +550,15 @@ def test_sorted_condition_keeps_pruned_remainder_in_order():
 @pytest.mark.parametrize("degree", range(0, 8))
 def test_key_enumeration_matches_word_tuples(degree):
     # the ansatz's keys are the word-tuple enumeration, keyed, and
-    # enumerate_words decodes them back
+    # enumerate_words decodes them back; the ansatz holds them in an
+    # array('Q'), compared by value
     words = reference_words(degree)
     assert enumerate_keys(degree) == [word_key(w) for w in words]
     assert enumerate_words(degree) == words
     assert all(isinstance(w, Word) for w in enumerate_words(degree))
     if degree:
-        assert build_ansatz(degree).keys == tuple(map(word_key, words))
+        assert tuple(build_ansatz(degree).keys) \
+            == tuple(map(word_key, words))
 
 
 @pytest.mark.parametrize("degree", range(1, 8))

@@ -134,6 +134,23 @@ def test_side_condition_is_decoded_only_at_f(monkeypatch, strategy):
     assert report.free_count == 5
 
 
+def test_first_n_step_memory_at_degree_8():
+    # the first N step, formulation and first harvest: N's entries reach
+    # its key-ordered array('Q') buckets in chunks and are sorted one
+    # bucket at a time, so the step peaks near 1.5 MB and holds 1.0 MB;
+    # every entry as a Python int in one sorted list peaked at 3.4 MB
+    run = _PipelineRun(8)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert run.step_n() == 17750
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 2.0e6
+    assert held - before <= 1.2e6
+
+
 def test_first_s_step_memory_at_degree_8():
     # the first S step, formulation and first harvest, after the N
     # fixpoint: S_u's per-word sums are packed slot by slot, so the step
