@@ -13,21 +13,21 @@ condition is labelled by slot.  N and S formulate their condition once,
 over the live slots, as a sorted incidence of packed ints: N the side
 condition, S the u-commutator condition, its sums made per source word.
 Each stays ints until F; every later N or S step harvests what is left
-of it in one int walk and marks the slots it finds dead.  F makes an
-:class:`UnknownId` for each live slot only, decodes what is left of both
-conditions and the v-commutator condition, formulated over the live
-slots, over those unknowns, through the one :func:`complete_split`, and
-solves that live system.  The full :class:`SolutionState`, every zero
-included, is assembled from the mask only when it is asked for
-(:func:`run_strategy`, ``pipeline --out``); the ``pipeline`` command
-otherwise reads the report alone.
+of it in one int walk and marks the slots it finds dead.  F decodes what
+is left of both conditions and the v-commutator condition, formulated
+over the live slots, over the live slots themselves, through the one
+:func:`complete_split`, and solves that live system over slots, as
+:func:`system_stats` does.  An :class:`UnknownId` is made only when the
+full :class:`SolutionState`, every zero included, is assembled from the
+mask and F's solution (:func:`run_strategy`, ``pipeline --out``); the
+``pipeline`` command otherwise reads the report alone, and makes none.
 
 The default strategy runs to a fixpoint: N repeats until a step harvests
 nothing; then, while an S step harvests something, N repeats again until
 it harvests nothing; then F.  An explicit strategy is step text with the
 grammar ``steps ::= step+ ; step ::= ('N'|'S') | '(' steps ')' INT | 'F'``,
-whitespace ignored, case-insensitive, e.g. ``(N)3(SNN)4(SN)4F``.  Exactly
-one F must appear, at the end.
+whitespace ignored, case-insensitive, INT in ASCII digits, e.g.
+``(N)3(SNN)4(SN)4F``.  Exactly one F must appear, at the end.
 """
 
 from __future__ import annotations
@@ -42,10 +42,11 @@ from operator import mul
 from typing import Sequence
 
 from .errors import ParseError, SelSolveError, SingularSampleError
-from .linsys import KIND_A, KIND_C, Rational, UnknownId
+from .linsys import (FORMULATE_MAX_UNKNOWNS, KIND_A, KIND_C, AffineForm,
+                     Rational, UnknownId, unknown_limit)
 from .ncalgebra import U_INV, V_INV, Derivation, Word
 from .solver import SolutionState, lsss_solve
-from .symmetry import (Incidence, NecessaryCondition, SymmetryAnsatz,
+from .symmetry import (FLIP, Incidence, NecessaryCondition, SymmetryAnsatz,
                        _check_degree_guard, ansatz_term_count, build_ansatz,
                        complete_split, formulate_symcon, kontsevich_system,
                        selective_split)
@@ -106,7 +107,8 @@ MAX_STRATEGY_STEPS = 100_000
 
 
 def _parse_steps(text: str) -> list[str]:
-    tokens = text.upper().replace(" ", "").replace("\t", "")
+    # only the step letters are case-folded: str.upper() makes 'ß' 'SS'
+    tokens = "".join(text.split()).translate(str.maketrans("nsf", "NSF"))
     try:
         items, size, pos = _parse_seq(tokens, 0)
     except RecursionError:
@@ -142,7 +144,8 @@ def _parse_seq(tokens: str, pos: int) -> tuple[list, int, int]:
                 raise ParseError("unbalanced parenthesis in strategy")
             pos += 1
             start = pos
-            while pos < len(tokens) and tokens[pos].isdigit():
+            # ASCII digits only: '²'.isdigit() holds where int() refuses it
+            while pos < len(tokens) and "0" <= tokens[pos] <= "9":
                 pos += 1
             if start == pos:
                 raise ParseError("group needs a repeat count")
@@ -238,9 +241,8 @@ class _PipelineRun:
     ``zero_count`` counts those bytes.  The conditions of N and S are
     formulated on first use, over the live slots, and each is kept as its
     :class:`Incidence`, whose remainder every later step harvests in one
-    pass.  F makes an unknown for each live slot only, and solves the
-    live system; :meth:`solution` assembles the whole solution from the
-    mask.
+    pass.  F solves the live system over the live slots; :meth:`solution`
+    assembles the whole solution from the mask, over unknowns.
     """
 
     def __init__(self, degree: int):
@@ -286,14 +288,17 @@ class _PipelineRun:
 
     def step_f(self) -> None:
         """Split what is left of N and S, and S_v formulated now, over the
-        live slots' unknowns, and solve that live system."""
+        live slots, and solve that live system over them."""
         started = time.perf_counter()
         conditions = [self._condition(label) for label in "NS"]
         conditions.append(formulate_symcon(self.system, self.ansatz, "v",
                                            self.dead))
-        labels = self.ansatz.live_unknowns(self.dead)
+        live = list(compress(range(len(self.dead)), self.dead.translate(FLIP)))
+        labels: list[int | None] = [None] * len(self.dead)  # dead drop out
+        for s in live:
+            labels[s] = s
         system = complete_split([c.keyed_terms(labels) for c in conditions],
-                                [u for u in labels if u is not None])
+                                live)
         self._solved = solved = lsss_solve(system)
         self._record("F", started, len(solved.zeros), len(system))
         report = self.report
@@ -303,15 +308,18 @@ class _PipelineRun:
         report.free_count = solved.free_count
 
     def solution(self) -> SolutionState:
-        """The whole solution after F: every slot's unknown in the
-        universe, the dead ones among the zeros next to those F found."""
-        solved = self._solved
-        unknowns = self.ansatz.slot_unknowns()
+        """The whole solution after F over unknowns, each made here once:
+        every slot's unknown in the universe, the dead ones among the zeros
+        next to those F found."""
+        solved, unknowns = self._solved, self.ansatz.slot_unknowns()
         zeros = set(compress(unknowns, self.dead))
-        zeros |= solved.zeros
-        return SolutionState(frozenset(unknowns), zeros, solved.pivots,
-                             solved.free, solved.identities,
-                             solved.zero_rounds)
+        zeros.update(unknowns[s] for s in solved.zeros)
+        pivots = {unknowns[p]: AffineForm._raw(rhs.const, {
+            unknowns[s]: r for s, r in rhs.coeffs.items()})
+            for p, rhs in solved.pivots.items()}
+        return SolutionState(frozenset(unknowns), zeros, pivots,
+                             {unknowns[s] for s in solved.free},
+                             solved.identities, solved.zero_rounds)
 
 
 def run_pipeline(degree: int, strategy: Strategy | FixpointStrategy | str
@@ -438,10 +446,15 @@ def check_solution_degree(state: SolutionState, degree: int) -> None:
     degree's unknown count; nothing of the degree's size is built."""
     first, after = UnknownId(KIND_C, 0), UnknownId(KIND_A, 0)  # id order
     solved = [u for u in state.universe if first <= u < after]
-    k = 2 * ansatz_term_count(degree)
-    if len(solved) != k or solved and max(solved).index >= k:
+    # k > 2^(degree + 1) exceeds a count of at most degree bits; past the
+    # guard's bit length too, k, maybe of millions of digits, is not built
+    huge = (degree >= len(solved).bit_length() and degree
+            > unknown_limit(FORMULATE_MAX_UNKNOWNS).bit_length())
+    k = 0 if huge else 2 * ansatz_term_count(degree)
+    if huge or len(solved) != k or solved and max(solved).index >= k:
         raise SelSolveError(f"solution has {len(solved)} ansatz unknowns, "
-                            f"the degree {degree} ansatz has {k}")
+                            f"the degree {degree} ansatz has "
+                            f"{'more' if huge else k}")
 
 
 def verify_by_matrices(system: Derivation, ansatz: SymmetryAnsatz,

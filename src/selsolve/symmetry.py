@@ -22,19 +22,21 @@ order is deglex order; a coefficient that is not +-1 keeps its exact
 value in a side table.  The entries are made in chunks and live as
 key-ordered ``array('Q')`` buckets until the first harvest; a walk sorts
 one bucket at a time, so no list of every entry exists as Python ints.
-The side condition (:class:`NecessaryCondition`) packs two entries per
-live slot directly, half a chunk of slots at a time.  A commutator condition
-sums per source word: each live slot's dict of sums is seeded with its
-D_tau(P_x) targets, the Leibniz kernel adds -D_t(Q_x) into it, and its
-nonzero sums are packed before the next slot's dict is made, so no table
-over every word is held and no word is decoded.  A staged run holds
-each condition as its incidence; every harvest is one pass over the ints
-in key order that prunes, marks the slot of each 1-term word dead and
-keeps the surviving ints, as a list, for the next pass.  A condition is
-decoded into (word key, coefficient) pairs once, when it is split,
-labelling each live slot by its unknown and dropping dead ones;
-:func:`complete_split` is the one path from such pairs to a numbered
-:class:`LinearSystem`.
+Both kinds of condition take D_tau(P) from one rule over one walk of
+the live slots (:func:`_dtau_targets`).  The side condition
+(:class:`NecessaryCondition`) packs two entries per live slot directly,
+half a chunk of slots at a time.  A commutator condition sums per source
+word: each live slot's dict of sums is seeded with its D_tau(D_t x)
+targets, the Leibniz kernel adds -D_t(Q_x) into it, and its nonzero sums
+are packed before the next slot's dict is made, so no table over every
+word is held and no word is decoded.  A staged run holds each condition
+as its incidence; every harvest is one pass over the ints in key order
+that prunes, marks the slot of each 1-term word dead and keeps the
+surviving ints, as a list, for the next pass.  A condition is decoded
+into (word key, coefficient) pairs once, when it is split, over its
+slots or their labels, dead slots dropped; :func:`complete_split` is
+the one path from such pairs to a numbered :class:`LinearSystem`, which
+is solved over slots until a solution is given out in unknowns.
 """
 
 from __future__ import annotations
@@ -130,9 +132,9 @@ class SymmetryAnsatz:
     slot t + i its coefficient in Q2 = v_tau, where t = len(keys); the
     side condition's auxiliaries follow in slots 2t ..
     :attr:`slot_count` - 1.  The conditions read the keys and label by
-    slot; the unknown of a slot is made only where one is needed
-    (:meth:`slot_unknowns`, :meth:`live_unknowns`), and
-    :meth:`derivation` decodes the live words into Q1 and Q2.
+    slot; the unknowns are made only where one is needed, all through
+    :meth:`slot_unknowns`, and :meth:`derivation` decodes the live words
+    into Q1 and Q2.
     """
 
     degree: int
@@ -154,20 +156,10 @@ class SymmetryAnsatz:
         return (UnknownId.span(KIND_C, c)
                 + UnknownId.span(KIND_A, self.slot_count - c))
 
-    def live_unknowns(self, dead: bytes) -> list[UnknownId | None]:
-        """The unknown of each slot ``dead`` leaves live, None for a dead
-        one, in slot order; no unknown is made for a dead slot."""
-        c = self.unknown_count
-        labels: list[UnknownId | None] = [None] * len(dead)
-        for s in compress(range(len(dead)), dead.translate(FLIP)):
-            labels[s] = (UnknownId(KIND_C, s) if s < c
-                         else UnknownId(KIND_A, s - c))
-        return labels
-
     def derivation(self, zeros: Collection[UnknownId] = ()) -> Derivation:
         """D_tau over the unknowns that are not in ``zeros``."""
         t = len(self.keys)
-        unknowns = UnknownId.span(KIND_C, 2 * t)
+        unknowns = self.slot_unknowns()
         q1, q2 = (NCPoly._raw({
             key_word(k): AffineForm._raw(0, {uid: 1})
             for k, uid in zip(self.keys, unknowns[start:start + t])
@@ -184,14 +176,6 @@ def build_ansatz(degree: int) -> SymmetryAnsatz:
     return SymmetryAnsatz(degree, keys)
 
 
-def _live_mask(dead: bytes | None, start: int, stop: int) -> bytes:
-    """1 per live slot of [start, stop), 0 per dead one; all live when
-    there is no mask."""
-    if dead is None:
-        return b"\1" * (stop - start)
-    return dead[start:stop].translate(FLIP)
-
-
 def prune_ncpoly(p: NCPoly, zeros: set[UnknownId]) -> NCPoly:
     """Prune every coefficient; words whose coefficient vanishes drop out."""
     if not zeros:
@@ -204,16 +188,11 @@ def prune_ncpoly(p: NCPoly, zeros: set[UnknownId]) -> NCPoly:
     return NCPoly._from_acc(acc)
 
 
-def sandwich_keys(left: tuple, right: tuple,
-                  keys: Iterable[int]) -> list[int]:
-    """:func:`word_key` of reduce(left w right) per reduced word w's key."""
-    return sandwich(left, right)(keys)
-
-
 def sandwich(left: tuple, right: tuple) -> Callable[[Iterable[int]],
                                                      list[int]]:
-    """The map of :func:`sandwich_keys` for one left and right, its tables
-    built once for every batch of keys it is given.
+    """The map from reduced word keys to the :func:`word_key` of
+    reduce(left w right) per key w, its tables built once for every batch
+    of keys it is given.
 
     Only the first len(left) and last len(right) letters of w can cancel,
     so a w as long as both takes one table lookup per end; a shorter one,
@@ -250,6 +229,37 @@ def sandwich(left: tuple, right: tuple) -> Callable[[Iterable[int]],
                     + offsets[k & tail_mask] for k in run]
         return out
     return apply
+
+
+def _dtau_targets(p: NCPoly, ansatz: SymmetryAnsatz, dead: bytes | None,
+                  size: int | None = None) -> Iterator[tuple]:
+    """D_tau(P) over the live slots: the one D_tau rule, and the one walk
+    of the live slots, every slot live when ``dead`` is None.
+
+    D_tau(c L g R) = c L Q_g R, so each letter of P's terms is one
+    (:func:`sandwich` map, coefficient) column of its generator g.  At
+    g^-1, d(g^-1) = -g^-1 d(g) g^-1 widens the sandwich by the letter on
+    both sides and flips the sign.  Yields per chunk of up to ``size``
+    live slots of g, all of them by default: (g, their word keys, the
+    slots, (target keys, coefficient) per column of g).
+    """
+    columns: tuple[list, list] = ([], [])
+    for word, coeff in p.terms.items():
+        for i, g in enumerate(word):
+            if g & 2:
+                left, right, c = word[:i + 1], word[i:], -coeff.const
+            else:
+                left, right, c = word[:i], word[i + 1:], coeff.const
+            columns[g & 1].append((sandwich(left, right), c))
+    t = len(ansatz.keys)
+    for g in (U, V):
+        keys, slots = iter(ansatz.keys), iter(range(g * t, g * t + t))
+        if dead is not None:
+            live = dead[g * t:g * t + t].translate(FLIP)
+            keys, slots = compress(keys, live), compress(slots, live)
+        while chunk := list(islice(keys, size)):
+            yield (g, chunk, list(islice(slots, len(chunk))),
+                   [(apply(chunk), c) for apply, c in columns[g]])
 
 
 #: The sign bit of an entry whose coefficient is +-1.
@@ -471,21 +481,20 @@ class DecodedTerms(Mapping):
 
 
 class NecessaryCondition(Incidence):
-    """D_tau(I) = sum over k of aux[k0+k] I^k as an :class:`Incidence`.
+    """D_tau(I) = sum over k of a_k I^k as an :class:`Incidence`.
 
-    A letter of I = u v u^-1 v^-1 contributes +-L Q R, so the live slot
-    of a word w in Q1 (Q2) occurs with +1 on reduce(L w R) around u (v)
-    and -1 around u^-1 (v^-1), or not at all where the two coincide; aux[i]
-    in slot 2t + i occurs with -1 on I^(i - k0), k0 from
-    :func:`side_condition_k0`.  Only the slots live in ``dead`` enter; the
-    auxiliaries always do.
+    D_tau(I), from the rule of :func:`_dtau_targets`, puts the live slot
+    of a word w in Q1 (Q2) on reduce(L w R) with +1 around u (v) and -1
+    around u^-1 (v^-1), I = u v u^-1 v^-1, or nowhere where the two
+    coincide; the auxiliary a_j in slot 2t + j occurs with -1 on
+    I^(j - k0), k0 from :func:`side_condition_k0`.  Only the slots live
+    in ``dead`` enter; the auxiliaries always do.
     """
 
-    __slots__ = ("_ansatz", "_k0")
+    __slots__ = ("_ansatz",)
 
     def __init__(self, ansatz: SymmetryAnsatz, dead: bytes | None = None):
         self._ansatz = ansatz
-        self._k0 = side_condition_k0(ansatz.degree)
         shift = (2 * ansatz.slot_count).bit_length()
         super().__init__(self._chunks(dead, shift), shift)
 
@@ -493,32 +502,18 @@ class NecessaryCondition(Incidence):
                 ) -> Iterator[list[int]]:
         """The entries in chunks: the auxiliaries', then those of up to
         half a chunk of live slots at a time, generator by generator."""
-        keys, k0, i_word = self._ansatz.keys, self._k0, COMMUTATOR_UV
-        t = len(keys)
-        yield [word_key(word_pow(i_word, i - k0)) << shift
-               | (2 * t + i) << 1 | 1 for i in range(2 * k0 + 1)]
-        size = max(_CHUNK // 2, 1)
-        for g in (U, V):  # I holds g at position g, its inverse at g + 2
-            plus_of = sandwich(i_word[:g], i_word[g + 1:])
-            minus_of = sandwich(i_word[:g + 3], i_word[g + 2:])
-            first = g * t
-            live = _live_mask(dead, first, first + t)
-            live_keys = compress(keys, live)
-            # each live slot s as s << 1, the low bits of its entries
-            live_slots = compress(range(2 * first, 2 * (first + t), 2), live)
-            while chunk := list(islice(live_keys, size)):
-                slots = list(islice(live_slots, len(chunk)))
-                plus, minus = plus_of(chunk), minus_of(chunk)
-                entries = [p << shift | s for p, q, s in
-                           zip(plus, minus, slots) if p != q]
-                entries += [q << shift | s | 1 for p, q, s in
-                            zip(plus, minus, slots) if p != q]
-                yield entries
-
-    @property
-    def aux(self) -> tuple[UnknownId, ...]:
-        """The auxiliary unknowns a_0 .. a_2k0."""
-        return UnknownId.span(KIND_A, 2 * self._k0 + 1)
+        ansatz = self._ansatz
+        k0, c = side_condition_k0(ansatz.degree), ansatz.unknown_count
+        yield [word_key(word_pow(COMMUTATOR_UV, j - k0)) << shift
+               | (c + j) << 1 | 1 for j in range(2 * k0 + 1)]
+        for _, _, slots, ((plus, _), (minus, _)) in _dtau_targets(
+                NCPoly.from_word(COMMUTATOR_UV), ansatz, dead,
+                max(_CHUNK // 2, 1)):
+            entries = [p << shift | s << 1 for p, q, s in
+                       zip(plus, minus, slots) if p != q]
+            entries += [q << shift | s << 1 | 1 for p, q, s in
+                        zip(plus, minus, slots) if p != q]
+            yield entries
 
     @property
     def residual(self) -> NCPoly:
@@ -540,49 +535,34 @@ def formulate_symcon(system: Derivation, ansatz: SymmetryAnsatz, which: str,
 
     Identically zero exactly when the ansatz flow commutes with the system
     D_t on that generator.  Only the slots live in ``dead`` enter the
-    ansatz, and every word stays a key.  D_tau(P_x) takes one
-    :func:`sandwich_keys` call per letter of each term of P_x = D_t x, at
-    an inverse letter g^-1 by d(g^-1) = -g^-1 d(g) g^-1, the sandwich
-    widened by one letter.  Each live slot's targets seed its own dict of
-    sums, into which the Leibniz kernel :func:`derive_keys` adds
-    -D_t(Q_x) for a slot of Q_x; each nonzero sum becomes one entry of
-    the :class:`Incidence`, labelled by slot, and no other slot's sums
-    are held meanwhile.
+    ansatz, and every word stays a key.  D_tau(P_x) for P_x = D_t x comes
+    from the rule of :func:`_dtau_targets`, one batch of live slots per
+    generator.  Each live slot's targets seed its own dict of sums, into
+    which the Leibniz kernel :func:`derive_keys` adds -D_t(Q_x) for a slot
+    of Q_x; each nonzero sum becomes one entry of the :class:`Incidence`,
+    labelled by slot, and no other slot's sums are held meanwhile.
     """
     if which not in ("u", "v"):
         raise ValueError("which must be 'u' or 'v'")
-    x, t = "uv".index(which), len(ansatz.keys)
-    live = []  # per generator: the keys and slots of its live words
-    for start in (0, t):
-        mask = _live_mask(dead, start, start + t)
-        live.append((list(compress(ansatz.keys, mask)),
-                     list(compress(range(start, start + t), mask))))
-    images = (system.image_u, system.image_v)
-    # per generator: (sandwich targets of its live words, coefficient) per
-    # letter of P_x's terms that is that generator or its inverse
-    columns: tuple[list, list] = ([], [])
-    for word, coeff in images[x].terms.items():
-        for i, g in enumerate(word):
-            if g & 2:
-                left, right, c = word[:i + 1], word[i:], -coeff.const
-            else:
-                left, right, c = word[:i], word[i + 1:], coeff.const
-            columns[g & 1].append(
-                (sandwich_keys(left, right, live[g & 1][0]), c))
+    x = "uv".index(which)
 
-    def seeded(y: int) -> Iterator[dict]:
-        for i in range(len(live[y][0])):
-            sums: dict = {}
-            for targets, c in columns[y]:
+    def seeded(count: int, columns: list) -> Iterator[dict]:
+        for i in range(count):
+            acc: dict = {}
+            for targets, c in columns:
                 key = targets[i]
-                sums[key] = sums.get(key, 0) + c
-            yield sums
+                acc[key] = acc.get(key, 0) + c
+            yield acc
 
-    keys, slots = live[x]
-    other = 1 - x
-    return Incidence.pack(chain(
-        zip(slots, derive_keys(system, keys, -1, seeded(x))),
-        zip(live[other][1], seeded(other))), ansatz.slot_count)
+    def sums() -> Iterator[tuple[int, dict]]:
+        for g, keys, slots, columns in _dtau_targets(
+                (system.image_u, system.image_v)[x], ansatz, dead):
+            acc = seeded(len(keys), columns)
+            if g == x:
+                acc = derive_keys(system, keys, -1, acc)
+            yield from zip(slots, acc)
+
+    return Incidence.pack(sums(), ansatz.slot_count)
 
 
 def selective_split(p: Incidence, dead: bytearray) -> int:
@@ -676,8 +656,13 @@ def widest_entry_bits(degree: int, images: int = 2) -> int:
 
 
 def _check_degree_guard(degree: int, images: int = 2) -> None:
-    k = images * ansatz_term_count(degree)
     limit = unknown_limit(FORMULATE_MAX_UNKNOWNS)
+    # 3^degree > 2^degree > limit past its bit length: refused before
+    # 3^degree, which may have millions of digits, is built
+    if degree > limit.bit_length():
+        raise TooLargeError(f"degree {degree} needs more unknowns than the "
+                            f"guard of {limit}")
+    k = images * ansatz_term_count(degree)
     if k > limit:
         raise TooLargeError(
             f"degree {degree} needs {k} unknowns, over the guard of {limit}")
@@ -718,22 +703,21 @@ def system_stats(degree: int) -> SystemStats:
 def first_integral_basis(system: Derivation, degree: int) -> list[NCPoly]:
     """A basis of the first integrals of degree <= n, constants included.
 
-    The ansatz is one fresh unknown per word key; the Leibniz kernel
-    :func:`derive_keys` sums D_t of each word, packed into one
-    :class:`Incidence` by slot, which is split completely in key order
-    and solved once.  Each free unknown gives one integral, so the basis
-    length is the dimension of the space; only the basis decodes its keys
-    into words.
+    The ansatz is one fresh unknown per word key, numbered by slot; the
+    Leibniz kernel :func:`derive_keys` sums D_t of each word, packed into
+    one :class:`Incidence` by slot, which is split completely in key order
+    and solved once over the slots, so no unknown is made.  Each free slot
+    gives one integral, so the basis length is the dimension of the space;
+    only the basis decodes its keys into words.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
     _check_degree_guard(degree, 1)
     keys = enumerate_keys(degree)
-    unknowns = UnknownId.span(KIND_C, len(keys))
-    condition = Incidence.pack(
-        enumerate(derive_keys(system, keys)), len(keys))
-    state = lsss_solve(complete_split([condition.keyed_terms(unknowns)],
-                                      unknowns))
-    return [NCPoly._from_acc({key_word(k): AffineForm.constant(vec[u])
-                              for k, u in zip(keys, unknowns) if u in vec})
+    slots = range(len(keys))
+    condition = Incidence.pack(zip(slots, derive_keys(system, keys)),
+                               len(keys))
+    state = lsss_solve(complete_split([condition.keyed_terms()], slots))
+    return [NCPoly._from_acc({key_word(k): AffineForm.constant(vec[s])
+                              for s, k in enumerate(keys) if s in vec})
             for vec in state.basis()]

@@ -1,12 +1,18 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The heavier degrees are
-shared through module-scoped fixtures so the suite stays fast.
+shared through module-scoped fixtures so the suite stays fast.  The test
+marked ``manual`` (degree 14, minutes and gigabytes) is deselected by
+default; run it with ``pytest tests/test_acceptance.py -m manual -s``.
 """
 
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -306,3 +312,27 @@ def test_file_bytes_are_pinned(pipeline_results, tmp_path, capsys):
             == SOLUTION_SHA256[n], n
     report("bytes", "gen --nc output n=4,5 and default solution files "
                     "n=4..6 byte-identical to the pinned sha256")
+
+
+@pytest.mark.manual
+def test_pipeline_degree_14_final_line_and_peak(tmp_path):
+    # about 200 s and 1.7 GB on a 2-core x86 with Python 3.11; one fresh
+    # process, its own peak RSS read by wait4
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src, **{GUARD_ENV_VAR: "100000000"})
+    out = tmp_path / "pipeline14.txt"
+    started = time.perf_counter()
+    with open(out, "w") as stdout:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "selsolve.cli", "pipeline", "--degree",
+             "14"], stdout=stdout, env=env)
+        _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    seconds = time.perf_counter() - started
+    peak = usage.ru_maxrss / 2 ** 20  # ru_maxrss is in KiB
+    assert child.returncode == 0
+    assert out.read_text().splitlines()[-1] \
+        == "final: zeros=19116313 pivots=15545 free=25"
+    assert peak <= 4
+    report("degree 14", f"pipeline final line pinned, {seconds:.0f} s, "
+                        f"peak RSS {peak:.2f} GB")

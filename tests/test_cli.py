@@ -77,6 +77,29 @@ def test_entry_width_guard_exits_before_any_ansatz(argv, bits, monkeypatch,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["pipeline", "gen", "stats",
+                                     "integrals", "verify"])
+def test_huge_degree_exits_with_one_short_line(command, tmp_path,
+                                               monkeypatch, capsys):
+    # 3^10000000 has 4.8 million digits: it is neither built nor printed
+    monkeypatch.delenv(GUARD_ENV_VAR, raising=False)
+    argv = [command, "--degree", "10000000"]
+    message = "degree 10000000 needs more unknowns than the guard of 30000"
+    if command == "verify":
+        path = str(tmp_path / "n3.sol")
+        write_solution(run_strategy(3, default_strategy(3))[0], path)
+        argv += ["--solution", path]
+        message = ("solution has 106 ansatz unknowns, the degree 10000000 "
+                   "ansatz has more")
+    started = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - started < 0.5
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert len(captured.err) < 200
+    assert captured.out == ""
+
+
 def test_entry_width_guard_passes_the_degrees_below(monkeypatch):
     # degree 14 packs 65-bit entries and 15 68-bit ones, the widest an
     # incidence holds with their bits above 64 in the bucket; first
@@ -290,6 +313,23 @@ def test_oversized_strategy_exits_with_one_line(strategy, message, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("strategy, message", [
+    ("(N)²F", "group needs a repeat count"),
+    ("(N)٣F", "group needs a repeat count"),
+    ("ßF", "unexpected 'ß' at position 0"),
+    ("ſF", "unexpected 'ſ' at position 0")])
+def test_non_ascii_strategy_exits_with_one_line(strategy, message, capsys):
+    assert main(["pipeline", "--degree", "3", "--strategy", strategy]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_strategy_with_a_newline_runs(capsys):
+    assert main(["pipeline", "--degree", "3", "--strategy", "N\nF"]) == 0
+    assert "strategy: NF" in capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selsolve import symmetry
 from selsolve.errors import NonlinearProductError
 from selsolve.linsys import KIND_A, KIND_C, AffineForm, UnknownId
 from selsolve.ncalgebra import (EMPTY_WORD, U, U_INV, V, V_INV, Derivation,
@@ -404,7 +405,8 @@ def lockstep_run(degree, paired):
     for side, dead in enumerate(zeros):
         held = [conditions[label][side] for label in "NS"]
         held.append(formulate_symcon(system, ansatz, "v", dead))
-        labels = ansatz.live_unknowns(dead)
+        labels = [None if d else u
+                  for u, d in zip(ansatz.slot_unknowns(), dead)]
         ids = {s: u for s, u in enumerate(labels) if u is not None}
         f_systems.append(complete_split(
             [relabelled(c.terms, ids) if isinstance(c, PairCondition)
@@ -466,6 +468,36 @@ def test_incidence_matches_per_slot_reference(degree):
         dead = mask_of(ansatz, zeros)
         assert list(NecessaryCondition(ansatz, dead).walk()) \
             == reference_incidence(ansatz, dead)
+
+
+def packed(ansatz, terms):
+    """(word key, coefficient) pairs over unknowns as an incidence's
+    sorted ints: one per unknown of each coefficient, by its slot."""
+    shift = (2 * ansatz.slot_count).bit_length()
+    slot = {u: s for s, u in enumerate(ansatz.slot_unknowns())}
+    return sorted(k << shift | slot[u] << 1 | (r < 0)
+                  for k, coeff in terms for u, r in coeff.coeffs.items())
+
+
+@pytest.mark.parametrize("degree", range(3, 7))
+def test_walk_matches_references_in_every_chunk_size(degree, monkeypatch):
+    # N and both commutators share one D_tau rule and one live-slot walk:
+    # in chunks of 1..5, with no mask and with the mask of an SNF run,
+    # their ints are the per-slot and accumulator references'
+    system = kontsevich_system()
+    ansatz = build_ansatz(degree)
+    state, _ = run_strategy(degree, "SNF")
+    for dead, zeros in ((None, set()),
+                        (mask_of(ansatz, state.zeros), state.zeros)):
+        want_nc = reference_incidence(ansatz, mask_of(ansatz, zeros))
+        want = {which: packed(ansatz, sorted_terms(accumulator_symcon(
+            system, ansatz, which, zeros))) for which in "uv"}
+        for chunk in range(1, 6):
+            monkeypatch.setattr(symmetry, "_CHUNK", chunk)
+            assert list(NecessaryCondition(ansatz, dead).walk()) == want_nc
+            for which in "uv":
+                assert list(formulate_symcon(system, ansatz, which,
+                                             dead).walk()) == want[which]
 
 
 def random_affine_poly(rng, unknowns, with_const):

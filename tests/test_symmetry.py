@@ -136,20 +136,21 @@ def test_side_condition_k0_follows_the_degree():
     # the side condition spans I^-4 .. I^4 at n = 11; an ansatz with no
     # words keeps the formulation itself empty
     probe = SymmetryAnsatz(11, ())
-    nc = formulate_nc(probe)
-    assert len(nc.aux) == 9
+    assert len(probe.slot_unknowns()) == probe.slot_count == 9
+    assert len(formulate_nc(probe)) == 9
 
 
 def test_formulate_nc_aux_unknowns():
     ans = build_ansatz(3)
     nc = formulate_nc(ans)
-    assert len(nc.aux) == 7
-    assert all(uid.kind == KIND_A for uid in nc.aux)
-    assert unknowns_of(nc.residual) >= set(nc.aux)
+    aux = ans.slot_unknowns()[ans.unknown_count:]
+    assert len(aux) == 7
+    assert all(uid.kind == KIND_A for uid in aux)
+    assert unknowns_of(nc.residual) >= set(aux)
     # solving the split side condition alone forces every auxiliary to zero
     state = lsss_solve(complete_split([nc.keyed_terms(ans.slot_unknowns())],
                                       unknowns_of(nc.residual)))
-    for uid in nc.aux:
+    for uid in aux:
         gone = uid in state.zeros or (
             uid in state.pivots and state.pivots[uid].is_zero)
         assert gone

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from selsolve.ncalgebra import (EMPTY_WORD, U, U_INV, V, V_INV, Word,
                                 key_word, reduce_letters, word_key, word_mul,
                                 word_pow)
-from selsolve.symmetry import COMMUTATOR_UV, enumerate_keys, sandwich_keys
+from selsolve.symmetry import COMMUTATOR_UV, enumerate_keys, sandwich
 
 keyed = settings(derandomize=True, database=None, deadline=None,
                  max_examples=200)
@@ -133,7 +133,7 @@ def test_key_word_decodes_word_key(w):
 @given(reduced_words(), st.integers(0, 3))
 def test_sandwich_key_is_free_reduction(w, i):
     left, right = side_sandwich(i)
-    assert sandwich_keys(left, right, [word_key(w)]) \
+    assert sandwich(left, right)([word_key(w)]) \
         == [word_key(reduce_letters(left + w + right))]
 
 
@@ -158,7 +158,7 @@ def sandwich_runs(draw):
 @given(sandwich_runs())
 def test_sandwich_keys_on_runs_of_mixed_lengths(case):
     left, right, words = case
-    assert sandwich_keys(left, right, iter(map(word_key, words))) \
+    assert sandwich(left, right)(iter(map(word_key, words))) \
         == [word_key(reduce_letters(left + w + right)) for w in words]
 
 
@@ -167,7 +167,7 @@ def test_sandwich_keys_cancel_to_the_empty_word():
     whole = reduce_letters(left.inverse() + right.inverse())
     short = Word((U,))
     keys = [word_key(w) for w in (whole, short, whole, EMPTY_WORD)]
-    assert sandwich_keys(left, right, iter(keys)) \
+    assert sandwich(left, right)(iter(keys)) \
         == [1, word_key(reduce_letters(left + short + right)), 1,
             word_key(left + right)]
 
@@ -178,5 +178,5 @@ def test_sandwich_keys_on_every_short_word():
     words = enumerate_words(6)
     for i in range(4):
         left, right = side_sandwich(i)
-        assert sandwich_keys(left, right, map(word_key, words)) \
+        assert sandwich(left, right)(map(word_key, words)) \
             == [word_key(reduce_letters(left + w + right)) for w in words]
