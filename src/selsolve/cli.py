@@ -51,10 +51,10 @@ def _cmd_solve(args) -> int:
         # The oracle's basis spans the homogeneous solutions; the constants
         # are checked on the solution with every free unknown set to 0.
         particular = state.full_assignment(dict.fromkeys(state.free, 0))
+        point = [particular[u] for u in system.universe]
         ok = (nullity == state.free_count
               and all(state.contains_vector(vec) for vec in basis)
-              and all(eq.lhs.evaluate(particular) == 0
-                      for eq in system.equations))
+              and not any(system.values_at(point)))
         print(f"oracle: nullity={nullity} agreement={'ok' if ok else 'MISMATCH'}")
         if not ok:
             return 1

@@ -20,12 +20,13 @@ from __future__ import annotations
 import os
 import re
 import secrets
-from typing import Iterator
+from itertools import chain, groupby, islice
+from typing import Iterator, Sequence
 
 from .errors import BoundsError, ParseError, TooLargeError
 from .linsys import (FORMULATE_MAX_UNKNOWNS, KIND_BY_LETTER, KIND_C,
-                     AffineForm, Equation, LinearSystem, Rational, UnknownId,
-                     exact_div, format_affine, format_rational, unknown_limit)
+                     AffineForm, LinearSystem, Rational, UnknownId, exact_div,
+                     format_affine, format_rational, unknown_limit)
 from .solver import SolutionState
 
 
@@ -104,22 +105,23 @@ def names_path_for(path: str) -> str:
 
 
 def render_system(system: LinearSystem) -> str:
-    columns = system.sorted_universe()
-    index = {uid: j + 1 for j, uid in enumerate(columns)}
-    lines = [f"{len(system.equations)} {len(columns)}"]
-    for row, eq in enumerate(system.equations, start=1):
-        if eq.lhs.const != 0:
-            lines.append(f"{row} 0 {format_rational(eq.lhs.const)}")
-        for uid in sorted(eq.lhs.coeffs):
-            lines.append(
-                f"{row} {index[uid]} {format_rational(eq.lhs.coeffs[uid])}")
+    """The system's rows in order, each row's entries by column."""
+    lines = [f"{len(system)} {len(system.universe)}"]
+    labels = [str(j) for j in range(1, len(system.universe) + 1)]
+    entries = zip(system.cols, system.values)
+    for row, (const, length) in enumerate(
+            zip(system.consts, system.row_lengths()), start=1):
+        if const != 0:
+            lines.append(f"{row} 0 {format_rational(const)}")
+        for c, value in sorted(islice(entries, length)):
+            lines.append(f"{row} {labels[c]} {format_rational(value)}")
     lines.append("0 0 0")
     return "\n".join(lines) + "\n"
 
 
 def render_names(system: LinearSystem) -> str:
     lines = []
-    for j, uid in enumerate(system.sorted_universe(), start=1):
+    for j, uid in enumerate(system.universe, start=1):
         lines.append(f"{j} {uid.kind_letter} {uid.index} {uid.name}")
     return "\n".join(lines) + "\n" if lines else ""
 
@@ -173,10 +175,12 @@ def read_system(path: str) -> LinearSystem:
     token is kept, so rows given in order cost one check each; a token
     that spells the same number another way, such as ``01`` for ``1``,
     names the same row or column.  Every entry is checked against
-    duplicates.  Entries are grouped by row, and only rows with entries
-    become equations, so the header's row count costs nothing; row i is
-    equation i - 1.  Every declared column is an unknown, free unless an
-    entry says otherwise.
+    duplicates.  Entries go straight into the packed rows of the result,
+    in file order within a row; a row given in several runs of lines is
+    joined in that order.  Only rows with entries become rows of the
+    system, so the header's row count costs nothing; row i has id i - 1,
+    and zero values drop out.  Every declared column is an unknown, free
+    unless an entry says otherwise.
     """
     with open(path, encoding="utf-8") as handle:
         try:
@@ -203,23 +207,25 @@ def _read_triples(path: str, lines: Iterator[tuple[int, str]]) -> LinearSystem:
     if n > limit:
         raise TooLargeError(f"header declares {_cut(str(n))} unknowns, "
                             f"over the guard of {limit}")
-    names_path = names_path_for(path)
-    if os.path.exists(names_path):
-        column = read_names(names_path, n)
-        missing = [j for j in range(1, n + 1) if j not in column]
-        if missing:
-            raise ParseError(f"sidecar misses column {missing[0]}")
-    else:
-        column = dict(enumerate(UnknownId.span(KIND_C, n), start=1))
+    system, column = _empty_system(path, n)
 
-    # Row dicts are keyed by unknown, and by 0 for the constant, which no
-    # unknown equals.  A zero value token is never cached, so every row
-    # that holds one is marked and filtered at the end.
-    rows: dict[int, dict[int, Rational]] = {}
+    # Entries go straight into the system's arrays, one piece per run of
+    # lines on one row; key -1 is the constant, any other a column.  While
+    # the rows come in increasing order each piece is a whole row, and the
+    # keys of the current row are checked against duplicates.  Once a row
+    # comes back or out of order, every row's keys are kept instead, and
+    # the pieces are joined at the end.  A zero value is never cached or
+    # stored, only noted for the duplicate check.
+    ids, consts, starts = system.ids, system.consts, system.starts
+    cols, values = system.cols, system.values
     keys: dict[str, int] = {}
-    values: dict[str, Rational] = {}
-    zeroed: set[int] = set()
+    cache: dict[str, Rational] = {}
+    zero_keys: list[tuple[int, int]] = []  # (piece, key) of a zero value
+    row_keys: dict[int, set[int]] | None = None
+    seen: set[int] = set()
+    top = min(m, _ROW_LIMIT)
     row_token = None
+    i = 0  # no row
     last = lineno
     for lineno, raw in lines:
         try:
@@ -232,16 +238,28 @@ def _read_triples(path: str, lines: Iterator[tuple[int, str]]) -> LinearSystem:
         if i_token != row_token:
             if i_token == "0" and j_token == "0" and value_token == "0":
                 break
-            i = _parse_integer(i_token)
-            if i is None or (j_token not in keys
-                             and _parse_integer(j_token) is None):
+            row = _parse_integer(i_token)
+            if row is None or (j_token not in keys
+                               and _parse_integer(j_token) is None):
                 raise ParseError("bad indices", lineno)
-            if not 1 <= i <= m:
-                raise BoundsError(f"row {_cut(str(i))} outside "
-                                  f"1..{_cut(str(m))}", lineno)
-            row = rows.get(i)
-            if row is None:
-                row = rows[i] = {}
+            if not 1 <= row <= top:
+                raise BoundsError(
+                    f"row {_cut(str(row))} outside 1..{_cut(str(m))}"
+                    if row < 1 or row > m else
+                    f"row {_cut(str(row))} over the {_ROW_LIMIT} rows a "
+                    f"system holds", lineno)
+            if row != i:
+                if row_keys is None and row < i:
+                    row_keys = _keys_by_row(system, zero_keys, seen)
+                if row_keys is None:
+                    seen = set()
+                else:
+                    seen = row_keys.setdefault(row - 1, set())
+                if ids:
+                    starts.append(len(cols))
+                ids.append(row - 1)
+                consts.append(0)
+                i = row
             row_token = i_token
         key = keys.get(j_token)
         if key is None:
@@ -251,31 +269,81 @@ def _read_triples(path: str, lines: Iterator[tuple[int, str]]) -> LinearSystem:
             if not 0 <= j <= n:
                 raise BoundsError(f"column {_cut(str(j))} outside 0..{n}",
                                   lineno)
-            key = keys[j_token] = column[j] if j else 0
-        if key in row:
+            key = keys[j_token] = column[j]
+        if key in seen:
             raise ParseError(f"duplicate entry ({i}, {int(j_token)})", lineno)
-        value = values.get(value_token)
+        seen.add(key)
+        value = cache.get(value_token)
         if value is None:
             value = _parse_rational(value_token, lineno)
-            if value:
-                values[value_token] = value
-            else:
-                zeroed.add(i)
-        row[key] = value
+            if not value:
+                zero_keys.append((len(ids) - 1, key))
+                continue
+            cache[value_token] = value
+        if key < 0:
+            consts[-1] = value
+        else:
+            cols.append(key)
+            values.append(value)
     else:
         raise ParseError("missing '0 0 0' terminator", last)
     for lineno, raw in lines:
         if raw.split():
             raise ParseError("content after terminator", lineno)
+    if ids:
+        starts.append(len(cols))
+    return system if row_keys is None else _joined(system)
 
-    equations = []
-    for i in sorted(rows):
-        row = rows.pop(i)
-        const = row.pop(0, 0)
-        if i in zeroed:
-            row = {key: value for key, value in row.items() if value != 0}
-        equations.append(Equation(AffineForm._raw(const, row), i - 1))
-    return LinearSystem(equations, frozenset(column.values()))
+
+def _empty_system(path: str, n: int) -> tuple[LinearSystem, Sequence[int]]:
+    """The system with no rows over the file's unknowns, as the sidecar
+    names them if there is one, and the key of each file column: -1 for
+    column 0, the constant, and the system's column for any other."""
+    names_path = names_path_for(path)
+    if not os.path.exists(names_path):
+        return LinearSystem.over(UnknownId.span(KIND_C, n)), range(-1, n)
+    named = read_names(names_path, n)
+    missing = [j for j in range(1, n + 1) if j not in named]
+    if missing:
+        raise ParseError(f"sidecar misses column {missing[0]}")
+    system = LinearSystem.over(tuple(sorted(named.values())))
+    position = {uid: c for c, uid in enumerate(system.universe)}
+    return system, [-1] + [position[named[j]] for j in range(1, n + 1)]
+
+
+#: Rows a system holds: an equation id is a signed 64-bit int.
+_ROW_LIMIT = 1 << 63
+
+
+def _keys_by_row(pieces: LinearSystem, zero_keys: list[tuple[int, int]],
+                 current: set[int]) -> dict[int, set[int]]:
+    """Each row's keys while the rows have come in order, a piece each,
+    the last one still open with the keys ``current``."""
+    ids, starts, cols = pieces.ids, pieces.starts, pieces.cols
+    row_keys = {ids[p]: set(cols[starts[p]:starts[p + 1]])
+                for p in range(len(ids) - 1)}
+    row_keys[ids[-1]] = current
+    for p, const in enumerate(pieces.consts):
+        if const:
+            row_keys[ids[p]].add(-1)
+    for p, key in zero_keys:
+        row_keys[ids[p]].add(key)
+    return row_keys
+
+
+def _joined(pieces: LinearSystem) -> LinearSystem:
+    """Rows in id order, each joined from its pieces in arrival order."""
+    system = LinearSystem.over(pieces.universe)
+    starts, cols, values = pieces.starts, pieces.cols, pieces.values
+    order = sorted(range(len(pieces.ids)), key=pieces.ids.__getitem__)
+    for row_id, group in groupby(order, key=pieces.ids.__getitem__):
+        group = list(group)
+        system.append(row_id, sum(pieces.consts[p] for p in group),
+                      chain.from_iterable(cols[starts[p]:starts[p + 1]]
+                                          for p in group),
+                      chain.from_iterable(values[starts[p]:starts[p + 1]]
+                                          for p in group))
+    return system
 
 
 _CHUNK = re.compile(r"[+-]?[^+-]+")

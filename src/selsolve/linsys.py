@@ -16,12 +16,15 @@ it as the equal int, so no result depends on which of the two a value is.
 from __future__ import annotations
 
 import math
+import operator
 import os
+from array import array
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from typing import Mapping, NamedTuple
+from itertools import islice, repeat
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import SelSolveError, TooLargeError
 
@@ -315,32 +318,133 @@ def canonicalize(equation: Equation) -> Equation:
                     equation.id)
 
 
-@dataclass
 class LinearSystem:
-    """Ordered equations over an explicit universe of unknowns."""
+    """Ordered equations over a universe of unknowns, packed as rows.
 
-    equations: list[Equation]
-    universe: frozenset[UnknownId]
+    The universe is a sorted tuple, and column c stands for
+    ``universe[c]``.  Row k has the id ``ids[k]``, the constant
+    ``consts[k]`` and the entries ``cols[starts[k]:starts[k + 1]]``, whose
+    exact nonzero coefficients sit at the same positions of ``values``
+    (the row-pointer/column-index layout of Gustavson, ACM TOMS 4, 1978).
+    A row becomes an :class:`Equation` only when :attr:`equations` is
+    read.  ``LinearSystem(equations, universe)`` packs Equations in order;
+    every unknown they mention must be in the universe.
+    """
 
-    def __post_init__(self):
-        self.universe = frozenset(self.universe)
+    __slots__ = ("universe", "ids", "consts", "starts", "cols", "values")
+
+    def __init__(self, equations: Iterable[Equation] = (),
+                 universe: Iterable = ()):
+        self._empty(tuple(sorted(set(universe))))
+        ids, consts, starts = self.ids, self.consts, self.starts
+        values = self.values
+        unknowns: list = []  # turned into columns at the end, in one pass
+        for eq in equations:
+            coeffs = eq.lhs.coeffs
+            ids.append(eq.id)
+            consts.append(eq.lhs.const)
+            unknowns.extend(coeffs)
+            values.extend(coeffs.values())
+            starts.append(len(values))
+        column = {u: c for c, u in enumerate(self.universe)}
+        self.cols = array("q", map(column.__getitem__, unknowns))
+
+    def _empty(self, universe: tuple) -> None:
+        self.universe = universe
+        self.ids: array = array("q")
+        self.consts: list[Rational] = []
+        self.starts: array = array("q", [0])
+        self.cols: array = array("q")
+        self.values: list[Rational] = []
+
+    @classmethod
+    def over(cls, universe: tuple) -> "LinearSystem":
+        """An empty system over a universe that is a sorted tuple already,
+        such as another system's."""
+        system = object.__new__(cls)
+        system._empty(universe)
+        return system
+
+    def append(self, row_id: int, const: Rational, cols: Iterable[int],
+               values: Iterable[Rational]) -> None:
+        """Add one row: its columns and their nonzero values, in order."""
+        self.ids.append(row_id)
+        self.consts.append(const)
+        self.cols.extend(cols)
+        self.values.extend(values)
+        self.starts.append(len(self.cols))
+
+    def take(self, rows: Iterable[int]) -> "LinearSystem":
+        """The system of the given rows, in the given order."""
+        out = LinearSystem.over(self.universe)
+        starts, cols, values = self.starts, self.cols, self.values
+        for k in rows:
+            a, b = starts[k], starts[k + 1]
+            out.append(self.ids[k], self.consts[k], cols[a:b], values[a:b])
+        return out
+
+    def equation(self, k: int) -> Equation:
+        """Row k decoded, its terms over unknowns in stored order."""
+        a, b = self.starts[k], self.starts[k + 1]
+        coeffs = dict(zip(map(self.universe.__getitem__, self.cols[a:b]),
+                          self.values[a:b]))
+        return Equation(AffineForm._raw(self.consts[k], coeffs), self.ids[k])
+
+    @property
+    def equations(self) -> "EquationView":
+        return EquationView(self)
+
+    def row_lengths(self) -> Iterator[int]:
+        """The number of entries of each row, in order."""
+        return map(operator.sub, self.starts[1:], self.starts)
+
+    def values_at(self, point: Sequence[Rational]) -> Iterator[Rational]:
+        """Each row's value, in order, with column c set to ``point[c]``."""
+        products = map(operator.mul, map(point.__getitem__, self.cols),
+                       self.values)
+        for const, length in zip(self.consts, self.row_lengths()):
+            yield const + sum(islice(products, length))
 
     def __len__(self) -> int:
-        return len(self.equations)
+        return len(self.ids)
 
     @property
     def term_total(self) -> int:
-        return sum(eq.lhs.term_count for eq in self.equations)
-
-    def sorted_universe(self) -> list[UnknownId]:
-        return sorted(self.universe)
+        return len(self.cols)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LinearSystem)
                 and self.universe == other.universe
-                and len(self.equations) == len(other.equations)
-                and all(a.id == b.id and a.lhs == b.lhs
-                        for a, b in zip(self.equations, other.equations)))
+                and self.equations == other.equations)
+
+    def __repr__(self) -> str:
+        return f"LinearSystem({list(self.equations)!r}, {self.universe!r})"
+
+
+class EquationView(Sequence):
+    """The rows of a :class:`LinearSystem`, each decoded as it is read."""
+
+    __slots__ = ("_system",)
+
+    def __init__(self, system: LinearSystem):
+        self._system = system
+
+    def __len__(self) -> int:
+        return len(self._system)
+
+    def __getitem__(self, k):
+        rows = range(len(self._system))[k]
+        if isinstance(k, slice):
+            return [self._system.equation(i) for i in rows]
+        return self._system.equation(rows)
+
+    def __iter__(self) -> Iterator[Equation]:
+        return map(self._system.equation, range(len(self._system)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (EquationView, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
 class NullspaceResult(NamedTuple):
@@ -379,21 +483,24 @@ def dense_nullspace_oracle(system: LinearSystem) -> NullspaceResult:
     lcm of its denominators, and a pivot row is held as integers over one
     positive denominator, divided by their content after every update.  An
     index from each unknown to the pivot rows that mention it lets a new
-    pivot update only those rows.  Fractions appear only in the returned
-    basis.  Guarded because elimination materializes fill-in.
+    pivot update only those rows.  Rows are read one at a time over
+    columns, whose order is the unknowns' order; fractions and unknowns
+    appear only in the returned basis.  Guarded because elimination
+    materializes fill-in.
     """
     check_oracle_guard(system)
 
     # Pivot p is denom[p] * x_p + sum(tails[p][c] * x_c) = 0, with integers
     # of content 1 and denom[p] > 0.  Tails never mention a pivot column,
     # so reducing a row is a single pass.
-    tails: dict[UnknownId, dict[UnknownId, int]] = {}
-    denom: dict[UnknownId, int] = {}
+    tails: dict[int, dict[int, int]] = {}
+    denom: dict[int, int] = {}
     # mentions[c] holds every pivot whose tail has a nonzero entry at c; it
     # may also hold pivots whose entry there has since cancelled.
-    mentions: defaultdict[UnknownId, set[UnknownId]] = defaultdict(set)
-    for eq in system.equations:
-        row = dict(eq.lhs.coeffs)
+    mentions: defaultdict[int, set[int]] = defaultdict(set)
+    entries = zip(system.cols, system.values)
+    for length in system.row_lengths():
+        row = dict(islice(entries, length))
         # One Fraction among the coefficients makes their sum a Fraction.
         if type(sum(row.values())) is not int:
             scale = math.lcm(*(r.denominator for r in row.values()))
@@ -461,13 +568,14 @@ def dense_nullspace_oracle(system: LinearSystem) -> NullspaceResult:
         denom[p] = d
 
     basis = []
-    for f in system.sorted_universe():
+    universe = system.universe
+    for f in range(len(universe)):
         if f in tails:
             continue
-        vec: dict[UnknownId, Rational] = {f: 1}
+        vec: dict[UnknownId, Rational] = {universe[f]: 1}
         for p in sorted(mentions.get(f, ())):
             t = tails[p].get(f)
             if t:
-                vec[p] = Fraction(-t, denom[p])
+                vec[universe[p]] = Fraction(-t, denom[p])
         basis.append(vec)
     return NullspaceResult(len(tails), basis)

@@ -11,7 +11,9 @@ zero never comes back with a nonzero value.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from itertools import filterfalse
 from typing import Iterable, NamedTuple
 
 from .errors import InconsistentSystemError
@@ -41,62 +43,79 @@ class FindZerosResult(NamedTuple):
         return sum(1 for n in self.new_per_round if n > 0)
 
 
-def _contradiction(eq: Equation, form: AffineForm) -> InconsistentSystemError:
+def _contradiction(eq_id: int, const: Rational) -> InconsistentSystemError:
     return InconsistentSystemError(
-        f"linear system is inconsistent: equation {eq.id} reduces to "
-        f"{format_rational(form.const)} = 0")
+        f"linear system is inconsistent: equation {eq_id} reduces to "
+        f"{format_rational(const)} = 0")
 
 
 def find_zeros(system: LinearSystem, zeros: set[UnknownId]) -> FindZerosResult:
     """Repeatedly harvest 1-term equations r*x = 0 until a fixpoint.
 
-    Each round prunes against the zeros as they stood at the round start
-    and adds the whole batch at the round boundary, so the per-round
-    counts are well defined.  Returns the pruned non-identity equations and
-    the new-zero count of every round (the final sweep reports 0).
+    Works on the packed rows against a mask over columns.  Each round
+    prunes against the zeros as they stood at the round start and adds
+    the whole batch at the round boundary, so the per-round counts are
+    well defined; ``zeros`` grows in place.  Only the rows left are
+    decoded, pruned and canonicalized, into the returned system; the
+    new-zero count of every round comes with it (the final sweep reports
+    0).
     """
-    equations = list(system.equations)
+    universe, consts, ids = system.universe, system.consts, system.ids
+    starts, cols = system.starts, system.cols
+    dead = bytearray(map(zeros.__contains__, universe))
+    rows: Iterable[int] = range(len(system))
     new_per_round: list[int] = []
     while True:
-        batch: set[UnknownId] = set()
-        kept: list[Equation] = []
-        for eq in equations:
-            form = prune_zeros(eq.lhs, zeros)
-            if form.is_zero:
-                continue
-            if not form.coeffs:
-                raise _contradiction(eq, form)
-            if form.term_count == 1 and form.const == 0:
-                (uid,) = form.coeffs
-                batch.add(uid)
-            else:
-                if form is eq.lhs:
-                    kept.append(eq)
-                else:
-                    kept.append(Equation(form, eq.id))
+        batch: set[int] = set()
+        kept = array("q")
+        pruning = any(dead)  # else every entry is live
+        for k in rows:
+            live = cols[starts[k]:starts[k + 1]]
+            if pruning:
+                live = list(filterfalse(dead.__getitem__, live))
+            if len(live) > 1 or live and consts[k]:
+                kept.append(k)
+            elif live:
+                batch.add(live[0])
+            elif consts[k]:
+                raise _contradiction(ids[k], consts[k])
         new_per_round.append(len(batch))
         if not batch:
-            remaining = LinearSystem([canonicalize(eq) for eq in kept],
-                                     system.universe)
-            return FindZerosResult(remaining, new_per_round)
-        zeros.update(batch)
-        equations = kept
+            return FindZerosResult(_pruned(system, kept, dead), new_per_round)
+        for c in batch:
+            dead[c] = 1
+        zeros.update(map(universe.__getitem__, batch))
+        rows = kept
+
+
+def _pruned(system: LinearSystem, rows: Iterable[int],
+            dead: bytearray) -> LinearSystem:
+    """The given rows without their dead columns, each canonicalized over
+    columns, which order as their unknowns do."""
+    out = LinearSystem.over(system.universe)
+    starts, cols, values = system.starts, system.cols, system.values
+    for k in rows:
+        a, b = starts[k], starts[k + 1]
+        form = AffineForm._raw(system.consts[k], {
+            c: r for c, r in zip(cols[a:b], values[a:b]) if not dead[c]})
+        eq = canonicalize(Equation(form, system.ids[k]))
+        coeffs = eq.lhs.coeffs
+        out.append(eq.id, eq.lhs.const, coeffs, coeffs.values())
+    return out
 
 
 def length_sort(system: LinearSystem) -> LinearSystem:
-    """Stable reorder by ascending term count via bucket lists.
+    """Stable reorder by ascending term count via bucket lists of rows.
 
-    Linear in the total number of terms; equations are never compared with
-    each other.
+    Linear in the number of rows; equations are never compared with each
+    other.
     """
-    buckets: list[list[Equation]] = []
-    for eq in system.equations:
-        count = eq.lhs.term_count
+    buckets: list[list[int]] = []
+    for k, count in enumerate(system.row_lengths()):
         while len(buckets) <= count:
             buckets.append([])
-        buckets[count].append(eq)
-    ordered = [eq for bucket in buckets for eq in bucket]
-    return LinearSystem(ordered, system.universe)
+        buckets[count].append(k)
+    return system.take(k for bucket in buckets for k in bucket)
 
 
 @dataclass
@@ -188,7 +207,7 @@ def stream_solve(equations: Iterable[Equation],
             state.identities += 1
             continue
         if not form.coeffs:
-            raise _contradiction(eq, form)
+            raise _contradiction(eq.id, form.const)
 
         # Prefer a unit coefficient, else the smallest |num|*|den|; break
         # ties toward the lowest unknown.  Bounds coefficient growth and is

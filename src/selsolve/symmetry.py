@@ -584,15 +584,13 @@ def complete_split(conditions: Iterable[Iterable[tuple[int, AffineForm]]],
     A condition is (word key, coefficient) pairs in key order; one
     equation is made per word whose coefficient does not vanish, and the
     ids run 0.. across the conditions.  Equations from distinct words stay
-    apart even when their content coincides.
+    apart even when their content coincides.  Each is canonicalized and
+    packed into the system's rows as it comes.
     """
-    equations: list[Equation] = []
-    for terms in conditions:
-        for _, coeff in terms:
-            if not coeff.is_zero:
-                equations.append(
-                    canonicalize(Equation(coeff, len(equations))))
-    return LinearSystem(equations, universe)
+    coeffs = (coeff for terms in conditions for _, coeff in terms
+              if not coeff.is_zero)
+    return LinearSystem((canonicalize(Equation(coeff, k))
+                         for k, coeff in enumerate(coeffs)), universe)
 
 
 def build_symmetry_system(degree: int,

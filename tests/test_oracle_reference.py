@@ -54,7 +54,7 @@ def reference_nullspace(system: LinearSystem) -> NullspaceResult:
         pivot_rows[p] = tail
 
     basis = []
-    for f in system.sorted_universe():
+    for f in system.universe:
         if f in pivot_rows:
             continue
         vec: dict[UnknownId, Rational] = {f: 1}
