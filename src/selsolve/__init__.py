@@ -5,14 +5,14 @@ from .errors import (BoundsError, InconsistentSystemError,
                      NonlinearProductError, ParseError, SelSolveError,
                      SingularSampleError, TooLargeError)
 from .linsys import (AffineForm, Equation, LinearSystem, UnknownId,
-                     canonicalize, dense_nullspace_oracle, substitute)
+                     canonical_row, dense_nullspace_oracle, substitute)
 from .ncalgebra import (EMPTY_WORD, U, U_INV, V, V_INV, Derivation, NCPoly,
                         Word, apply_derivation, poly_mul, word_mul)
 from .pipeline import (FixpointStrategy, RunReport, Strategy,
                        default_strategy, run_pipeline, run_strategy,
                        verify_by_matrices)
-from .solver import (SolutionState, find_zeros, length_sort, lsss_solve,
-                     prune_zeros, stream_solve)
+from .solver import (ColumnState, SolutionState, find_zeros, length_sort,
+                     lsss_solve, stream_solve)
 from .symmetry import (COMMUTATOR_UV, COMMUTATOR_VU, Incidence,
                        NecessaryCondition, SymmetryAnsatz,
                        SystemStats, build_ansatz, build_symmetry_system,

@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 
 from .errors import SelSolveError
-from .formats import read_solution, read_system, write_solution, write_system
+from .formats import (names_path_for, read_solution, read_system,
+                      write_solution, write_system)
 from .linsys import check_oracle_guard, dense_nullspace_oracle
 from .pipeline import (DEFAULT_VERIFY_SEED, check_solution_degree,
                        default_strategy, run_pipeline, verify_by_matrices)
@@ -36,11 +38,15 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    out = args.out or (args.file + ".sol")
+    if os.path.realpath(out) in map(os.path.realpath, (
+            args.file, names_path_for(args.file))):
+        raise SelSolveError(f"--out {out} would overwrite the input "
+                            f"{args.file}")
     system = read_system(args.file)
     if args.oracle:
         check_oracle_guard(system)
     state = lsss_solve(system)
-    out = args.out or (args.file + ".sol")
     write_solution(state, out)
     print(f"zeros={len(state.zeros)} pivots={len(state.pivots)} "
           f"free={state.free_count} identities={state.identities}")

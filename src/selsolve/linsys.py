@@ -284,38 +284,26 @@ class Equation:
     id: int = 0
 
 
-def canonicalize(equation: Equation) -> Equation:
-    """Integer content 1, sign fixed by the lowest unknown, terms sorted.
-
-    A trivially true equation maps to the empty form; a pure nonzero
-    constant normalizes to 1 = 0.  An equation already in this form is
-    returned as it is.
+def canonical_row(const: Rational, cols: Sequence[int],
+                  values: Sequence[Rational]
+                  ) -> tuple[Rational, Sequence[int], Sequence[Rational]]:
+    """The row const + sum(values[i] * x_cols[i]) = 0, its columns
+    distinct, with integer content 1, its sign fixed by the lowest column
+    (by the constant if it has none) and its columns ascending.  A row
+    already so comes back as the very ``cols`` and ``values`` given.
     """
-    form = equation.lhs
-    if form.is_zero:
-        if not form.coeffs and isinstance(form.const, int):
-            return equation
-        return Equation(AffineForm.zero(), equation.id)
-    const, coeffs = form.const, form.coeffs
-    if type(sum(coeffs.values(), const)) is int:  # no Fraction among them
-        g = math.gcd(const, *coeffs.values())
-        ints = coeffs
-    else:
-        lcm = const.denominator
-        for r in coeffs.values():
-            lcm = math.lcm(lcm, r.denominator)
+    if type(sum(values, const)) is not int:  # a Fraction among them
+        lcm = math.lcm(const.denominator, *(r.denominator for r in values))
         const = const.numerator * (lcm // const.denominator)
-        ints = {u: r.numerator * (lcm // r.denominator)
-                for u, r in coeffs.items()}
-        g = math.gcd(const, *ints.values())
-    order = sorted(ints)
-    if (ints[order[0]] if order else const) < 0:
+        values = [r.numerator * (lcm // r.denominator) for r in values]
+    g = math.gcd(const, *values) or 1  # 0 only for the empty row 0 = 0
+    if any(map(operator.gt, cols, cols[1:])):
+        cols, values = zip(*sorted(zip(cols, values)))
+    if (values[0] if cols else const) < 0:
         g = -g
-    elif g == 1 and ints is coeffs and order == list(coeffs):
-        return equation
-    return Equation(AffineForm._raw(const // g, {u: ints[u] // g
-                                                  for u in order}),
-                    equation.id)
+    elif g == 1:
+        return const, cols, values
+    return const // g, cols, [r // g for r in values]
 
 
 class LinearSystem:
@@ -336,18 +324,11 @@ class LinearSystem:
     def __init__(self, equations: Iterable[Equation] = (),
                  universe: Iterable = ()):
         self._empty(tuple(sorted(set(universe))))
-        ids, consts, starts = self.ids, self.consts, self.starts
-        values = self.values
-        unknowns: list = []  # turned into columns at the end, in one pass
+        column = {u: c for c, u in enumerate(self.universe)}.__getitem__
         for eq in equations:
             coeffs = eq.lhs.coeffs
-            ids.append(eq.id)
-            consts.append(eq.lhs.const)
-            unknowns.extend(coeffs)
-            values.extend(coeffs.values())
-            starts.append(len(values))
-        column = {u: c for c, u in enumerate(self.universe)}
-        self.cols = array("q", map(column.__getitem__, unknowns))
+            self.append(eq.id, eq.lhs.const, map(column, coeffs),
+                        coeffs.values())
 
     def _empty(self, universe: tuple) -> None:
         self.universe = universe

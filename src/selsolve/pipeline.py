@@ -13,14 +13,14 @@ condition is labelled by slot.  N and S formulate their condition once,
 over the live slots, as a sorted incidence of packed ints: N the side
 condition, S the u-commutator condition, its sums made per source word.
 Each stays ints until F; every later N or S step harvests what is left
-of it in one int walk and marks the slots it finds dead.  F decodes what
+of it in one int walk and marks the slots it finds dead.  F splits what
 is left of both conditions and the v-commutator condition, formulated
-over the live slots, over the live slots themselves, through the one
-:func:`complete_split`, and solves that live system over slots, as
-:func:`system_stats` does.  An :class:`UnknownId` is made only when the
-full :class:`SolutionState`, every zero included, is assembled from the
-mask and F's solution (:func:`run_strategy`, ``pipeline --out``); the
-``pipeline`` command otherwise reads the report alone, and makes none.
+over the live slots, through the one :func:`complete_split` into packed
+rows over the live slots, which the solver eliminates over columns and
+labels by slot, as in :func:`system_stats`.  An :class:`UnknownId` is
+made only when the full :class:`SolutionState`, every zero included, is
+relabelled from F's and joined by the mask (:func:`run_strategy`,
+``pipeline --out``); ``pipeline`` otherwise reads the report alone.
 
 The default strategy runs to a fixpoint: N repeats until a step harvests
 nothing; then, while an S step harvests something, N repeats again until
@@ -42,8 +42,8 @@ from operator import mul
 from typing import Sequence
 
 from .errors import ParseError, SelSolveError, SingularSampleError
-from .linsys import (FORMULATE_MAX_UNKNOWNS, KIND_A, KIND_C, AffineForm,
-                     Rational, UnknownId, unknown_limit)
+from .linsys import (FORMULATE_MAX_UNKNOWNS, KIND_A, KIND_C, Rational,
+                     UnknownId, unknown_limit)
 from .ncalgebra import U_INV, V_INV, Derivation, Word
 from .solver import SolutionState, lsss_solve
 from .symmetry import (FLIP, Incidence, NecessaryCondition, SymmetryAnsatz,
@@ -309,17 +309,9 @@ class _PipelineRun:
 
     def solution(self) -> SolutionState:
         """The whole solution after F over unknowns, each made here once:
-        every slot's unknown in the universe, the dead ones among the zeros
-        next to those F found."""
-        solved, unknowns = self._solved, self.ansatz.slot_unknowns()
-        zeros = set(compress(unknowns, self.dead))
-        zeros.update(unknowns[s] for s in solved.zeros)
-        pivots = {unknowns[p]: AffineForm._raw(rhs.const, {
-            unknowns[s]: r for s, r in rhs.coeffs.items()})
-            for p, rhs in solved.pivots.items()}
-        return SolutionState(frozenset(unknowns), zeros, pivots,
-                             {unknowns[s] for s in solved.free},
-                             solved.identities, solved.zero_rounds)
+        F's relabelled, every slot's unknown in the universe and the dead
+        ones among the zeros."""
+        return self._solved.relabel(self.ansatz.slot_unknowns(), self.dead)
 
 
 def run_pipeline(degree: int, strategy: Strategy | FixpointStrategy | str

@@ -1,41 +1,33 @@
 """Solver for selection systems: sparse linear systems whose solution sets
 most unknowns to zero.
 
-The entry point :func:`lsss_solve` chains three stages: harvest 1-term
-equations to a fixpoint (:func:`find_zeros`), bucket-sort what is left by
-size (:func:`length_sort`), then stream the remaining equations through an
-incrementally back-substituted pivot map (:func:`stream_solve`).  The
-unknowns known to vanish are a plain set that grows within one solve: a
-zero never comes back with a nonzero value.
+The entry point :func:`lsss_solve` chains three stages over the packed
+rows of a :class:`LinearSystem`, all on its columns: harvest 1-term rows
+to a fixpoint (:func:`find_zeros`), sort what is left by size
+(:func:`length_sort`), then stream it through an incrementally
+back-substituted pivot map over columns (:func:`stream_solve`).  The
+zeros are a ``bytearray`` mask over the columns, and a zero never comes
+back with a nonzero value.  The finished state is labelled by the
+universe once (:meth:`SolutionState.relabel`).
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from itertools import filterfalse
-from typing import Iterable, NamedTuple
+from itertools import compress, filterfalse
+from operator import not_
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InconsistentSystemError
-from .linsys import (AffineForm, Equation, LinearSystem, Rational, UnknownId,
-                     canonicalize, exact_div, format_rational, substitute)
-
-
-def prune_zeros(form: AffineForm, zeros: set[UnknownId]) -> AffineForm:
-    """Drop every term whose unknown is known to be zero.
-
-    Equivalent to substituting 0 for each zero; a single pass with no other
-    rewriting.
-    """
-    if form.coeffs.keys().isdisjoint(zeros):
-        return form
-    coeffs = {u: r for u, r in form.coeffs.items() if u not in zeros}
-    return AffineForm._raw(form.const, coeffs)
+from .linsys import (AffineForm, LinearSystem, Rational, UnknownId,
+                     canonical_row, exact_div, format_rational, substitute)
 
 
 class FindZerosResult(NamedTuple):
     remaining: LinearSystem
     new_per_round: list[int]
+    dead: bytearray  # one byte per column, 1 for each zero
 
     @property
     def rounds(self) -> int:
@@ -55,10 +47,11 @@ def find_zeros(system: LinearSystem, zeros: set[UnknownId]) -> FindZerosResult:
     Works on the packed rows against a mask over columns.  Each round
     prunes against the zeros as they stood at the round start and adds
     the whole batch at the round boundary, so the per-round counts are
-    well defined; ``zeros`` grows in place.  Only the rows left are
-    decoded, pruned and canonicalized, into the returned system; the
-    new-zero count of every round comes with it (the final sweep reports
-    0).
+    well defined; ``zeros`` grows in place.  The rows left come back
+    canonical (:func:`canonical_row`) without their dead columns, with the
+    new-zero count of every round (the final sweep reports 0) and the
+    mask; a row that lost no column and was canonical is copied as its
+    slices, so no row is decoded.
     """
     universe, consts, ids = system.universe, system.consts, system.ids
     starts, cols = system.starts, system.cols
@@ -81,7 +74,8 @@ def find_zeros(system: LinearSystem, zeros: set[UnknownId]) -> FindZerosResult:
                 raise _contradiction(ids[k], consts[k])
         new_per_round.append(len(batch))
         if not batch:
-            return FindZerosResult(_pruned(system, kept, dead), new_per_round)
+            return FindZerosResult(_pruned(system, kept, dead),
+                                   new_per_round, dead)
         for c in batch:
             dead[c] = 1
         zeros.update(map(universe.__getitem__, batch))
@@ -90,32 +84,25 @@ def find_zeros(system: LinearSystem, zeros: set[UnknownId]) -> FindZerosResult:
 
 def _pruned(system: LinearSystem, rows: Iterable[int],
             dead: bytearray) -> LinearSystem:
-    """The given rows without their dead columns, each canonicalized over
-    columns, which order as their unknowns do."""
+    """The given rows without their dead columns, each canonical."""
     out = LinearSystem.over(system.universe)
     starts, cols, values = system.starts, system.cols, system.values
     for k in rows:
         a, b = starts[k], starts[k + 1]
-        form = AffineForm._raw(system.consts[k], {
-            c: r for c, r in zip(cols[a:b], values[a:b]) if not dead[c]})
-        eq = canonicalize(Equation(form, system.ids[k]))
-        coeffs = eq.lhs.coeffs
-        out.append(eq.id, eq.lhs.const, coeffs, coeffs.values())
+        row, row_values = cols[a:b], values[a:b]
+        if any(map(dead.__getitem__, row)):  # a kept row keeps 1 at least
+            row, row_values = zip(*((c, r) for c, r in zip(row, row_values)
+                                    if not dead[c]))
+        out.append(system.ids[k],
+                   *canonical_row(system.consts[k], row, row_values))
     return out
 
 
 def length_sort(system: LinearSystem) -> LinearSystem:
-    """Stable reorder by ascending term count via bucket lists of rows.
-
-    Linear in the number of rows; equations are never compared with each
-    other.
-    """
-    buckets: list[list[int]] = []
-    for k, count in enumerate(system.row_lengths()):
-        while len(buckets) <= count:
-            buckets.append([])
-        buckets[count].append(k)
-    return system.take(k for bucket in buckets for k in bucket)
+    """Stable reorder by ascending term count; only the counts are
+    compared."""
+    counts = list(system.row_lengths())
+    return system.take(sorted(range(len(counts)), key=counts.__getitem__))
 
 
 @dataclass
@@ -134,17 +121,23 @@ class SolutionState:
     identities: int = 0
     zero_rounds: list[int] = field(default_factory=list)
 
-    @classmethod
-    def fresh(cls, universe: Iterable[UnknownId],
-              zeros: set[UnknownId] | None = None) -> "SolutionState":
-        uni = frozenset(universe)
-        zeros = set() if zeros is None else zeros
-        free = {u for u in uni if u not in zeros}
-        return cls(uni, zeros, {}, free)
-
     @property
     def free_count(self) -> int:
         return len(self.free)
+
+    def relabel(self, labels: Sequence, dead: bytearray) -> "SolutionState":
+        """The state over all of ``labels``: every unknown u renamed
+        ``labels[u]``, and ``labels[c]`` a zero for each c set in the mask
+        ``dead``, which marks the labels outside the state."""
+        name = labels.__getitem__
+        pivots = {name(p): AffineForm._raw(rhs.const, dict(zip(
+            map(name, rhs.coeffs), rhs.coeffs.values())))
+            for p, rhs in self.pivots.items()}
+        zeros = set(map(name, self.zeros))
+        zeros.update(compress(labels, dead))
+        return SolutionState(frozenset(labels), zeros, pivots,
+                             set(map(name, self.free)), self.identities,
+                             self.zero_rounds)
 
     def basis(self) -> list[dict[UnknownId, Rational]]:
         """Solution-space basis: one vector per free unknown, that unknown
@@ -165,16 +158,10 @@ class SolutionState:
         It must vanish on the zeros and satisfy every pivot relation with
         its constant dropped, as a nullspace vector does.
         """
-        for z in self.zeros:
-            if vec.get(z, 0) != 0:
-                return False
-        for p, rhs in self.pivots.items():
-            value = 0
-            for u, r in rhs.coeffs.items():
-                value += r * vec.get(u, 0)
-            if vec.get(p, 0) != value:
-                return False
-        return True
+        return not any(vec.get(z, 0) for z in self.zeros) and all(
+            vec.get(p, 0) == sum(r * vec.get(u, 0)
+                                 for u, r in rhs.coeffs.items())
+            for p, rhs in self.pivots.items())
 
     def full_assignment(self, free_values: dict[UnknownId, Rational]
                         ) -> dict[UnknownId, Rational]:
@@ -186,72 +173,95 @@ class SolutionState:
         return values
 
 
-def stream_solve(equations: Iterable[Equation],
-                 state: SolutionState) -> SolutionState:
-    """Feed equations one at a time into the evolving solution state.
+@dataclass
+class ColumnState:
+    """What a stream has solved over the columns of one system.
 
-    Memory depends only on the state, never on how many equations stream
-    through.  The state is updated in place and returned.
+    ``dead`` holds one byte per column, 1 once the column is known to
+    vanish; ``pivots`` maps each pivot column to its right-hand side, an
+    affine form over the free columns; ``identities`` counts the rows
+    that reduced to 0 = 0.
     """
-    pivots = state.pivots
-    # occurrences[u] = pivot left-hand sides whose rhs currently mentions u
-    occurrences: dict[UnknownId, set[UnknownId]] = {}
-    for p, rhs in pivots.items():
-        for u in rhs.coeffs:
-            occurrences.setdefault(u, set()).add(p)
 
-    for eq in equations:
-        form = prune_zeros(eq.lhs, state.zeros)
-        form = substitute(form, pivots)
+    dead: bytearray
+    pivots: dict[int, AffineForm] = field(default_factory=dict)
+    identities: int = 0
+
+    def solution(self, universe: Sequence,
+                 zero_rounds: list[int]) -> SolutionState:
+        """The state over ``universe``, column c its unknown universe[c]."""
+        live = set(compress(range(len(self.dead)), map(not_, self.dead)))
+        return SolutionState(frozenset(live), set(), self.pivots,
+                             live.difference(self.pivots), self.identities,
+                             zero_rounds).relabel(universe, self.dead)
+
+
+def stream_solve(equations: LinearSystem, state: ColumnState) -> ColumnState:
+    """Feed the rows of a system, in order, into the column state.
+
+    Each row is pruned of the dead columns and has the pivots substituted.
+    Unless that leaves 0 = 0, an identity, the row pivots on its column of
+    least |num|*den, the lowest on a tie, which bounds coefficient growth
+    and is deterministic; a right-hand side of 0 marks the column dead
+    instead.  Memory depends only on the state, which is updated in place
+    and returned.
+    """
+    dead, pivots = state.dead, state.pivots
+    starts, cols, values = equations.starts, equations.cols, equations.values
+    # occurrences[c] = pivot columns whose rhs currently mentions column c
+    occurrences: dict[int, set[int]] = {}
+    for p, rhs in pivots.items():
+        for c in rhs.coeffs:
+            occurrences.setdefault(c, set()).add(p)
+
+    for k, const in enumerate(equations.consts):
+        a, b = starts[k], starts[k + 1]
+        row = cols[a:b]
+        coeffs = dict(zip(row, values[a:b]))
+        if any(map(dead.__getitem__, row)):
+            coeffs = {c: r for c, r in coeffs.items() if not dead[c]}
+        form = substitute(AffineForm._raw(const, coeffs), pivots)
         if form.is_zero:
             state.identities += 1
             continue
         if not form.coeffs:
-            raise _contradiction(eq.id, form.const)
+            raise _contradiction(equations.ids[k], form.const)
 
-        # Prefer a unit coefficient, else the smallest |num|*|den|; break
-        # ties toward the lowest unknown.  Bounds coefficient growth and is
-        # deterministic.
         x, r = min(form.coeffs.items(),
                    key=lambda kv: (abs(kv[1].numerator) * kv[1].denominator,
                                    kv[0]))
         rhs = AffineForm._raw(
             exact_div(-form.const, r) if form.const else 0,
-            {u: exact_div(-c, r) for u, c in form.coeffs.items() if u != x})
+            {c: exact_div(-v, r) for c, v in form.coeffs.items() if c != x})
 
         for p in occurrences.pop(x, ()):
             old = pivots[p]
             new = substitute(old, {x: rhs})
             pivots[p] = new
-            for u in rhs.coeffs:
-                if u in new.coeffs:
-                    occurrences.setdefault(u, set()).add(p)
-            for u in old.coeffs:
-                if u != x and u not in new.coeffs:
-                    occurrences[u].discard(p)
+            for c in rhs.coeffs:
+                if c in new.coeffs:
+                    occurrences.setdefault(c, set()).add(p)
+            for c in old.coeffs:
+                if c != x and c not in new.coeffs:
+                    occurrences[c].discard(p)
 
-        state.free.discard(x)
         if rhs.is_zero:
-            state.zeros.add(x)
+            dead[x] = 1
         else:
             pivots[x] = rhs
-            for u in rhs.coeffs:
-                occurrences.setdefault(u, set()).add(x)
+            for c in rhs.coeffs:
+                occurrences.setdefault(c, set()).add(x)
     return state
 
 
-def lsss_solve(system: LinearSystem,
-               zeros: set[UnknownId] | None = None) -> SolutionState:
+def lsss_solve(system: LinearSystem) -> SolutionState:
     """Solve an arbitrary (under-, well-, or overdetermined) linear system.
 
-    Zeros first, then size-sorted streaming.  Pre-seeded zeros are taken
-    as known; the set grows in place.  (A staged pipeline hands over only
-    its live system instead.)  For a homogeneous system the number of
-    free unknowns is the nullity.
+    Zeros first, then size-sorted streaming, all over the system's
+    columns; the finished state is labelled by its universe.  For a
+    homogeneous system the number of free unknowns is the nullity.
     """
-    zeros = set() if zeros is None else zeros
-    found = find_zeros(system, zeros)
-    ordered = length_sort(found.remaining)
-    state = SolutionState.fresh(system.universe, zeros)
-    state.zero_rounds = found.new_per_round
-    return stream_solve(ordered.equations, state)
+    found = find_zeros(system, set())
+    state = stream_solve(length_sort(found.remaining),
+                         ColumnState(found.dead))
+    return state.solution(system.universe, found.new_per_round)

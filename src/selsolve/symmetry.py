@@ -50,12 +50,12 @@ from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import TooLargeError
 from .linsys import (FORMULATE_MAX_UNKNOWNS, KIND_A, KIND_C, AffineForm,
-                     Equation, LinearSystem, Rational, UnknownId,
-                     canonicalize, unknown_limit)
+                     LinearSystem, Rational, UnknownId, canonical_row,
+                     unknown_limit)
 from .ncalgebra import (U, U_INV, V, V_INV, Derivation, NCPoly, Word,
                         derive_keys, key_word, reduce_letters, word_key,
                         word_pow)
-from .solver import lsss_solve, prune_zeros
+from .solver import lsss_solve
 
 #: Group commutator u v u^-1 v^-1 and its inverse: the generating first
 #: integrals of the default system.
@@ -182,9 +182,9 @@ def prune_ncpoly(p: NCPoly, zeros: set[UnknownId]) -> NCPoly:
         return p
     acc = {}
     for w, c in p.terms.items():
-        pruned = prune_zeros(c, zeros)
-        if not pruned.is_zero:
-            acc[w] = pruned
+        coeffs = {u: r for u, r in c.coeffs.items() if u not in zeros}
+        if coeffs or c.const:
+            acc[w] = AffineForm._raw(c.const, coeffs)
     return NCPoly._from_acc(acc)
 
 
@@ -584,13 +584,19 @@ def complete_split(conditions: Iterable[Iterable[tuple[int, AffineForm]]],
     A condition is (word key, coefficient) pairs in key order; one
     equation is made per word whose coefficient does not vanish, and the
     ids run 0.. across the conditions.  Equations from distinct words stay
-    apart even when their content coincides.  Each is canonicalized and
-    packed into the system's rows as it comes.
+    apart even when their content coincides.  Each is put over the
+    system's columns and packed into its rows as it comes, canonical
+    (:func:`canonical_row`).
     """
+    system = LinearSystem.over(tuple(sorted(set(universe))))
+    column = {u: c for c, u in enumerate(system.universe)}.__getitem__
     coeffs = (coeff for terms in conditions for _, coeff in terms
               if not coeff.is_zero)
-    return LinearSystem((canonicalize(Equation(coeff, k))
-                         for k, coeff in enumerate(coeffs)), universe)
+    for k, coeff in enumerate(coeffs):
+        system.append(k, *canonical_row(coeff.const,
+                                        list(map(column, coeff.coeffs)),
+                                        list(coeff.coeffs.values())))
+    return system
 
 
 def build_symmetry_system(degree: int,

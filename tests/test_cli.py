@@ -211,6 +211,27 @@ def test_solve_inconsistent_file(tmp_path, capsys):
     assert "inconsistent" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out", ["s.sys", "s.sys.names", "../d/./s.sys",
+                                 "link.sol"])
+def test_solve_refuses_an_out_over_its_input(tmp_path, capsys, out):
+    # the system, its sidecar, another spelling of the system's path and a
+    # link to it are each refused before anything is solved or written
+    directory = tmp_path / "d"
+    directory.mkdir()
+    path, names = directory / "s.sys", directory / "s.sys.names"
+    path.write_text("1 2\n1 1 1\n1 2 -1\n0 0 0\n")
+    names.write_text("1 C 0 c0\n2 C 1 c1\n")
+    (directory / "link.sol").symlink_to(path)
+    before = path.read_text(), names.read_text()
+    assert main(["solve", str(path), "--out", str(directory / out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: --out {directory / out} would "
+                            f"overwrite the input {path}\n")
+    assert captured.out == ""
+    assert (path.read_text(), names.read_text()) == before
+    assert main(["solve", str(path), "--out", str(directory / "s.sol")]) == 0
+
+
 def test_oracle_agrees_on_an_affine_system_with_a_free_unknown(tmp_path,
                                                               capsys):
     # 1 + c0 + c1 = 0: the oracle's basis vector (c0, c1) = (-1, 1) meets

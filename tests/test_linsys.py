@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from selsolve.errors import SelSolveError, TooLargeError
 from selsolve.linsys import (GUARD_ENV_VAR, KIND_A, KIND_C, AffineForm,
-                             Equation, LinearSystem, UnknownId, canonicalize,
+                             Equation, LinearSystem, UnknownId, canonical_row,
                              dense_nullspace_oracle, exact_div, format_affine,
                              substitute, unknown_limit)
 
@@ -71,6 +71,16 @@ def test_affine_basicas():
     assert f.scaled(0).is_zero
     g = f + form(1, x1=Fraction(-1, 2))
     assert g == form(1, x2=2)
+
+
+def canonicalize(equation):
+    """``canonical_row`` on an equation whose unknowns are its columns,
+    decoded back into an equation."""
+    coeffs = equation.lhs.coeffs
+    const, cols, values = canonical_row(equation.lhs.const, list(coeffs),
+                                        list(coeffs.values()))
+    return Equation(AffineForm._raw(const, dict(zip(cols, values))),
+                    equation.id)
 
 
 def test_canonicalize_clears_denominators():
@@ -152,13 +162,15 @@ def test_canonicalize_matches_reference(eq):
 
 
 def test_canonicalize_returns_a_canonical_equation_itself():
-    eq = Equation(form(0, x1=2, x3=-3), 4)
-    assert canonicalize(eq) is eq
-    for other in (form(0, x3=-3, x1=2), form(0, x1=4, x3=-6),
-                  form(0, x1=-2, x3=3), form(0, x1=Fraction(2), x3=-3)):
-        out = canonicalize(Equation(other, 4))
-        assert out.lhs is not other
-        assert exact_items(out.lhs) == exact_items(eq.lhs)
+    cols, values = [1, 3], [2, -3]
+    const, got_cols, got_values = canonical_row(0, cols, values)
+    assert const == 0 and got_cols is cols and got_values is values
+    for other in ([3, 1], [-3, 2]), ([1, 3], [4, -6]), ([1, 3], [-2, 3]), \
+            ([1, 3], [Fraction(2), -3]):
+        const, got_cols, got_values = canonical_row(0, *other)
+        assert got_values is not other[1]
+        assert (const, list(got_cols), [(v, type(v)) for v in got_values]) \
+            == (0, cols, [(2, int), (-3, int)])
 
 
 def test_substitute():

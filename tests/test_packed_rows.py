@@ -1,12 +1,17 @@
 """Linear systems as packed rows: the harvest, the view and the read's size.
 
-``reference_find_zeros`` is ``solver.find_zeros`` as it was on lists of
-``Equation``: every round prunes each form against the zero set and keeps
-the pruned form.  The packed harvest must agree with it on the new zeros
-of every round, the zero set, the rows left (ids, term order and value
-types) and the text of an inconsistency.
+The references here are the solver as it was on ``Equation`` lists over
+unknowns.  ``reference_find_zeros`` prunes each form against the zero set
+in every round and keeps the pruned form; ``reference_stream_solve``
+streams Equations through a pivot map over unknowns; and
+``reference_lsss_solve`` chains the two with a stable sort by size.  The
+packed harvest must agree with its reference on the new zeros of every
+round, the zero set, the rows left (ids, term order and value types) and
+the text of an inconsistency; ``tests/test_solver.py`` holds the column
+solver to ``reference_lsss_solve``.
 """
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -17,9 +22,9 @@ from hypothesis import strategies as st
 from selsolve.errors import BoundsError, InconsistentSystemError
 from selsolve.formats import read_system, write_system
 from selsolve.linsys import (KIND_A, KIND_C, AffineForm, Equation,
-                             LinearSystem, UnknownId, canonicalize,
-                             format_rational)
-from selsolve.solver import find_zeros, lsss_solve, prune_zeros
+                             LinearSystem, UnknownId, exact_div,
+                             format_rational, substitute)
+from selsolve.solver import SolutionState, find_zeros, lsss_solve
 from selsolve.symmetry import build_symmetry_system
 
 from test_oracle_reference import derandomized
@@ -27,6 +32,111 @@ from test_oracle_reference import derandomized
 X = [UnknownId(KIND_C, i) for i in range(6)]
 #: An unknown that no system below mentions or holds in its universe.
 OUTSIDE = UnknownId(KIND_A, 0)
+
+
+def prune_zeros(form, zeros):
+    """Drop every term whose unknown is known to be zero."""
+    if form.coeffs.keys().isdisjoint(zeros):
+        return form
+    coeffs = {u: r for u, r in form.coeffs.items() if u not in zeros}
+    return AffineForm._raw(form.const, coeffs)
+
+
+def canonicalize(equation):
+    """Integer content 1, sign fixed by the lowest unknown, terms sorted.
+
+    A trivially true equation maps to the empty form; a pure nonzero
+    constant normalizes to 1 = 0.  An equation already in this form is
+    returned as it is.
+    """
+    form = equation.lhs
+    if form.is_zero:
+        if not form.coeffs and isinstance(form.const, int):
+            return equation
+        return Equation(AffineForm.zero(), equation.id)
+    const, coeffs = form.const, form.coeffs
+    if type(sum(coeffs.values(), const)) is int:  # no Fraction among them
+        g = math.gcd(const, *coeffs.values())
+        ints = coeffs
+    else:
+        lcm = const.denominator
+        for r in coeffs.values():
+            lcm = math.lcm(lcm, r.denominator)
+        const = const.numerator * (lcm // const.denominator)
+        ints = {u: r.numerator * (lcm // r.denominator)
+                for u, r in coeffs.items()}
+        g = math.gcd(const, *ints.values())
+    order = sorted(ints)
+    if (ints[order[0]] if order else const) < 0:
+        g = -g
+    elif g == 1 and ints is coeffs and order == list(coeffs):
+        return equation
+    return Equation(AffineForm._raw(const // g, {u: ints[u] // g
+                                                  for u in order}),
+                    equation.id)
+
+
+def fresh_state(universe, zeros):
+    """A state with nothing solved but ``zeros``, over ``universe``."""
+    free = {u for u in universe if u not in zeros}
+    return SolutionState(frozenset(universe), zeros, {}, free)
+
+
+def reference_stream_solve(equations, state):
+    """Feed Equations one at a time into a state over unknowns."""
+    pivots = state.pivots
+    # occurrences[u] = pivot left-hand sides whose rhs currently mentions u
+    occurrences = {}
+    for p, rhs in pivots.items():
+        for u in rhs.coeffs:
+            occurrences.setdefault(u, set()).add(p)
+
+    for eq in equations:
+        form = prune_zeros(eq.lhs, state.zeros)
+        form = substitute(form, pivots)
+        if form.is_zero:
+            state.identities += 1
+            continue
+        if not form.coeffs:
+            raise InconsistentSystemError(
+                f"linear system is inconsistent: equation {eq.id} "
+                f"reduces to {format_rational(form.const)} = 0")
+        x, r = min(form.coeffs.items(),
+                   key=lambda kv: (abs(kv[1].numerator) * kv[1].denominator,
+                                   kv[0]))
+        rhs = AffineForm._raw(
+            exact_div(-form.const, r) if form.const else 0,
+            {u: exact_div(-c, r) for u, c in form.coeffs.items() if u != x})
+
+        for p in occurrences.pop(x, ()):
+            old = pivots[p]
+            new = substitute(old, {x: rhs})
+            pivots[p] = new
+            for u in rhs.coeffs:
+                if u in new.coeffs:
+                    occurrences.setdefault(u, set()).add(p)
+            for u in old.coeffs:
+                if u != x and u not in new.coeffs:
+                    occurrences[u].discard(p)
+
+        state.free.discard(x)
+        if rhs.is_zero:
+            state.zeros.add(x)
+        else:
+            pivots[x] = rhs
+            for u in rhs.coeffs:
+                occurrences.setdefault(u, set()).add(x)
+    return state
+
+
+def reference_lsss_solve(system):
+    """Harvest, a stable sort by term count, then the stream."""
+    zeros = set()
+    remaining, rounds = reference_find_zeros(system, zeros)
+    state = fresh_state(system.universe, zeros)
+    state.zero_rounds = rounds
+    return reference_stream_solve(
+        sorted(remaining, key=lambda eq: eq.lhs.term_count), state)
 
 
 def reference_find_zeros(system, zeros):

@@ -10,9 +10,11 @@ from selsolve.linsys import (KIND_C, AffineForm, Equation, LinearSystem,
                              UnknownId, substitute)
 from selsolve.ncalgebra import (NCPoly, Word, apply_derivation, poly_mul,
                                 word_mul)
-from selsolve.solver import (SolutionState, length_sort, lsss_solve,
-                             prune_zeros, stream_solve)
+from selsolve.solver import (ColumnState, length_sort, lsss_solve,
+                             stream_solve)
 from selsolve.symmetry import kontsevich_system
+
+from test_packed_rows import prune_zeros
 
 
 # --- oracle: what a solved state must satisfy --------------------------------
@@ -139,25 +141,22 @@ def random_system(rng, max_unknowns=50):
     return LinearSystem(equations, unknowns)
 
 
-def states_equal(a, b):
-    return (set(a.zeros) == set(b.zeros) and a.pivots == b.pivots
-            and a.free == b.free)
-
-
 def test_stream_solve_chunking_invariance():
     rng = random.Random(106)
     for _ in range(100):
         system = random_system(rng)
-        one = SolutionState.fresh(system.universe)
-        stream_solve(system.equations, one)
+        columns = len(system.universe)
+        one = stream_solve(system, ColumnState(bytearray(columns)))
 
-        chunked = SolutionState.fresh(system.universe)
+        chunked = ColumnState(bytearray(columns))
         position = 0
-        while position < len(system.equations):
-            step = rng.randint(1, max(1, len(system.equations) // 3))
-            stream_solve(system.equations[position:position + step], chunked)
+        while position < len(system):
+            step = rng.randint(1, max(1, len(system) // 3))
+            stream_solve(system.take(range(position, min(position + step,
+                                                         len(system)))),
+                         chunked)
             position += step
-        assert states_equal(one, chunked)
+        assert one == chunked
 
 
 def test_solver_solutions_satisfy_input():

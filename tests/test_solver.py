@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given
 
 from selsolve.errors import InconsistentSystemError
-from selsolve.formats import render_solution
+from selsolve.formats import read_system, render_solution
 from selsolve.linsys import (KIND_C, AffineForm, Equation, LinearSystem,
                              UnknownId)
-from selsolve.solver import (SolutionState, find_zeros, length_sort,
-                             lsss_solve, prune_zeros, stream_solve)
+from selsolve.solver import (ColumnState, find_zeros, length_sort,
+                             lsss_solve, stream_solve)
 from selsolve.symmetry import build_symmetry_system
 
 from test_oracle_reference import derandomized, systems
+from test_packed_rows import reference_lsss_solve
 from test_properties import check_invariants, satisfies
 
 X = [UnknownId(KIND_C, i) for i in range(8)]
@@ -28,13 +29,21 @@ def system(*forms):
                         {u for f in forms for u in f.coeffs})
 
 
+def streamed(universe, *forms):
+    """``stream_solve`` on the forms as rows over ``universe``, from a
+    fresh column state, labelled by the unknowns."""
+    sys_ = LinearSystem([Equation(f, i) for i, f in enumerate(forms)],
+                        universe)
+    state = stream_solve(sys_, ColumnState(bytearray(len(sys_.universe))))
+    return state.solution(sys_.universe, [])
+
+
 def test_prune_zeros():
-    zeros = {X[2]}
-    assert prune_zeros(form(0, x1=1, x2=2, x3=1), zeros) \
-        == form(0, x1=1, x3=1)
-    assert prune_zeros(form(0, x2=1), zeros).is_zero
-    f = form(0, x1=1)
-    assert prune_zeros(f, set()) is f
+    # over x1, x2, x3 the dead column 1 is x2: it drops out of every row
+    sys_ = system(form(0, x1=1, x2=2, x3=1), form(0, x2=1))
+    state = stream_solve(sys_, ColumnState(bytearray([0, 1, 0])))
+    assert state.pivots == {0: AffineForm(0, {2: -1})}
+    assert state.identities == 1 and state.dead == bytearray([0, 1, 0])
 
 
 def test_find_zeros_cascade():
@@ -86,18 +95,14 @@ def test_length_sort_orders_and_is_stable():
 
 
 def test_stream_solve_single_equation():
-    state = SolutionState.fresh({X[3], X[4]})
-    stream_solve([Equation(form(0, x3=1, x4=-1), 0)], state)
+    state = streamed({X[3], X[4]}, form(0, x3=1, x4=-1))
     assert state.pivots == {X[3]: form(0, x4=1)}
     assert state.free == {X[4]}
 
 
 def test_stream_solve_chains_and_identity():
-    state = SolutionState.fresh({X[1], X[2], X[3]})
-    eqs = [Equation(form(0, x1=1, x2=-1), 0),
-           Equation(form(0, x2=1, x3=-1), 1),
-           Equation(form(0, x1=1, x2=1, x3=-2), 2)]
-    stream_solve(eqs, state)
+    state = streamed({X[1], X[2], X[3]}, form(0, x1=1, x2=-1),
+                     form(0, x2=1, x3=-1), form(0, x1=1, x2=1, x3=-2))
     assert state.pivots == {X[1]: form(0, x3=1), X[2]: form(0, x3=1)}
     assert state.free == {X[3]}
     assert state.identities == 1
@@ -105,36 +110,30 @@ def test_stream_solve_chains_and_identity():
 
 
 def test_stream_solve_inconsistent():
-    state = SolutionState.fresh({X[1]})
-    eqs = [Equation(form(-1, x1=1), 0), Equation(form(-2, x1=1), 1)]
     with pytest.raises(InconsistentSystemError,
                        match=r"equation 1 reduces to -1 = 0"):
-        stream_solve(eqs, state)
+        streamed({X[1]}, form(-1, x1=1), form(-2, x1=1))
 
 
 def test_stream_solve_affine_solution():
-    state = SolutionState.fresh({X[1], X[2]})
-    stream_solve([Equation(form(-1, x1=1, x2=1), 0)], state)
+    state = streamed({X[1], X[2]}, form(-1, x1=1, x2=1))
     assert state.pivots[X[1]] == form(1, x2=-1)
 
 
 def test_stream_solve_registers_zero_rhs():
-    state = SolutionState.fresh({X[1]})
-    stream_solve([Equation(form(0, x1=3), 0)], state)
+    state = streamed({X[1]}, form(0, x1=3))
     assert X[1] in state.zeros and not state.pivots
 
 
 def test_pivot_choice_prefers_units():
     # 2*x1 + x2 = 0 must pivot on x2
-    state = SolutionState.fresh({X[1], X[2]})
-    stream_solve([Equation(form(0, x1=2, x2=1), 0)], state)
+    state = streamed({X[1], X[2]}, form(0, x1=2, x2=1))
     assert set(state.pivots) == {X[2]}
     assert state.pivots[X[2]] == form(0, x1=-2)
 
 
 def test_pivot_tie_break_lowest_unknown():
-    state = SolutionState.fresh({X[1], X[2]})
-    stream_solve([Equation(form(0, x1=1, x2=1), 0)], state)
+    state = streamed({X[1], X[2]}, form(0, x1=1, x2=1))
     assert set(state.pivots) == {X[1]}
 
 
@@ -148,12 +147,6 @@ def test_lsss_solve_combines_stages():
         assert satisfies(state, eq)
     assert state.free_count == 1
     check_invariants(state)
-
-
-def test_lsss_solve_preseeded_registry():
-    sys_ = system(form(0, x1=1, x2=1))
-    state = lsss_solve(sys_, {X[2]})
-    assert X[1] in state.zeros and X[2] in state.zeros
 
 
 def test_solution_basis_and_vectors():
@@ -182,14 +175,41 @@ def fraction_div(a, b):
     return a / b
 
 
-def solve_outcome(system):
+def solve_outcome(system, solve=lsss_solve):
     """The solution file text, identity count and zero rounds of
-    ``lsss_solve``, or the message of the inconsistency it finds."""
+    ``solve``, or the message of the inconsistency it finds."""
     try:
-        state = lsss_solve(system)
+        state = solve(system)
     except InconsistentSystemError as exc:
         return str(exc)
     return render_solution(state), state.identities, state.zero_rounds
+
+
+def assert_solves_as_reference(system):
+    assert solve_outcome(system) \
+        == solve_outcome(system, reference_lsss_solve)
+
+
+@derandomized
+@given(systems())
+def test_column_solver_solves_as_reference(system):
+    assert_solves_as_reference(system)
+
+
+@pytest.mark.parametrize("degree", range(3, 8))
+def test_column_solver_solves_symmetry_systems_as_reference(degree):
+    # the systems `gen --nc` writes
+    assert_solves_as_reference(build_symmetry_system(degree, include_nc=True))
+
+
+def test_pivot_is_taken_on_the_canonical_row(tmp_path):
+    # 1/3*c0 + 1/2*c1 = 0 is 2*c0 + 3*c1 = 0 once canonical: c0 pivots
+    path = tmp_path / "hand.sys"
+    path.write_text("1 2\n1 1 1/3\n1 2 1/2\n0 0 0\n")
+    system = read_system(str(path))
+    text, _, _ = solve_outcome(system)
+    assert text.split("\n")[2] == "c0 = -3/2*c1"
+    assert_solves_as_reference(system)
 
 
 def assert_solve_as_with_fraction_quotients(system):

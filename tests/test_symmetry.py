@@ -5,7 +5,7 @@ from selsolve.linsys import KIND_A, KIND_C, AffineForm, UnknownId
 from selsolve.ncalgebra import (EMPTY_WORD, U, U_INV, V, V_INV, NCPoly, Word,
                                 key_word, word_key)
 from selsolve.pipeline import default_strategy, run_strategy
-from selsolve.solver import lsss_solve, prune_zeros
+from selsolve.solver import lsss_solve
 from selsolve.symmetry import (Incidence, SymmetryAnsatz, ansatz_term_count,
                                build_ansatz, build_symmetry_system,
                                complete_split, first_integral_basis,
@@ -14,6 +14,7 @@ from selsolve.symmetry import (Incidence, SymmetryAnsatz, ansatz_term_count,
                                selective_split, side_condition_k0,
                                system_stats)
 
+from test_packed_rows import prune_zeros
 from test_words import enumerate_words, sorted_terms
 
 C = [UnknownId(KIND_C, i) for i in range(8)]
