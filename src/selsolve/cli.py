@@ -23,6 +23,10 @@ from .symmetry import (EXPECTED_STATS, build_ansatz, build_symmetry_system,
 
 #: Smallest accepted value of each integer option that has one.
 OPTION_MINIMUM = {"degree": 1, "dim": 2, "trials": 1}
+#: Largest accepted value of each integer option that has one: a verify
+#: trial multiplies dim x dim integer matrices per word, about 2 s at 64
+#: for degree 3 and growing as dim^3.
+OPTION_MAXIMUM = {"dim": 64}
 
 
 def _cmd_gen(args) -> int:
@@ -165,7 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="matrix check of a solved symmetry")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--solution", required=True)
-    p.add_argument("--dim", type=int, default=3)
+    p.add_argument("--dim", type=int, default=3,
+                   help=f"matrix size, {OPTION_MINIMUM['dim']} to "
+                        f"{OPTION_MAXIMUM['dim']} (default 3)")
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--seed", type=int, default=DEFAULT_VERIFY_SEED)
     p.set_defaults(func=_cmd_verify)
@@ -182,6 +188,11 @@ def _check_options(args) -> None:
         if value is not None and value < low:
             raise SelSolveError(
                 f"--{name} must be at least {low}, got {value}")
+    for name, high in OPTION_MAXIMUM.items():
+        value = getattr(args, name, None)
+        if value is not None and value > high:
+            raise SelSolveError(
+                f"--{name} must be at most {high}, got {value}")
 
 
 def main(argv=None) -> int:

@@ -8,20 +8,22 @@ conditions built from them split into linear equations.
 
 Words also pack into ints (:func:`word_key`), and a derivation with
 unknown-free images (the system flow D_t) is applied on those keys by one
-Leibniz kernel, :func:`derive_keys`.  It sums each source word's
-contributions in that word's own dict, from target key to plain
-rational, and hands the dict back before it begins the next word, so no
-table of sums over every word is built; each prefix * image * suffix is
-joined with shifts and masks.  Images of inverse letters are never
-built: the kernel applies d(g^-1) = -g^-1 d(g) g^-1 by widening the
-sandwich around the letter instead.  The symmetry conditions and the
+Leibniz kernel, :func:`derive_keys`.  It derives each word from its
+parent by d(w g) = d(w) g + w d(g), as a dict from target key to plain
+rational, holding only the dicts of the current word's prefixes, so no
+table of sums over every word is built; keys in :func:`lex_order`
+derive each prefix once.  Images of inverse letters are given by
+d(g^-1) = -g^-1 d(g) g^-1.  The symmetry conditions and the
 first-integral search pack its dicts into an incidence slot by slot;
 :func:`apply_derivation` adapts it to polynomials.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from bisect import bisect_left
+from heapq import merge
+from itertools import repeat
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import NonlinearProductError
 from .linsys import AffineForm, Rational, format_affine
@@ -279,76 +281,127 @@ class Derivation:
         return f"Derivation({self.name or 'unnamed'})"
 
 
-def _join_keys(left: int, mid: tuple, right: int, bits: int) -> int:
-    """Key of reduce(L mid R), for L's key, mid's letters and the ``bits``
-    low bits of R's key: mid is pushed onto L letter by letter, then R's
-    letters cancel from the front until one does not."""
-    for g in mid:
-        if left > 1 and left & 3 == g ^ 2:
-            left >>= 2
-        else:
-            left = left << 2 | g
-    while bits and left > 1 and left & 3 == (right >> bits - 2) ^ 2:
-        left >>= 2
-        bits -= 2
-        right &= (1 << bits) - 1
-    return left << bits | right
-
-
 def derive_keys(d: Derivation, keys: Iterable[int], sign: Rational = 1,
                 sums: Iterable[dict] | None = None) -> Iterator[dict]:
     """``sign * d(w)`` per word key w, in turn, as one dict from target
-    key to coefficient; ``d`` is checked at once, and each word is
-    derived as the returned iterator reaches it.
+    key to nonzero coefficient; ``d`` is checked at once, and each word
+    is derived as the returned iterator reaches it.
 
-    Each word's contributions are summed in that word's own dict, which
-    is handed back before the next word is begun, so no sums of another
-    word are held; the dict is taken from ``sums`` in turn when given,
-    adding d(w) to what the caller has for w already, or made fresh.  A
-    sum that cancels stays in as 0.  The Leibniz rule splits w's key
-    around each letter and joins the image of ``d`` in between with
-    shifts and masks; at an inverse letter g^-1 it uses
-    d(g^-1) = -g^-1 d(g) g^-1, the sandwich widened by one letter, so
-    inverse images are never built.  The images must be free of
+    Each word's dict comes from its parent's, w without its last letter
+    g, by d(w g) = d(w) g + w d(g): the parent's targets are right
+    multiplied by g in one comprehension, a map that merges no two of
+    them, and w d(g) adds its few terms from a table indexed by the
+    parent's last letters, as many as an image term can cancel.  Only
+    the chain of the current word's prefixes is held, so keys in
+    :func:`lex_order` derive every prefix once; any order is right.  The
+    dicts are the kernel's own, read by the words after them, and must
+    not be changed.  With ``sums``, its dicts are taken in turn, and a
+    word whose dict holds sums already gets a new one, d(w) plus them,
+    where a sum that cancels may stay in as 0.  An inverse letter's
+    image is d(g^-1) = -g^-1 d(g) g^-1.  The images must be free of
     unknowns, keeping the sums linear.
     """
     if d.has_unknowns:
         raise NonlinearProductError(
             "derivation images carry unknowns; the result would not be linear")
-    images = (d.image_u, d.image_v)
-    # Per letter of a word: (digits, bits, first, last, coefficient, mid)
-    # per image term, first and last the inverses of mid's end letters
-    # (-2 for the empty word), which flag a cancellation at a junction;
-    # the coefficient carries ``sign``, flipped at an inverse letter.
-    joins = [[(word_key(mid) - (1 << 2 * len(mid)), 2 * len(mid),
-               mid[0] ^ 2 if mid else -2, mid[-1] ^ 2 if mid else -2,
-               -sign * c.const if g & 2 else sign * c.const, mid)
-              for mid, c in images[g & 1].terms.items()] for g in range(4)]
-    # iter(dict, None) makes a fresh dict per word, without end
-    return _leibniz(joins, keys, iter(dict, None) if sums is None else sums)
+    # sign * d(g) per letter g, as (word, coefficient) per image term
+    images = []
+    for g in range(4):
+        image = (d.image_u, d.image_v)[g & 1].terms.items()
+        if g & 2:
+            images.append([(reduce_letters((g,) + mid + (g,)), -sign * c.const)
+                           for mid, c in image])
+        else:
+            images.append([(mid, sign * c.const) for mid, c in image])
+    width = max((len(mid) for terms in images for mid, _ in terms), default=0)
+    return _leibniz(_Junctions(images), width, keys,
+                    repeat({}) if sums is None else sums)
 
 
-def _leibniz(joins: list, keys: Iterable[int],
+class _Junctions(dict):
+    """w d(g) by the last letters of w, filled as they are first met.
+
+    An entry is keyed ``tail << 2 | g``, the tail the key of w's last
+    letters, as many as the longest image term, or of all of w when it
+    is shorter: a list of (drop, shift, digits, coefficient) per term m
+    of d(g), the key of reduce(w m) being ``w >> drop << shift | digits``
+    with ``drop`` the bits of w that m cancels.
+    """
+
+    def __init__(self, images: list):
+        super().__init__()
+        self._images = images
+
+    def __missing__(self, code: int) -> list:
+        tail = key_word(code >> 2)
+        out = []
+        for mid, c in self._images[code & 3]:
+            k = 0
+            while k < min(len(mid), len(tail)) and tail[-1 - k] == mid[k] ^ 2:
+                k += 1
+            rest = 2 * (len(mid) - k)
+            out.append((2 * k, rest, word_key(mid[k:]) - (1 << rest), c))
+        self[code] = out
+        return out
+
+
+def _leibniz(junctions: _Junctions, width: int, keys: Iterable[int],
              sums: Iterable[dict]) -> Iterator[dict]:
-    # the loop of derive_keys, which has checked d and built ``joins``
-    for key, acc in zip(keys, sums):
-        get = acc.get
-        for r in range(key.bit_length() - 3, -1, -2):
-            g = key >> r & 3  # the letter at bit offset r
-            if g & 2:
-                left, bits = key >> r, r + 2
-            else:
-                left, bits = key >> r + 2, r
-            right = key & (1 << bits) - 1
-            left_end = left & 3 if left > 1 else -1
-            right_start = right >> bits - 2 if bits else -1
-            for digits, mid_bits, first, last, c, mid in joins[g]:
-                if first == left_end or last == right_start or not mid_bits:
-                    target = _join_keys(left, mid, right, bits)
+    # the walk of derive_keys, which has checked d and built the images
+    top = 1 << 2 * width
+    low = top - 1
+    chain, derived = [1], [{}]  # the current prefixes and their d(w)
+    for key, seeds in zip(keys, sums):
+        depth = key.bit_length() >> 1
+        j = min(len(chain) - 1, depth)
+        while chain[j] != key >> 2 * (depth - j):
+            j -= 1
+        del chain[j + 1:], derived[j + 1:]
+        parent, acc = chain[j], derived[j]
+        for r in range(2 * (depth - j - 1), -1, -2):
+            g = key >> r & 3
+            inv = g ^ 2
+            acc = {(t >> 2 if t & 3 == inv and t > 1 else t << 2 | g): c
+                   for t, c in acc.items()}
+            get = acc.get
+            tail = parent if parent < top else parent & low | top
+            for drop, shift, digits, c in junctions[tail << 2 | g]:
+                t = parent >> drop << shift | digits
+                total = get(t, 0) + c
+                if total:
+                    acc[t] = total
                 else:
-                    target = (left << mid_bits | digits) << bits | right
-                acc[target] = get(target, 0) + c
+                    del acc[t]
+            parent = parent << 2 | g
+            chain.append(parent)
+            derived.append(acc)
+        if seeds:
+            acc = dict(acc)
+            for t, c in seeds.items():
+                acc[t] = acc.get(t, 0) + c
         yield acc
+
+
+def lex_order(keys: Sequence[int]) -> Iterator[int]:
+    """The indices of deglex-sorted word ``keys`` in lexicographic order,
+    each word before its extensions, the order in which
+    :func:`derive_keys` derives every prefix once.
+
+    The keys of one length are in that order already; their runs are
+    merged lazily, each key padded with u's to the longest's length and
+    a tie going to the shorter word, whose index is the lower.  Keys out
+    of deglex order still give each index once.
+    """
+    if not keys:
+        return iter(())
+    width = keys[-1].bit_length()
+    levels = range(0, width, 2)
+    bounds = [bisect_left(keys, 1 << b) for b in levels] + [len(keys)]
+
+    def run(b: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
+        shift = width - 1 - b
+        return ((keys[i] << shift, i) for i in range(lo, hi))
+    return (i for _, i in merge(*map(run, levels, bounds, bounds[1:])))
 
 
 def apply_derivation(d: Derivation, p: NCPoly) -> NCPoly:

@@ -27,8 +27,9 @@ the live slots (:func:`_dtau_targets`).  The side condition
 (:class:`NecessaryCondition`) packs two entries per live slot directly,
 half a chunk of slots at a time.  A commutator condition sums per source
 word: each live slot's dict of sums is seeded with its D_tau(D_t x)
-targets, the Leibniz kernel adds -D_t(Q_x) into it, and its nonzero sums
-are packed before the next slot's dict is made, so no table over every
+targets, the Leibniz kernel adds -D_t(Q_x), deriving the live words in
+lexicographic order so that each prefix is derived once, and the nonzero
+sums are packed before the next slot's are made, so no table over every
 word is held and no word is decoded.  A staged run holds each condition
 as its incidence; every harvest is one pass over the ints in key order
 that prunes, marks the slot of each 1-term word dead and keeps the
@@ -45,7 +46,7 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain, compress, groupby, islice
+from itertools import chain, compress, groupby, islice, tee
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import TooLargeError
@@ -53,8 +54,8 @@ from .linsys import (FORMULATE_MAX_UNKNOWNS, KIND_A, KIND_C, AffineForm,
                      LinearSystem, Rational, UnknownId, canonical_row,
                      unknown_limit)
 from .ncalgebra import (U, U_INV, V, V_INV, Derivation, NCPoly, Word,
-                        derive_keys, key_word, reduce_letters, word_key,
-                        word_pow)
+                        derive_keys, key_word, lex_order, reduce_letters,
+                        word_key, word_pow)
 from .solver import lsss_solve
 
 #: Group commutator u v u^-1 v^-1 and its inverse: the generating first
@@ -537,17 +538,18 @@ def formulate_symcon(system: Derivation, ansatz: SymmetryAnsatz, which: str,
     D_t on that generator.  Only the slots live in ``dead`` enter the
     ansatz, and every word stays a key.  D_tau(P_x) for P_x = D_t x comes
     from the rule of :func:`_dtau_targets`, one batch of live slots per
-    generator.  Each live slot's targets seed its own dict of sums, into
+    generator.  Each live slot's targets seed its own dict of sums, to
     which the Leibniz kernel :func:`derive_keys` adds -D_t(Q_x) for a slot
-    of Q_x; each nonzero sum becomes one entry of the :class:`Incidence`,
-    labelled by slot, and no other slot's sums are held meanwhile.
+    of Q_x, the slots of Q_x taken in :func:`lex_order` of their words;
+    each nonzero sum becomes one entry of the :class:`Incidence`, labelled
+    by slot, and no other slot's sums are held meanwhile.
     """
     if which not in ("u", "v"):
         raise ValueError("which must be 'u' or 'v'")
     x = "uv".index(which)
 
-    def seeded(count: int, columns: list) -> Iterator[dict]:
-        for i in range(count):
+    def seeded(order: Iterable[int], columns: list) -> Iterator[dict]:
+        for i in order:
             acc: dict = {}
             for targets, c in columns:
                 key = targets[i]
@@ -557,10 +559,13 @@ def formulate_symcon(system: Derivation, ansatz: SymmetryAnsatz, which: str,
     def sums() -> Iterator[tuple[int, dict]]:
         for g, keys, slots, columns in _dtau_targets(
                 (system.image_u, system.image_v)[x], ansatz, dead):
-            acc = seeded(len(keys), columns)
-            if g == x:
-                acc = derive_keys(system, keys, -1, acc)
-            yield from zip(slots, acc)
+            if g != x:
+                yield from zip(slots, seeded(range(len(keys)), columns))
+                continue
+            at_slot, at_key, at_seed = tee(lex_order(keys), 3)
+            yield from zip(map(slots.__getitem__, at_slot), derive_keys(
+                system, map(keys.__getitem__, at_key), -1,
+                seeded(at_seed, columns)))
 
     return Incidence.pack(sums(), ansatz.slot_count)
 
@@ -708,20 +713,22 @@ def first_integral_basis(system: Derivation, degree: int) -> list[NCPoly]:
     """A basis of the first integrals of degree <= n, constants included.
 
     The ansatz is one fresh unknown per word key, numbered by slot; the
-    Leibniz kernel :func:`derive_keys` sums D_t of each word, packed into
-    one :class:`Incidence` by slot, which is split completely in key order
-    and solved once over the slots, so no unknown is made.  Each free slot
-    gives one integral, so the basis length is the dimension of the space;
-    only the basis decodes its keys into words.
+    Leibniz kernel :func:`derive_keys` sums D_t of each word, in
+    :func:`lex_order`, packed into one :class:`Incidence` by slot, which
+    is split completely in key order and solved once over the slots, so
+    no unknown is made.  Each free slot gives one integral, so the basis
+    length is the dimension of the space; only the basis decodes its keys
+    into words.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
     _check_degree_guard(degree, 1)
     keys = enumerate_keys(degree)
-    slots = range(len(keys))
-    condition = Incidence.pack(zip(slots, derive_keys(system, keys)),
-                               len(keys))
-    state = lsss_solve(complete_split([condition.keyed_terms()], slots))
+    at_slot, at_key = tee(lex_order(keys))
+    condition = Incidence.pack(zip(at_slot, derive_keys(
+        system, map(keys.__getitem__, at_key))), len(keys))
+    state = lsss_solve(complete_split([condition.keyed_terms()],
+                                      range(len(keys))))
     return [NCPoly._from_acc({key_word(k): AffineForm.constant(vec[s])
                               for s, k in enumerate(keys) if s in vec})
             for vec in state.basis()]

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import selsolve.cli
+import selsolve.pipeline
 import selsolve.symmetry
 from selsolve.cli import main
 from selsolve.formats import read_solution, render_solution, write_solution
@@ -183,6 +184,25 @@ def test_verify_refuses_another_degree_before_building_its_ansatz(
                             "degree 12 ansatz has 2125762\n")
     assert captured.out == ""
     assert peak < 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("dim", [65, 100000])
+def test_verify_refuses_an_oversized_dim_before_any_matrix(tmp_path, capsys,
+                                                           monkeypatch, dim):
+    # a dim x dim draw per letter and trial: --dim 100000 printed its
+    # header and ran until it was killed
+    state, _ = run_strategy(3, default_strategy(3))
+    path = str(tmp_path / "n3.sol")
+    write_solution(state, path)
+
+    def drawn(*args):
+        raise AssertionError("a matrix was drawn")
+    monkeypatch.setattr(selsolve.pipeline, "_random_invertible", drawn)
+    assert main(["verify", "--degree", "3", "--solution", path,
+                 "--dim", str(dim), "--trials", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --dim must be at most 64, got {dim}\n"
+    assert captured.out == ""
 
 
 def test_verify_refuses_ansatz_unknowns_off_the_degree(tmp_path, capsys):

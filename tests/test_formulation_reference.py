@@ -16,10 +16,15 @@ images), and so is the first harvest of each.  The harvest the package
 ran on (word key, coefficient) pairs before is kept here too
 (:class:`PairCondition`, :func:`pair_split`, :func:`relabelled`); each
 condition, held as its incidence through a whole staged run, is checked
-pass by pass against its decoded pairs harvested that way.
+pass by pass against its decoded pairs harvested that way.  The package's
+Leibniz kernel derives each word from its parent's sums; the per-letter
+loop it ran before, which split each key around every letter and joined
+the image in between, is kept here as :func:`reference_derive_keys`, and
+the kernel is held to it on random derivations and key orders.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import compress
 
@@ -31,9 +36,10 @@ from selsolve import symmetry
 from selsolve.errors import NonlinearProductError
 from selsolve.linsys import KIND_A, KIND_C, AffineForm, UnknownId
 from selsolve.ncalgebra import (EMPTY_WORD, U, U_INV, V, V_INV, Derivation,
-                                NCPoly, Word, _join_keys, affine_product,
-                                apply_derivation, key_word, poly_mul,
-                                reduce_letters, word_key, word_mul, word_pow)
+                                NCPoly, Word, affine_product,
+                                apply_derivation, derive_keys, key_word,
+                                lex_order, poly_mul, reduce_letters,
+                                word_key, word_mul, word_pow)
 from selsolve.pipeline import run_strategy
 from selsolve.symmetry import (COMMUTATOR_UV, Incidence, NecessaryCondition,
                                build_ansatz, complete_split, enumerate_keys,
@@ -698,6 +704,169 @@ def test_keyed_symcon_rejects_another_generator():
         formulate_symcon(kontsevich_system(), build_ansatz(1), "w")
 
 
+def join_keys(left, mid, right, bits):
+    """Key of reduce(L mid R), for L's key, mid's letters and the ``bits``
+    low bits of R's key: mid is pushed onto L letter by letter, then R's
+    letters cancel from the front until one does not."""
+    for g in mid:
+        if left > 1 and left & 3 == g ^ 2:
+            left >>= 2
+        else:
+            left = left << 2 | g
+    while bits and left > 1 and left & 3 == (right >> bits - 2) ^ 2:
+        left >>= 2
+        bits -= 2
+        right &= (1 << bits) - 1
+    return left << bits | right
+
+
+def reference_derive_keys(d, keys, sign=1, sums=None):
+    """``sign * d(w)`` per word key w, as the package's kernel summed it
+    before it derived each word from its parent: the key is split around
+    each letter, every image term joined in between with shifts and
+    masks (:func:`join_keys` where a junction cancels), and each
+    contribution added to w's dict, taken from ``sums`` when given; a sum
+    that cancels stays in as 0.  At an inverse letter the sandwich widens
+    by that letter and the sign flips, d(g^-1) = -g^-1 d(g) g^-1."""
+    images = (d.image_u, d.image_v)
+    # per letter: (digits, bits, first, last, coefficient, mid) per image
+    # term, first and last the inverses of mid's end letters (-2 for the
+    # empty word), which flag a cancellation at a junction
+    joins = [[(word_key(mid) - (1 << 2 * len(mid)), 2 * len(mid),
+               mid[0] ^ 2 if mid else -2, mid[-1] ^ 2 if mid else -2,
+               -sign * c.const if g & 2 else sign * c.const, mid)
+              for mid, c in images[g & 1].terms.items()] for g in range(4)]
+    for key, acc in zip(keys, iter(dict, None) if sums is None else sums):
+        get = acc.get
+        for r in range(key.bit_length() - 3, -1, -2):
+            g = key >> r & 3  # the letter at bit offset r
+            if g & 2:
+                left, bits = key >> r, r + 2
+            else:
+                left, bits = key >> r + 2, r
+            right = key & (1 << bits) - 1
+            left_end = left & 3 if left > 1 else -1
+            right_start = right >> bits - 2 if bits else -1
+            for digits, mid_bits, first, last, c, mid in joins[g]:
+                if first == left_end or last == right_start or not mid_bits:
+                    target = join_keys(left, mid, right, bits)
+                else:
+                    target = (left << mid_bits | digits) << bits | right
+                acc[target] = get(target, 0) + c
+        yield acc
+
+
+def nonzero(sums):
+    return {k: c for k, c in sums.items() if c}
+
+
+def in_lex_order(keys):
+    """``keys`` sorted by their letters, a word before its extensions."""
+    return sorted(keys, key=key_word)
+
+
+coefficients = st.one_of(
+    st.sampled_from([1, -1]), st.integers(-5, 5).filter(bool),
+    st.fractions(-3, 3, max_denominator=4).filter(bool))
+
+
+@st.composite
+def derivations(draw):
+    """Images of up to four terms of up to three letters, any nonzero
+    coefficients: the empty word and zero images among them."""
+    image = st.dictionaries(reduced_words(3), coefficients, max_size=4)
+    return Derivation(NCPoly(draw(image)), NCPoly(draw(image)))
+
+
+@st.composite
+def key_lists(draw):
+    """Word keys in deglex, lexicographic or shuffled order, some of
+    them repeated."""
+    keys = draw(st.lists(reduced_words(6).map(word_key), max_size=12))
+    if keys:
+        keys += draw(st.lists(st.sampled_from(keys), max_size=4))
+    order = draw(st.sampled_from(["deglex", "lex", "shuffled"]))
+    if order == "deglex":
+        return sorted(keys)
+    if order == "lex":
+        return in_lex_order(keys)
+    return draw(st.permutations(keys))
+
+
+@derandomized
+@given(derivations(), key_lists(), st.sampled_from([1, -1, Fraction(2, 3)]),
+       st.data())
+def test_derive_keys_matches_reference(d, keys, sign, data):
+    # equal up to sums of 0, which the kernel drops unless the caller's
+    # seeds cancel; seeded, every word adds to the caller's dict for it
+    got = list(derive_keys(d, keys, sign))
+    want = list(reference_derive_keys(d, keys, sign))
+    assert [nonzero(s) for s in got] == [nonzero(s) for s in want]
+    assert all(all(s.values()) for s in got)
+    seeds = data.draw(st.lists(
+        st.dictionaries(reduced_words(4).map(word_key), coefficients,
+                        max_size=3), min_size=len(keys), max_size=len(keys)))
+    got = derive_keys(d, keys, sign, [dict(s) for s in seeds])
+    want = reference_derive_keys(d, keys, sign, [dict(s) for s in seeds])
+    assert [nonzero(s) for s in got] == [nonzero(s) for s in want]
+
+
+@pytest.mark.parametrize("image_u, image_v", [
+    ({(): 2, (V,): -1}, {(U, V): Fraction(1, 2), (): -3}),  # empty word
+    ({(V,): 1}, {(U,): 1}),  # a flow without its own letter
+    ({}, {(V_INV, U_INV): 1}),  # a zero image
+    ({}, {})])
+def test_derive_keys_matches_reference_on_special_images(image_u, image_v):
+    d = Derivation(NCPoly(image_u), NCPoly(image_v))
+    keys = enumerate_keys(5)
+    for order in (keys, in_lex_order(keys), keys[::-1]):
+        assert [nonzero(s) for s in derive_keys(d, order, -1)] \
+            == [nonzero(s) for s in reference_derive_keys(d, order, -1)]
+
+
+@pytest.mark.parametrize("lex", [False, True])
+def test_derive_keys_matches_reference_on_every_word(lex):
+    # every word of degree <= 7 of the default system, in deglex order
+    # and in the order that derives each prefix once
+    system = kontsevich_system()
+    keys = enumerate_keys(7)
+    if lex:
+        keys = [keys[i] for i in lex_order(keys)]
+    got = derive_keys(system, keys)
+    want = reference_derive_keys(system, keys)
+    for key, g, w in zip(keys, got, want, strict=True):
+        assert g == nonzero(w), key_word(key)
+
+
+@derandomized
+@given(st.lists(reduced_words(6).map(word_key), unique=True))
+def test_lex_order_sorts_by_letters(keys):
+    keys.sort()
+    assert [keys[i] for i in lex_order(keys)] == in_lex_order(keys)
+
+
+def test_derive_keys_memory_over_every_word_of_degree_9():
+    # the 39,365 words of degree <= 9, in lexicographic order and taken
+    # one at a time: the kernel holds only the chain of the current
+    # word's prefixes and peaks near 0.05 MB; a memo of every prefix
+    # would hold all 693,788 nonzero sums
+    system = kontsevich_system()
+    keys = enumerate_keys(9)
+    assert len(keys) == 39365
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        terms = 0
+        for sums in derive_keys(system, map(keys.__getitem__,
+                                            lex_order(keys))):
+            terms += len(sums)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert terms == 693788
+    assert peak - before <= 1.0e6
+
+
 @st.composite
 def cancelling_sandwiches(draw):
     """(L, mid, R), reduced each, built to cancel: mid starts by undoing
@@ -719,7 +888,7 @@ def cancelling_sandwiches(draw):
 def test_join_keys_is_free_reduction(sandwich):
     left, mid, right = sandwich
     bits = 2 * len(right)
-    assert _join_keys(word_key(left), mid, word_key(right) - (1 << bits),
+    assert join_keys(word_key(left), mid, word_key(right) - (1 << bits),
                       bits) == word_key(reduce_letters(left + mid + right))
 
 
@@ -733,6 +902,6 @@ def test_join_keys_cascades_through_a_cancelled_middle():
             ((), (), (V,), (V,)),
             ((U, V), (), (V_INV, U_INV), ())):
         bits = 2 * len(right)
-        assert _join_keys(word_key(left), mid,
+        assert join_keys(word_key(left), mid,
                           word_key(right) - (1 << bits), bits) \
             == word_key(want)
