@@ -98,9 +98,8 @@ def _cmd_pipeline(args) -> int:
     run = run_pipeline(args.degree, strategy)
     for line in run.report.lines():
         print(line)
-    # the full solution state is assembled only to be written
     if args.out:
-        write_solution(run.solution(), args.out)
+        run.write_solution(args.out)
         print(f"wrote {args.out}")
     return 0
 

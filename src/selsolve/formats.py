@@ -17,11 +17,13 @@ id, and all writes are atomic (temp file plus rename).
 
 from __future__ import annotations
 
+import errno
 import os
 import re
 import secrets
-from itertools import chain, groupby, islice
-from typing import Iterator, Sequence
+from itertools import chain, compress, groupby, islice, repeat
+from operator import attrgetter, ge, sub
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BoundsError, ParseError, TooLargeError
 from .linsys import (FORMULATE_MAX_UNKNOWNS, KIND_BY_LETTER, KIND_C,
@@ -30,22 +32,41 @@ from .linsys import (FORMULATE_MAX_UNKNOWNS, KIND_BY_LETTER, KIND_C,
 from .solver import SolutionState
 
 
-def atomic_write(path: str, text: str) -> None:
-    """Write through a temp file and a rename; an OSError names ``path``.
+def atomic_write(path: str, text: str | Iterable[str]) -> None:
+    """Write ``text``, a string or its pieces, through a temp file and a
+    rename; an OSError names ``path``."""
+    atomic_write_files([(path, text)])
 
-    The temp file is created as a new file, so the umask sets its mode.
+
+def atomic_write_files(files: Sequence[tuple[str, str | Iterable[str]]]
+                       ) -> None:
+    """Write each (path, text) through its own temp file, then rename
+    them in order.  Every temp file is written, and no path is found to
+    be a directory, before the first rename, so a failure there leaves
+    every path as it was; an OSError names the path it concerns.
+
+    The temp files are created as new files, so the umask sets their
+    modes.
     """
-    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
-                       f".tmp-{secrets.token_hex(8)}.part")
+    temps: list[str] = []
     try:
-        with open(tmp, "x") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except OSError as exc:
+        for path, text in files:
+            temps.append(os.path.join(os.path.dirname(os.path.abspath(path)),
+                                      f".tmp-{secrets.token_hex(8)}.part"))
+            with open(temps[-1], "x") as handle:
+                handle.writelines([text] if isinstance(text, str) else text)
+        for path, _ in files:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR,
+                                        os.strerror(errno.EISDIR))
+        for (path, _), tmp in zip(files, temps):
+            os.replace(tmp, path)
+    except OSError as exc:  # named by the path it concerns
         raise OSError(exc.errno, exc.strerror, path) from exc
     finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 #: The grammar of an integer token: ASCII digits with an optional sign.
@@ -104,19 +125,67 @@ def names_path_for(path: str) -> str:
     return path + ".names"
 
 
+#: Rows, or names, rendered into one piece of a file at a time.
+_PIECE = 1 << 12
+
+
+class _ValueTokens(dict):
+    """Value to its text and a newline, each made on first use."""
+
+    def __missing__(self, value: Rational) -> str:
+        token = self[value] = f"{format_rational(value)}\n"
+        return token
+
+
+def system_text(system: LinearSystem) -> Iterator[str]:
+    """The system file in pieces of up to :data:`_PIECE` rows each: the
+    rows in order, each row's constant first and its entries by column.
+
+    The token of each column (with the spaces around it) and of each
+    value is made once.  A piece whose rows have no constant and whose
+    entries ascend within each row, as every row the symmetry systems
+    split into does, is joined from those tokens by maps over the packed
+    rows; any other piece is rendered row by row.
+    """
+    n, rows = len(system.universe), len(system)
+    yield f"{rows} {n}\n"
+    labels = [f" {j} " for j in range(1, n + 1)]
+    tokens = _ValueTokens()
+    consts, starts, cols, values = (system.consts, system.starts,
+                                    system.cols, system.values)
+    for first in range(0, rows, _PIECE):
+        last = min(first + _PIECE, rows)
+        a, b = starts[first], starts[last]
+        piece, bounds = cols[a:b], set(starts[first + 1:last])
+        # entries ascend within each row when every descent starts a row
+        if any(consts[first:last]) or not all(map(bounds.__contains__, (
+                compress(range(a + 1, b), map(ge, piece, piece[1:]))))):
+            yield "".join(_row_lines(system, first, last, labels, tokens))
+            continue
+        numbers = chain.from_iterable(map(repeat, map(str, range(
+            first + 1, last + 1)), map(sub, starts[first + 1:last + 1],
+                                       starts[first:last])))
+        yield "".join(chain.from_iterable(zip(
+            numbers, map(labels.__getitem__, piece),
+            map(tokens.__getitem__, values[a:b]))))
+    yield "0 0 0\n"
+
+
+def _row_lines(system: LinearSystem, first: int, last: int,
+               labels: list[str], tokens: _ValueTokens) -> Iterator[str]:
+    """The lines of rows first..last - 1, one row at a time."""
+    starts = system.starts
+    for k in range(first, last):
+        row, a, b = k + 1, starts[k], starts[k + 1]
+        if system.consts[k] != 0:
+            yield f"{row} 0 {tokens[system.consts[k]]}"
+        for c, value in sorted(zip(system.cols[a:b], system.values[a:b])):
+            yield f"{row}{labels[c]}{tokens[value]}"
+
+
 def render_system(system: LinearSystem) -> str:
-    """The system's rows in order, each row's entries by column."""
-    lines = [f"{len(system)} {len(system.universe)}"]
-    labels = [str(j) for j in range(1, len(system.universe) + 1)]
-    entries = zip(system.cols, system.values)
-    for row, (const, length) in enumerate(
-            zip(system.consts, system.row_lengths()), start=1):
-        if const != 0:
-            lines.append(f"{row} 0 {format_rational(const)}")
-        for c, value in sorted(islice(entries, length)):
-            lines.append(f"{row} {labels[c]} {format_rational(value)}")
-    lines.append("0 0 0")
-    return "\n".join(lines) + "\n"
+    """The system file as one string (:func:`system_text`)."""
+    return "".join(system_text(system))
 
 
 def render_names(system: LinearSystem) -> str:
@@ -127,9 +196,13 @@ def render_names(system: LinearSystem) -> str:
 
 
 def write_system(system: LinearSystem, path: str) -> None:
-    """Write a system plus its name sidecar; byte-identical per input."""
-    atomic_write(path, render_system(system))
-    atomic_write(names_path_for(path), render_names(system))
+    """Write a system plus its name sidecar; byte-identical per input.
+
+    The system is streamed piece by piece (:func:`system_text`); neither
+    file replaces its path unless both were written in full.
+    """
+    atomic_write_files([(path, system_text(system)),
+                        (names_path_for(path), render_names(system))])
 
 
 def read_names(path: str, columns: int) -> dict[int, UnknownId]:
@@ -379,19 +452,39 @@ def parse_affine(text: str) -> AffineForm:
     return AffineForm(const, coeffs)
 
 
+def solution_text(zeros: Iterable[UnknownId],
+                  pivots: Iterable[tuple[UnknownId, AffineForm]],
+                  free: Iterable[UnknownId]) -> Iterator[str]:
+    """The solution file in pieces, section by section, each section's
+    unknowns in the order given, which must be id order; names are
+    joined :data:`_PIECE` lines at a time."""
+    yield "ZEROS\n"
+    yield from _name_lines(zeros)
+    yield "PIVOTS\n"
+    for uid, rhs in pivots:
+        yield f"{uid.name} = {format_affine(rhs)}\n"
+    yield "FREE\n"
+    yield from _name_lines(free)
+
+
+def _name_lines(unknowns: Iterable[UnknownId]) -> Iterator[str]:
+    names = map(attrgetter("name"), unknowns)
+    while piece := list(islice(names, _PIECE)):
+        piece.append("")
+        yield "\n".join(piece)
+
+
+def _sorted_sections(state: SolutionState) -> tuple:
+    return (sorted(state.zeros), sorted(state.pivots.items()),
+            sorted(state.free))
+
+
 def render_solution(state: SolutionState) -> str:
-    lines = ["ZEROS"]
-    lines.extend(uid.name for uid in sorted(state.zeros))
-    lines.append("PIVOTS")
-    for uid in sorted(state.pivots):
-        lines.append(f"{uid.name} = {format_affine(state.pivots[uid])}")
-    lines.append("FREE")
-    lines.extend(uid.name for uid in sorted(state.free))
-    return "\n".join(lines) + "\n"
+    return "".join(solution_text(*_sorted_sections(state)))
 
 
 def write_solution(state: SolutionState, path: str) -> None:
-    atomic_write(path, render_solution(state))
+    atomic_write(path, solution_text(*_sorted_sections(state)))
 
 
 def read_solution(path: str) -> SolutionState:

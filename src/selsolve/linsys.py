@@ -107,7 +107,8 @@ class UnknownId(int):
 
     @property
     def name(self) -> str:
-        return f"{_KIND_NAMES[self.kind]}{self.index}"
+        kind, index = divmod(self, _INDEX_LIMIT)
+        return f"{_KIND_NAMES[kind - 1]}{index}"
 
     @property
     def kind_letter(self) -> str:
@@ -125,6 +126,15 @@ class UnknownId(int):
         base = (kind + 1) * _INDEX_LIMIT
         return tuple(map(int.__new__, repeat(cls, count),
                          range(base, base + count)))
+
+    @classmethod
+    def _at(cls, kind: int, indices: Iterable[int]) -> Iterator["UnknownId"]:
+        """``cls(kind, i)`` for each index i, in order, made as it is read
+        and unchecked, as :meth:`span` makes them: trusted to be in range,
+        as a slot's index is."""
+        base = (kind + 1) * _INDEX_LIMIT
+        return map(int.__new__, repeat(cls), map(operator.add, indices,
+                                                  repeat(base)))
 
     @classmethod
     def from_name(cls, text: str) -> "UnknownId":

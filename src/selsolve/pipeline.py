@@ -19,8 +19,10 @@ over the live slots, through the one :func:`complete_split` into packed
 rows over the live slots, which the solver eliminates over columns and
 labels by slot, as in :func:`system_stats`.  An :class:`UnknownId` is
 made only when the full :class:`SolutionState`, every zero included, is
-relabelled from F's and joined by the mask (:func:`run_strategy`,
-``pipeline --out``); ``pipeline`` otherwise reads the report alone.
+relabelled from F's and joined by the mask (:func:`run_strategy`), or,
+one at a time, to print a name when ``pipeline --out`` streams the
+solution file from the mask and F's solution; ``pipeline`` otherwise
+reads the report alone.
 
 The default strategy runs to a fixpoint: N repeats until a step harvests
 nothing; then, while an S step harvests something, N repeats again until
@@ -37,13 +39,14 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress, count
 from operator import mul
 from typing import Sequence
 
 from .errors import ParseError, SelSolveError, SingularSampleError
-from .linsys import (FORMULATE_MAX_UNKNOWNS, KIND_A, KIND_C, Rational,
-                     UnknownId, unknown_limit)
+from .formats import atomic_write, solution_text
+from .linsys import (FORMULATE_MAX_UNKNOWNS, KIND_A, KIND_C, AffineForm,
+                     Rational, UnknownId, unknown_limit)
 from .ncalgebra import U_INV, V_INV, Derivation, Word
 from .solver import SolutionState, lsss_solve
 from .symmetry import (FLIP, Incidence, NecessaryCondition, SymmetryAnsatz,
@@ -242,7 +245,8 @@ class _PipelineRun:
     formulated on first use, over the live slots, and each is kept as its
     :class:`Incidence`, whose remainder every later step harvests in one
     pass.  F solves the live system over the live slots; :meth:`solution`
-    assembles the whole solution from the mask, over unknowns.
+    assembles the whole solution from the mask, over unknowns, and
+    :meth:`write_solution` writes its file without assembling it.
     """
 
     def __init__(self, degree: int):
@@ -294,11 +298,10 @@ class _PipelineRun:
         conditions.append(formulate_symcon(self.system, self.ansatz, "v",
                                            self.dead))
         live = list(compress(range(len(self.dead)), self.dead.translate(FLIP)))
-        labels: list[int | None] = [None] * len(self.dead)  # dead drop out
-        for s in live:
-            labels[s] = s
-        system = complete_split([c.keyed_terms(labels) for c in conditions],
-                                live)
+        columns: list[int | None] = [None] * len(self.dead)  # dead drop out
+        for c, s in enumerate(live):
+            columns[s] = c
+        system = complete_split(conditions, live, columns)
         self._solved = solved = lsss_solve(system)
         self._record("F", started, len(solved.zeros), len(system))
         report = self.report
@@ -312,6 +315,28 @@ class _PipelineRun:
         F's relabelled, every slot's unknown in the universe and the dead
         ones among the zeros."""
         return self._solved.relabel(self.ansatz.slot_unknowns(), self.dead)
+
+    def write_solution(self, path: str) -> None:
+        """Write the solution after F in the solve format, the bytes
+        :func:`selsolve.formats.write_solution` writes for
+        :meth:`solution`, without assembling it: each section streamed in
+        id order, which is slot order, the zeros from the slot mask and
+        F's, and each slot's unknown made only to print its name."""
+        solved, c = self._solved, self.ansatz.unknown_count
+        dead = bytearray(self.dead)
+        for s in solved.zeros:
+            dead[s] = 1
+
+        def unknown(s: int) -> UnknownId:
+            return UnknownId(KIND_C, s) if s < c else UnknownId(KIND_A, s - c)
+
+        zeros = chain(UnknownId._at(KIND_C, compress(range(c), dead)),
+                      UnknownId._at(KIND_A, compress(count(), dead[c:])))
+        pivots = ((unknown(p), AffineForm._raw(rhs.const, dict(zip(
+            map(unknown, rhs.coeffs), rhs.coeffs.values()))))
+            for p, rhs in sorted(solved.pivots.items()))
+        atomic_write(path, solution_text(
+            zeros, pivots, map(unknown, sorted(solved.free))))
 
 
 def run_pipeline(degree: int, strategy: Strategy | FixpointStrategy | str

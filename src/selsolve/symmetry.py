@@ -33,11 +33,11 @@ sums are packed before the next slot's are made, so no table over every
 word is held and no word is decoded.  A staged run holds each condition
 as its incidence; every harvest is one pass over the ints in key order
 that prunes, marks the slot of each 1-term word dead and keeps the
-surviving ints, as a list, for the next pass.  A condition is decoded
-into (word key, coefficient) pairs once, when it is split, over its
-slots or their labels, dead slots dropped; :func:`complete_split` is
-the one path from such pairs to a numbered :class:`LinearSystem`, which
-is solved over slots until a solution is given out in unknowns.
+surviving ints, as a list, for the next pass.  :func:`complete_split`
+is the one path from incidences to a numbered :class:`LinearSystem`:
+it walks each condition's ints once, straight into packed rows over the
+columns of the live slots, so no word is decoded; the system is solved
+over slots until a solution is given out in unknowns.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain, compress, groupby, islice, tee
+from itertools import chain, compress, groupby, islice, repeat, tee
+from operator import add, and_, is_not, lt, ne, rshift, sub, xor
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import TooLargeError
@@ -263,8 +264,9 @@ def _dtau_targets(p: NCPoly, ansatz: SymmetryAnsatz, dead: bytes | None,
                    [(apply(chunk), c) for apply, c in columns[g]])
 
 
-#: The sign bit of an entry whose coefficient is +-1.
+#: The sign bit of an entry whose coefficient is +-1, and back.
 _UNIT_SIGN = {1: 0, -1: 1}
+_UNIT = [1, -1]  # a list: its __getitem__ maps faster than a tuple's
 
 #: Packed entries reach an :class:`Incidence` in chunks of about this
 #: many ints; N's chunks hold half as many live slots.
@@ -339,8 +341,9 @@ class Incidence:
     :meth:`harvest`, which sorts and drops one bucket at a time, so no
     list of every entry exists as Python ints; it keeps the live entries
     of the words that survive as a list, and later passes walk that.
-    The condition stays these ints until it is split: :meth:`keyed_terms`
-    decodes what is left, and ``len`` is the number of words left.
+    The condition stays these ints until :func:`complete_split` walks them
+    into rows; ``len`` is the number of words left, and
+    :meth:`keyed_terms` decodes them for tests and tracing.
     """
 
     __slots__ = ("_buckets", "_entries", "_shift", "_exact", "_words")
@@ -582,26 +585,105 @@ def selective_split(p: Incidence, dead: bytearray) -> int:
     return p.harvest(dead)
 
 
-def complete_split(conditions: Iterable[Iterable[tuple[int, AffineForm]]],
-                   universe: Iterable[UnknownId]) -> LinearSystem:
+#: Entries a split reads at a time, cut back to whole words.
+_SPLIT_CHUNK = 1 << 14
+
+
+def _whole_words(incidence: Incidence) -> Iterator[list[int]]:
+    """The entries left, in key order, in lists of whole words of about
+    :data:`_SPLIT_CHUNK` entries each."""
+    entries, shift = iter(incidence.walk()), incidence._shift
+    held: list[int] = []
+    while chunk := list(islice(entries, _SPLIT_CHUNK)):
+        if held:
+            chunk = held + chunk
+        # the last word may go on in the next chunk: hold it back
+        cut = bisect_left(chunk, chunk[-1] >> shift << shift)
+        held = chunk[cut:]
+        del chunk[cut:]
+        if chunk:
+            yield chunk
+    if held:
+        yield held
+
+
+def _row_starts(chunk: list[int], shift: int) -> list[int]:
+    """The position in ``chunk`` of each word's first entry."""
+    keys = list(map(rshift, chunk, repeat(shift)))
+    return [0, *compress(range(1, len(keys)),
+                         map(ne, islice(keys, 1, None), keys))]
+
+
+def complete_split(conditions: Iterable[Incidence], universe: Iterable,
+                   columns: Sequence[int | None] | None = None
+                   ) -> LinearSystem:
     """Split each condition completely, in order, into one system.
 
-    A condition is (word key, coefficient) pairs in key order; one
-    equation is made per word whose coefficient does not vanish, and the
-    ids run 0.. across the conditions.  Equations from distinct words stay
-    apart even when their content coincides.  Each is put over the
-    system's columns and packed into its rows as it comes, canonical
-    (:func:`canonical_row`).
+    One row is made per word of a condition left with a live slot, in
+    key order, and the ids run 0.. across the conditions; rows from
+    distinct words stay apart even when their content coincides.  The
+    unknowns of ``universe`` are the system's columns, in order, and
+    sorted.  Slot s lands in column ``columns[s]``, distinct per slot,
+    and is dead where that is None; by default column s.  Each condition
+    is let go once split, before the next is taken from ``conditions``.
     """
-    system = LinearSystem.over(tuple(sorted(set(universe))))
-    column = {u: c for c, u in enumerate(system.universe)}.__getitem__
-    coeffs = (coeff for terms in conditions for _, coeff in terms
-              if not coeff.is_zero)
-    for k, coeff in enumerate(coeffs):
-        system.append(k, *canonical_row(coeff.const,
-                                        list(map(column, coeff.coeffs)),
-                                        list(coeff.coeffs.values())))
+    system = LinearSystem.over(tuple(universe))
+    ascending = columns is None or all(map(lt, live := [
+        c for c in columns if c is not None], islice(live, 1, None)))
+    for condition in conditions:
+        _append_rows(system, condition, columns, ascending)
+        del condition
     return system
+
+
+def _append_rows(system: LinearSystem, condition: Incidence,
+                 columns: Sequence[int | None] | None,
+                 ascending: bool) -> None:
+    """The rows of one condition, appended to ``system``.
+
+    Its ints are walked once, a chunk of whole words at a time, straight
+    into the system's rows.  A row of +-1 over ascending columns is
+    canonical (:func:`canonical_row`) once its sign is fixed by its
+    lowest column, so a chunk of such rows is packed by maps over its
+    ints; only a chunk with an exact coefficient that is not +-1, or
+    columns that do not ascend with the slots, is put through
+    :func:`canonical_row` row by row.
+    """
+    ids, consts, starts = system.ids, system.consts, system.starts
+    cols, values = system.cols, system.values
+    shift, exact = condition._shift, condition._exact
+    low = (1 << shift) - 1
+    for chunk in _whole_words(condition):
+        slots = map(rshift, map(and_, chunk, repeat(low)), repeat(1))
+        if columns is None:
+            row_cols = list(slots)
+        else:
+            row_cols = list(map(columns.__getitem__, slots))
+            if None in row_cols:  # dead slots drop out
+                live_at = list(map(is_not, row_cols, repeat(None)))
+                chunk = list(compress(chunk, live_at))
+                row_cols = list(compress(row_cols, live_at))
+                if not chunk:
+                    continue
+        firsts = _row_starts(chunk, shift)
+        ends = firsts[1:] + [len(chunk)]
+        if ascending and (not exact or exact.keys().isdisjoint(chunk)):
+            # each sign bit against its row's first: 0 is +1, 1 is -1
+            flips = chain.from_iterable(map(
+                repeat, map(and_, map(chunk.__getitem__, firsts),
+                            repeat(1)), map(sub, ends, firsts)))
+            row = len(ids)
+            ids.extend(range(row, row + len(firsts)))
+            consts.extend(repeat(0, len(firsts)))
+            starts.extend(map(add, ends, repeat(len(cols))))
+            cols.extend(row_cols)
+            values.extend(map(_UNIT.__getitem__, map(
+                xor, map(and_, chunk, repeat(1)), flips)))
+            continue
+        for a, b in zip(firsts, ends):
+            system.append(len(ids), *canonical_row(
+                0, row_cols[a:b], [exact.get(e) or _UNIT[e & 1]
+                                   for e in chunk[a:b]]))
 
 
 def build_symmetry_system(degree: int,
@@ -610,20 +692,20 @@ def build_symmetry_system(degree: int,
 
     Both commutator conditions are always included; ``include_nc`` prepends
     the split of the first-integral side condition together with its
-    auxiliary unknowns.  Every slot's unknown is made in bulk, and the
-    conditions are labelled by them.
+    auxiliary unknowns.  Each condition is formulated only when the split
+    before it is done.  Every slot's unknown is made in bulk as a column
+    of the system, slot s its column s.
     """
     _check_degree_guard(degree)
     system = kontsevich_system()
     ansatz = build_ansatz(degree)
     universe = ansatz.slot_unknowns()
-    if include_nc:
-        conditions = [formulate_nc(ansatz).keyed_terms(universe)]
-    else:
-        conditions, universe = [], universe[:ansatz.unknown_count]
-    conditions += [formulate_symcon(system, ansatz, x).keyed_terms(universe)
-                   for x in "uv"]
-    return complete_split(conditions, universe)
+    if not include_nc:
+        universe = universe[:ansatz.unknown_count]
+    return complete_split(
+        (formulate_nc(ansatz) if x == "N"
+         else formulate_symcon(system, ansatz, x)
+         for x in ("Nuv" if include_nc else "uv")), universe)
 
 
 @dataclass
@@ -685,28 +767,29 @@ def _check_degree_guard(degree: int, images: int = 2) -> None:
 def system_stats(degree: int) -> SystemStats:
     """Formulate everything for one degree, count it, and solve for p.
 
-    Each condition is formulated and split once.  The counts are read off
-    the formulated conditions, one equation per word and one term per
-    slot of its coefficient, as :func:`complete_split` gives them;
-    D_tau(I) is the side condition without its auxiliary terms.  The
-    system is solved over its slots, whose order is the unknowns' order,
-    so no unknown is made.
+    Each condition is formulated and split once, N's words counted
+    first, into one system over the slots, whose order is the unknowns'
+    order, so no unknown is made.  The counts are read off its rows: N's
+    come first, one per word, and D_tau(I) is N without its auxiliary
+    columns, which each stand alone in a row or follow the slots of
+    the ansatz in it; S_u's and S_v's rows follow.
     """
     _check_degree_guard(degree)
     system = kontsevich_system()
     ansatz = build_ansatz(degree)
-    side = list(formulate_nc(ansatz).keyed_terms())
-    commutators = [list(formulate_symcon(system, ansatz, x).keyed_terms())
-                   for x in "uv"]
-    c = ansatz.unknown_count
-    terms_i = [sum(s < c for s in coeff.coeffs) for _, coeff in side]
-    terms_uv = [len(coeff.coeffs) for terms in commutators
-                for _, coeff in terms]
-    state = lsss_solve(complete_split([side, *commutators],
-                                      range(ansatz.slot_count)))
-    return SystemStats(degree, ansatz.unknown_count,
-                       len(terms_i) - terms_i.count(0), sum(terms_i),
-                       len(terms_uv), sum(terms_uv), state.free_count)
+    side = formulate_nc(ansatz)
+    words = len(side)
+    split = complete_split(chain([side], (
+        formulate_symcon(system, ansatz, x) for x in "uv")),
+        range(ansatz.slot_count))
+    c, end = ansatz.unknown_count, split.starts[words]
+    terms_i = sum(map(lt, split.cols[:end], repeat(c)))
+    aux_only = sum(map(c.__le__, map(split.cols.__getitem__,
+                                     split.starts[:words])))
+    state = lsss_solve(split)
+    return SystemStats(degree, c, words - aux_only, terms_i,
+                       len(split) - words, split.term_total - end,
+                       state.free_count)
 
 
 def first_integral_basis(system: Derivation, degree: int) -> list[NCPoly]:
@@ -727,8 +810,7 @@ def first_integral_basis(system: Derivation, degree: int) -> list[NCPoly]:
     at_slot, at_key = tee(lex_order(keys))
     condition = Incidence.pack(zip(at_slot, derive_keys(
         system, map(keys.__getitem__, at_key))), len(keys))
-    state = lsss_solve(complete_split([condition.keyed_terms()],
-                                      range(len(keys))))
+    state = lsss_solve(complete_split([condition], range(len(keys))))
     return [NCPoly._from_acc({key_word(k): AffineForm.constant(vec[s])
                               for s, k in enumerate(keys) if s in vec})
             for vec in state.basis()]

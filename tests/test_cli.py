@@ -223,6 +223,39 @@ def test_gen_stdout(capsys):
     assert out.rstrip().endswith("0 0 0")
 
 
+@pytest.mark.parametrize("degree", range(3, 7))
+def test_gen_stdout_is_the_out_file(tmp_path, capsys, degree):
+    # the streamed file and the joined text are the same bytes
+    path = tmp_path / "s.sys"
+    assert main(["gen", "--nc", "--degree", str(degree)]) == 0
+    out = capsys.readouterr().out
+    assert main(["gen", "--nc", "--degree", str(degree), "--out",
+                 str(path)]) == 0
+    assert path.read_bytes() == out.encode()
+
+
+def test_gen_replaces_nothing_when_the_sidecar_fails(tmp_path, capsys):
+    # the sidecar's path is a directory: neither file is renamed into
+    # place, so no system is left without its sidecar, a system already
+    # there stays as it was, and no temp file is left behind
+    path = tmp_path / "x.sys"
+    names = tmp_path / "x.sys.names"
+    names.mkdir()
+    for before in (None, b"1 1\n1 1 1\n0 0 0\n"):
+        if before is not None:
+            path.write_bytes(before)
+        assert main(["gen", "--degree", "3", "--out", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {names}: Is a directory\n"
+        assert captured.out == ""
+        if before is None:
+            assert not path.exists()
+        else:
+            assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == sorted(
+            [names] + ([path] if before else []))
+
+
 def test_solve_inconsistent_file(tmp_path, capsys):
     path = str(tmp_path / "bad.sys")
     with open(path, "w") as handle:

@@ -29,6 +29,25 @@ def test_render_system_layout():
     assert render_system(small_system()) == "1 2\n1 1 1\n1 2 -3\n0 0 0\n"
 
 
+@pytest.mark.parametrize("piece", [1, 2, 3, 4, 4096])
+def test_render_system_orders_each_row_in_any_piece(monkeypatch, piece):
+    # rows rendered in pieces of any size: a row with a constant, a row
+    # given out of column order and an empty row take the row-by-row
+    # path, and the constant comes first, then the entries by column
+    import selsolve.formats as formats
+    monkeypatch.setattr(formats, "_PIECE", piece)
+    x3 = UnknownId(KIND_C, 2)
+    system = LinearSystem([
+        Equation(AffineForm(0, {X1: 1, X2: 2}), 0),
+        Equation(AffineForm(0, {X2: 3, X1: -1}), 1),
+        Equation(AffineForm(Fraction(1, 2), {x3: 1}), 2),
+        Equation(AffineForm.zero(), 3),
+        Equation(AffineForm(0, {X1: 1, x3: -1}), 4)], {X1, X2, x3})
+    assert render_system(system) == (
+        "5 3\n1 1 1\n1 2 2\n2 1 -1\n2 2 3\n3 0 1/2\n3 3 1\n"
+        "5 1 1\n5 3 -1\n0 0 0\n")
+
+
 def test_system_roundtrip(tmp_path):
     path = str(tmp_path / "small.sys")
     write_system(small_system(), path)

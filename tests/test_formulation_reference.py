@@ -16,7 +16,9 @@ images), and so is the first harvest of each.  The harvest the package
 ran on (word key, coefficient) pairs before is kept here too
 (:class:`PairCondition`, :func:`pair_split`, :func:`relabelled`); each
 condition, held as its incidence through a whole staged run, is checked
-pass by pass against its decoded pairs harvested that way.  The package's
+pass by pass against its decoded pairs harvested that way, and the F
+system it splits into against the pairs' through the pair-based split
+(:func:`reference_complete_split`).  The package's
 Leibniz kernel derives each word from its parent's sums; the per-letter
 loop it ran before, which split each key around every letter and joined
 the image in between, is kept here as :func:`reference_derive_keys`, and
@@ -48,6 +50,7 @@ from selsolve.symmetry import (COMMUTATOR_UV, Incidence, NecessaryCondition,
                                selective_split, side_condition_k0)
 
 from test_properties import random_poly, random_word
+from test_split_reference import reference_complete_split
 from test_words import enumerate_words, reduced_words, sorted_terms
 
 derandomized = settings(derandomize=True, database=None, deadline=None,
@@ -370,7 +373,9 @@ def lockstep_run(degree, paired):
     condition labelled ``paired`` ("N" or "S") decoded into (word key,
     coefficient) pairs up front and harvested by :func:`pair_split`.
     Every pass finds as many zeros, the same ones, and leaves the same
-    words; then both give the same F system.  Returns the zeros per pass.
+    words; then both give the same F system, the incidences split as F
+    splits them and the pairs by :func:`reference_complete_split`.
+    Returns the zeros per pass.
     """
     system = kontsevich_system()
     ansatz = build_ansatz(degree)
@@ -414,9 +419,15 @@ def lockstep_run(degree, paired):
         labels = [None if d else u
                   for u, d in zip(ansatz.slot_unknowns(), dead)]
         ids = {s: u for s, u in enumerate(labels) if u is not None}
-        f_systems.append(complete_split(
-            [relabelled(c.terms, ids) if isinstance(c, PairCondition)
-             else c.keyed_terms(labels) for c in held], ids.values()))
+        if side:  # the incidences split as F splits them
+            columns = [None] * len(dead)
+            for c, s in enumerate(ids):
+                columns[s] = c
+            f_systems.append(complete_split(held, ids.values(), columns))
+        else:  # the pairs, and the incidences decoded, split as pairs
+            f_systems.append(reference_complete_split(
+                [relabelled(c.terms, ids) if isinstance(c, PairCondition)
+                 else c.keyed_terms(labels) for c in held], ids.values()))
     pairs, held = f_systems
     assert held == pairs
     assert len(held) > 0
@@ -581,8 +592,7 @@ def test_sorted_condition_keeps_pruned_remainder_in_order():
     assert selective_split(condition, dead) == 1
     assert dead == bytearray((1, 1, 1, 1, 1))
     assert len(condition) == 0
-    assert complete_split([condition.keyed_terms()], range(5)).equations \
-        == []
+    assert complete_split([condition], range(5)).equations == []
 
 
 @pytest.mark.parametrize("degree", range(0, 8))

@@ -5,13 +5,14 @@ import pytest
 
 from selsolve import cli, pipeline, symmetry
 from selsolve.errors import ParseError
+from selsolve.formats import render_solution
 from selsolve.linsys import AffineForm, UnknownId
 from selsolve.ncalgebra import word_key
 from selsolve.pipeline import (MAX_STRATEGY_STEPS, Strategy, _PipelineRun,
                                default_strategy, format_steps, run_pipeline,
                                run_strategy, verify_by_matrices)
 from selsolve.solver import lsss_solve
-from selsolve.symmetry import (Incidence, build_ansatz,
+from selsolve.symmetry import (Incidence, build_ansatz, complete_split,
                                build_symmetry_system, kontsevich_system)
 
 
@@ -134,22 +135,29 @@ def test_staged_run_materializes_fewer_equations():
 
 @pytest.mark.parametrize("strategy", ["fixpoint", "F", "S(N)3SF"])
 def test_side_condition_is_decoded_only_at_f(monkeypatch, strategy):
-    # N and S passes walk their incidences' ints; the one decode of each
-    # condition into (word key, coefficient) pairs, N, S_u and S_v, and
-    # so every AffineForm of them, comes with F
-    in_f, decoded = [], []
-    step_f, keyed_terms = _PipelineRun.step_f, Incidence.keyed_terms
+    # N and S passes walk their incidences' ints; the one split of each
+    # condition, N, S_u and S_v, comes with F, which walks their ints
+    # into rows, and no condition is decoded into (word key, coefficient)
+    # pairs, so no AffineForm of them is made
+    in_f, split, decoded = [], [], []
+    step_f = _PipelineRun.step_f
     monkeypatch.setattr(_PipelineRun, "step_f",
                         lambda run: in_f.append(1) or step_f(run))
+
+    def spy(conditions, *args):
+        conditions = list(conditions)
+        split.extend((type(c).__name__, bool(in_f)) for c in conditions)
+        return complete_split(conditions, *args)
+
+    monkeypatch.setattr(pipeline, "complete_split", spy)
     monkeypatch.setattr(Incidence, "keyed_terms",
-                        lambda c, *labels: decoded.append(
-                            (type(c).__name__, bool(in_f)))
-                        or keyed_terms(c, *labels))
+                        lambda c, *labels: decoded.append(c))
     if strategy == "fixpoint":
         strategy = default_strategy(6)
     _, report = run_strategy(6, strategy)
-    assert decoded == [("NecessaryCondition", True), ("Incidence", True),
-                       ("Incidence", True)]
+    assert split == [("NecessaryCondition", True), ("Incidence", True),
+                     ("Incidence", True)]
+    assert decoded == []
     assert report.free_count == 5
 
 
@@ -215,6 +223,18 @@ def test_report_only_run_matches_run_strategy(degree):
             assert got.zeros == full.zeros
             assert got.free_count == full.free_count
             assert got.basis() == full.basis()
+
+
+@pytest.mark.parametrize("degree", range(3, 7))
+def test_streamed_solution_is_the_assembled_one(tmp_path, degree):
+    # pipeline --out streams the file from the slot mask and F's solution;
+    # it is the text of the assembled solution, for strategies whose F
+    # leaves auxiliaries live (F, SF) or dead (the fixpoint, NF)
+    for text in (None, "F", "SF", "NF"):
+        run = run_pipeline(degree, text or default_strategy(degree))
+        path = tmp_path / "p.sol"
+        run.write_solution(str(path))
+        assert path.read_text() == render_solution(run.solution())
 
 
 def test_report_only_pipeline_makes_unknowns_for_live_slots_only(

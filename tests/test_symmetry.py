@@ -14,8 +14,7 @@ from selsolve.symmetry import (Incidence, SymmetryAnsatz, ansatz_term_count,
                                selective_split, side_condition_k0,
                                system_stats)
 
-from test_packed_rows import prune_zeros
-from test_words import enumerate_words, sorted_terms
+from test_words import enumerate_words
 
 C = [UnknownId(KIND_C, i) for i in range(8)]
 
@@ -24,14 +23,18 @@ def unknowns_of(p):
     return {u for c in p.terms.values() for u in c.coeffs}
 
 
-def harvest(p, dead):
-    """One selective split of a polynomial over slots, packed into an
-    incidence slot by slot."""
+def incidence_of(p, slot_count):
+    """A polynomial over slots, packed into an incidence slot by slot."""
     sums = {}
     for w, coeff in p.terms.items():
         for s, c in coeff.coeffs.items():
             sums.setdefault(s, {})[word_key(w)] = c
-    return selective_split(Incidence.pack(sums.items(), len(dead)), dead)
+    return Incidence.pack(sums.items(), slot_count)
+
+
+def harvest(p, dead):
+    """One selective split of a polynomial over slots."""
+    return selective_split(incidence_of(p, len(dead)), dead)
 
 
 def slots_of(dead):
@@ -80,32 +83,36 @@ def test_trivial_symmetry_commutes():
 
 
 def test_complete_split_combines_like_words():
-    p = NCPoly({Word((U, V)): AffineForm.unknown(C[1])
-                + AffineForm.unknown(C[2]),
-                Word((V, U)): AffineForm.unknown(C[3])})
-    sys_ = complete_split([sorted_terms(p)], unknowns_of(p))
+    # a polynomial over slots, packed into an incidence slot by slot: one
+    # row per word, its slots combined
+    p = NCPoly({Word((U, V)): AffineForm.unknown(1)
+                + AffineForm.unknown(2),
+                Word((V, U)): AffineForm.unknown(3)})
+    sys_ = complete_split([incidence_of(p, 4)], C[:4])
     assert len(sys_.equations) == 2
     forms = [eq.lhs for eq in sys_.equations]
     assert AffineForm(0, {C[1]: 1, C[2]: 1}) in forms
     assert AffineForm(0, {C[3]: 1}) in forms
-    assert complete_split([sorted_terms(NCPoly.zero())], ()) \
+    assert complete_split([incidence_of(NCPoly.zero(), 4)], ()) \
         .equations == []
 
 
 def test_complete_split_prunes_and_numbers_across_conditions():
-    # ids run on across the conditions; a coefficient pruned to zero
-    # makes no equation and takes no id, a nonzero constant stays
-    first = [(word_key(Word((U,))), AffineForm(0, {C[1]: 2, C[2]: 4})),
-             (word_key(Word((V,))), AffineForm.unknown(C[3]))]
-    second = [(word_key(EMPTY_WORD), AffineForm(5, {C[3]: 1})),
-              (word_key(Word((U, V))), AffineForm(0, {C[2]: -3, C[4]: 6}))]
-    sys_ = complete_split([[(k, prune_zeros(c, {C[3]})) for k, c in terms]
-                           for terms in (first, second)], C[1:5])
-    assert [eq.id for eq in sys_.equations] == [0, 1, 2]
+    # ids run on across the conditions; a word whose slots are all dead
+    # makes no equation and takes no id, and the rest lose their dead
+    # slots and are made canonical
+    first = NCPoly({Word((U,)): AffineForm(0, {1: 2, 2: 4}),
+                    Word((V,)): AffineForm.unknown(3)})
+    second = NCPoly({EMPTY_WORD: AffineForm.unknown(3),
+                     Word((U, V)): AffineForm(0, {2: -3, 4: 6, 3: 1})})
+    columns = [None, 0, 1, None, 2]  # slot 3 dead, slot 0 absent
+    sys_ = complete_split([incidence_of(p, 5) for p in (first, second)],
+                          (C[1], C[2], C[4]), columns)
+    assert [eq.id for eq in sys_.equations] == [0, 1]
     assert [eq.lhs for eq in sys_.equations] == [
-        AffineForm(0, {C[1]: 1, C[2]: 2}), AffineForm.constant(1),
+        AffineForm(0, {C[1]: 1, C[2]: 2}),
         AffineForm(0, {C[2]: 1, C[4]: -2})]
-    assert sys_.universe == tuple(C[1:5])
+    assert sys_.universe == (C[1], C[2], C[4])
 
 
 def test_selective_split_registers_single_unknown_coefficients():
@@ -149,8 +156,7 @@ def test_formulate_nc_aux_unknowns():
     assert all(uid.kind == KIND_A for uid in aux)
     assert unknowns_of(nc.residual) >= set(aux)
     # solving the split side condition alone forces every auxiliary to zero
-    state = lsss_solve(complete_split([nc.keyed_terms(ans.slot_unknowns())],
-                                      unknowns_of(nc.residual)))
+    state = lsss_solve(complete_split([nc], ans.slot_unknowns()))
     for uid in aux:
         gone = uid in state.zeros or (
             uid in state.pivots and state.pivots[uid].is_zero)
@@ -187,8 +193,7 @@ def test_split_complete_reproduces_polynomial():
     sysm = kontsevich_system()
     ans = build_ansatz(2)
     formulated = formulate_symcon(sysm, ans, "u")
-    split = complete_split([formulated.keyed_terms()],
-                           unknowns_of(formulated))
+    split = complete_split([formulated], range(ans.slot_count))
     keys = sorted(formulated.terms)
     assert len(split.equations) == len(keys)
     for key, eq in zip(keys, split.equations):
