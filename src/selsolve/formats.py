@@ -11,8 +11,8 @@ name``.
 Solution file: three sections headed ``ZEROS``, ``PIVOTS`` and ``FREE``;
 zeros and free unknowns one name per line, pivots as ``name = expr`` with
 the affine expression in the canonical text form of
-:func:`selsolve.linsys.format_affine`.  Everything is ordered by unknown
-id, and all writes are atomic (temp file plus rename).
+:func:`selsolve.linsys.format_affine`.  Each unknown appears once, in id
+order, and all writes are atomic (temp file plus rename).
 """
 
 from __future__ import annotations
@@ -488,8 +488,9 @@ def write_solution(state: SolutionState, path: str) -> None:
 
 
 def read_solution(path: str) -> SolutionState:
-    """Parse a solution file back into an equivalent state."""
-    zeros: list[UnknownId] = []
+    """Parse a solution file back into an equivalent state; an unknown
+    listed twice, in one section or in two, is refused."""
+    zeros: set[UnknownId] = set()
     pivots: dict[UnknownId, AffineForm] = {}
     free: set[UnknownId] = set()
     section = None
@@ -504,16 +505,21 @@ def read_solution(path: str) -> SolutionState:
                 name, _, expr = line.partition("=")
                 if not _:
                     raise ValueError("pivot line needs '='")
-                pivots[UnknownId.from_name(name.strip())] = parse_affine(expr)
-            elif section == "ZEROS":
-                zeros.append(UnknownId.from_name(line))
+                uid = UnknownId.from_name(name.strip())
+                listed = uid in pivots
+                pivots[uid] = parse_affine(expr)
             else:
-                free.add(UnknownId.from_name(line))
+                uid = UnknownId.from_name(line)
+                domain = zeros if section == "ZEROS" else free
+                listed = uid in domain
+                domain.add(uid)
+            if listed:
+                raise ValueError(f"{uid.name} listed twice under {section}")
         except (ValueError, ParseError) as exc:
             # parse_affine knows no line number; this line is the culprit
             raise ParseError(_cut(str(exc), _SHOWN_MESSAGE),
                              lineno) from exc
-    domains = [set(zeros), set(pivots), free]
+    domains = [zeros, set(pivots), free]
     for i in range(3):
         for j in range(i + 1, 3):
             overlap = domains[i] & domains[j]
@@ -522,5 +528,4 @@ def read_solution(path: str) -> SolutionState:
     for uid, rhs in pivots.items():
         if not set(rhs.coeffs) <= free:
             raise ParseError(f"pivot {uid.name} mentions non-free unknowns")
-    universe = frozenset(zeros) | frozenset(pivots) | frozenset(free)
-    return SolutionState(universe, set(zeros), pivots, free)
+    return SolutionState(zeros, pivots, free)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from heapq import merge
-from itertools import repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import NonlinearProductError
@@ -281,8 +280,8 @@ class Derivation:
         return f"Derivation({self.name or 'unnamed'})"
 
 
-def derive_keys(d: Derivation, keys: Iterable[int], sign: Rational = 1,
-                sums: Iterable[dict] | None = None) -> Iterator[dict]:
+def derive_keys(d: Derivation, keys: Iterable[int],
+                sign: Rational = 1) -> Iterator[dict]:
     """``sign * d(w)`` per word key w, in turn, as one dict from target
     key to nonzero coefficient; ``d`` is checked at once, and each word
     is derived as the returned iterator reaches it.
@@ -295,11 +294,9 @@ def derive_keys(d: Derivation, keys: Iterable[int], sign: Rational = 1,
     the chain of the current word's prefixes is held, so keys in
     :func:`lex_order` derive every prefix once; any order is right.  The
     dicts are the kernel's own, read by the words after them, and must
-    not be changed.  With ``sums``, its dicts are taken in turn, and a
-    word whose dict holds sums already gets a new one, d(w) plus them,
-    where a sum that cancels may stay in as 0.  An inverse letter's
-    image is d(g^-1) = -g^-1 d(g) g^-1.  The images must be free of
-    unknowns, keeping the sums linear.
+    not be changed; a caller that adds to one copies it first.  An
+    inverse letter's image is d(g^-1) = -g^-1 d(g) g^-1.  The images
+    must be free of unknowns, keeping the sums linear.
     """
     if d.has_unknowns:
         raise NonlinearProductError(
@@ -314,8 +311,7 @@ def derive_keys(d: Derivation, keys: Iterable[int], sign: Rational = 1,
         else:
             images.append([(mid, sign * c.const) for mid, c in image])
     width = max((len(mid) for terms in images for mid, _ in terms), default=0)
-    return _leibniz(_Junctions(images), width, keys,
-                    repeat({}) if sums is None else sums)
+    return _leibniz(_Junctions(images), width, keys)
 
 
 class _Junctions(dict):
@@ -345,13 +341,13 @@ class _Junctions(dict):
         return out
 
 
-def _leibniz(junctions: _Junctions, width: int, keys: Iterable[int],
-             sums: Iterable[dict]) -> Iterator[dict]:
+def _leibniz(junctions: _Junctions, width: int,
+             keys: Iterable[int]) -> Iterator[dict]:
     # the walk of derive_keys, which has checked d and built the images
     top = 1 << 2 * width
     low = top - 1
     chain, derived = [1], [{}]  # the current prefixes and their d(w)
-    for key, seeds in zip(keys, sums):
+    for key in keys:
         depth = key.bit_length() >> 1
         j = min(len(chain) - 1, depth)
         while chain[j] != key >> 2 * (depth - j):
@@ -375,10 +371,6 @@ def _leibniz(junctions: _Junctions, width: int, keys: Iterable[int],
             parent = parent << 2 | g
             chain.append(parent)
             derived.append(acc)
-        if seeds:
-            acc = dict(acc)
-            for t, c in seeds.items():
-                acc[t] = acc.get(t, 0) + c
         yield acc
 
 

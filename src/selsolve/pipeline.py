@@ -297,11 +297,8 @@ class _PipelineRun:
         conditions = [self._condition(label) for label in "NS"]
         conditions.append(formulate_symcon(self.system, self.ansatz, "v",
                                            self.dead))
-        live = list(compress(range(len(self.dead)), self.dead.translate(FLIP)))
-        columns: list[int | None] = [None] * len(self.dead)  # dead drop out
-        for c, s in enumerate(live):
-            columns[s] = c
-        system = complete_split(conditions, live, columns)
+        live = compress(range(len(self.dead)), self.dead.translate(FLIP))
+        system = complete_split(conditions, live, self.dead)
         self._solved = solved = lsss_solve(system)
         self._record("F", started, len(solved.zeros), len(system))
         report = self.report
@@ -493,13 +490,14 @@ def verify_by_matrices(system: Derivation, ansatz: SymmetryAnsatz,
         raise ValueError("dim must be >= 2")
     check_solution_degree(state, ansatz.degree)
     rng = random.Random(seed)
-    dtau = ansatz.derivation(state.zeros)  # a zero unknown adds no term
+    dtau = ansatz.derivation(state.zeros)  # no zero adds a term or a value
     for _ in range(trials):
         u, v = _random_invertible(rng, dim), _random_invertible(rng, dim)
         trial = _TrialMatrices((u[0], v[0], u[1], v[1]))
-        values = state.full_assignment({
-            f: Fraction(rng.randint(-12, 12), rng.randint(1, 6))
-            for f in sorted(state.free)})
+        values = {f: Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+                  for f in sorted(state.free)}
+        values.update({p: rhs.evaluate(values)
+                       for p, rhs in state.pivots.items()})
         q1, q2, p1, p2 = ([(w, c) for w, aff in image.terms.items()
                            if (c := aff.evaluate(values))]
                           for image in (dtau.image_u, dtau.image_v,

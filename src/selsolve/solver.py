@@ -109,17 +109,21 @@ def length_sort(system: LinearSystem) -> LinearSystem:
 class SolutionState:
     """Zero set, back-substituted pivot map, and free unknowns.
 
-    The three domains are pairwise disjoint and union to the universe;
-    every pivot right-hand side mentions free unknowns only.  ``identities``
-    counts equations that reduced to 0 = 0 while streaming (diagnostics).
+    The three domains are pairwise disjoint and union to the universe,
+    which is joined from them when read; every pivot right-hand side
+    mentions free unknowns only.  ``identities`` counts equations that
+    reduced to 0 = 0 while streaming (diagnostics).
     """
 
-    universe: frozenset[UnknownId]
     zeros: set[UnknownId]
     pivots: dict[UnknownId, AffineForm]
     free: set[UnknownId]
     identities: int = 0
     zero_rounds: list[int] = field(default_factory=list)
+
+    @property
+    def universe(self) -> frozenset[UnknownId]:
+        return frozenset().union(self.zeros, self.pivots, self.free)
 
     @property
     def free_count(self) -> int:
@@ -135,9 +139,8 @@ class SolutionState:
             for p, rhs in self.pivots.items()}
         zeros = set(map(name, self.zeros))
         zeros.update(compress(labels, dead))
-        return SolutionState(frozenset(labels), zeros, pivots,
-                             set(map(name, self.free)), self.identities,
-                             self.zero_rounds)
+        return SolutionState(zeros, pivots, set(map(name, self.free)),
+                             self.identities, self.zero_rounds)
 
     def basis(self) -> list[dict[UnknownId, Rational]]:
         """Solution-space basis: one vector per free unknown, that unknown
@@ -190,9 +193,9 @@ class ColumnState:
     def solution(self, universe: Sequence,
                  zero_rounds: list[int]) -> SolutionState:
         """The state over ``universe``, column c its unknown universe[c]."""
-        live = set(compress(range(len(self.dead)), map(not_, self.dead)))
-        return SolutionState(frozenset(live), set(), self.pivots,
-                             live.difference(self.pivots), self.identities,
+        free = set(compress(range(len(self.dead)), map(not_, self.dead)))
+        free.difference_update(self.pivots)
+        return SolutionState(set(), self.pivots, free, self.identities,
                              zero_rounds).relabel(universe, self.dead)
 
 

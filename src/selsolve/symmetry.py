@@ -25,10 +25,10 @@ one bucket at a time, so no list of every entry exists as Python ints.
 Both kinds of condition take D_tau(P) from one rule over one walk of
 the live slots (:func:`_dtau_targets`).  The side condition
 (:class:`NecessaryCondition`) packs two entries per live slot directly,
-half a chunk of slots at a time.  A commutator condition sums per source
-word: each live slot's dict of sums is seeded with its D_tau(D_t x)
-targets, the Leibniz kernel adds -D_t(Q_x), deriving the live words in
-lexicographic order so that each prefix is derived once, and the nonzero
+half a chunk of slots at a time.  A commutator condition sums in one
+dict per live slot its D_tau(D_t x) targets and, for a slot of Q_x, a
+copy of -D_t(Q_x) from the Leibniz kernel, which derives the live words
+in lexicographic order so that each prefix is derived once; the nonzero
 sums are packed before the next slot's are made, so no table over every
 word is held and no word is decoded.  A staged run holds each condition
 as its incidence; every harvest is one pass over the ints in key order
@@ -36,7 +36,7 @@ that prunes, marks the slot of each 1-term word dead and keeps the
 surviving ints, as a list, for the next pass.  :func:`complete_split`
 is the one path from incidences to a numbered :class:`LinearSystem`:
 it walks each condition's ints once, straight into packed rows over the
-columns of the live slots, so no word is decoded; the system is solved
+ranks of the live slots, so no word is decoded; the system is solved
 over slots until a solution is given out in unknowns.
 """
 
@@ -46,7 +46,7 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain, compress, groupby, islice, repeat, tee
+from itertools import chain, compress, count, groupby, islice, repeat, tee
 from operator import add, and_, is_not, lt, ne, rshift, sub, xor
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
@@ -541,34 +541,32 @@ def formulate_symcon(system: Derivation, ansatz: SymmetryAnsatz, which: str,
     D_t on that generator.  Only the slots live in ``dead`` enter the
     ansatz, and every word stays a key.  D_tau(P_x) for P_x = D_t x comes
     from the rule of :func:`_dtau_targets`, one batch of live slots per
-    generator.  Each live slot's targets seed its own dict of sums, to
-    which the Leibniz kernel :func:`derive_keys` adds -D_t(Q_x) for a slot
-    of Q_x, the slots of Q_x taken in :func:`lex_order` of their words;
-    each nonzero sum becomes one entry of the :class:`Incidence`, labelled
-    by slot, and no other slot's sums are held meanwhile.
+    generator.  A slot's targets are added into one dict: a copy of its
+    word's -D_t(Q_x) from the Leibniz kernel :func:`derive_keys` for a
+    slot of Q_x, taken in :func:`lex_order` of the words, an empty one
+    for the other image.  Each nonzero sum becomes one entry of the
+    :class:`Incidence`, labelled by slot, and no other slot's sums are
+    held meanwhile.
     """
     if which not in ("u", "v"):
         raise ValueError("which must be 'u' or 'v'")
     x = "uv".index(which)
 
-    def seeded(order: Iterable[int], columns: list) -> Iterator[dict]:
-        for i in order:
-            acc: dict = {}
-            for targets, c in columns:
-                key = targets[i]
-                acc[key] = acc.get(key, 0) + c
-            yield acc
-
     def sums() -> Iterator[tuple[int, dict]]:
         for g, keys, slots, columns in _dtau_targets(
                 (system.image_u, system.image_v)[x], ansatz, dead):
-            if g != x:
-                yield from zip(slots, seeded(range(len(keys)), columns))
-                continue
-            at_slot, at_key, at_seed = tee(lex_order(keys), 3)
-            yield from zip(map(slots.__getitem__, at_slot), derive_keys(
-                system, map(keys.__getitem__, at_key), -1,
-                seeded(at_seed, columns)))
+            if g == x:
+                order, at_key = tee(lex_order(keys))
+                derived = derive_keys(system, map(keys.__getitem__, at_key),
+                                      -1)
+            else:
+                order, derived = range(len(keys)), repeat({})
+            for i, acc in zip(order, derived):
+                acc = dict(acc)
+                for targets, c in columns:
+                    key = targets[i]
+                    acc[key] = acc.get(key, 0) + c
+                yield slots[i], acc
 
     return Incidence.pack(sums(), ansatz.slot_count)
 
@@ -615,39 +613,37 @@ def _row_starts(chunk: list[int], shift: int) -> list[int]:
 
 
 def complete_split(conditions: Iterable[Incidence], universe: Iterable,
-                   columns: Sequence[int | None] | None = None
-                   ) -> LinearSystem:
+                   dead: bytes | None = None) -> LinearSystem:
     """Split each condition completely, in order, into one system.
 
     One row is made per word of a condition left with a live slot, in
     key order, and the ids run 0.. across the conditions; rows from
     distinct words stay apart even when their content coincides.  The
     unknowns of ``universe`` are the system's columns, in order, and
-    sorted.  Slot s lands in column ``columns[s]``, distinct per slot,
-    and is dead where that is None; by default column s.  Each condition
-    is let go once split, before the next is taken from ``conditions``.
+    sorted.  Only the slots live in ``dead`` enter, each in the column of
+    its rank among them; slot s is column s without a mask.  Each
+    condition is let go once split, before the next is taken.
     """
     system = LinearSystem.over(tuple(universe))
-    ascending = columns is None or all(map(lt, live := [
-        c for c in columns if c is not None], islice(live, 1, None)))
+    rank = None if dead is None else dict(zip(
+        compress(range(len(dead)), dead.translate(FLIP)), count()))
     for condition in conditions:
-        _append_rows(system, condition, columns, ascending)
+        _append_rows(system, condition, rank)
         del condition
     return system
 
 
 def _append_rows(system: LinearSystem, condition: Incidence,
-                 columns: Sequence[int | None] | None,
-                 ascending: bool) -> None:
-    """The rows of one condition, appended to ``system``.
+                 rank: Mapping[int, int] | None) -> None:
+    """The rows of one condition, appended to ``system``, slot s in
+    column ``rank[s]``, or s without ``rank``, and dead outside it.
 
     Its ints are walked once, a chunk of whole words at a time, straight
-    into the system's rows.  A row of +-1 over ascending columns is
-    canonical (:func:`canonical_row`) once its sign is fixed by its
-    lowest column, so a chunk of such rows is packed by maps over its
-    ints; only a chunk with an exact coefficient that is not +-1, or
-    columns that do not ascend with the slots, is put through
-    :func:`canonical_row` row by row.
+    into the system's rows.  The columns ascend with the slots, so a row
+    of +-1 is canonical (:func:`canonical_row`) once its sign is fixed by
+    its lowest column, and a chunk of such rows is packed by maps over
+    its ints; only a chunk with an exact coefficient that is not +-1
+    goes through :func:`canonical_row` row by row.
     """
     ids, consts, starts = system.ids, system.consts, system.starts
     cols, values = system.cols, system.values
@@ -655,10 +651,10 @@ def _append_rows(system: LinearSystem, condition: Incidence,
     low = (1 << shift) - 1
     for chunk in _whole_words(condition):
         slots = map(rshift, map(and_, chunk, repeat(low)), repeat(1))
-        if columns is None:
+        if rank is None:
             row_cols = list(slots)
         else:
-            row_cols = list(map(columns.__getitem__, slots))
+            row_cols = list(map(rank.get, slots))
             if None in row_cols:  # dead slots drop out
                 live_at = list(map(is_not, row_cols, repeat(None)))
                 chunk = list(compress(chunk, live_at))
@@ -667,7 +663,7 @@ def _append_rows(system: LinearSystem, condition: Incidence,
                     continue
         firsts = _row_starts(chunk, shift)
         ends = firsts[1:] + [len(chunk)]
-        if ascending and (not exact or exact.keys().isdisjoint(chunk)):
+        if not exact or exact.keys().isdisjoint(chunk):
             # each sign bit against its row's first: 0 is +1, 1 is -1
             flips = chain.from_iterable(map(
                 repeat, map(and_, map(chunk.__getitem__, firsts),

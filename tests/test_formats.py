@@ -149,6 +149,22 @@ def test_solution_parse_errors(tmp_path):
         read_solution(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    # a second pivot line for c0 replaced the first, and verify checked it
+    ("PIVOTS\nc0 = c2\nc0 = -c2\nFREE\nc2\n",
+     "line 3: c0 listed twice under PIVOTS"),
+    ("ZEROS\nc1\nc0\nc1\n", "line 4: c1 listed twice under ZEROS"),
+    ("ZEROS\nc0\nFREE\nc2\nc2\n", "line 5: c2 listed twice under FREE"),
+], ids=["pivots", "zeros", "free"])
+def test_unknown_listed_twice_in_one_section_is_refused(tmp_path, text,
+                                                         message):
+    path = tmp_path / "twice.sol"
+    path.write_text(text)
+    with pytest.raises(ParseError) as caught:
+        read_solution(str(path))
+    assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
                          ids=["022", "077"])
 def test_written_files_follow_the_umask(tmp_path, umask, mode):

@@ -131,8 +131,7 @@ def solutions(draw):
     rhs = st.builds(AffineForm, st.one_of(st.just(0), rationals),
                     st.dictionaries(st.sampled_from(sorted(free)), rationals,
                                     max_size=3) if free else st.just({}))
-    return SolutionState(frozenset(zeros | pivots | free), zeros,
-                         {p: draw(rhs) for p in sorted(pivots)}, free)
+    return SolutionState(zeros, {p: draw(rhs) for p in sorted(pivots)}, free)
 
 
 @fuzz

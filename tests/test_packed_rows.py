@@ -79,7 +79,7 @@ def canonicalize(equation):
 def fresh_state(universe, zeros):
     """A state with nothing solved but ``zeros``, over ``universe``."""
     free = {u for u in universe if u not in zeros}
-    return SolutionState(frozenset(universe), zeros, {}, free)
+    return SolutionState(zeros, {}, free)
 
 
 def reference_stream_solve(equations, state):

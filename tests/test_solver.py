@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 from unittest import mock
 
@@ -5,11 +6,13 @@ import pytest
 from hypothesis import given
 
 from selsolve.errors import InconsistentSystemError
-from selsolve.formats import read_system, render_solution
+from selsolve.formats import (read_solution, read_system, render_solution,
+                              write_solution)
 from selsolve.linsys import (KIND_C, AffineForm, Equation, LinearSystem,
                              UnknownId)
-from selsolve.solver import (ColumnState, find_zeros, length_sort,
-                             lsss_solve, stream_solve)
+from selsolve.pipeline import default_strategy, run_strategy
+from selsolve.solver import (ColumnState, SolutionState, find_zeros,
+                             length_sort, lsss_solve, stream_solve)
 from selsolve.symmetry import build_symmetry_system
 
 from test_oracle_reference import derandomized, systems
@@ -230,3 +233,19 @@ def test_int_quotients_solve_as_fraction_quotients(system):
 def test_int_quotients_solve_symmetry_systems_as_fractions(degree):
     assert_solve_as_with_fraction_quotients(
         build_symmetry_system(degree, include_nc=True))
+
+
+def test_universe_is_the_union_of_the_three_domains(tmp_path):
+    # the universe is not stored: every state, solved, read back or
+    # assembled by a staged run, reads it as zeros, pivots and free joined
+    assert "universe" not in {f.name for f in fields(SolutionState)}
+    split = build_symmetry_system(4, include_nc=True)
+    solved = lsss_solve(split)
+    path = str(tmp_path / "n4.sol")
+    write_solution(solved, path)
+    staged, _ = run_strategy(4, default_strategy(4))
+    for state in (solved, read_solution(path), staged):
+        assert isinstance(state.universe, frozenset)
+        assert state.universe == \
+            set(state.zeros) | set(state.pivots) | state.free
+        assert state.universe == set(split.universe)

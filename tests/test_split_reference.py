@@ -48,20 +48,22 @@ def arrays(system):
             system.universe)
 
 
-def split_both(conditions, slot_count, dead=None, columns=None):
+def split_both(conditions, slot_count, dead=None):
     """The split and its reference over the same conditions.
 
-    With no ``columns``, the live slots are numbered in order, as F does,
-    or every slot is its own column when ``dead`` is None too; the
-    reference labels each live slot by its column, over the columns.
+    The mask goes to the split as it is: the live slots are numbered in
+    order, as F does, or every slot is its own column when ``dead`` is
+    None; the reference labels each live slot by that column, over the
+    columns.
     """
-    if columns is None and dead is not None:
-        columns = [None] * slot_count
-        for c, s in enumerate(s for s in range(slot_count) if not dead[s]):
-            columns[s] = c
-    labels = columns or range(slot_count)
+    labels = list(range(slot_count))
+    if dead is not None:
+        live = [s for s in range(slot_count) if not dead[s]]
+        labels = [None] * slot_count
+        for c, s in enumerate(live):
+            labels[s] = c
     universe = range(len([c for c in labels if c is not None]))
-    got = complete_split(conditions, universe, columns)
+    got = complete_split(conditions, universe, dead)
     want = reference_complete_split(
         [c.keyed_terms(labels) for c in conditions], universe)
     return got, want
@@ -120,20 +122,15 @@ def incidences(draw):
 def test_split_matches_reference_on_random_incidences(conditions, data):
     # exact coefficients that are not +-1 and Fractions go through
     # canonical_row; dead slots drop out, and a word left with none makes
-    # no row; columns that do not ascend with the slots reorder each row
+    # no row, with no mask, a random one and one with every slot dead
     slot_count = max(n for n, _ in conditions)
     packed = [Incidence.pack(sums, slot_count) for _, sums in conditions]
     dead = bytearray(data.draw(st.lists(st.booleans(), min_size=slot_count,
                                         max_size=slot_count)))
-    live = [s for s in range(slot_count) if not dead[s]]
-    order = data.draw(st.permutations(range(len(live))))
-    columns = [None] * slot_count
-    for s, c in zip(live, order):
-        columns[s] = c
     chunk = data.draw(st.integers(1, 9))
     with mock.patch.object(symmetry, "_SPLIT_CHUNK", chunk):
-        for kwargs in ({}, {"dead": dead}, {"columns": columns}):
-            got, want = split_both(packed, slot_count, **kwargs)
+        for mask in (None, dead, bytearray([1]) * slot_count):
+            got, want = split_both(packed, slot_count, mask)
             assert arrays(got) == arrays(want)
 
 
@@ -162,5 +159,5 @@ def test_empty_and_dead_words_make_no_rows():
     assert [eq.lhs.coeffs for eq in got.equations] == [
         {0: 1}, {0: 1, 1: 1}, {0: 1}, {0: 1, 1: 1}]
     assert len(complete_split([empty], range(3))) == 0
-    all_dead = complete_split([words], (), [None] * 3)
+    all_dead = complete_split([words], (), bytearray((1, 1, 1)))
     assert (len(all_dead), all_dead.universe) == (0, ())

@@ -105,9 +105,9 @@ def test_complete_split_prunes_and_numbers_across_conditions():
                     Word((V,)): AffineForm.unknown(3)})
     second = NCPoly({EMPTY_WORD: AffineForm.unknown(3),
                      Word((U, V)): AffineForm(0, {2: -3, 4: 6, 3: 1})})
-    columns = [None, 0, 1, None, 2]  # slot 3 dead, slot 0 absent
+    dead = bytearray((1, 0, 0, 1, 0))  # slot 3 dead, slot 0 absent
     sys_ = complete_split([incidence_of(p, 5) for p in (first, second)],
-                          (C[1], C[2], C[4]), columns)
+                          (C[1], C[2], C[4]), dead)
     assert [eq.id for eq in sys_.equations] == [0, 1]
     assert [eq.lhs for eq in sys_.equations] == [
         AffineForm(0, {C[1]: 1, C[2]: 2}),
