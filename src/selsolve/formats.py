@@ -22,7 +22,7 @@ import os
 import re
 import secrets
 from itertools import chain, compress, groupby, islice, repeat
-from operator import attrgetter, ge, sub
+from operator import add, attrgetter, ge, gt, is_, itemgetter, lt, ne, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BoundsError, ParseError, TooLargeError
@@ -205,14 +205,130 @@ def write_system(system: LinearSystem, path: str) -> None:
                         (names_path_for(path), render_names(system))])
 
 
+#: Characters of a file read at a time; each piece is cut after its last
+#: newline and the rest goes on with the next read.
+_READ = 1 << 14
+#: Every ASCII character but the whitespace that ``str.split`` cuts at:
+#: deleting them from an ASCII piece leaves its layout.
+_INK = bytes(b for b in range(128) if not chr(b).isspace())
+#: The name prefix of each kind letter's unknowns (``C`` -> ``c``).
+_PREFIX = {letter: UnknownId(kind, 0).name[:-1]
+           for letter, kind in KIND_BY_LETTER.items()}
+
+
+def _pieces(handle) -> Iterator[str]:
+    """The rest of a text file in pieces of whole lines, about
+    :data:`_READ` characters each; only the last may lack its newline."""
+    rest = ""
+    while chunk := handle.read(_READ):
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            yield rest + chunk[:cut]
+            rest = chunk[cut:]
+        else:
+            rest += chunk
+    if rest:
+        yield rest
+
+
+def _lines_of(piece: str) -> list[str]:
+    """The lines of a piece, as iterating the file would give them."""
+    lines = piece.split("\n")
+    if piece.endswith("\n"):
+        lines.pop()
+    return lines
+
+
+def _layout(piece: str, tokens: list[str], width: int) -> int | None:
+    """The number of lines of an ASCII piece of ``width`` tokens a line
+    with one space between tokens and nothing else around them, or None
+    when the piece is laid out any other way."""
+    if not piece.isascii():
+        return None
+    layout = piece.encode("ascii").translate(None, _INK)
+    lines = len(tokens) // width
+    if len(layout) != len(tokens) or \
+            layout != (b" " * (width - 1) + b"\n") * lines:
+        return None
+    return lines
+
+
+def _missing(tokens: list[str], found: list) -> set[str]:
+    """The tokens a cache lookup found nothing for."""
+    return set(compress(tokens, map(is_, found, repeat(None))))
+
+
 def read_names(path: str, columns: int) -> dict[int, UnknownId]:
     """Column -> unknown for columns 1..``columns``; each column and each
     unknown appears once, so reading stops within that many lines.  A
-    line's name must be the one its kind and index spell."""
+    line's name must be the one its kind and index spell.
+
+    The file is read in pieces (:func:`_pieces`).  A piece of lines ``j
+    kind index name`` with single spaces, each ``j`` the next column
+    spelled plainly, is checked and taken whole, its unknowns made per
+    run of one kind; any other piece is read line by line, numbered on
+    from the pieces before it.
+    """
     mapping: dict[int, UnknownId] = {}
     seen: set[UnknownId] = set()
-    for lineno, line in _read_lines(path):
+    lineno, plain = 0, True  # plain: the columns so far are 1..len(mapping)
+    with open(path, encoding="utf-8") as handle:
+        try:
+            for piece in _pieces(handle):
+                tokens = piece.split()
+                lines = _layout(piece, tokens, 4)
+                if lines is None or not plain or not _plain_names(
+                        tokens, lines, columns, mapping, seen):
+                    text = _lines_of(piece)
+                    _sidecar_lines(enumerate(text, lineno + 1), columns,
+                                   mapping, seen)
+                    lines = len(text)
+                    plain = max(mapping, default=0) == len(mapping)
+                lineno += lines
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text") from exc
+    return mapping
+
+
+def _plain_names(tokens: list[str], lines: int, columns: int,
+                 mapping: dict[int, UnknownId], seen: set[UnknownId]) -> bool:
+    """Take a plain sidecar piece's lines; False, with nothing taken, when
+    one of them is not the next column's plainly."""
+    first = len(mapping) + 1
+    if len(mapping) + lines > columns:
+        return False
+    letters, indices, names = tokens[1::4], tokens[2::4], tokens[3::4]
+    if tokens[0::4] != list(map(str, range(first, first + lines))) or \
+            not _PREFIX.keys() >= set(letters) or \
+            not "".join(indices).isdigit():
+        return False
+    try:
+        numbers = list(map(int, indices))
+        UnknownId(KIND_C, max(numbers))  # every index is in range
+    except ValueError:  # over the int/str digit limit, or out of range
+        return False
+    if names != list(map(add, map(_PREFIX.__getitem__, letters),
+                         map(str, numbers))):
+        return False
+    unknowns = list(chain.from_iterable(
+        UnknownId._at(KIND_BY_LETTER[letter], map(itemgetter(1), run))
+        for letter, run in groupby(zip(letters, numbers), itemgetter(0))))
+    fresh = set(unknowns)
+    if len(fresh) != lines or not seen.isdisjoint(fresh):
+        return False
+    mapping.update(zip(range(first, first + lines), unknowns))
+    seen |= fresh
+    return True
+
+
+def _sidecar_lines(lines: Iterable[tuple[int, str]], columns: int,
+                   mapping: dict[int, UnknownId], seen: set[UnknownId]
+                   ) -> None:
+    """Take numbered sidecar lines one at a time, checking each."""
+    for lineno, line in lines:
         parts = line.split()
+        if not parts:
+            continue
         if len(parts) != 4 or parts[1] not in KIND_BY_LETTER:
             raise ParseError("expected 'j kind index name'", lineno)
         j, index = _parse_integer(parts[0]), _parse_integer(parts[2])
@@ -234,36 +350,42 @@ def read_names(path: str, columns: int) -> dict[int, UnknownId]:
                              f"the header's 1..{columns}", lineno)
         mapping[j] = uid
         seen.add(uid)
-    return mapping
 
 
 def read_system(path: str) -> LinearSystem:
     """Read a sparse triple file and its name sidecar, if there is one.
 
-    The file is read in one pass over its lines.  The header comes first;
-    a header declaring more columns than the unknown guard allows is
-    refused before anything is built.  The sidecar is read right after
-    the header and may name only its columns.  Each distinct column and
-    value token is parsed and checked once, and the row of the last row
-    token is kept, so rows given in order cost one check each; a token
-    that spells the same number another way, such as ``01`` for ``1``,
-    names the same row or column.  Every entry is checked against
-    duplicates.  Entries go straight into the packed rows of the result,
-    in file order within a row; a row given in several runs of lines is
-    joined in that order.  Only rows with entries become rows of the
-    system, so the header's row count costs nothing; row i has id i - 1,
-    and zero values drop out.  Every declared column is an unknown, free
-    unless an entry says otherwise.
+    The header comes first; a header declaring more columns than the
+    unknown guard allows is refused before anything is built.  The
+    sidecar is read right after the header and may name only its
+    columns.  The body is read in pieces of whole lines (:func:`_pieces`)
+    in one pass.  A plain piece (:meth:`_Entries.plain`) goes into the
+    packed rows whole, by one split and maps over its tokens; any other
+    piece goes line by line, numbered on from the pieces before it, with
+    every check and message of its line.  Lines end in ``\\n``,
+    ``\\r\\n`` or a lone ``\\r``, each a ``\\n`` once read as text; bytes
+    that are not UTF-8 are refused as the piece holding them is read,
+    before its lines are checked.  Each distinct column and value token
+    is parsed and checked once, and the row of the last row token is
+    kept, so rows given in order cost one check each; a token that
+    spells the same number another way, such as ``01`` for ``1``, names
+    the same row or column.  Every entry is checked against duplicates.
+    Entries go straight into the packed rows of the result, in file order
+    within a row; a row given in several runs of lines is joined in that
+    order.  Only rows with entries become rows of the system, so the
+    header's row count costs nothing; row i has id i - 1, and zero values
+    drop out.  Every declared column is an unknown, free unless an entry
+    says otherwise.
     """
     with open(path, encoding="utf-8") as handle:
         try:
-            return _read_triples(path, enumerate(handle, start=1))
+            return _read_triples(path, handle)
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text") from exc
 
 
-def _read_triples(path: str, lines: Iterator[tuple[int, str]]) -> LinearSystem:
-    for lineno, raw in lines:
+def _read_triples(path: str, handle) -> LinearSystem:
+    for lineno, raw in enumerate(iter(handle.readline, ""), start=1):
         parts = raw.split()
         if parts:
             break
@@ -280,92 +402,233 @@ def _read_triples(path: str, lines: Iterator[tuple[int, str]]) -> LinearSystem:
     if n > limit:
         raise TooLargeError(f"header declares {_cut(str(n))} unknowns, "
                             f"over the guard of {limit}")
-    system, column = _empty_system(path, n)
+    entries = _Entries(*_empty_system(path, n), m, n, lineno)
+    for piece in _pieces(handle):
+        if not entries.plain(piece):
+            entries.lines(piece)
+    return entries.result()
 
-    # Entries go straight into the system's arrays, one piece per run of
-    # lines on one row; key -1 is the constant, any other a column.  While
-    # the rows come in increasing order each piece is a whole row, and the
-    # keys of the current row are checked against duplicates.  Once a row
-    # comes back or out of order, every row's keys are kept instead, and
-    # the pieces are joined at the end.  A zero value is never cached or
-    # stored, only noted for the duplicate check.
-    ids, consts, starts = system.ids, system.consts, system.starts
-    cols, values = system.cols, system.values
-    keys: dict[str, int] = {}
-    cache: dict[str, Rational] = {}
-    zero_keys: list[tuple[int, int]] = []  # (piece, key) of a zero value
-    row_keys: dict[int, set[int]] | None = None
-    seen: set[int] = set()
-    top = min(m, _ROW_LIMIT)
-    row_token = None
-    i = 0  # no row
-    last = lineno
-    for lineno, raw in lines:
+
+class _Entries:
+    """The entries of a system file, taken piece by piece straight into
+    the arrays of a system.
+
+    Key -1 is the constant, any other key a column.  The arrays hold one
+    piece per run of lines on one row.  While the rows come in increasing
+    order each piece is a whole row, and ``seen`` holds the keys of the
+    open one, the last, for the duplicate check.  Once a row comes back or
+    out of order, every row's keys are kept in ``row_keys`` instead, and
+    the pieces are joined at the end.  A zero value is never cached or
+    stored, only noted for the duplicate check.
+    """
+
+    def __init__(self, system: LinearSystem, column: Sequence[int], m: int,
+                 n: int, lineno: int):
+        self.system, self.column, self.m, self.n = system, column, m, n
+        self.top = min(m, _ROW_LIMIT)
+        self.keys: dict[str, int] = {}
+        self.cache: dict[str, Rational] = {}
+        self.zero_keys: list[tuple[int, int]] = []  # (piece, key) of a zero
+        self.row_keys: dict[int, set[int]] | None = None
+        self.seen: set[int] = set()
+        #: The open row's largest key, or None until it is looked up.
+        self.high: int | None = None
+        self.row_token: str | None = None
+        self.i = 0  # no row
+        self.lineno = self.last = lineno
+        self.done = False  # the terminator was read
+
+    def plain(self, piece: str) -> bool:
+        """Take a plain piece into the arrays whole; False, with no row
+        touched, for any other piece.
+
+        A plain piece is ASCII, its lines are ``i j value`` with single
+        spaces, its row tokens are digits, its rows never fall below the
+        last row read and stay within 1..min(m, 2**63), its columns are
+        in 1..n and ascend within each row (which leaves no duplicate),
+        and its values are nonzero; a ``0`` row token comes only in the
+        terminator, as its last line.  Rows keep going on from the
+        pieces before, in order.
+        """
+        if self.done or self.row_keys is not None:
+            return False
+        tokens = piece.split()
+        lines = _layout(piece, tokens, 3)
+        if lines is None:
+            return False
+        done = tokens[-3:] == ["0", "0", "0"]
+        if done:
+            del tokens[-3:]
+        if tokens and not self._take(tokens):
+            return False
+        self.lineno = self.last = self.lineno + lines
+        self.done = done
+        return True
+
+    def _take(self, tokens: list[str]) -> bool:
+        """Take the entry tokens of a piece laid out plainly, the
+        terminator cut off; False, with no row touched, when one of the
+        other checks fails."""
+        rows, names, texts = tokens[0::3], tokens[1::3], tokens[2::3]
+        # the first line of each run of one row token, and its row
+        runs = [0, *compress(range(1, len(rows)), map(ne, rows[1:], rows))]
+        heads = list(map(rows.__getitem__, runs))
+        if not "".join(heads).isdigit():
+            return False
         try:
-            i_token, j_token, value_token = raw.split()
-        except ValueError:
-            if raw.split():
-                raise ParseError("expected 'i j value'", lineno) from None
-            continue
-        last = lineno
-        if i_token != row_token:
-            if i_token == "0" and j_token == "0" and value_token == "0":
-                break
-            row = _parse_integer(i_token)
-            if row is None or (j_token not in keys
-                               and _parse_integer(j_token) is None):
-                raise ParseError("bad indices", lineno)
-            if not 1 <= row <= top:
-                raise BoundsError(
-                    f"row {_cut(str(row))} outside 1..{_cut(str(m))}"
-                    if row < 1 or row > m else
-                    f"row {_cut(str(row))} over the {_ROW_LIMIT} rows a "
-                    f"system holds", lineno)
-            if row != i:
-                if row_keys is None and row < i:
-                    row_keys = _keys_by_row(system, zero_keys, seen)
-                if row_keys is None:
-                    seen = set()
-                else:
-                    seen = row_keys.setdefault(row - 1, set())
-                if ids:
-                    starts.append(len(cols))
-                ids.append(row - 1)
-                consts.append(0)
-                i = row
-            row_token = i_token
-        key = keys.get(j_token)
-        if key is None:
-            j = _parse_integer(j_token)
-            if j is None:
-                raise ParseError("bad indices", lineno)
-            if not 0 <= j <= n:
-                raise BoundsError(f"column {_cut(str(j))} outside 0..{n}",
-                                  lineno)
-            key = keys[j_token] = column[j]
-        if key in seen:
-            raise ParseError(f"duplicate entry ({i}, {int(j_token)})", lineno)
-        seen.add(key)
-        value = cache.get(value_token)
-        if value is None:
-            value = _parse_rational(value_token, lineno)
+            numbers = list(map(int, heads))
+        except ValueError:  # over Python's int/str digit limit
+            return False
+        before = [self.i, *numbers[:-1]]
+        if numbers[0] < 1 or numbers[-1] > self.top or \
+                any(map(gt, before, numbers)):
+            return False
+        opens = list(map(lt, before, numbers))  # a run that starts a row
+        firsts = list(compress(runs, opens))
+
+        keys, cache = self.keys, self.cache
+        found = list(map(keys.get, names))
+        missing = _missing(names, found)
+        for name in missing:
+            j = _parse_integer(name)
+            if j is None or not 0 <= j <= self.n:
+                return False
+            keys[name] = self.column[j]
+        if missing:
+            found = list(map(keys.__getitem__, names))
+        if min(found) < 0:  # column 0, a constant
+            return False
+        # columns ascend within each row when every fall starts a row
+        bounds = set(firsts)
+        if not all(map(bounds.__contains__, compress(
+                range(1, len(found)), map(ge, found, found[1:])))):
+            return False
+        if not opens[0]:
+            if self.high is None:
+                self.high = max(self.seen, default=-2)
+            if found[0] <= self.high:
+                return False
+        values = list(map(cache.get, texts))
+        missing = _missing(texts, values)
+        for text in missing:
+            try:
+                value = _parse_rational(text, None)
+            except ParseError:
+                return False
             if not value:
-                zero_keys.append((len(ids) - 1, key))
-                continue
-            cache[value_token] = value
-        if key < 0:
-            consts[-1] = value
+                return False
+            cache[text] = value
+        if missing:
+            values = list(map(cache.__getitem__, texts))
+
+        system, base = self.system, len(self.system.cols)
+        fresh = list(compress(numbers, opens))
+        system.starts.extend(islice(map(add, firsts, repeat(base)),
+                                    0 if system.ids else 1, None))
+        system.ids.extend(map(sub, fresh, repeat(1)))
+        system.consts.extend(repeat(0, len(fresh)))
+        system.cols.fromlist(found)
+        system.values.extend(values)
+        if firsts:
+            self.seen = set(found[firsts[-1]:])
         else:
-            cols.append(key)
-            values.append(value)
-    else:
-        raise ParseError("missing '0 0 0' terminator", last)
-    for lineno, raw in lines:
-        if raw.split():
-            raise ParseError("content after terminator", lineno)
-    if ids:
-        starts.append(len(cols))
-    return system if row_keys is None else _joined(system)
+            self.seen.update(found)
+        self.high, self.i, self.row_token = found[-1], numbers[-1], rows[-1]
+        return True
+
+    def lines(self, piece: str) -> None:
+        """Take a piece line by line, checking each."""
+        lines = _lines_of(piece)
+        numbered = enumerate(lines, self.lineno + 1)
+        self.lineno += len(lines)
+        self.high = None
+        if not self.done:
+            self._entry_lines(numbered)
+        for lineno, raw in numbered:
+            if raw.split():
+                raise ParseError("content after terminator", lineno)
+
+    def _entry_lines(self, numbered: Iterator[tuple[int, str]]) -> None:
+        """The entry lines up to the terminator, if it comes."""
+        system, column, m, n, top = (self.system, self.column, self.m,
+                                     self.n, self.top)
+        ids, consts, starts = system.ids, system.consts, system.starts
+        cols, values = system.cols, system.values
+        keys, cache, zero_keys = self.keys, self.cache, self.zero_keys
+        row_keys, seen, row_token, i, last = (self.row_keys, self.seen,
+                                              self.row_token, self.i,
+                                              self.last)
+        for lineno, raw in numbered:
+            try:
+                i_token, j_token, value_token = raw.split()
+            except ValueError:
+                if raw.split():
+                    raise ParseError("expected 'i j value'", lineno) from None
+                continue
+            last = lineno
+            if i_token != row_token:
+                if i_token == "0" and j_token == "0" and value_token == "0":
+                    self.done = True
+                    break
+                row = _parse_integer(i_token)
+                if row is None or (j_token not in keys
+                                   and _parse_integer(j_token) is None):
+                    raise ParseError("bad indices", lineno)
+                if not 1 <= row <= top:
+                    raise BoundsError(
+                        f"row {_cut(str(row))} outside 1..{_cut(str(m))}"
+                        if row < 1 or row > m else
+                        f"row {_cut(str(row))} over the {_ROW_LIMIT} rows a "
+                        f"system holds", lineno)
+                if row != i:
+                    if row_keys is None and row < i:
+                        row_keys = _keys_by_row(system, zero_keys, seen)
+                    if row_keys is None:
+                        seen = set()
+                    else:
+                        seen = row_keys.setdefault(row - 1, set())
+                    if ids:
+                        starts.append(len(cols))
+                    ids.append(row - 1)
+                    consts.append(0)
+                    i = row
+                row_token = i_token
+            key = keys.get(j_token)
+            if key is None:
+                j = _parse_integer(j_token)
+                if j is None:
+                    raise ParseError("bad indices", lineno)
+                if not 0 <= j <= n:
+                    raise BoundsError(f"column {_cut(str(j))} outside 0..{n}",
+                                      lineno)
+                key = keys[j_token] = column[j]
+            if key in seen:
+                raise ParseError(f"duplicate entry ({i}, {int(j_token)})",
+                                 lineno)
+            seen.add(key)
+            value = cache.get(value_token)
+            if value is None:
+                value = _parse_rational(value_token, lineno)
+                if not value:
+                    zero_keys.append((len(ids) - 1, key))
+                    continue
+                cache[value_token] = value
+            if key < 0:
+                consts[-1] = value
+            else:
+                cols.append(key)
+                values.append(value)
+        self.row_keys, self.seen, self.row_token, self.i, self.last = (
+            row_keys, seen, row_token, i, last)
+
+    def result(self) -> LinearSystem:
+        """The system read, once every piece is in."""
+        if not self.done:
+            raise ParseError("missing '0 0 0' terminator", self.last)
+        system = self.system
+        if system.ids:
+            system.starts.append(len(system.cols))
+        return system if self.row_keys is None else _joined(system)
 
 
 def _empty_system(path: str, n: int) -> tuple[LinearSystem, Sequence[int]]:

@@ -2,19 +2,22 @@
 
 Every reader accepts arbitrary text or bytes by returning a result or
 raising a ``ParseError``, never another exception; rendering what was
-read gives back the same bytes.  Examples are derandomized, so the suite
-is deterministic.  Structured inputs use small numbers, because a system
-header declares how many columns the reader allocates.
+read gives back the same bytes; the system reader does so also when it
+reads a few characters at a time.  Examples are derandomized, so the
+suite is deterministic.  Structured inputs use small numbers, because a
+system header declares how many columns the reader allocates.
 """
 
 import copy
 import pickle
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selsolve import formats
 from selsolve.errors import ParseError
 from selsolve.formats import (parse_affine, read_solution, read_system,
                               render_names, render_solution, render_system,
@@ -67,6 +70,14 @@ def read_or_parse_error(reader, path, data: bytes) -> None:
 @given(data=st.one_of(any_text.map(str.encode), any_bytes))
 def test_read_system_succeeds_or_raises_parse_error(workdir, data):
     read_or_parse_error(read_system, workdir / "in.sys", data)
+
+
+@fuzz
+@given(data=st.one_of(any_text.map(str.encode), any_bytes))
+def test_read_system_in_small_pieces_succeeds_or_raises_parse_error(
+        workdir, data):
+    with mock.patch.object(formats, "_READ", 3):
+        read_or_parse_error(read_system, workdir / "in.sys", data)
 
 
 @fuzz

@@ -20,12 +20,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from selsolve.errors import BoundsError, InconsistentSystemError
-from selsolve.formats import read_system, write_system
+from selsolve.formats import read_system
 from selsolve.linsys import (KIND_A, KIND_C, AffineForm, Equation,
                              LinearSystem, UnknownId, exact_div,
                              format_rational, substitute)
 from selsolve.solver import SolutionState, find_zeros, lsss_solve
-from selsolve.symmetry import build_symmetry_system
 
 from test_oracle_reference import derandomized
 
@@ -257,17 +256,6 @@ def test_packed_harvest_updates_the_callers_zero_set():
     result = find_zeros(system, zeros)
     assert zeros == {OUTSIDE, X[0], X[1], X[2]}
     assert result.new_per_round == [1, 1, 0] and len(result.remaining) == 0
-
-
-@pytest.fixture(scope="module")
-def symmetry_files(tmp_path_factory):
-    directory = tmp_path_factory.mktemp("packed")
-    paths = {}
-    for degree in range(3, 8):
-        paths[degree] = str(directory / f"s{degree}.sys")
-        write_system(build_symmetry_system(degree, include_nc=True),
-                     paths[degree])
-    return paths
 
 
 @pytest.mark.parametrize("degree", range(3, 8))
