@@ -110,17 +110,6 @@ def _parse_rational(token: str, line: int | None) -> Rational:
     raise ParseError(f"bad rational {_cut(token)!r}", line)
 
 
-def _read_lines(path: str) -> Iterator[tuple[int, str]]:
-    """Numbered non-blank lines, stripped; non-UTF-8 bytes are a ParseError."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            for lineno, raw in enumerate(handle, start=1):
-                if line := raw.strip():
-                    yield lineno, line
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8 text") from exc
-
-
 def names_path_for(path: str) -> str:
     return path + ".names"
 
@@ -234,7 +223,7 @@ def _pieces(handle) -> Iterator[str]:
 def _lines_of(piece: str) -> list[str]:
     """The lines of a piece, as iterating the file would give them."""
     lines = piece.split("\n")
-    if piece.endswith("\n"):
+    if not lines[-1]:  # after the last newline, or an empty piece
         lines.pop()
     return lines
 
@@ -752,12 +741,103 @@ def write_solution(state: SolutionState, path: str) -> None:
 
 def read_solution(path: str) -> SolutionState:
     """Parse a solution file back into an equivalent state; an unknown
-    listed twice, in one section or in two, is refused."""
+    listed twice, in one section or in two, is refused.
+
+    The file is read in pieces of whole lines (:func:`_pieces`), each
+    cut into runs of lines at its exact header lines.  A run inside
+    ZEROS or FREE that holds names of one kind, one a line and nothing
+    else, is checked and taken whole (:func:`_plain_unknowns`).  Any
+    other run, and a plain one that fails a check, is read line by line
+    from the state at its start, numbered on from the runs before it;
+    only that loop names an error.  Bytes that are not UTF-8 are refused
+    as the piece holding them is read, before its lines are checked.
+    """
     zeros: set[UnknownId] = set()
     pivots: dict[UnknownId, AffineForm] = {}
     free: set[UnknownId] = set()
-    section = None
-    for lineno, line in _read_lines(path):
+    names = {"ZEROS": zeros, "FREE": free}  # the sections of names
+    section, lineno = None, 0
+    with open(path, encoding="utf-8") as handle:
+        try:
+            for piece in _pieces(handle):
+                # runs of lines, each followed by a header line but the last
+                parts = _HEADER.split(piece)
+                for run, header in zip(parts[::2], [*parts[1::2], None]):
+                    domain = names.get(section)
+                    lines = None if domain is None else \
+                        _plain_unknowns(run, domain)
+                    if lines is None:
+                        text = _lines_of(run)
+                        section = _solution_lines(
+                            enumerate(text, lineno + 1), section, zeros,
+                            pivots, free)
+                        lines = len(text)
+                    lineno += lines
+                    if header is not None:
+                        section, lineno = header, lineno + 1
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text") from exc
+    domains = [zeros, set(pivots), free]
+    for i in range(3):
+        for j in range(i + 1, 3):
+            overlap = domains[i] & domains[j]
+            if overlap:
+                raise ParseError(f"{sorted(overlap)[0].name} in two sections")
+    for uid, rhs in pivots.items():
+        if not set(rhs.coeffs) <= free:
+            raise ParseError(f"pivot {uid.name} mentions non-free unknowns")
+    return SolutionState(zeros, pivots, free)
+
+
+#: A section header line, as the solution file spells it.
+_HEADER = re.compile(r"^(ZEROS|PIVOTS|FREE)\n", re.MULTILINE)
+#: The kind of each unknown name's first letter (``c`` -> KIND_C), as bytes.
+_KIND_OF = {prefix.encode(): KIND_BY_LETTER[letter]
+            for letter, prefix in _PREFIX.items()}
+
+
+def _plain_unknowns(piece: str, domain: set[UnknownId]) -> int | None:
+    """Take a piece of names of one kind, one a line with nothing around
+    it, into ``domain``; its number of lines, or None, with nothing
+    taken, when it is laid out any other way, holds a section header, a
+    bad name or names of two kinds, or lists an unknown twice or one
+    already in ``domain``.
+
+    The kind letter must start every line and come nowhere else, and
+    deleting it and the newlines must leave ASCII digits alone; the
+    indices are then the piece split with the letter deleted, one a line
+    once as many distinct unknowns as lines come of them.
+    """
+    if not piece.isascii():
+        return None
+    data = piece.encode("ascii")
+    letter, lines = data[:1], data.count(b"\n")
+    kind = _KIND_OF.get(letter)
+    if kind is None or data.count(letter) != lines or \
+            (b"\n" + data).count(b"\n" + letter) != lines or \
+            not data.translate(None, letter + b"\n").isdigit():
+        return None
+    try:
+        numbers = list(map(int, data.translate(None, letter).split()))
+        UnknownId(KIND_C, max(numbers))  # every index is in range
+    except ValueError:  # over the int/str digit limit, or out of range
+        return None
+    fresh = set(UnknownId._at(kind, numbers))
+    if len(fresh) != lines or not domain.isdisjoint(fresh):
+        return None
+    domain |= fresh
+    return lines
+
+
+def _solution_lines(lines: Iterable[tuple[int, str]], section: str | None,
+                    zeros: set[UnknownId], pivots: dict[UnknownId, AffineForm],
+                    free: set[UnknownId]) -> str | None:
+    """Take numbered solution lines one at a time, checking each; the
+    section open after the last."""
+    for lineno, raw in lines:
+        line = raw.strip()
+        if not line:
+            continue
         if line in ("ZEROS", "PIVOTS", "FREE"):
             section = line
             continue
@@ -782,13 +862,4 @@ def read_solution(path: str) -> SolutionState:
             # parse_affine knows no line number; this line is the culprit
             raise ParseError(_cut(str(exc), _SHOWN_MESSAGE),
                              lineno) from exc
-    domains = [zeros, set(pivots), free]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            overlap = domains[i] & domains[j]
-            if overlap:
-                raise ParseError(f"{sorted(overlap)[0].name} in two sections")
-    for uid, rhs in pivots.items():
-        if not set(rhs.coeffs) <= free:
-            raise ParseError(f"pivot {uid.name} mentions non-free unknowns")
-    return SolutionState(zeros, pivots, free)
+    return section

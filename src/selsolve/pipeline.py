@@ -457,9 +457,12 @@ class _LeibnizMatrices(_TrialMatrices):
 
 def check_solution_degree(state: SolutionState, degree: int) -> None:
     """Refuse a solution whose ansatz unknowns are not c0 .. c(k-1), k the
-    degree's unknown count; nothing of the degree's size is built."""
+    degree's unknown count.  The ansatz unknowns are taken from each
+    section in turn, the sections being disjoint; nothing of the degree's
+    size, and no union of the sections, is built."""
     first, after = UnknownId(KIND_C, 0), UnknownId(KIND_A, 0)  # id order
-    solved = [u for u in state.universe if first <= u < after]
+    solved = [u for section in (state.zeros, state.pivots, state.free)
+              for u in section if first <= u < after]
     # k > 2^(degree + 1) exceeds a count of at most degree bits; past the
     # guard's bit length too, k, maybe of millions of digits, is not built
     huge = (degree >= len(solved).bit_length() and degree
@@ -485,12 +488,15 @@ def verify_by_matrices(system: Derivation, ansatz: SymmetryAnsatz,
     integer denominator (inverses adj/det, coefficients num/den); the
     numerator of the difference must vanish.  Caches live for one trial
     and the seed fixes the draws.  A solution of another degree is an error.
+    D_tau is built from the ansatz slots of the pivots and free unknowns
+    alone, so its cost follows the live unknowns, not the ansatz.
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
     check_solution_degree(state, ansatz.degree)
     rng = random.Random(seed)
-    dtau = ansatz.derivation(state.zeros)  # no zero adds a term or a value
+    # over the pivots and free unknowns: no zero adds a term or a value
+    dtau = ansatz.derivation(chain(state.pivots, state.free))
     for _ in range(trials):
         u, v = _random_invertible(rng, dim), _random_invertible(rng, dim)
         trial = _TrialMatrices((u[0], v[0], u[1], v[1]))

@@ -48,7 +48,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain, compress, count, groupby, islice, repeat, tee
 from operator import add, and_, is_not, lt, ne, rshift, sub, xor
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import TooLargeError
 from .linsys import (FORMULATE_MAX_UNKNOWNS, KIND_A, KIND_C, AffineForm,
@@ -158,14 +158,20 @@ class SymmetryAnsatz:
         return (UnknownId.span(KIND_C, c)
                 + UnknownId.span(KIND_A, self.slot_count - c))
 
-    def derivation(self, zeros: Collection[UnknownId] = ()) -> Derivation:
-        """D_tau over the unknowns that are not in ``zeros``."""
-        t = len(self.keys)
-        unknowns = self.slot_unknowns()
+    def derivation(self, live: Iterable[UnknownId] | None = None
+                   ) -> Derivation:
+        """D_tau over the ``live`` unknowns, or over every slot's: Q1 and
+        Q2 hold the word of each live ansatz slot, in slot order, so the
+        cost follows the live slots, not the ansatz.  An auxiliary, or
+        any other unknown that is no ansatz slot's, adds nothing."""
+        t, first = len(self.keys), UnknownId(KIND_C, 0)
+        slots = range(2 * t) if live is None else sorted(
+            s for s in map(sub, live, repeat(first)) if 0 <= s < 2 * t)
+        cut = bisect_left(slots, t)
         q1, q2 = (NCPoly._raw({
-            key_word(k): AffineForm._raw(0, {uid: 1})
-            for k, uid in zip(self.keys, unknowns[start:start + t])
-            if uid not in zeros}) for start in (0, t))
+            key_word(self.keys[s - start]): AffineForm._raw(0, {uid: 1})
+            for s, uid in zip(part, UnknownId._at(KIND_C, part))})
+            for part, start in ((slots[:cut], 0), (slots[cut:], t)))
         return Derivation(q1, q2, name="Dtau")
 
 

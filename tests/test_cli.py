@@ -19,6 +19,7 @@ from selsolve.cli import main
 from selsolve.formats import read_solution, render_solution, write_solution
 from selsolve.linsys import GUARD_ENV_VAR, ORACLE_MAX_UNKNOWNS, UnknownId
 from selsolve.pipeline import default_strategy, run_strategy
+from selsolve.solver import SolutionState
 from selsolve.symmetry import (WIDEST_ENTRY_BITS, _check_degree_guard,
                                build_ansatz, widest_entry_bits)
 
@@ -212,6 +213,25 @@ def test_verify_refuses_ansatz_unknowns_off_the_degree(tmp_path, capsys):
                     + "".join(f"c{i}\n" for i in range(1, 107)))
     assert main(["verify", "--degree", "3", "--solution", str(path)]) == 1
     assert capsys.readouterr().err == ("error: solution has 106 ansatz "
+                                       "unknowns, the degree 3 ansatz has "
+                                       "106\n")
+
+
+def test_verify_checks_the_degree_without_the_universe(tmp_path, capsys,
+                                                       monkeypatch):
+    # the degree check counts and bounds each section's ansatz unknowns;
+    # the union of the sections is never built, on a pass or a refusal
+    def universe(self):
+        raise AssertionError("the universe was built")
+    state, _ = run_strategy(4, default_strategy(4))
+    path = str(tmp_path / "n4.sol")
+    write_solution(state, path)
+    monkeypatch.setattr(SolutionState, "universe", property(universe))
+    assert main(["verify", "--degree", "4", "--solution", path,
+                 "--dim", "2", "--trials", "1"]) == 0
+    assert capsys.readouterr().out.endswith("verify: PASS\n")
+    assert main(["verify", "--degree", "3", "--solution", path]) == 1
+    assert capsys.readouterr().err == ("error: solution has 322 ansatz "
                                        "unknowns, the degree 3 ansatz has "
                                        "106\n")
 

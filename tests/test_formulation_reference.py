@@ -238,13 +238,18 @@ def reference_kernel(d, p):
 def accumulator_symcon(system, ansatz, which, zeros):
     """The commutator condition as the word-tuple kernel builds it:
     D_tau(P_x) and -D_t(Q_x) summed into one accumulator."""
-    dtau = ansatz.derivation(zeros)
+    dtau = ansatz.derivation(live_unknowns(ansatz, zeros))
     dtx, qx = ((system.image_u, dtau.image_u) if which == "u"
                else (system.image_v, dtau.image_v))
     acc = ReferenceAccumulator()
     acc.add_derivation(dtau, dtx)
     acc.add_derivation(system, qx, sign=-1)
     return acc.poly()
+
+
+def live_unknowns(ansatz, zeros):
+    """The slot unknowns outside ``zeros``, in slot order."""
+    return [u for u in ansatz.slot_unknowns() if u not in zeros]
 
 
 def keyed(ansatz, condition):
@@ -307,7 +312,7 @@ def accumulator_nc(ansatz, zeros):
     per word, then -a_k on each I^k."""
     k0 = side_condition_k0(ansatz.degree)
     acc = ReferenceAccumulator()
-    acc.add_derivation(ansatz.derivation(zeros),
+    acc.add_derivation(ansatz.derivation(live_unknowns(ansatz, zeros)),
                        NCPoly.from_word(COMMUTATOR_UV))
     for i in range(2 * k0 + 1):
         slot = acc.words.setdefault(word_pow(COMMUTATOR_UV, i - k0), {})
@@ -336,7 +341,7 @@ def test_formulations_match_reference(degree):
                                                   dead)) \
                 == sorted_terms(reference_symcon(system, ansatz, which,
                                                  zeros))
-        dtau = ansatz.derivation(zeros)
+        dtau = ansatz.derivation(live_unknowns(ansatz, zeros))
         assert reference_kernel(dtau, NCPoly.from_word(COMMUTATOR_UV)) \
             == reference_apply(reference_dtau(ansatz, zeros),
                                NCPoly.from_word(COMMUTATOR_UV))
@@ -555,7 +560,7 @@ def test_reduce_sandwich_is_free_reduction():
 def test_live_derivation_equals_pruned_full_images():
     ansatz = build_ansatz(3)
     zeros = set(ansatz.slot_unknowns()[:ansatz.unknown_count:3])
-    live = ansatz.derivation(zeros)
+    live = ansatz.derivation(live_unknowns(ansatz, zeros))
     full = ansatz.derivation()
     assert live.image_u == prune_ncpoly(full.image_u, zeros)
     assert live.image_v == prune_ncpoly(full.image_v, zeros)

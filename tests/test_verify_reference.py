@@ -14,8 +14,9 @@ from fractions import Fraction
 import pytest
 
 from selsolve.errors import SingularSampleError
-from selsolve.linsys import KIND_C, AffineForm, exact_div
-from selsolve.ncalgebra import Word
+from selsolve.formats import read_solution
+from selsolve.linsys import KIND_A, KIND_C, AffineForm, UnknownId, exact_div
+from selsolve.ncalgebra import Derivation, NCPoly, Word, key_word
 from selsolve.pipeline import (_INVERTIBLE_RETRIES, DEFAULT_VERIFY_SEED,
                                _LeibnizMatrices, _random_invertible,
                                _TrialMatrices, default_strategy,
@@ -257,3 +258,44 @@ def test_verdicts_match_reference(solutions, n):
             got = verify_by_matrices(system, ansatz, state, 3, 2, seed=seed)
             assert got == expected
             assert reference_verify(system, ansatz, state, 3, 2, seed) == got
+
+
+# --- D_tau from the live slots ----------------------------------------------
+
+
+def reference_derivation(ansatz, zeros):
+    """D_tau as it was built from the zeros: every slot walked, each one
+    outside ``zeros`` kept."""
+    t = len(ansatz.keys)
+    unknowns = ansatz.slot_unknowns()
+    q1, q2 = (NCPoly._raw({
+        key_word(k): AffineForm._raw(0, {uid: 1})
+        for k, uid in zip(ansatz.keys, unknowns[start:start + t])
+        if uid not in zeros}) for start in (0, t))
+    return Derivation(q1, q2, name="Dtau")
+
+
+def spelled_out(d):
+    """The images of a derivation, term by term in order."""
+    return [[(w, repr(c)) for w, c in image.terms.items()]
+            for image in (d.image_u, d.image_v)]
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_live_derivation_equals_the_zeros_based_one(staged_solution_files,
+                                                    n):
+    # the staged zeros hold every auxiliary; from the pivots and free
+    # unknowns, from their ansatz unknowns alone, and from those with
+    # every auxiliary slot added, D_tau is the one built from the zeros
+    state = read_solution(staged_solution_files[n])
+    ansatz = build_ansatz(n)
+    expected = spelled_out(reference_derivation(ansatz, state.zeros))
+    live = [*state.pivots, *state.free]
+    auxiliaries = UnknownId.span(KIND_A, ansatz.slot_count
+                                 - ansatz.unknown_count)
+    assert state.zeros >= set(auxiliaries)
+    for unknowns in (live, [u for u in live if u.kind == KIND_C],
+                     [*live, *auxiliaries]):
+        assert spelled_out(ansatz.derivation(unknowns)) == expected
+    assert spelled_out(ansatz.derivation()) \
+        == spelled_out(reference_derivation(ansatz, ()))
