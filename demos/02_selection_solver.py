@@ -19,8 +19,9 @@ print(f"\n1-term harvesting: {len(zeros)} zeros "
       f"in rounds {found.new_per_round}")
 print(f"remaining equations: {len(found.remaining.equations)}")
 
-ordered = length_sort(found.remaining)
-sizes = [eq.lhs.term_count for eq in ordered.equations[:10]]
+order = length_sort(found.remaining)
+lengths = list(found.remaining.row_lengths())
+sizes = [lengths[k] for k in order[:10]]
 print(f"after length sort, first sizes: {sizes}")
 
 state = lsss_solve(system)

@@ -749,13 +749,29 @@ def read_solution(path: str) -> SolutionState:
     else, is checked and taken whole (:func:`_plain_unknowns`).  Any
     other run, and a plain one that fails a check, is read line by line
     from the state at its start, numbered on from the runs before it;
-    only that loop names an error.  Bytes that are not UTF-8 are refused
-    as the piece holding them is read, before its lines are checked.
+    only that loop names an error.  A plain run that repeats an unknown
+    is seen only once taken, so then the file is read again line by line
+    throughout, which names the line.  Bytes that are not UTF-8 are
+    refused as the piece holding them is read, before its lines are
+    checked.
     """
+    try:
+        return _read_solution(path, plain=True)
+    except _Repeated:
+        return _read_solution(path, plain=False)
+
+
+class _Repeated(Exception):
+    """A plain run, once taken, turned out to repeat an unknown."""
+
+
+def _read_solution(path: str, plain: bool) -> SolutionState:
+    """:func:`read_solution`, its plain runs taken whole only if
+    ``plain``."""
     zeros: set[UnknownId] = set()
     pivots: dict[UnknownId, AffineForm] = {}
     free: set[UnknownId] = set()
-    names = {"ZEROS": zeros, "FREE": free}  # the sections of names
+    names = {"ZEROS": zeros, "FREE": free} if plain else {}
     section, lineno = None, 0
     with open(path, encoding="utf-8") as handle:
         try:
@@ -800,13 +816,14 @@ def _plain_unknowns(piece: str, domain: set[UnknownId]) -> int | None:
     """Take a piece of names of one kind, one a line with nothing around
     it, into ``domain``; its number of lines, or None, with nothing
     taken, when it is laid out any other way, holds a section header, a
-    bad name or names of two kinds, or lists an unknown twice or one
-    already in ``domain``.
+    bad name or names of two kinds.  Raises :class:`_Repeated`, with the
+    piece taken, when it lists an unknown twice or one already in
+    ``domain``.
 
     The kind letter must start every line and come nowhere else, and
     deleting it and the newlines must leave ASCII digits alone; the
     indices are then the piece split with the letter deleted, one a line
-    once as many distinct unknowns as lines come of them.
+    once ``domain`` grows by as many unknowns as lines, each probed once.
     """
     if not piece.isascii():
         return None
@@ -822,10 +839,10 @@ def _plain_unknowns(piece: str, domain: set[UnknownId]) -> int | None:
         UnknownId(KIND_C, max(numbers))  # every index is in range
     except ValueError:  # over the int/str digit limit, or out of range
         return None
-    fresh = set(UnknownId._at(kind, numbers))
-    if len(fresh) != lines or not domain.isdisjoint(fresh):
-        return None
-    domain |= fresh
+    count = len(domain)
+    domain.update(UnknownId._at(kind, numbers))
+    if len(domain) - count != lines:
+        raise _Repeated
     return lines
 
 

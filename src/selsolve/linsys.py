@@ -365,15 +365,6 @@ class LinearSystem:
         self.values.extend(values)
         self.starts.append(len(self.cols))
 
-    def take(self, rows: Iterable[int]) -> "LinearSystem":
-        """The system of the given rows, in the given order."""
-        out = LinearSystem.over(self.universe)
-        starts, cols, values = self.starts, self.cols, self.values
-        for k in rows:
-            a, b = starts[k], starts[k + 1]
-            out.append(self.ids[k], self.consts[k], cols[a:b], values[a:b])
-        return out
-
     def equation(self, k: int) -> Equation:
         """Row k decoded, its terms over unknowns in stored order."""
         a, b = self.starts[k], self.starts[k + 1]
@@ -388,6 +379,11 @@ class LinearSystem:
     def row_lengths(self) -> Iterator[int]:
         """The number of entries of each row, in order."""
         return map(operator.sub, self.starts[1:], self.starts)
+
+    def length_order(self) -> list[int]:
+        """The row indices in stable ascending order of entry count."""
+        lengths = list(self.row_lengths())
+        return sorted(range(len(lengths)), key=lengths.__getitem__)
 
     def values_at(self, point: Sequence[Rational]) -> Iterator[Rational]:
         """Each row's value, in order, with column c set to ``point[c]``."""
@@ -468,8 +464,12 @@ def dense_nullspace_oracle(system: LinearSystem) -> NullspaceResult:
 
     Independent of the selective solver: no zero set, no 1-term
     shortcuts, just full elimination of the coefficient matrix (constants
-    are ignored), one row at a time in system order; each reduced row
-    pivots on its lowest unknown.  The arithmetic is integer-preserving
+    are ignored), one row at a time, shortest first (stable, by entry
+    count); each reduced row pivots on its lowest unknown.  The order
+    changes no result: every pivot row's tail holds only later, non-pivot
+    columns, so elimination ends in the one reduced row echelon form of
+    the matrix, whatever order the rows come in; rows taken shortest
+    first make less fill-in.  The arithmetic is integer-preserving
     (Bareiss, Math. Comp. 22, 1968): a row is scaled to integers by the
     lcm of its denominators, and a pivot row is held as integers over one
     positive denominator, divided by their content after every update.  An
@@ -489,9 +489,10 @@ def dense_nullspace_oracle(system: LinearSystem) -> NullspaceResult:
     # mentions[c] holds every pivot whose tail has a nonzero entry at c; it
     # may also hold pivots whose entry there has since cancelled.
     mentions: defaultdict[int, set[int]] = defaultdict(set)
-    entries = zip(system.cols, system.values)
-    for length in system.row_lengths():
-        row = dict(islice(entries, length))
+    starts, cols, values = system.starts, system.cols, system.values
+    for k in system.length_order():
+        a, b = starts[k], starts[k + 1]
+        row = dict(zip(cols[a:b], values[a:b]))
         # One Fraction among the coefficients makes their sum a Fraction.
         if type(sum(row.values())) is not int:
             scale = math.lcm(*(r.denominator for r in row.values()))

@@ -3,9 +3,10 @@ most unknowns to zero.
 
 The entry point :func:`lsss_solve` chains three stages over the packed
 rows of a :class:`LinearSystem`, all on its columns: harvest 1-term rows
-to a fixpoint (:func:`find_zeros`), sort what is left by size
-(:func:`length_sort`), then stream it through an incrementally
-back-substituted pivot map over columns (:func:`stream_solve`).  The
+to a fixpoint (:func:`find_zeros`), order what is left by size
+(:func:`length_sort`), then stream it in that order, in place, through
+an incrementally back-substituted pivot map over columns
+(:func:`stream_solve`), each distinct row once.  The
 zeros are a ``bytearray`` mask over the columns, and a zero never comes
 back with a nonzero value.  The finished state is labelled by the
 universe once (:meth:`SolutionState.relabel`).
@@ -98,11 +99,10 @@ def _pruned(system: LinearSystem, rows: Iterable[int],
     return out
 
 
-def length_sort(system: LinearSystem) -> LinearSystem:
-    """Stable reorder by ascending term count; only the counts are
-    compared."""
-    counts = list(system.row_lengths())
-    return system.take(sorted(range(len(counts)), key=counts.__getitem__))
+def length_sort(system: LinearSystem) -> list[int]:
+    """The row indices in stable ascending order of term count; only the
+    counts are compared and no row is copied."""
+    return system.length_order()
 
 
 @dataclass
@@ -199,28 +199,40 @@ class ColumnState:
                              zero_rounds).relabel(universe, self.dead)
 
 
-def stream_solve(equations: LinearSystem, state: ColumnState) -> ColumnState:
-    """Feed the rows of a system, in order, into the column state.
+def stream_solve(equations: LinearSystem, state: ColumnState,
+                 rows: Iterable[int] | None = None) -> ColumnState:
+    """Feed the rows of a system into the column state, in stored order
+    or in the order of the row indices ``rows``.
 
     Each row is pruned of the dead columns and has the pivots substituted.
     Unless that leaves 0 = 0, an identity, the row pivots on its column of
     least |num|*den, the lowest on a tie, which bounds coefficient growth
     and is deterministic; a right-hand side of 0 marks the column dead
-    instead.  Memory depends only on the state, which is updated in place
-    and returned.
+    instead.  A row equal to one streamed before, constant, columns and
+    values alike, is counted as the identity it must reduce to, unread:
+    the state already holds the earlier copy, a pivot, a zero or an
+    identity of the same form.  Memory depends on the state and the rows
+    seen; the state is updated in place and returned.
     """
     dead, pivots = state.dead, state.pivots
-    starts, cols, values = equations.starts, equations.cols, equations.values
+    consts, starts = equations.consts, equations.starts
+    cols, values = equations.cols, equations.values
     # occurrences[c] = pivot columns whose rhs currently mentions column c
     occurrences: dict[int, set[int]] = {}
     for p, rhs in pivots.items():
         for c in rhs.coeffs:
             occurrences.setdefault(c, set()).add(p)
 
-    for k, const in enumerate(equations.consts):
-        a, b = starts[k], starts[k + 1]
-        row = cols[a:b]
-        coeffs = dict(zip(row, values[a:b]))
+    seen: set[tuple] = set()  # (const, column bytes, *values) per row
+    for k in range(len(equations)) if rows is None else rows:
+        const, a, b = consts[k], starts[k], starts[k + 1]
+        row, row_values = cols[a:b], values[a:b]
+        count = len(seen)
+        seen.add((const, row.tobytes(), *row_values))
+        if len(seen) == count:
+            state.identities += 1
+            continue
+        coeffs = dict(zip(row, row_values))
         if any(map(dead.__getitem__, row)):
             coeffs = {c: r for c, r in coeffs.items() if not dead[c]}
         form = substitute(AffineForm._raw(const, coeffs), pivots)
@@ -265,6 +277,6 @@ def lsss_solve(system: LinearSystem) -> SolutionState:
     homogeneous system the number of free unknowns is the nullity.
     """
     found = find_zeros(system, set())
-    state = stream_solve(length_sort(found.remaining),
-                         ColumnState(found.dead))
+    state = stream_solve(found.remaining, ColumnState(found.dead),
+                         length_sort(found.remaining))
     return state.solution(system.universe, found.new_per_round)

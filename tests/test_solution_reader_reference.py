@@ -227,6 +227,20 @@ def test_a_name_listed_again_across_a_piece_boundary(tmp_path, head, first,
         read_solution(str(path))
 
 
+def test_a_repeat_in_a_plain_piece_is_named_on_a_second_read(tmp_path):
+    # the second piece is plain and taken whole before its repeat of
+    # c1500 shows; the file is read again line by line, which names the
+    # line before the third piece, with its byte that is not UTF-8, is read
+    path = tmp_path / "again.sol"
+    body = first_piece("ZEROS\n", "c2") + names(5000, 5010) + "c1500\n"
+    data = (body + names(6000, 9000)).encode() + b"\xff\n"
+    assert len(body) < 2 * _READ < len(data)
+    assert_reads_alike(path, data)
+    with pytest.raises(ParseError, match="c1500 listed twice") as error:
+        read_solution(str(path))
+    assert error.value.line == body.count("\n")
+
+
 @pytest.mark.parametrize("lines", [
     "7c", "cc1", "c1c2", "a1", "c", "c\n1", "c1 c2", "c1\tc2", "c1\n\nc2",
     "c\xa01", "C1", "c1\x1cc2", "c01\nc1", "c0001099511627776"])

@@ -4,19 +4,22 @@ from unittest import mock
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from selsolve.errors import InconsistentSystemError
 from selsolve.formats import (read_solution, read_system, render_solution,
                               write_solution)
 from selsolve.linsys import (KIND_C, AffineForm, Equation, LinearSystem,
                              UnknownId)
+from selsolve import solver
 from selsolve.pipeline import default_strategy, run_strategy
 from selsolve.solver import (ColumnState, SolutionState, find_zeros,
                              length_sort, lsss_solve, stream_solve)
 from selsolve.symmetry import build_symmetry_system
 
-from test_oracle_reference import derandomized, systems
-from test_packed_rows import reference_lsss_solve
+from test_oracle_reference import derandomized, reordered, systems
+from test_packed_rows import (fresh_state, reference_lsss_solve,
+                              reference_stream_solve)
 from test_properties import check_invariants, satisfies
 
 X = [UnknownId(KIND_C, i) for i in range(8)]
@@ -92,9 +95,10 @@ def test_length_sort_orders_and_is_stable():
     e2a = form(0, x1=1, x5=1)
     e2b = form(0, x2=1, x6=1)
     sys_ = system(e3, e2a, e1, e2b)
-    out = length_sort(sys_)
-    assert [eq.lhs for eq in out.equations] == [e1, e2a, e2b, e3]
-    assert length_sort(system()).equations == []
+    order = length_sort(sys_)
+    assert order == [2, 1, 3, 0]
+    assert [sys_.equation(k).lhs for k in order] == [e1, e2a, e2b, e3]
+    assert length_sort(system()) == []
 
 
 def test_stream_solve_single_equation():
@@ -203,6 +207,61 @@ def test_column_solver_solves_as_reference(system):
 def test_column_solver_solves_symmetry_systems_as_reference(degree):
     # the systems `gen --nc` writes
     assert_solves_as_reference(build_symmetry_system(degree, include_nc=True))
+
+
+@st.composite
+def repeated_rows(draw):
+    """A system and an order of its row indices that repeats rows and
+    shuffles them."""
+    system = draw(systems())
+    if not len(system):
+        return system, []
+    order = draw(st.lists(st.integers(0, len(system) - 1), max_size=24))
+    return system, draw(st.permutations(list(range(len(system))) + order))
+
+
+def state_outcome(stream):
+    """The solution text and identity count a stream leaves, or the
+    message of the inconsistency it finds."""
+    try:
+        state = stream()
+    except InconsistentSystemError as exc:
+        return str(exc)
+    return render_solution(state), state.identities
+
+
+@derandomized
+@given(repeated_rows())
+def test_repeated_rows_stream_as_reference(case):
+    # a repeat is counted as the identity it reduces to, unread; the raw
+    # rows stream by index, and the taken copy is solved whole
+    system, order = case
+    universe = system.universe
+    assert state_outcome(lambda: stream_solve(
+        system, ColumnState(bytearray(len(universe))), order).solution(
+            universe, [])) == state_outcome(lambda: reference_stream_solve(
+                [system.equation(k) for k in order],
+                fresh_state(universe, set())))
+    assert_solves_as_reference(reordered(system, order))
+
+
+def test_a_repeated_row_is_not_substituted():
+    # the fourth row has the first's constant and columns but other
+    # values, so it is no repeat
+    sys_ = system(form(0, x1=1, x2=-1), form(0, x2=1, x3=1),
+                  form(0, x1=1, x2=-1), form(0, x1=1, x2=1),
+                  form(0, x2=1, x3=1))
+    state = ColumnState(bytearray(3))
+    with mock.patch("selsolve.solver.substitute",
+                    wraps=solver.substitute) as substituted:
+        stream_solve(sys_, state)
+    # one row read per distinct row; the other calls update the pivots
+    rows_read = [c for c in substituted.call_args_list
+                 if c.args[1] is state.pivots]
+    assert len(rows_read) == 3 and state.identities == 2
+    assert state_outcome(lambda: state.solution(sys_.universe, [])) == \
+        state_outcome(lambda: reference_stream_solve(
+            list(sys_.equations), fresh_state(sys_.universe, set())))
 
 
 def test_pivot_is_taken_on_the_canonical_row(tmp_path):
