@@ -487,14 +487,13 @@ def verify_by_matrices(system: Derivation, ansatz: SymmetryAnsatz,
     products and of the solver.  Each value is an integer matrix over one
     integer denominator (inverses adj/det, coefficients num/den); the
     numerator of the difference must vanish.  Caches live for one trial
-    and the seed fixes the draws.  The solution must be of the ansatz's
-    degree, which the caller checks (:func:`check_solution_degree`), as
-    ``verify`` does once, before it builds the ansatz.  D_tau is built
-    from the ansatz slots of the pivots and free unknowns alone, so its
-    cost follows the live unknowns, not the ansatz.
+    and the seed fixes the draws.  A solution of another degree is an error.
+    D_tau is built from the ansatz slots of the pivots and free unknowns
+    alone, so its cost follows the live unknowns, not the ansatz.
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
+    check_solution_degree(state, ansatz.degree)
     rng = random.Random(seed)
     # over the pivots and free unknowns: no zero adds a term or a value
     dtau = ansatz.derivation(chain(state.pivots, state.free))

@@ -6,9 +6,8 @@ rows of a :class:`LinearSystem`, all on its columns: harvest 1-term rows
 to a fixpoint (:func:`find_zeros`), order what is left by size
 (:func:`length_sort`), then stream it in that order, in place, through
 an incrementally back-substituted pivot map over columns
-(:func:`stream_solve`), each distinct row once.  The
-zeros are a ``bytearray`` mask over the columns, and a zero never comes
-back with a nonzero value.  The finished state is labelled by the
+(:func:`stream_solve`).  The zeros are a ``bytearray`` mask over the
+columns, and a zero never comes back with a nonzero value.  The finished state is labelled by the
 universe once (:meth:`SolutionState.relabel`).
 """
 
@@ -200,19 +199,16 @@ class ColumnState:
 
 
 def stream_solve(equations: LinearSystem, state: ColumnState,
-                 rows: Iterable[int] | None = None) -> ColumnState:
-    """Feed the rows of a system into the column state, in stored order
-    or in the order of the row indices ``rows``.
+                 rows: Iterable[int]) -> ColumnState:
+    """Feed the rows of a system into the column state in the order of
+    the row indices ``rows``.
 
     Each row is pruned of the dead columns and has the pivots substituted.
     Unless that leaves 0 = 0, an identity, the row pivots on its column of
     least |num|*den, the lowest on a tie, which bounds coefficient growth
     and is deterministic; a right-hand side of 0 marks the column dead
-    instead.  A row equal to one streamed before, constant, columns and
-    values alike, is counted as the identity it must reduce to, unread:
-    the state already holds the earlier copy, a pivot, a zero or an
-    identity of the same form.  Memory depends on the state and the rows
-    seen; the state is updated in place and returned.
+    instead.  Memory depends only on the state, which is updated in place
+    and returned.
     """
     dead, pivots = state.dead, state.pivots
     consts, starts = equations.consts, equations.starts
@@ -223,16 +219,10 @@ def stream_solve(equations: LinearSystem, state: ColumnState,
         for c in rhs.coeffs:
             occurrences.setdefault(c, set()).add(p)
 
-    seen: set[tuple] = set()  # (const, column bytes, *values) per row
-    for k in range(len(equations)) if rows is None else rows:
+    for k in rows:
         const, a, b = consts[k], starts[k], starts[k + 1]
-        row, row_values = cols[a:b], values[a:b]
-        count = len(seen)
-        seen.add((const, row.tobytes(), *row_values))
-        if len(seen) == count:
-            state.identities += 1
-            continue
-        coeffs = dict(zip(row, row_values))
+        row = cols[a:b]
+        coeffs = dict(zip(row, values[a:b]))
         if any(map(dead.__getitem__, row)):
             coeffs = {c: r for c, r in coeffs.items() if not dead[c]}
         form = substitute(AffineForm._raw(const, coeffs), pivots)

@@ -455,13 +455,14 @@ class Incidence:
         for e in chain(entries, (0,)):
             key = e >> shift
             if key != word:
-                live = len(kept) - start
-                if live == 1:
+                end = len(kept)  # one len call per word
+                if end - start == 1:
                     dead[(kept.pop() & low) >> 1] = 1
                     found += 1
-                elif live:
+                    end = start
+                elif end != start:
                     words += 1
-                word, start = key, len(kept)
+                word, start = key, end
             if not dead[(e & low) >> 1]:
                 kept.append(e)
         del kept[start:]  # the closing 0

@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 
 from selsolve import cli, pipeline, symmetry
-from selsolve.errors import ParseError
+from selsolve.errors import ParseError, SelSolveError
 from selsolve.formats import render_solution
 from selsolve.linsys import AffineForm, UnknownId
 from selsolve.ncalgebra import word_key
@@ -314,6 +314,15 @@ def test_verify_by_matrices_pass_and_fail():
     pivot = next(iter(corrupted.pivots))
     corrupted.pivots[pivot] = corrupted.pivots[pivot] + AffineForm.constant(1)
     assert not verify_by_matrices(sysm, ans, corrupted, dim=2, trials=3)
+
+
+@pytest.mark.parametrize("solved,ansatz", [(3, 4), (4, 3)])
+def test_verify_by_matrices_refuses_another_degree(solved, ansatz):
+    # the unknowns of one degree name other words in another's ansatz
+    state, _ = run_strategy(solved, "F")
+    with pytest.raises(SelSolveError, match="ansatz unknowns"):
+        verify_by_matrices(kontsevich_system(), build_ansatz(ansatz), state,
+                           dim=2, trials=1)
 
 
 def test_verify_seed_is_reproducible():

