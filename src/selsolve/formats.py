@@ -21,9 +21,11 @@ import errno
 import os
 import re
 import secrets
+from bisect import bisect_left, bisect_right
 from itertools import chain, compress, groupby, islice, repeat
-from operator import add, attrgetter, ge, gt, is_, itemgetter, lt, ne, sub
-from typing import Iterable, Iterator, Sequence
+from operator import (add, and_, attrgetter, ge, gt, is_, itemgetter, ne, not_,
+                      sub)
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 from .errors import BoundsError, ParseError, TooLargeError
 from .linsys import (FORMULATE_MAX_UNKNOWNS, KIND_BY_LETTER, KIND_C,
@@ -207,15 +209,20 @@ _PREFIX = {letter: UnknownId(kind, 0).name[:-1]
 
 def _pieces(handle) -> Iterator[str]:
     """The rest of a text file in pieces of whole lines, about
-    :data:`_READ` characters each; only the last may lack its newline."""
+    :data:`_READ` characters each; only the last may lack its newline.
+    Bytes that are not UTF-8 are a ParseError naming the file, raised as
+    the piece holding them is read."""
     rest = ""
-    while chunk := handle.read(_READ):
-        cut = chunk.rfind("\n") + 1
-        if cut:
-            yield rest + chunk[:cut]
-            rest = chunk[cut:]
-        else:
-            rest += chunk
+    try:
+        while chunk := handle.read(_READ):
+            cut = chunk.rfind("\n") + 1
+            if cut:
+                yield rest + chunk[:cut]
+                rest = chunk[cut:]
+            else:
+                rest += chunk
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{handle.name}: not UTF-8 text") from exc
     if rest:
         yield rest
 
@@ -228,18 +235,46 @@ def _lines_of(piece: str) -> list[str]:
     return lines
 
 
-def _layout(piece: str, tokens: list[str], width: int) -> int | None:
-    """The number of lines of an ASCII piece of ``width`` tokens a line
-    with one space between tokens and nothing else around them, or None
-    when the piece is laid out any other way."""
-    if not piece.isascii():
-        return None
-    layout = piece.encode("ascii").translate(None, _INK)
-    lines = len(tokens) // width
-    if len(layout) != len(tokens) or \
-            layout != (b" " * (width - 1) + b"\n") * lines:
-        return None
-    return lines
+def _lines(handle, lineno: int = 0) -> Iterator[tuple[int, str]]:
+    """The rest of a text file's lines (:func:`_pieces`), numbered on
+    from ``lineno``."""
+    for piece in _pieces(handle):
+        for lineno, line in enumerate(_lines_of(piece), lineno + 1):
+            yield lineno, line
+
+
+def _fields(piece: str, width: int) -> list[str] | None:
+    """The tokens of a piece whose lines each hold ``width`` tokens or
+    none, or None when a line holds any other number.
+
+    An ASCII piece whose whitespace is one character between tokens and
+    a newline after every ``width`` of them, as in written files, is told
+    by that whitespace alone; any other piece is split into lines.
+    """
+    tokens = piece.split()
+    if piece.isascii():
+        layout = piece.encode("ascii").translate(None, _INK)
+        lines = len(tokens) // width
+        if len(layout) == len(tokens) == lines * width and \
+                layout.count(b"\n") == lines and \
+                layout[width - 1::width] == b"\n" * lines:
+            return tokens
+    if set(map(len, map(str.split, piece.split("\n")))) <= {0, width}:
+        return tokens
+    return None
+
+
+def _integers(tokens: list[str]) -> list[int] | None:
+    """The integers the tokens spell (:func:`_parse_integer`), or None
+    when one spells none."""
+    digits = "".join(tokens)
+    if digits.isascii() and digits.isdigit():  # the common case
+        try:
+            return list(map(int, tokens))
+        except ValueError:  # over Python's int/str digit limit
+            return None
+    numbers = list(map(_parse_integer, tokens))
+    return None if None in numbers else numbers
 
 
 def _missing(tokens: list[str], found: list) -> set[str]:
@@ -248,53 +283,53 @@ def _missing(tokens: list[str], found: list) -> set[str]:
 
 
 def read_names(path: str, columns: int) -> dict[int, UnknownId]:
-    """Column -> unknown for columns 1..``columns``; each column and each
-    unknown appears once, so reading stops within that many lines.  A
+    """Column -> unknown from a sidecar whose lines ``j kind index name``
+    name columns in 1..``columns``, each column and each unknown once; a
     line's name must be the one its kind and index spell.
 
-    The file is read in pieces (:func:`_pieces`).  A piece of lines ``j
-    kind index name`` with single spaces, each ``j`` the next column
-    spelled plainly, is checked and taken whole, its unknowns made per
-    run of one kind; any other piece is read line by line, numbered on
-    from the pieces before it.
+    The file is read in pieces (:func:`_pieces`), each taken whole
+    (:func:`_plain_names`).  When a piece is refused, or the file is not
+    UTF-8, :func:`_sidecar_error` reads it again from the top and raises
+    the error of its first wrong line.  A piece naming more columns than
+    are left is refused before it is taken, so reading stops within about
+    ``columns`` lines.
     """
     mapping: dict[int, UnknownId] = {}
     seen: set[UnknownId] = set()
-    lineno, plain = 0, True  # plain: the columns so far are 1..len(mapping)
     with open(path, encoding="utf-8") as handle:
         try:
-            for piece in _pieces(handle):
-                tokens = piece.split()
-                lines = _layout(piece, tokens, 4)
-                if lines is None or not plain or not _plain_names(
-                        tokens, lines, columns, mapping, seen):
-                    text = _lines_of(piece)
-                    _sidecar_lines(enumerate(text, lineno + 1), columns,
-                                   mapping, seen)
-                    lines = len(text)
-                    plain = max(mapping, default=0) == len(mapping)
-                lineno += lines
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8 text") from exc
-    return mapping
+            if all(_plain_names(piece, columns, mapping, seen)
+                   for piece in _pieces(handle)):
+                return mapping
+        except ParseError:  # not UTF-8
+            pass
+    _sidecar_error(path, columns)
 
 
-def _plain_names(tokens: list[str], lines: int, columns: int,
-                 mapping: dict[int, UnknownId], seen: set[UnknownId]) -> bool:
-    """Take a plain sidecar piece's lines; False, with nothing taken, when
-    one of them is not the next column's plainly."""
-    first = len(mapping) + 1
-    if len(mapping) + lines > columns:
+def _plain_names(piece: str, columns: int, mapping: dict[int, UnknownId],
+                 seen: set[UnknownId]) -> bool:
+    """Take a sidecar piece's lines into ``mapping`` and their unknowns
+    into ``seen``; False when a line is wrong.
+
+    The lines may come in any order, with blank lines and any whitespace
+    between tokens; the unknowns are made per run of one kind, and the
+    columns and unknowns are each probed once, by one ``update`` and a
+    check of the size.
+    """
+    tokens = _fields(piece, 4)
+    if not tokens:
+        return tokens is not None
+    lines = len(tokens) // 4
+    letters, names = tokens[1::4], tokens[3::4]
+    if len(mapping) + lines > columns or not _PREFIX.keys() >= set(letters):
         return False
-    letters, indices, names = tokens[1::4], tokens[2::4], tokens[3::4]
-    if tokens[0::4] != list(map(str, range(first, first + lines))) or \
-            not _PREFIX.keys() >= set(letters) or \
-            not "".join(indices).isdigit():
+    js, numbers = _integers(tokens[0::4]), _integers(tokens[2::4])
+    if js is None or numbers is None or min(js) < 1 or max(js) > columns \
+            or min(numbers) < 0:
         return False
     try:
-        numbers = list(map(int, indices))
         UnknownId(KIND_C, max(numbers))  # every index is in range
-    except ValueError:  # over the int/str digit limit, or out of range
+    except ValueError:
         return False
     if names != list(map(add, map(_PREFIX.__getitem__, letters),
                          map(str, numbers))):
@@ -302,43 +337,45 @@ def _plain_names(tokens: list[str], lines: int, columns: int,
     unknowns = list(chain.from_iterable(
         UnknownId._at(KIND_BY_LETTER[letter], map(itemgetter(1), run))
         for letter, run in groupby(zip(letters, numbers), itemgetter(0))))
-    fresh = set(unknowns)
-    if len(fresh) != lines or not seen.isdisjoint(fresh):
-        return False
-    mapping.update(zip(range(first, first + lines), unknowns))
-    seen |= fresh
-    return True
+    count, named = len(mapping), len(seen)
+    mapping.update(zip(js, unknowns))
+    seen.update(unknowns)
+    return len(mapping) == count + lines and len(seen) == named + lines
 
 
-def _sidecar_lines(lines: Iterable[tuple[int, str]], columns: int,
-                   mapping: dict[int, UnknownId], seen: set[UnknownId]
-                   ) -> None:
-    """Take numbered sidecar lines one at a time, checking each."""
-    for lineno, line in lines:
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 4 or parts[1] not in KIND_BY_LETTER:
-            raise ParseError("expected 'j kind index name'", lineno)
-        j, index = _parse_integer(parts[0]), _parse_integer(parts[2])
-        if j is None or index is None:
-            raise ParseError("bad column or index", lineno)
-        try:
-            uid = UnknownId(KIND_BY_LETTER[parts[1]], index)
-        except ValueError as exc:
-            raise ParseError(_cut(str(exc), _SHOWN_MESSAGE), lineno) from exc
-        if parts[3] != uid.name:
-            raise ParseError(f"name {_cut(parts[3])!r} does not match its "
-                             f"kind and index ({uid.name})", lineno)
-        if j in mapping:
-            raise ParseError(f"column {j} named twice", lineno)
-        if uid in seen:
-            raise ParseError(f"{uid.name} names two columns", lineno)
-        if not 1 <= j <= columns:
-            raise ParseError(f"sidecar names column {_cut(str(j))}, outside "
-                             f"the header's 1..{columns}", lineno)
-        mapping[j] = uid
-        seen.add(uid)
+def _sidecar_error(path: str, columns: int) -> NoReturn:
+    """Read a sidecar :func:`read_names` refused line by line from the
+    top and raise the error of the first wrong line."""
+    named: set[int] = set()
+    seen: set[UnknownId] = set()
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in _lines(handle):
+            parts = line.split()
+            if not parts:
+                continue
+            if len(parts) != 4 or parts[1] not in KIND_BY_LETTER:
+                raise ParseError("expected 'j kind index name'", lineno)
+            j, index = _parse_integer(parts[0]), _parse_integer(parts[2])
+            if j is None or index is None:
+                raise ParseError("bad column or index", lineno)
+            try:
+                uid = UnknownId(KIND_BY_LETTER[parts[1]], index)
+            except ValueError as exc:
+                raise ParseError(_cut(str(exc), _SHOWN_MESSAGE),
+                                 lineno) from exc
+            if parts[3] != uid.name:
+                raise ParseError(f"name {_cut(parts[3])!r} does not match "
+                                 f"its kind and index ({uid.name})", lineno)
+            if j in named:
+                raise ParseError(f"column {j} named twice", lineno)
+            if uid in seen:
+                raise ParseError(f"{uid.name} names two columns", lineno)
+            if not 1 <= j <= columns:
+                raise ParseError(f"sidecar names column {_cut(str(j))}, "
+                                 f"outside the header's 1..{columns}", lineno)
+            named.add(j)
+            seen.add(uid)
+    raise AssertionError(f"{path}: no line of the sidecar is wrong")
 
 
 def read_system(path: str) -> LinearSystem:
@@ -346,40 +383,45 @@ def read_system(path: str) -> LinearSystem:
 
     The header comes first; a header declaring more columns than the
     unknown guard allows is refused before anything is built.  The
-    sidecar is read right after the header and may name only its
-    columns.  The body is read in pieces of whole lines (:func:`_pieces`)
-    in one pass.  A plain piece (:meth:`_Entries.plain`) goes into the
-    packed rows whole, by one split and maps over its tokens; any other
-    piece goes line by line, numbered on from the pieces before it, with
-    every check and message of its line.  Lines end in ``\\n``,
-    ``\\r\\n`` or a lone ``\\r``, each a ``\\n`` once read as text; bytes
-    that are not UTF-8 are refused as the piece holding them is read,
-    before its lines are checked.  Each distinct column and value token
-    is parsed and checked once, and the row of the last row token is
-    kept, so rows given in order cost one check each; a token that
-    spells the same number another way, such as ``01`` for ``1``, names
-    the same row or column.  Every entry is checked against duplicates.
-    Entries go straight into the packed rows of the result, in file order
-    within a row; a row given in several runs of lines is joined in that
-    order.  Only rows with entries become rows of the system, so the
-    header's row count costs nothing; row i has id i - 1, and zero values
-    drop out.  Every declared column is an unknown, free unless an entry
-    says otherwise.
+    sidecar is read right after the header (:func:`read_names`) and may
+    name only its columns.  The body is read in pieces of whole lines
+    (:func:`_pieces`), each taken whole into the packed rows of the
+    result (:meth:`_Entries.plain`); lines end in ``\\n``, ``\\r\\n`` or a
+    lone ``\\r``, each a ``\\n`` once read as text.  Entries keep their
+    file order within a row, row i has id i - 1, and zero values drop
+    out; a row given in several runs of lines is joined in that order.
+    Only rows with entries become rows of the system, so the header's row
+    count costs nothing.  Every declared column is an unknown, free unless
+    an entry says otherwise.
+
+    A file that fails a check, lacks its terminator or is not UTF-8 is
+    read again from the top line by line (:func:`_entry_error`), which
+    raises the error of its first wrong line, with that line's number.
     """
     with open(path, encoding="utf-8") as handle:
+        _, m, n = _header(handle)
+        entries = _Entries(*_empty_system(path, n), m, n)
         try:
-            return _read_triples(path, handle)
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8 text") from exc
+            system = entries.read(_pieces(handle))
+        except ParseError:  # not UTF-8
+            system = None
+    if system is None:
+        _entry_error(path)
+    return system
 
 
-def _read_triples(path: str, handle) -> LinearSystem:
-    for lineno, raw in enumerate(iter(handle.readline, ""), start=1):
-        parts = raw.split()
-        if parts:
-            break
-    else:
-        raise ParseError("empty file", 1)
+def _header(handle) -> tuple[int, int, int]:
+    """The line number of a system file's header, its first line that is
+    not blank, and the counts ``m n`` it declares, checked."""
+    try:
+        for lineno, raw in enumerate(iter(handle.readline, ""), start=1):
+            parts = raw.split()
+            if parts:
+                break
+        else:
+            raise ParseError("empty file", 1)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{handle.name}: not UTF-8 text") from exc
     if len(parts) != 2:
         raise ParseError("expected header 'm n'", lineno)
     m, n = map(_parse_integer, parts)
@@ -391,88 +433,76 @@ def _read_triples(path: str, handle) -> LinearSystem:
     if n > limit:
         raise TooLargeError(f"header declares {_cut(str(n))} unknowns, "
                             f"over the guard of {limit}")
-    entries = _Entries(*_empty_system(path, n), m, n, lineno)
-    for piece in _pieces(handle):
-        if not entries.plain(piece):
-            entries.lines(piece)
-    return entries.result()
+    return lineno, m, n
 
 
 class _Entries:
     """The entries of a system file, taken piece by piece straight into
-    the arrays of a system.
+    the arrays of a system, checked by whole pieces.
 
-    Key -1 is the constant, any other key a column.  The arrays hold one
-    piece per run of lines on one row.  While the rows come in increasing
-    order each piece is a whole row, and ``seen`` holds the keys of the
-    open one, the last, for the duplicate check.  Once a row comes back or
-    out of order, every row's keys are kept in ``row_keys`` instead, and
-    the pieces are joined at the end.  A zero value is never cached or
-    stored, only noted for the duplicate check.
+    Key -1 is the constant, any other key a column.  The arrays hold an
+    entry per run of lines on one row; while the rows come in increasing
+    order each entry is a whole row, and ``seen`` holds the keys of the
+    last one, which the next piece may go on with.  A nonzero constant
+    goes into its entry's slot, and a zero value drops out once its key
+    is checked.  Once a row comes back or out of order, :func:`_joined`
+    joins the entries of each row at the end and checks each row for a
+    key given twice, the keys of its zeros included (the row assembly
+    from unordered triples of Gustavson, ACM TOMS 4, 1978).
     """
 
     def __init__(self, system: LinearSystem, column: Sequence[int], m: int,
-                 n: int, lineno: int):
-        self.system, self.column, self.m, self.n = system, column, m, n
+                 n: int):
+        self.system, self.column, self.n = system, column, n
         self.top = min(m, _ROW_LIMIT)
         self.keys: dict[str, int] = {}
         self.cache: dict[str, Rational] = {}
-        self.zero_keys: list[tuple[int, int]] = []  # (piece, key) of a zero
-        self.row_keys: dict[int, set[int]] | None = None
         self.seen: set[int] = set()
-        #: The open row's largest key, or None until it is looked up.
-        self.high: int | None = None
-        self.row_token: str | None = None
-        self.i = 0  # no row
-        self.lineno = self.last = lineno
+        self.i = 0  # the last row read; none yet
+        self.back = False  # a row came back or out of order
+        self.zeros: list[tuple[int, int]] = []  # (entry, key) of each zero
         self.done = False  # the terminator was read
 
-    def plain(self, piece: str) -> bool:
-        """Take a plain piece into the arrays whole; False, with no row
-        touched, for any other piece.
+    def read(self, pieces: Iterable[str]) -> LinearSystem | None:
+        """The system of the file's pieces, or None when one of them or
+        the whole fails a check."""
+        if not all(map(self.plain, pieces)) or not self.done:
+            return None
+        system = self.system
+        if system.ids:
+            system.starts.append(len(system.cols))
+        return _joined(system, self.zeros) if self.back else system
 
-        A plain piece is ASCII, its lines are ``i j value`` with single
-        spaces, its row tokens are digits, its rows never fall below the
-        last row read and stay within 1..min(m, 2**63), its columns are
-        in 1..n and ascend within each row (which leaves no duplicate),
-        and its values are nonzero; a ``0`` row token comes only in the
-        terminator, as its last line.  Rows keep going on from the
-        pieces before, in order.
+    def plain(self, piece: str) -> bool:
+        """Take a piece into the arrays whole; False when it fails a
+        check.
+
+        Its lines are ``i j value`` or blank, with any whitespace between
+        tokens (:func:`_fields`); rows are in 1..min(m, 2**63), columns in
+        0..n, values rational, and no entry holds a key twice.  The
+        terminator ``0 0 0`` is the last line that is not blank, and only
+        blank pieces come after it.
         """
-        if self.done or self.row_keys is not None:
-            return False
-        tokens = piece.split()
-        lines = _layout(piece, tokens, 3)
-        if lines is None:
-            return False
-        done = tokens[-3:] == ["0", "0", "0"]
-        if done:
+        tokens = _fields(piece, 3)
+        if tokens is None or self.done:
+            return tokens == []  # only blank lines after the terminator
+        self.done = tokens[-3:] == ["0", "0", "0"]
+        if self.done:
             del tokens[-3:]
-        if tokens and not self._take(tokens):
-            return False
-        self.lineno = self.last = self.lineno + lines
-        self.done = done
-        return True
+        return not tokens or self._take(tokens)
 
     def _take(self, tokens: list[str]) -> bool:
-        """Take the entry tokens of a piece laid out plainly, the
-        terminator cut off; False, with no row touched, when one of the
-        other checks fails."""
+        """Take the entry tokens of a piece, the terminator cut off;
+        False when a check fails."""
         rows, names, texts = tokens[0::3], tokens[1::3], tokens[2::3]
         # the first line of each run of one row token, and its row
         runs = [0, *compress(range(1, len(rows)), map(ne, rows[1:], rows))]
-        heads = list(map(rows.__getitem__, runs))
-        if not "".join(heads).isdigit():
-            return False
-        try:
-            numbers = list(map(int, heads))
-        except ValueError:  # over Python's int/str digit limit
+        numbers = _integers(list(map(rows.__getitem__, runs)))
+        if numbers is None or min(numbers) < 1 or max(numbers) > self.top:
             return False
         before = [self.i, *numbers[:-1]]
-        if numbers[0] < 1 or numbers[-1] > self.top or \
-                any(map(gt, before, numbers)):
-            return False
-        opens = list(map(lt, before, numbers))  # a run that starts a row
+        self.back = self.back or any(map(gt, before, numbers))
+        opens = list(map(ne, before, numbers))  # a run that opens an entry
         firsts = list(compress(runs, opens))
 
         keys, cache = self.keys, self.cache
@@ -485,139 +515,103 @@ class _Entries:
             keys[name] = self.column[j]
         if missing:
             found = list(map(keys.__getitem__, names))
-        if min(found) < 0:  # column 0, a constant
-            return False
-        # columns ascend within each row when every fall starts a row
-        bounds = set(firsts)
-        if not all(map(bounds.__contains__, compress(
-                range(1, len(found)), map(ge, found, found[1:])))):
-            return False
-        if not opens[0]:
-            if self.high is None:
-                self.high = max(self.seen, default=-2)
-            if found[0] <= self.high:
-                return False
         values = list(map(cache.get, texts))
         missing = _missing(texts, values)
         for text in missing:
             try:
-                value = _parse_rational(text, None)
+                cache[text] = _parse_rational(text, None)
             except ParseError:
                 return False
-            if not value:
-                return False
-            cache[text] = value
         if missing:
             values = list(map(cache.__getitem__, texts))
 
-        system, base = self.system, len(self.system.cols)
-        fresh = list(compress(numbers, opens))
-        system.starts.extend(islice(map(add, firsts, repeat(base)),
-                                    0 if system.ids else 1, None))
-        system.ids.extend(map(sub, fresh, repeat(1)))
-        system.consts.extend(repeat(0, len(fresh)))
-        system.cols.fromlist(found)
-        system.values.extend(values)
+        # no entry holds a key twice: the open one by the size of its set
+        # of keys, the others by their keys ascending or the size of theirs
+        end = len(found)
+        if not opens[0]:
+            count, part = len(self.seen), firsts[0] if firsts else end
+            self.seen.update(found[:part])
+            if len(self.seen) != count + part:
+                return False
+        bounds = set(firsts)
+        if not all(map(bounds.__contains__, compress(
+                range(1, end), map(ge, found, found[1:])))) and \
+                any(len(set(found[a:b])) != b - a
+                    for a, b in zip(firsts, [*firsts[1:], end])):
+            return False
         if firsts:
             self.seen = set(found[firsts[-1]:])
-        else:
-            self.seen.update(found)
-        self.high, self.i, self.row_token = found[-1], numbers[-1], rows[-1]
+
+        system, base = self.system, len(self.system.cols)
+        entry = len(system.ids) - 1  # the open entry, before the fresh ones
+        fresh = list(compress(numbers, opens))
+        system.ids.extend(map(sub, fresh, repeat(1)))
+        system.consts.extend(repeat(0, len(fresh)))
+        if min(found) < 0 or not all(values):
+            # out of the arrays by one compress: a nonzero constant into its
+            # entry's slot, and the key of a zero into ``zeros``
+            keep = list(map(and_, map(ge, found, repeat(0)),
+                            map(bool, values)))
+            at = list(compress(range(end), map(not_, keep)))
+            for p in at:
+                k = entry + bisect_right(firsts, p)
+                if values[p]:
+                    system.consts[k] = values[p]
+                else:
+                    self.zeros.append((k, found[p]))
+            found = list(compress(found, keep))
+            values = list(compress(values, keep))
+            firsts = [f - bisect_left(at, f) for f in firsts]
+        system.starts.extend(islice(map(add, firsts, repeat(base)),
+                                    0 if entry >= 0 else 1, None))
+        system.cols.fromlist(found)
+        system.values.extend(values)
+        self.i = numbers[-1]
         return True
 
-    def lines(self, piece: str) -> None:
-        """Take a piece line by line, checking each."""
-        lines = _lines_of(piece)
-        numbered = enumerate(lines, self.lineno + 1)
-        self.lineno += len(lines)
-        self.high = None
-        if not self.done:
-            self._entry_lines(numbered)
-        for lineno, raw in numbered:
-            if raw.split():
-                raise ParseError("content after terminator", lineno)
 
-    def _entry_lines(self, numbered: Iterator[tuple[int, str]]) -> None:
-        """The entry lines up to the terminator, if it comes."""
-        system, column, m, n, top = (self.system, self.column, self.m,
-                                     self.n, self.top)
-        ids, consts, starts = system.ids, system.consts, system.starts
-        cols, values = system.cols, system.values
-        keys, cache, zero_keys = self.keys, self.cache, self.zero_keys
-        row_keys, seen, row_token, i, last = (self.row_keys, self.seen,
-                                              self.row_token, self.i,
-                                              self.last)
-        for lineno, raw in numbered:
-            try:
-                i_token, j_token, value_token = raw.split()
-            except ValueError:
-                if raw.split():
-                    raise ParseError("expected 'i j value'", lineno) from None
+def _entry_error(path: str) -> NoReturn:
+    """Read a system file :func:`read_system` refused line by line from
+    the top and raise the error of the first wrong line, or the missing
+    terminator's.  Only each row's columns are kept, for the duplicate
+    check."""
+    cells: dict[int, set[int]] = {}
+    done = False
+    with open(path, encoding="utf-8") as handle:
+        last, m, n = _header(handle)
+        top = min(m, _ROW_LIMIT)
+        for lineno, raw in _lines(handle, last):
+            parts = raw.split()
+            if not parts:
                 continue
+            if done:
+                raise ParseError("content after terminator", lineno)
+            if len(parts) != 3:
+                raise ParseError("expected 'i j value'", lineno)
             last = lineno
-            if i_token != row_token:
-                if i_token == "0" and j_token == "0" and value_token == "0":
-                    self.done = True
-                    break
-                row = _parse_integer(i_token)
-                if row is None or (j_token not in keys
-                                   and _parse_integer(j_token) is None):
-                    raise ParseError("bad indices", lineno)
-                if not 1 <= row <= top:
-                    raise BoundsError(
-                        f"row {_cut(str(row))} outside 1..{_cut(str(m))}"
-                        if row < 1 or row > m else
-                        f"row {_cut(str(row))} over the {_ROW_LIMIT} rows a "
-                        f"system holds", lineno)
-                if row != i:
-                    if row_keys is None and row < i:
-                        row_keys = _keys_by_row(system, zero_keys, seen)
-                    if row_keys is None:
-                        seen = set()
-                    else:
-                        seen = row_keys.setdefault(row - 1, set())
-                    if ids:
-                        starts.append(len(cols))
-                    ids.append(row - 1)
-                    consts.append(0)
-                    i = row
-                row_token = i_token
-            key = keys.get(j_token)
-            if key is None:
-                j = _parse_integer(j_token)
-                if j is None:
-                    raise ParseError("bad indices", lineno)
-                if not 0 <= j <= n:
-                    raise BoundsError(f"column {_cut(str(j))} outside 0..{n}",
-                                      lineno)
-                key = keys[j_token] = column[j]
-            if key in seen:
-                raise ParseError(f"duplicate entry ({i}, {int(j_token)})",
-                                 lineno)
-            seen.add(key)
-            value = cache.get(value_token)
-            if value is None:
-                value = _parse_rational(value_token, lineno)
-                if not value:
-                    zero_keys.append((len(ids) - 1, key))
-                    continue
-                cache[value_token] = value
-            if key < 0:
-                consts[-1] = value
-            else:
-                cols.append(key)
-                values.append(value)
-        self.row_keys, self.seen, self.row_token, self.i, self.last = (
-            row_keys, seen, row_token, i, last)
-
-    def result(self) -> LinearSystem:
-        """The system read, once every piece is in."""
-        if not self.done:
-            raise ParseError("missing '0 0 0' terminator", self.last)
-        system = self.system
-        if system.ids:
-            system.starts.append(len(system.cols))
-        return system if self.row_keys is None else _joined(system)
+            if parts == ["0", "0", "0"]:
+                done = True
+                continue
+            i, j = _parse_integer(parts[0]), _parse_integer(parts[1])
+            if i is None or j is None:
+                raise ParseError("bad indices", lineno)
+            if not 1 <= i <= top:
+                raise BoundsError(
+                    f"row {_cut(str(i))} outside 1..{_cut(str(m))}"
+                    if i < 1 or i > m else
+                    f"row {_cut(str(i))} over the {_ROW_LIMIT} rows a "
+                    f"system holds", lineno)
+            if not 0 <= j <= n:
+                raise BoundsError(f"column {_cut(str(j))} outside 0..{n}",
+                                  lineno)
+            row = cells.setdefault(i, set())
+            if j in row:
+                raise ParseError(f"duplicate entry ({i}, {j})", lineno)
+            row.add(j)
+            _parse_rational(parts[2], lineno)
+    if not done:
+        raise ParseError("missing '0 0 0' terminator", last)
+    raise AssertionError(f"{path}: no line of the system file is wrong")
 
 
 def _empty_system(path: str, n: int) -> tuple[LinearSystem, Sequence[int]]:
@@ -640,34 +634,29 @@ def _empty_system(path: str, n: int) -> tuple[LinearSystem, Sequence[int]]:
 _ROW_LIMIT = 1 << 63
 
 
-def _keys_by_row(pieces: LinearSystem, zero_keys: list[tuple[int, int]],
-                 current: set[int]) -> dict[int, set[int]]:
-    """Each row's keys while the rows have come in order, a piece each,
-    the last one still open with the keys ``current``."""
-    ids, starts, cols = pieces.ids, pieces.starts, pieces.cols
-    row_keys = {ids[p]: set(cols[starts[p]:starts[p + 1]])
-                for p in range(len(ids) - 1)}
-    row_keys[ids[-1]] = current
-    for p, const in enumerate(pieces.consts):
-        if const:
-            row_keys[ids[p]].add(-1)
-    for p, key in zero_keys:
-        row_keys[ids[p]].add(key)
-    return row_keys
-
-
-def _joined(pieces: LinearSystem) -> LinearSystem:
-    """Rows in id order, each joined from its pieces in arrival order."""
+def _joined(pieces: LinearSystem, zeros: list[tuple[int, int]]
+            ) -> LinearSystem | None:
+    """Rows in id order, each joined from its entries in arrival order;
+    None when a row holds a key twice, its constant and the keys of its
+    zero values, (entry, key) in ``zeros``, counted."""
+    dropped: dict[int, list[int]] = {}
+    for p, key in zeros:
+        dropped.setdefault(p, []).append(key)
     system = LinearSystem.over(pieces.universe)
     starts, cols, values = pieces.starts, pieces.cols, pieces.values
     order = sorted(range(len(pieces.ids)), key=pieces.ids.__getitem__)
     for row_id, group in groupby(order, key=pieces.ids.__getitem__):
         group = list(group)
-        system.append(row_id, sum(pieces.consts[p] for p in group),
-                      chain.from_iterable(cols[starts[p]:starts[p + 1]]
-                                          for p in group),
-                      chain.from_iterable(values[starts[p]:starts[p + 1]]
-                                          for p in group))
+        keys = list(chain.from_iterable(cols[starts[p]:starts[p + 1]]
+                                        for p in group))
+        row = list(chain.from_iterable(values[starts[p]:starts[p + 1]]
+                                       for p in group))
+        consts = list(filter(None, map(pieces.consts.__getitem__, group)))
+        marks = keys + [-1] * len(consts)
+        marks += [key for p in group for key in dropped.get(p, ())]
+        if len(set(marks)) != len(marks):
+            return None
+        system.append(row_id, sum(consts), keys, row)
     return system
 
 
@@ -774,25 +763,22 @@ def _read_solution(path: str, plain: bool) -> SolutionState:
     names = {"ZEROS": zeros, "FREE": free} if plain else {}
     section, lineno = None, 0
     with open(path, encoding="utf-8") as handle:
-        try:
-            for piece in _pieces(handle):
-                # runs of lines, each followed by a header line but the last
-                parts = _HEADER.split(piece)
-                for run, header in zip(parts[::2], [*parts[1::2], None]):
-                    domain = names.get(section)
-                    lines = None if domain is None else \
-                        _plain_unknowns(run, domain)
-                    if lines is None:
-                        text = _lines_of(run)
-                        section = _solution_lines(
-                            enumerate(text, lineno + 1), section, zeros,
-                            pivots, free)
-                        lines = len(text)
-                    lineno += lines
-                    if header is not None:
-                        section, lineno = header, lineno + 1
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8 text") from exc
+        for piece in _pieces(handle):
+            # runs of lines, each followed by a header line but the last
+            parts = _HEADER.split(piece)
+            for run, header in zip(parts[::2], [*parts[1::2], None]):
+                domain = names.get(section)
+                lines = None if domain is None else \
+                    _plain_unknowns(run, domain)
+                if lines is None:
+                    text = _lines_of(run)
+                    section = _solution_lines(
+                        enumerate(text, lineno + 1), section, zeros,
+                        pivots, free)
+                    lines = len(text)
+                lineno += lines
+                if header is not None:
+                    section, lineno = header, lineno + 1
     domains = [zeros, set(pivots), free]
     for i in range(3):
         for j in range(i + 1, 3):

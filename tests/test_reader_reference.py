@@ -8,14 +8,15 @@ line is parsed in full with ``int()``, and rows are grouped with
 reads it too.  The two must return the same system, equation by equation
 and term by term in the same order and with the same value types (a
 whole number is an int, ``4/2`` included), or raise the same exception
-type with the same message.  The reader takes plain pieces of a file
-whole and any other piece line by line, so each check runs again with
-the pieces cut down to a few characters (``in_pieces``), where piece
-boundaries fall inside rows and the two ways of reading hand over to
-each other.  The token spellings the reader's grammar now refuses
-(underscores, non-ASCII digits, a terminator whose third field is not
-``0``) are left out; ``tests/test_formats.py`` pins them.  Examples are
-derandomized, so the suite is deterministic.
+type with the same message.  The reader takes each piece of a file
+whole, and reads a file it refuses again line by line only to name the
+error, so each check runs again with the pieces cut down to a few
+characters (``in_pieces``), where piece boundaries fall inside rows; a
+valid file must never reach the line readers.  The token spellings the
+reader's grammar now refuses (underscores, non-ASCII digits, a
+terminator whose third field is not ``0``) are left out;
+``tests/test_formats.py`` pins them.  Examples are derandomized, so the
+suite is deterministic.
 """
 
 import os
@@ -25,7 +26,7 @@ from typing import Iterator
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selsolve import formats
@@ -453,3 +454,96 @@ def test_invalid_utf8_after_plain_pieces(tmp_path):
     text = f"1200 3\n{body}".encode()
     for tail in (b"\xff\n0 0 0\n", b"1201 1 \xc3\n", b"\xe2\x82"):
         assert_reads_alike(tmp_path / "u.sys", text + tail)
+
+
+def plainly():
+    """Fail the test when a file reaches a line reader: those only name
+    the error of a file the plain path refused."""
+    def refused(path, *args):
+        pytest.fail(f"{path} reached a line reader")
+    return mock.patch.multiple(formats, _entry_error=refused,
+                               _sidecar_error=refused)
+
+
+@pytest.mark.parametrize("size", [None, *PIECE_SIZES])
+@settings(derandomized, max_examples=100)
+@given(files=system_files())
+def test_a_valid_file_never_reaches_the_line_reader(workdir, size, files):
+    path = write_files(workdir, files)
+    expected = outcome(reference_read_system, path)
+    if isinstance(expected[0], type):  # an exception: the file is wrong
+        return
+    with plainly(), in_pieces(size or formats._READ):
+        assert outcome(read_system, path) == expected
+
+
+@pytest.fixture(scope="module")
+def respelled(symmetry_files, bare_symmetry_files, tmp_path_factory):
+    """Path -> its copies with CRLF line ends, with a tab for each space
+    and with two spaces for each, the sidecar copied alike, for every
+    symmetry file."""
+    copies: dict[str, list[str]] = {}
+    for files in symmetry_files, bare_symmetry_files:
+        for path in files.values():
+            copies[path] = []
+            for old, new in (b"\n", b"\r\n"), (b" ", b"\t"), (b" ", b"  "):
+                directory = tmp_path_factory.mktemp("respelled")
+                for name in path, names_path_for(path):
+                    if os.path.exists(name):
+                        with open(name, "rb") as handle:
+                            data = handle.read().replace(old, new)
+                        (directory / os.path.basename(name)).write_bytes(data)
+                copies[path].append(str(directory / os.path.basename(path)))
+    return copies
+
+
+def packed(system: LinearSystem) -> tuple:
+    """A system's universe and packed rows, to compare two reads."""
+    return (system.universe, system.ids, system.consts, system.starts,
+            system.cols, system.values)
+
+
+@pytest.mark.parametrize("degree", [3, 4, 5, 6, 7])
+def test_symmetry_files_never_reach_the_line_reader(
+        symmetry_files, bare_symmetry_files, respelled, degree):
+    # each read of the file itself is checked against the reference above
+    with plainly():
+        for path in symmetry_files[degree], bare_symmetry_files[degree]:
+            read = packed(read_system(path))
+            for copy in respelled[path]:
+                assert packed(read_system(copy)) == read, copy
+
+
+@st.composite
+def pieces_of_lines(draw) -> tuple[str, int]:
+    """A piece as the reader cuts it, lines that each end in a newline or
+    one line without, and the width its lines are checked against: most
+    lines hold that many tokens cut by one character of whitespace."""
+    width = draw(st.sampled_from([3, 4]))
+    gap = st.sampled_from([" "] * 4 + ["\t", "\x0b", "\x1c", "\xa0", "  "])
+    edge = st.sampled_from([""] * 3 + [" ", "\t"])
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        count = draw(st.sampled_from([width] * 2 + list(range(width + 2))))
+        tokens = draw(st.lists(st.sampled_from(["1", "-2", "0", "x"]),
+                               min_size=count, max_size=count))
+        line = "".join(token + draw(gap) for token in tokens)[:-1]
+        lines.append(draw(edge) + line + draw(edge))
+    if draw(st.sampled_from([True, True, False])):
+        return "".join(line + "\n" for line in lines), width
+    return lines[0], width
+
+
+@derandomized
+@given(case=pieces_of_lines())
+# two short lines as many tokens as one line; a last line short of the
+# width with as much whitespace as tokens
+@example(case=("1 2\n3\n", 3))
+@example(case=("0 0 ", 3))
+def test_fields_are_the_tokens_of_lines_of_one_width(case):
+    # the layout check that spares most pieces the split into lines
+    # takes no piece the split would refuse, and refuses none it takes
+    piece, width = case
+    counts = {len(line.split()) for line in piece.split("\n")}
+    assert formats._fields(piece, width) \
+        == (piece.split() if counts <= {0, width} else None)
