@@ -460,6 +460,7 @@ class _Entries:
         self.seen: set[int] = set()
         self.i = 0  # the last row read; none yet
         self.back = False  # a row came back or out of order
+        self.zero_token = False  # a value token spelling zero was read
         self.zeros: list[tuple[int, int]] = []  # (entry, key) of each zero
         self.done = False  # the terminator was read
 
@@ -519,9 +520,10 @@ class _Entries:
         missing = _missing(texts, values)
         for text in missing:
             try:
-                cache[text] = _parse_rational(text, None)
+                value = cache[text] = _parse_rational(text, None)
             except ParseError:
                 return False
+            self.zero_token = self.zero_token or not value
         if missing:
             values = list(map(cache.__getitem__, texts))
 
@@ -547,7 +549,7 @@ class _Entries:
         fresh = list(compress(numbers, opens))
         system.ids.extend(map(sub, fresh, repeat(1)))
         system.consts.extend(repeat(0, len(fresh)))
-        if min(found) < 0 or not all(values):
+        if min(found) < 0 or (self.zero_token and not all(values)):
             # out of the arrays by one compress: a nonzero constant into its
             # entry's slot, and the key of a zero into ``zeros``
             keep = list(map(and_, map(ge, found, repeat(0)),
