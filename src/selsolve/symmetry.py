@@ -17,11 +17,12 @@ slot 2t + j is the side condition's auxiliary a_j.  The unknowns known
 to vanish are a ``bytearray`` mask over the slots, 1 per dead slot, and
 each condition is formulated over the live slots and labels them by
 slot.  Every condition is an :class:`Incidence` of packed ints
-``key << shift | slot << 1 | sign``, one per nonzero coefficient, whose
-order is deglex order; a coefficient that is not +-1 keeps its exact
-value in a side table.  The entries are made in chunks and live as
-key-ordered ``array('Q')`` buckets until the first harvest; a walk sorts
-one bucket at a time, so no list of every entry exists as Python ints.
+``key << shift | sign << (shift - 1) | slot``, one per nonzero
+coefficient, whose order is deglex order, so a harvest reads a slot with
+one mask; a coefficient that is not +-1 keeps its exact value in a side
+table.  The entries are made in chunks and live as key-ordered
+``array('Q')`` buckets until the first harvest; a walk sorts one bucket
+at a time, so no list of every entry exists as Python ints.
 Both kinds of condition take D_tau(P) from one rule over one walk of
 the live slots (:func:`_dtau_targets`).  The side condition
 (:class:`NecessaryCondition`) packs two entries per live slot directly,
@@ -36,8 +37,9 @@ that prunes, marks the slot of each 1-term word dead and keeps the
 surviving ints, as a list, for the next pass.  :func:`complete_split`
 is the one path from incidences to a numbered :class:`LinearSystem`:
 it walks each condition's ints once, straight into packed rows over the
-ranks of the live slots, so no word is decoded; the system is solved
-over slots until a solution is given out in unknowns.
+ranks of the live slots, each word put back in slot order first, so no
+word is decoded; the system is solved over slots until a solution is
+given out in unknowns.
 """
 
 from __future__ import annotations
@@ -270,10 +272,6 @@ def _dtau_targets(p: NCPoly, ansatz: SymmetryAnsatz, dead: bytes | None,
                    [(apply(chunk), c) for apply, c in columns[g]])
 
 
-#: The sign bit of an entry whose coefficient is +-1, and back.
-_UNIT_SIGN = {1: 0, -1: 1}
-_UNIT = [1, -1]  # a list: its __getitem__ maps faster than a tuple's
-
 #: Packed entries reach an :class:`Incidence` in chunks of about this
 #: many ints; N's chunks hold half as many live slots.
 _CHUNK = 1 << 12
@@ -334,13 +332,15 @@ def _drained(buckets: list[tuple[int, array]]) -> Iterator[list[int]]:
 class Incidence:
     """A condition as a sorted sparse incidence of words and slots.
 
-    An entry is one int, ``key << shift | slot << 1 | sign``: the word's
-    :func:`word_key` above the slot whose coefficient it carries, and 1 in
-    the sign bit for a negative one.  In int order the words run deglex,
-    and within a word every slot occurs at most once.  A coefficient
-    that is not +-1 keeps its exact value in a side table keyed by the
-    entry, read only when decoding; the conditions of the default system
-    have none.
+    An entry is one int, ``key << shift | sign << (shift - 1) | slot``:
+    the word's :func:`word_key` above a sign bit, 1 for a negative
+    coefficient, above the slot whose coefficient it carries, so
+    ``e >> shift`` is the word and ``e & (1 << shift - 1) - 1`` the slot.
+    In int order the words run deglex; within a word every slot occurs at
+    most once, and the +1 entries come before the -1 entries, each run by
+    slot.  A coefficient that is not +-1 keeps its exact value in a side
+    table keyed by the entry, read only when decoding; the conditions of
+    the default system have none.
 
     The entries arrive in chunks and are held in key-ordered
     ``array('Q')`` buckets (:func:`_bucketed`) until the first
@@ -369,19 +369,20 @@ class Incidence:
         coefficient) per slot; a sum of 0 drops out.  The sums are packed
         as they arrive and spilled into the buckets chunk by chunk."""
         shift = (2 * slot_count).bit_length()
+        sign = 1 << shift - 1
+        unit_sign = {1: 0, -1: sign}
         exact: dict[int, Rational] = {}
 
         def chunks() -> Iterator[list[int]]:
             entries: list[int] = []
             for slot, by_key in sums:
-                base = slot << 1
                 try:
-                    entries += [k << shift | base | _UNIT_SIGN[c]
+                    entries += [k << shift | unit_sign[c] | slot
                                 for k, c in by_key.items() if c]
                 except KeyError:  # a sum that is not +-1 is kept exactly
                     for k, c in by_key.items():
                         if c:
-                            e = k << shift | base | (c < 0)
+                            e = k << shift | (sign if c < 0 else 0) | slot
                             entries.append(e)
                             if c != 1 and c != -1:
                                 exact[e] = c
@@ -410,10 +411,10 @@ class Incidence:
         slots or over ``labels``, the label of each slot.  A slot labelled
         None is dead and drops out, and so does a word left with none."""
         shift, exact = self._shift, self._exact
-        low = (1 << shift) - 1
+        sign = 1 << shift - 1
+        low = sign - 1
         if labels is None:
-            labels = range(1 << shift - 1)
-        unit = (1, -1)
+            labels = range(sign)
         word, coeffs = 0, {}  # 0 is no word's key
         for e in self.walk():
             key = e >> shift
@@ -422,7 +423,7 @@ class Incidence:
                 if coeffs:
                     yield word, AffineForm._raw(0, coeffs)
                 word, coeffs = key, {}
-            coeffs[labels[(e & low) >> 1]] = exact.get(e) or unit[e & 1]
+            coeffs[labels[e & low]] = exact.get(e) or (-1 if e & sign else 1)
         coeffs.pop(None, None)
         if coeffs:
             yield word, AffineForm._raw(0, coeffs)
@@ -442,7 +443,7 @@ class Incidence:
         vanishes only by pruning.  Returns the number of slots marked.
         """
         shift = self._shift
-        low = (1 << shift) - 1
+        low = (1 << shift - 1) - 1
         entries, buckets, self._buckets = self._entries, self._buckets, None
         if buckets is not None:
             entries = chain.from_iterable(_drained(buckets))
@@ -457,13 +458,13 @@ class Incidence:
             if key != word:
                 end = len(kept)  # one len call per word
                 if end - start == 1:
-                    dead[(kept.pop() & low) >> 1] = 1
+                    dead[kept.pop() & low] = 1
                     found += 1
                     end = start
                 elif end != start:
                     words += 1
                 word, start = key, end
-            if not dead[(e & low) >> 1]:
+            if not dead[e & low]:
                 kept.append(e)
         del kept[start:]  # the closing 0
         self._entries, self._words = kept, words
@@ -520,14 +521,15 @@ class NecessaryCondition(Incidence):
         half a chunk of live slots at a time, generator by generator."""
         ansatz = self._ansatz
         k0, c = side_condition_k0(ansatz.degree), ansatz.unknown_count
+        sign = 1 << shift - 1
         yield [word_key(word_pow(COMMUTATOR_UV, j - k0)) << shift
-               | (c + j) << 1 | 1 for j in range(2 * k0 + 1)]
+               | sign | c + j for j in range(2 * k0 + 1)]
         for _, _, slots, ((plus, _), (minus, _)) in _dtau_targets(
                 NCPoly.from_word(COMMUTATOR_UV), ansatz, dead,
                 max(_CHUNK // 2, 1)):
-            entries = [p << shift | s << 1 for p, q, s in
+            entries = [p << shift | s for p, q, s in
                        zip(plus, minus, slots) if p != q]
-            entries += [q << shift | s << 1 | 1 for p, q, s in
+            entries += [q << shift | sign | s for p, q, s in
                         zip(plus, minus, slots) if p != q]
             yield entries
 
@@ -651,18 +653,26 @@ def _append_rows(system: LinearSystem, condition: Incidence,
     column ``rank[s]``, or s without ``rank``, and dead outside it.
 
     Its ints are walked once, a chunk of whole words at a time, straight
-    into the system's rows.  The columns ascend with the slots, so a row
-    of +-1 is canonical (:func:`canonical_row`) once its sign is fixed by
-    its lowest column, and a chunk of such rows is packed by maps over
-    its ints; only a chunk with an exact coefficient that is not +-1
-    goes through :func:`canonical_row` row by row.
+    into the system's rows.  Within a word the ints run by sign before
+    slot, so each chunk is first sorted by its ints with the sign bit
+    set, which puts every word in slot order and leaves the words in
+    place.
+    The columns then ascend with the slots, so a row of +-1 is canonical
+    (:func:`canonical_row`) once its sign is fixed by its lowest column,
+    and a chunk of such rows is packed by maps over its ints; only a
+    chunk with an exact coefficient that is not +-1 goes through
+    :func:`canonical_row` row by row.
     """
     ids, consts, starts = system.ids, system.consts, system.starts
     cols, values = system.cols, system.values
     shift, exact = condition._shift, condition._exact
-    low = (1 << shift) - 1
+    sign = 1 << shift - 1
+    low, unit = sign - 1, {0: 1, sign: -1}
     for chunk in _whole_words(condition):
-        slots = map(rshift, map(and_, chunk, repeat(low)), repeat(1))
+        # a word's ints run by sign, then slot: with every sign bit set
+        # they sort by slot (a positive operand masks faster than ~sign)
+        chunk.sort(key=sign.__or__)
+        slots = map(and_, chunk, repeat(low))
         if rank is None:
             row_cols = list(slots)
         else:
@@ -676,21 +686,21 @@ def _append_rows(system: LinearSystem, condition: Incidence,
         firsts = _row_starts(chunk, shift)
         ends = firsts[1:] + [len(chunk)]
         if not exact or exact.keys().isdisjoint(chunk):
-            # each sign bit against its row's first: 0 is +1, 1 is -1
+            # each sign bit against its row's first: 0 is +1, set is -1
             flips = chain.from_iterable(map(
                 repeat, map(and_, map(chunk.__getitem__, firsts),
-                            repeat(1)), map(sub, ends, firsts)))
+                            repeat(sign)), map(sub, ends, firsts)))
             row = len(ids)
             ids.extend(range(row, row + len(firsts)))
             consts.extend(repeat(0, len(firsts)))
             starts.extend(map(add, ends, repeat(len(cols))))
             cols.extend(row_cols)
-            values.extend(map(_UNIT.__getitem__, map(
-                xor, map(and_, chunk, repeat(1)), flips)))
+            values.extend(map(unit.__getitem__, map(
+                xor, map(and_, chunk, repeat(sign)), flips)))
             continue
         for a, b in zip(firsts, ends):
             system.append(len(ids), *canonical_row(
-                0, row_cols[a:b], [exact.get(e) or _UNIT[e & 1]
+                0, row_cols[a:b], [exact.get(e) or unit[e & sign]
                                    for e in chunk[a:b]]))
 
 

@@ -457,10 +457,11 @@ def reference_incidence(ansatz, dead):
     appended per slot."""
     k0 = side_condition_k0(ansatz.degree)
     shift = (2 * ansatz.slot_count).bit_length()
+    sign = 1 << shift - 1
     keys, i_word = ansatz.keys, COMMUTATOR_UV
     t = len(keys)
     entries = [word_key(word_pow(i_word, i - k0)) << shift
-               | (2 * t + i) << 1 | 1 for i in range(2 * k0 + 1)]
+               | sign | 2 * t + i for i in range(2 * k0 + 1)]
     for g in (U, V):
         for s in range(g * t, g * t + t):
             if dead[s]:
@@ -470,8 +471,8 @@ def reference_incidence(ansatz, dead):
             minus = word_key(reduce_letters(i_word[:g + 3] + w
                                             + i_word[g + 2:]))
             if plus != minus:
-                entries += (plus << shift | s << 1,
-                            minus << shift | s << 1 | 1)
+                entries += (plus << shift | s,
+                            minus << shift | sign | s)
     return sorted(entries)
 
 
@@ -494,7 +495,7 @@ def packed(ansatz, terms):
     sorted ints: one per unknown of each coefficient, by its slot."""
     shift = (2 * ansatz.slot_count).bit_length()
     slot = {u: s for s, u in enumerate(ansatz.slot_unknowns())}
-    return sorted(k << shift | slot[u] << 1 | (r < 0)
+    return sorted(k << shift | (r < 0) << shift - 1 | slot[u]
                   for k, coeff in terms for u, r in coeff.coeffs.items())
 
 

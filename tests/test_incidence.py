@@ -58,7 +58,7 @@ def packed_sums(draw):
 def test_bucketed_walk_is_sorted_order(case, chunk):
     slot_count, sums = case
     shift = (2 * slot_count).bit_length()
-    expected = sorted(k << shift | s << 1 | (c < 0)
+    expected = sorted(k << shift | (c < 0) << shift - 1 | s
                       for s, by_key in sums for k, c in by_key.items())
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(symmetry, "_CHUNK", chunk)
@@ -112,10 +112,11 @@ def test_pack_keeps_exact_sums_across_chunk_boundaries(monkeypatch):
             (2, {8: 1, 9: 0}), (3, {10: Fraction(7, 4)}), (4, {8: -3})]
     condition = Incidence.pack(sums, 5)
     shift = condition._shift
+    sign = 1 << shift - 1
     assert condition._exact == {
-        7 << shift | 0: third, 8 << shift | 1 << 1 | 1: half,
-        9 << shift | 1 << 1: 2, 10 << shift | 3 << 1: Fraction(7, 4),
-        8 << shift | 4 << 1 | 1: -3}
+        7 << shift | 0: third, 8 << shift | sign | 1: half,
+        9 << shift | 1: 2, 10 << shift | 3: Fraction(7, 4),
+        8 << shift | sign | 4: -3}
     assert list(condition.keyed_terms()) == [
         (7, AffineForm(0, {0: third, 1: -1})),
         (8, AffineForm(0, {1: half, 2: 1, 4: -3})),

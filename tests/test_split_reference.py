@@ -161,3 +161,28 @@ def test_empty_and_dead_words_make_no_rows():
     assert len(complete_split([empty], range(3))) == 0
     all_dead = complete_split([words], (), bytearray((1, 1, 1)))
     assert (len(all_dead), all_dead.universe) == (0, ())
+
+
+@pytest.mark.parametrize("dead", [None, bytearray((0, 1, 0, 0, 0, 0))],
+                         ids=["every slot", "slot 1 dead"])
+@pytest.mark.parametrize("coefficient", [1, Fraction(3, 2)],
+                         ids=["unit", "exact"])
+def test_split_puts_each_word_back_in_slot_order(dead, coefficient):
+    # an entry's sign bit sits above its slot, so within a word a -1 on a
+    # low slot walks after a +1 on a higher one; the split puts each word
+    # back in slot order, so its columns ascend, with rows of +-1 and with
+    # an exact coefficient among them
+    condition = Incidence.pack([
+        (0, {5: -1, 6: -1, 7: 1}), (1, {5: -1, 6: 1}),
+        (2, {5: 1, 6: -1, 7: 1}), (3, {5: coefficient, 7: -1}),
+        (4, {6: 1}), (5, {5: 1, 6: -1, 7: -1})], 6)
+    shift = condition._shift
+    word_5 = [e & (1 << shift - 1) - 1 for e in condition.walk()
+              if e >> shift == 5]
+    assert word_5 == [2, 3, 5, 0, 1]  # its +1s, then its -1s
+    got, want = split_both([condition], 6, dead)
+    assert arrays(got) == arrays(want)  # canonical_row of decoded terms
+    assert len(got) == 3
+    for a, b in zip(got.starts, got.starts[1:]):
+        cols = list(got.cols[a:b])
+        assert cols == sorted(cols)
