@@ -1,9 +1,13 @@
-"""The summary step of ``tools/bench_pairs.py`` on canned result lines;
-no benchmark runs here."""
+"""The summary step of ``tools/bench_pairs.py`` on canned result lines,
+and its export of the parent on a small repository made here; no benchmark
+runs here."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
@@ -99,3 +103,37 @@ def test_sides_alternate_and_saved_lines_read_back(tmp_path, capsys):
     # every end-to-end metric of BENCHMARK.json has a row
     names = [m["name"] for m in bench_pairs.load_benchmark()["end_to_end"]]
     assert [r.split()[0] for r in printed[2:]] == names
+
+
+def git(root, *args):
+    subprocess.run(["git", "-C", str(root), "-c", "user.name=t",
+                    "-c", "user.email=t@t", *args], check=True,
+                   stdout=subprocess.DEVNULL)
+
+
+def test_the_parent_is_the_committed_files_of_its_revision(tmp_path):
+    repo, parent = tmp_path / "repo", tmp_path / "parent"
+    (repo / "src").mkdir(parents=True)
+    parent.mkdir()
+    (repo / "src" / "a.py").write_text("old\n")
+    git(repo, "init", "-q")
+    git(repo, "add", ".")
+    git(repo, "commit", "-q", "-m", "old")
+    assert not bench_pairs.differs(repo, "HEAD")
+    (repo / "src" / "a.py").write_text("new\n")
+    (repo / "untracked.py").write_text("x\n")
+    assert bench_pairs.differs(repo, "HEAD")
+    bench_pairs.export(repo, "HEAD", parent)
+    assert (parent / "src" / "a.py").read_text() == "old\n"
+    assert not (parent / "untracked.py").exists()
+
+
+def test_a_run_needs_a_parent_and_a_new_save_file(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        bench_pairs.main([])
+    assert "--parent is required" in capsys.readouterr().err
+    saved = tmp_path / "runs.jsonl"
+    saved.write_text("")
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--parent", "HEAD", "--save", str(saved)])
+    assert "exists" in capsys.readouterr().err

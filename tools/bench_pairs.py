@@ -1,17 +1,18 @@
 """Run the benchmark in alternating pairs: a parent revision against the
 working tree.
 
-    python tools/bench_pairs.py [--parent REV | --parent-dir DIR]
-        [--workload W ...] [--pairs N] [--seconds S] [--seed K]
-        [--save FILE]
+    python tools/bench_pairs.py --parent REV [--workload W ...]
+        [--pairs N] [--seed K] [--save FILE]
     python tools/bench_pairs.py --summarize FILE
 
 Each pair runs the command of ``BENCHMARK.json`` (``perfbench/run.py``)
-once in a checkout of the parent and once in the working tree, with the
-same seed on both sides; the side that runs first alternates from pair to
-pair.  The parent is a temporary ``git worktree`` of REV (HEAD by
-default), removed at the end, or the checkout at DIR.  Pair i takes the
-seed K + i.
+for its ``run_seconds`` once in a copy of the parent and once in the
+working tree, with the same seed on both sides; the side that runs first
+alternates from pair to pair.  The parent is the committed files of REV,
+exported with ``git archive`` into a temporary directory (under
+``$TMPDIR``) that is removed at the end; the run refuses a REV whose
+tracked files equal the working tree's, which would compare the code with
+itself.  Pair i takes the seed K + i.
 
 For each end-to-end metric of ``BENCHMARK.json``, with its direction and
 bound, the summary prints each side's median and quartiles, the change of
@@ -19,8 +20,9 @@ the medians relative to the parent's, whether that stays within the
 metric's bound, how many pairs the change won, and whether a gain would
 hold: a win in at least 9 pairs in 10, and medians further apart, in the
 better direction, than the parent's quartile distance.  ``--save`` writes
-each run's result line as one JSON line; ``--summarize`` reads such a file
-back and runs nothing.
+each run's result line as one JSON line to a new file, so that its pairs
+come from one run of this tool; ``--summarize`` reads such a file back and
+runs nothing.
 """
 
 from __future__ import annotations
@@ -45,6 +47,22 @@ def load_benchmark(root: Path = ROOT) -> dict:
 def sides_in_order(pair: int) -> tuple[str, str]:
     """The parent runs first in even pairs, the change in odd ones."""
     return SIDES if pair % 2 == 0 else SIDES[::-1]
+
+
+def export(root: Path, rev: str, dest: Path) -> None:
+    """The committed files of ``rev`` in the repository at ``root``, written
+    under ``dest``."""
+    archive = subprocess.run(["git", "-C", str(root), "archive", rev],
+                             stdout=subprocess.PIPE, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive,
+                   check=True)
+
+
+def differs(root: Path, rev: str) -> bool:
+    """Whether the tracked files of the working tree at ``root`` differ
+    from ``rev``."""
+    return subprocess.run(["git", "-C", str(root), "diff", "--quiet", rev,
+                           "--"]).returncode != 0
 
 
 def run_once(command: list[str], checkout: Path, workload: str, seed: int,
@@ -124,19 +142,14 @@ def read_saved(path: Path) -> dict[str, list[dict[str, str]]]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    where = parser.add_mutually_exclusive_group()
-    where.add_argument("--parent", default="HEAD",
-                       help="revision to check out as the parent")
-    where.add_argument("--parent-dir", type=Path,
-                       help="an existing checkout of the parent")
+    parser.add_argument("--parent",
+                        help="revision to compare the working tree with")
     parser.add_argument("--workload", action="append",
                         help="a workload of BENCHMARK.json; all by default")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float,
-                        help="seconds per run; BENCHMARK.json's by default")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--save", type=Path,
-                        help="append each run's result line here")
+                        help="write each run's result line to this new file")
     parser.add_argument("--summarize", type=Path,
                         help="summarize a --save file and run nothing")
     args = parser.parse_args(argv)
@@ -145,28 +158,29 @@ def main(argv: list[str] | None = None) -> int:
         print("\n".join(summarize(read_saved(args.summarize),
                                   bench["end_to_end"])))
         return 0
+    if args.parent is None:
+        parser.error("--parent is required unless --summarize is given")
     names = [w["name"] for w in bench["workloads"]]
     workloads = args.workload or names
     unknown = sorted(set(workloads) - set(names))
     if unknown:
         parser.error(f"no such workload: {', '.join(unknown)}")
-    seconds = args.seconds or bench["run_seconds"]
-    made = None
+    if args.save is not None and args.save.exists():
+        parser.error(f"{args.save} exists; --save writes a new file")
+    if not differs(ROOT, args.parent):
+        parser.error(f"the working tree equals {args.parent}")
     results: dict[str, list[dict[str, str]]] = {w: [] for w in workloads}
+    parent = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
-        if args.parent_dir is None:
-            made = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "add",
-                            "--detach", str(made), args.parent], check=True,
-                           stdout=subprocess.DEVNULL)
-        checkouts = {"parent": args.parent_dir or made, "change": ROOT}
+        export(ROOT, args.parent, parent)
+        checkouts = {"parent": parent, "change": ROOT}
         for pair in range(args.pairs):
             for workload in workloads:
                 lines = {}
                 for side in sides_in_order(pair):
                     lines[side] = run_once(bench["command"], checkouts[side],
                                            workload, args.seed + pair,
-                                           seconds)
+                                           bench["run_seconds"])
                     if args.save is not None:
                         with args.save.open("a") as saved:
                             saved.write(json.dumps({
@@ -179,10 +193,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"bench_pairs: {exc}", file=sys.stderr)
         return 1
     finally:
-        if made is not None:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove",
-                            "--force", str(made)], check=False)
-            shutil.rmtree(made, ignore_errors=True)
+        shutil.rmtree(parent, ignore_errors=True)
     print("\n".join(summarize(results, bench["end_to_end"])))
     return 0
 
