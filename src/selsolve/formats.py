@@ -735,52 +735,25 @@ def read_solution(path: str) -> SolutionState:
     listed twice, in one section or in two, is refused.
 
     The file is read in pieces of whole lines (:func:`_pieces`), each
-    cut into runs of lines at its exact header lines.  A run inside
-    ZEROS or FREE that holds names of one kind, one a line and nothing
-    else, is checked and taken whole (:func:`_plain_unknowns`).  Any
-    other run, and a plain one that fails a check, is read line by line
-    from the state at its start, numbered on from the runs before it;
-    only that loop names an error.  A plain run that repeats an unknown
-    is seen only once taken, so then the file is read again line by line
-    throughout, which names the line.  Bytes that are not UTF-8 are
-    refused as the piece holding them is read, before its lines are
-    checked.
+    cut into runs of lines at its header lines (:func:`_runs`), and each
+    run is taken whole into the section its header opens
+    (:func:`_plain_run`).  When a run is refused, or the file is not
+    UTF-8, :func:`_solution_error` reads it again from the top line by
+    line and raises the error of its first wrong line.  The checks
+    across sections run once, on the state built.
     """
-    try:
-        return _read_solution(path, plain=True)
-    except _Repeated:
-        return _read_solution(path, plain=False)
-
-
-class _Repeated(Exception):
-    """A plain run, once taken, turned out to repeat an unknown."""
-
-
-def _read_solution(path: str, plain: bool) -> SolutionState:
-    """:func:`read_solution`, its plain runs taken whole only if
-    ``plain``."""
     zeros: set[UnknownId] = set()
     pivots: dict[UnknownId, AffineForm] = {}
     free: set[UnknownId] = set()
-    names = {"ZEROS": zeros, "FREE": free} if plain else {}
-    section, lineno = None, 0
+    sections = {"ZEROS": zeros, "PIVOTS": pivots, "FREE": free}
     with open(path, encoding="utf-8") as handle:
-        for piece in _pieces(handle):
-            # runs of lines, each followed by a header line but the last
-            parts = _HEADER.split(piece)
-            for run, header in zip(parts[::2], [*parts[1::2], None]):
-                domain = names.get(section)
-                lines = None if domain is None else \
-                    _plain_unknowns(run, domain)
-                if lines is None:
-                    text = _lines_of(run)
-                    section = _solution_lines(
-                        enumerate(text, lineno + 1), section, zeros,
-                        pivots, free)
-                    lines = len(text)
-                lineno += lines
-                if header is not None:
-                    section, lineno = header, lineno + 1
+        try:
+            taken = all(_plain_run(run, sections.get(header))
+                        for header, run in _runs(_pieces(handle)))
+        except ParseError:  # not UTF-8
+            taken = False
+    if not taken:
+        _solution_error(path)
     domains = [zeros, set(pivots), free]
     for i in range(3):
         for j in range(i + 1, 3):
@@ -793,78 +766,103 @@ def _read_solution(path: str, plain: bool) -> SolutionState:
     return SolutionState(zeros, pivots, free)
 
 
-#: A section header line, as the solution file spells it.
-_HEADER = re.compile(r"^(ZEROS|PIVOTS|FREE)\n", re.MULTILINE)
-#: The kind of each unknown name's first letter (``c`` -> KIND_C), as bytes.
-_KIND_OF = {prefix.encode(): KIND_BY_LETTER[letter]
-            for letter, prefix in _PREFIX.items()}
+#: The section headers of a solution file.
+_HEADERS = ("ZEROS", "PIVOTS", "FREE")
+#: A section header line: its text stripped is a header.
+_HEADER = re.compile(rf"^[^\S\n]*({'|'.join(_HEADERS)})[^\S\n]*(?:\n|\Z)",
+                     re.MULTILINE)
 
 
-def _plain_unknowns(piece: str, domain: set[UnknownId]) -> int | None:
-    """Take a piece of names of one kind, one a line with nothing around
-    it, into ``domain``; its number of lines, or None, with nothing
-    taken, when it is laid out any other way, holds a section header, a
-    bad name or names of two kinds.  Raises :class:`_Repeated`, with the
-    piece taken, when it lists an unknown twice or one already in
-    ``domain``.
-
-    The kind letter must start every line and come nowhere else, and
-    deleting it and the newlines must leave ASCII digits alone; the
-    indices are then the piece split with the letter deleted, one a line
-    once ``domain`` grows by as many unknowns as lines, each probed once.
-    """
-    if not piece.isascii():
-        return None
-    data = piece.encode("ascii")
-    letter, lines = data[:1], data.count(b"\n")
-    kind = _KIND_OF.get(letter)
-    if kind is None or data.count(letter) != lines or \
-            (b"\n" + data).count(b"\n" + letter) != lines or \
-            not data.translate(None, letter + b"\n").isdigit():
-        return None
-    try:
-        numbers = list(map(int, data.translate(None, letter).split()))
-        UnknownId(KIND_C, max(numbers))  # every index is in range
-    except ValueError:  # over the int/str digit limit, or out of range
-        return None
-    count = len(domain)
-    domain.update(UnknownId._at(kind, numbers))
-    if len(domain) - count != lines:
-        raise _Repeated
-    return lines
+def _runs(pieces: Iterable[str]) -> Iterator[tuple[str | None, str]]:
+    """The runs of lines between header lines, each with the header
+    above it, None above the first."""
+    header = None
+    for piece in pieces:
+        # a piece of names holds no header word, and is not scanned
+        parts = _HEADER.split(piece) if any(map(piece.__contains__,
+                                                 _HEADERS)) else [piece]
+        for run, below in zip(parts[::2], [*parts[1::2], None]):
+            yield header, run
+            header = below or header
 
 
-def _solution_lines(lines: Iterable[tuple[int, str]], section: str | None,
-                    zeros: set[UnknownId], pivots: dict[UnknownId, AffineForm],
-                    free: set[UnknownId]) -> str | None:
-    """Take numbered solution lines one at a time, checking each; the
-    section open after the last."""
-    for lineno, raw in lines:
-        line = raw.strip()
-        if not line:
-            continue
-        if line in ("ZEROS", "PIVOTS", "FREE"):
-            section = line
-            continue
-        if section is None:
-            raise ParseError("content before first section", lineno)
+def _plain_run(run: str, section: set[UnknownId] | dict[UnknownId, AffineForm]
+               | None) -> bool:
+    """Take a run of lines into its section whole; False when a line is
+    wrong.  ZEROS and FREE runs hold a name a line in any layout
+    :func:`_fields` takes, each a kind's prefix and ASCII digits, made
+    per run of one kind; PIVOTS lines are read by :func:`_pivot`.  Only
+    blank lines come before the first header, and a section must grow by
+    as many unknowns as the run lists, so none is listed twice."""
+    if isinstance(section, dict):
+        count = len(section)
+        lines = list(filter(None, map(str.strip, _lines_of(run))))
         try:
-            if section == "PIVOTS":
-                name, _, expr = line.partition("=")
-                if not _:
-                    raise ValueError("pivot line needs '='")
-                uid = UnknownId.from_name(name.strip())
-                listed = uid in pivots
-                pivots[uid] = parse_affine(expr)
-            else:
-                uid = UnknownId.from_name(line)
-                domain = zeros if section == "ZEROS" else free
-                listed = uid in domain
-                domain.add(uid)
-            if listed:
-                raise ValueError(f"{uid.name} listed twice under {section}")
-        except (ValueError, ParseError) as exc:
-            # parse_affine knows no line number; this line is the culprit
-            raise ParseError(_cut(str(exc), _SHOWN_MESSAGE),
-                             lineno) from exc
-    return section
+            section.update(map(_pivot, lines))
+        except (ValueError, ParseError):
+            return False
+        return len(section) == count + len(lines)
+    names = _fields(run, 1)
+    if not names:
+        return names is not None
+    digits = list(map(itemgetter(slice(1, None)), names))
+    text = "".join(digits)
+    if section is None or not (text.isascii() and text.isdigit()
+                               and all(digits)):
+        return False
+    count, first = len(section), names[0][0]
+    try:  # int(), the range check and from_name raise ValueError
+        numbers = list(map(int, digits))
+        UnknownId(KIND_C, max(numbers))  # every index is in range
+        # past the digit check a prefix letter starts a name or nowhere
+        if "".join(names).count(first) == len(names):  # names of one kind
+            kinds = [(first, numbers)]
+        else:
+            kinds = [(prefix, list(map(itemgetter(1), group)))
+                     for prefix, group in groupby(zip(
+                         map(itemgetter(0), names), numbers), itemgetter(0))]
+        for prefix, indices in kinds:
+            section.update(UnknownId._at(
+                UnknownId.from_name(f"{prefix}0").kind, indices))
+    except ValueError:
+        return False
+    return len(section) == count + len(names)
+
+
+def _pivot(line: str) -> tuple[UnknownId, AffineForm]:
+    """The unknown and the expression of a pivot line ``name = expr``."""
+    name, equals, expr = line.partition("=")
+    if not equals:
+        raise ValueError("pivot line needs '='")
+    return UnknownId.from_name(name.strip()), parse_affine(expr)
+
+
+def _solution_error(path: str) -> NoReturn:
+    """Read a solution file :func:`read_solution` refused line by line
+    from the top and raise the error of the first wrong line, or that
+    the file is not UTF-8.  Only the unknowns of each section are kept,
+    for the check of an unknown listed twice."""
+    listed: dict[str, set[UnknownId]] = {header: set() for header in _HEADERS}
+    section = None
+    with open(path, encoding="utf-8") as handle:
+        for lineno, raw in _lines(handle):
+            line = raw.strip()
+            if not line:
+                continue
+            if line in listed:
+                section = line
+                continue
+            if section is None:
+                raise ParseError("content before first section", lineno)
+            try:
+                uid = _pivot(line)[0] if section == "PIVOTS" else \
+                    UnknownId.from_name(line)
+                if uid in listed[section]:
+                    raise ValueError(f"{uid.name} listed twice under "
+                                     f"{section}")
+                listed[section].add(uid)
+            except (ValueError, ParseError) as exc:
+                # parse_affine knows no line number; this line is the culprit
+                raise ParseError(_cut(str(exc), _SHOWN_MESSAGE),
+                                 lineno) from exc
+    raise AssertionError(f"{path}: no line of the solution file is wrong")

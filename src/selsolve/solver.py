@@ -7,8 +7,8 @@ to a fixpoint (:func:`find_zeros`), order what is left by size
 (:func:`length_sort`), then stream it in that order, in place, through
 an incrementally back-substituted pivot map over columns
 (:func:`stream_solve`).  The zeros are a ``bytearray`` mask over the
-columns, and a zero never comes back with a nonzero value.  The finished state is labelled by the
-universe once (:meth:`SolutionState.relabel`).
+columns, and a zero never comes back with a nonzero value.  The finished
+state is labelled by the universe once (:meth:`SolutionState.relabel`).
 """
 
 from __future__ import annotations

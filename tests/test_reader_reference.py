@@ -462,7 +462,8 @@ def plainly():
     def refused(path, *args):
         pytest.fail(f"{path} reached a line reader")
     return mock.patch.multiple(formats, _entry_error=refused,
-                               _sidecar_error=refused)
+                               _sidecar_error=refused,
+                               _solution_error=refused)
 
 
 @pytest.mark.parametrize("size", [None, *PIECE_SIZES])

@@ -5,10 +5,11 @@ it read the file in pieces: every line stripped and parsed in turn, each
 name with ``UnknownId.from_name``.  The two must give the same state,
 section by section and pivot by pivot in the same order, or raise the
 same exception type with the same message and line.  The reader takes
-plain pieces of names whole and any other piece line by line, so each
-check runs again with the pieces cut down to a few characters
-(``in_pieces``), where piece boundaries fall between and inside names
-and the two ways of reading hand over to each other.  Examples are
+each run of lines between header lines whole, and reads a file it
+refuses again line by line only to name the error, so each check runs
+again with the pieces cut down to a few characters (``in_pieces``),
+where piece boundaries fall between and inside names and header lines;
+a valid file must never reach the line reader.  Examples are
 derandomized, so the suite is deterministic.
 """
 
@@ -24,7 +25,7 @@ from selsolve.solver import SolutionState
 
 from test_oracle_reference import derandomized
 from test_reader_reference import (PIECE_SIZES, _often, in_pieces,
-                                   read_lines)
+                                   plainly, read_lines)
 
 
 def reference_read_solution(path: str) -> SolutionState:
@@ -279,3 +280,64 @@ def test_invalid_utf8_past_the_first_piece(tmp_path):
         assert_reads_alike(path, body + tail)
         with pytest.raises(ParseError, match="not UTF-8 text"):
             read_solution(str(path))
+
+
+@pytest.mark.parametrize("text", [
+    "  ZEROS\nc1\nPIVOTS  \nc2 = c3\nFREE\t\nc3\n",
+    "\tZEROS\t\nc1\n \tFREE \nc3\n",
+    "ZEROS\nc1\nFREE\t",
+    "ZEROS\r\n  c1\r\n\x0bFREE\x1c\r\nc3\r\n",
+    "\xa0ZEROS\nc1\nFREE\u2003\nc3\n",
+    "ZEROS\nc1\n  FREE\nc3\n  FREE\n",
+    "c1\n  ZEROS\nc2\n",
+    "ZEROS\nc1\n FREE x\nc3\n",
+    "ZEROS\nc1\nFR EE\nc3\n",
+    "ZEROS\nc1\n\tPIVOTS\nc1 = 0\n",
+], ids=["spaces", "tabs", "tab-at-end", "crlf", "unicode-blanks",
+        "header-twice", "before-first", "header-and-more", "split-header",
+        "in-two-sections"])
+def test_header_lines_with_blanks_around_them(tmp_path, text):
+    # a header is any line whose text stripped is its name, as the line
+    # reader has it; a valid file is read without the line reader
+    path = tmp_path / "headers.sol"
+    assert_reads_alike(path, text)
+    if isinstance(outcome(reference_read_solution, str(path))[0], list):
+        with plainly():
+            for size in None, *PIECE_SIZES:
+                with in_pieces(size or _READ):
+                    read_solution(str(path))
+
+
+@pytest.fixture(scope="module")
+def padded_solution(staged_solution_files, tmp_path_factory):
+    """The staged n = 7 file with a blank before and after every line,
+    the headers' included."""
+    path = tmp_path_factory.mktemp("padded") / "p7pad.sol"
+    with open(staged_solution_files[7]) as handle:
+        path.write_text("".join(f" {line.rstrip(chr(10))} \n"
+                                for line in handle))
+    return str(path)
+
+
+@pytest.mark.parametrize("size", [None, *PIECE_SIZES])
+def test_a_valid_solution_file_never_reaches_the_line_reader(
+        workdir, staged_solution_files, padded_solution, size):
+    # the drawn files at each piece size; the staged files and the padded
+    # copy, each read against the reference above, in the reader's pieces
+    @settings(derandomized, max_examples=100)
+    @given(text=solution_files())
+    def drawn(text):
+        path = workdir / "in.sol"
+        path.write_bytes(text.encode())
+        expected = outcome(reference_read_solution, str(path))
+        if isinstance(expected[0], list):  # a valid file
+            with in_pieces(size or _READ):
+                assert outcome(read_solution, str(path)) == expected
+
+    with plainly():
+        drawn()
+        if size is None:
+            for degree in range(3, 9):
+                read_solution(staged_solution_files[degree])
+            assert outcome(read_solution, padded_solution) \
+                == outcome(read_solution, staged_solution_files[7])
