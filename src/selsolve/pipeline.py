@@ -38,7 +38,6 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain, compress, count
 from operator import mul
 from typing import Sequence
@@ -363,7 +362,8 @@ Scaled = tuple[IntMatrix, int]
 
 def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols])
+                  for row in a])
 
 
 def _mat_scale(m: IntMatrix, k: int) -> IntMatrix:
@@ -474,9 +474,26 @@ def check_solution_degree(state: SolutionState, degree: int) -> None:
                             f"{'more' if huge else k}")
 
 
+def _integer_point(rng: random.Random, free: Sequence[UnknownId],
+                   pivots: dict[UnknownId, AffineForm]
+                   ) -> dict[UnknownId, Rational]:
+    """A trial's point: a rational num/d drawn for each free unknown in
+    order, and the pivots' values there, all times ``den``, the lcm of
+    the drawn d, so that integer coefficients give integers (Bareiss's
+    fraction-free rule).  A pivot's constant is scaled too."""
+    draws = [(rng.randint(-12, 12), rng.randint(1, 6)) for _ in free]
+    den = math.lcm(*(d for _, d in draws))
+    values = {f: num * (den // d) for f, (num, d) in zip(free, draws)}
+    values.update({p: den * rhs.const + sum(
+        [r * values[f] for f, r in rhs.coeffs.items()])
+        for p, rhs in pivots.items()})
+    return values
+
+
 def verify_by_matrices(system: Derivation, ansatz: SymmetryAnsatz,
                        state: SolutionState, dim: int, trials: int,
-                       seed: int = DEFAULT_VERIFY_SEED) -> bool:
+                       seed: int = DEFAULT_VERIFY_SEED, *,
+                       degree_checked: bool = False) -> bool:
     """Check a solved symmetry on random invertible integer matrices.
 
     Each trial draws matrices for u and v and rationals for the free
@@ -487,23 +504,32 @@ def verify_by_matrices(system: Derivation, ansatz: SymmetryAnsatz,
     products and of the solver.  Each value is an integer matrix over one
     integer denominator (inverses adj/det, coefficients num/den); the
     numerator of the difference must vanish.  Caches live for one trial
-    and the seed fixes the draws.  A solution of another degree is an error.
-    D_tau is built from the ansatz slots of the pivots and free unknowns
-    alone, so its cost follows the live unknowns, not the ansatz.
+    and the seed fixes the draws.  A solution of another degree is an
+    error; ``degree_checked`` says the caller has already run
+    :func:`check_solution_degree` on this state and degree, as ``selsolve
+    verify`` does before it builds the ansatz.  D_tau is built from the
+    ansatz slots of the pivots and free unknowns alone, so its cost
+    follows the live unknowns, not the ansatz.
+
+    A trial's point is the drawn one times an integer ``den``
+    (:func:`_integer_point`): both sides are linear in Q's coefficients
+    and P's are not scaled, so each is ``den`` times its value at the
+    drawn point, and the verdict is that point's (Schwartz, J. ACM 27,
+    1980).  With integer pivot coefficients, as the solver writes them,
+    no ``Fraction`` is made after the draws.
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    check_solution_degree(state, ansatz.degree)
+    if not degree_checked:
+        check_solution_degree(state, ansatz.degree)
     rng = random.Random(seed)
     # over the pivots and free unknowns: no zero adds a term or a value
     dtau = ansatz.derivation(chain(state.pivots, state.free))
+    free = sorted(state.free)
     for _ in range(trials):
         u, v = _random_invertible(rng, dim), _random_invertible(rng, dim)
         trial = _TrialMatrices((u[0], v[0], u[1], v[1]))
-        values = {f: Fraction(rng.randint(-12, 12), rng.randint(1, 6))
-                  for f in sorted(state.free)}
-        values.update({p: rhs.evaluate(values)
-                       for p, rhs in state.pivots.items()})
+        values = _integer_point(rng, free, state.pivots)
         q1, q2, p1, p2 = ([(w, c) for w, aff in image.terms.items()
                            if (c := aff.evaluate(values))]
                           for image in (dtau.image_u, dtau.image_v,

@@ -17,10 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selsolve import formats
 from selsolve.errors import ParseError
 from selsolve.formats import (_READ, _SHOWN_MESSAGE, _cut, parse_affine,
                               read_solution)
-from selsolve.linsys import AffineForm, UnknownId
+from selsolve.linsys import KIND_A, AffineForm, UnknownId
 from selsolve.solver import SolutionState
 
 from test_oracle_reference import derandomized
@@ -341,3 +342,47 @@ def test_a_valid_solution_file_never_reaches_the_line_reader(
                 read_solution(staged_solution_files[degree])
             assert outcome(read_solution, padded_solution) \
                 == outcome(read_solution, staged_solution_files[7])
+
+
+@pytest.mark.parametrize("text", [
+    "ZEROS\nc1\nc2\na0\na5\nFREE\nc3\n",
+    "ZEROS\na0\na1\nFREE\nc3\n",
+    "ZEROS\nc007\na00\nFREE\nc3\n",
+    "ZEROS\na0\nc1\nFREE\nc3\n",
+    "ZEROS\nc1\na0\nc2\nFREE\nc3\n",
+    "ZEROS\nc1\nc2\na0\nc1\n",
+    "ZEROS\nc1\nac2\n",
+    "ZEROS\nc1\nca2\n",
+    "ZEROS\nc1\n2c\n",
+    "ZEROS\nc1\nc\n",
+    "ZEROS\nc1\nc 2\n",
+    "ZEROS\nc1\nc_2\n",
+    "ZEROS\nc1\nc+2\n",
+    "ZEROS\nc1\n\nc2\n",
+    "ZEROS\nc1\nx2\n",
+], ids=["c-then-a", "a-only", "leading-zeros", "a-then-c", "interleaved",
+        "repeat-past-the-a", "two-letters", "letters-swapped",
+        "letter-last", "no-digit", "blank-inside", "underscore", "sign",
+        "blank-line", "other-letter"])
+def test_name_runs_near_the_written_layout(tmp_path, text):
+    # a run of names, a prefix letter and digits a line with the c names
+    # first, is cut by its letters and newlines alone; each of these is
+    # read as the line reader reads it
+    assert_reads_alike(tmp_path / "written.sol", text)
+
+
+def test_written_name_runs_are_not_split_into_fields(staged_solution_files,
+                                                     monkeypatch):
+    # the ZEROS and FREE runs of a written file, both kinds in ZEROS, are
+    # taken without _fields, which only the blank run before ZEROS reaches
+    expected = {n: outcome(reference_read_solution, path)
+                for n, path in staged_solution_files.items()}
+    fields = formats._fields
+
+    def blank_only(piece, width):
+        assert not piece.strip(), "a written run was split into fields"
+        return fields(piece, width)
+    monkeypatch.setattr(formats, "_fields", blank_only)
+    for n, path in staged_solution_files.items():
+        assert outcome(read_solution, path) == expected[n]
+        assert any(u.kind == KIND_A for u in read_solution(path).zeros)

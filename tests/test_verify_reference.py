@@ -8,6 +8,7 @@ the same values, consume the same random draws and reach the same verdicts.
 """
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -18,9 +19,11 @@ from selsolve.formats import read_solution
 from selsolve.linsys import KIND_A, KIND_C, AffineForm, UnknownId, exact_div
 from selsolve.ncalgebra import Derivation, NCPoly, Word, key_word
 from selsolve.pipeline import (_INVERTIBLE_RETRIES, DEFAULT_VERIFY_SEED,
-                               _LeibnizMatrices, _random_invertible,
-                               _TrialMatrices, default_strategy,
-                               run_strategy, verify_by_matrices)
+                               _integer_point, _LeibnizMatrices,
+                               _random_invertible, _TrialMatrices,
+                               default_strategy, run_strategy,
+                               verify_by_matrices)
+from selsolve.pipeline import _mat_mul as product
 from selsolve.symmetry import build_ansatz, kontsevich_system
 
 from test_properties import random_poly, random_word
@@ -258,6 +261,80 @@ def test_verdicts_match_reference(solutions, n):
             got = verify_by_matrices(system, ansatz, state, 3, 2, seed=seed)
             assert got == expected
             assert reference_verify(system, ansatz, state, 3, 2, seed) == got
+
+
+def halved(state, ansatz):
+    """The solution with its first free unknown f replaced by g/2, g a new
+    free unknown outside the ansatz: f becomes the pivot f = 1/2*g and
+    every coefficient on f halves, so the pivots carry halves."""
+    f, g = min(state.free), UnknownId(KIND_A, ansatz.slot_count)
+    assert any(f in rhs.coeffs for rhs in state.pivots.values())
+    pivots = {p: AffineForm(rhs.const, {
+        (g if u == f else u): exact_div(r, 2) if u == f else r
+        for u, r in rhs.coeffs.items()}) for p, rhs in state.pivots.items()}
+    pivots[f] = AffineForm.unknown(g, Fraction(1, 2))
+    return dataclasses.replace(state, pivots=pivots,
+                               free=state.free - {f} | {g})
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_verdicts_with_halves_in_the_pivots_match_reference(solutions, n,
+                                                             dim):
+    # the point of a trial is integers however the pivots are written: a
+    # reparametrized solution passes and a shifted one fails, as the
+    # reference has it at the point drawn
+    system, ansatz = kontsevich_system(), build_ansatz(n)
+    state = halved(solutions[n], ansatz)
+    for state, expected in ((state, True), (perturbed(state), False)):
+        for seed in range(1, 6):
+            got = verify_by_matrices(system, ansatz, state, dim, 2,
+                                     seed=seed)
+            assert got == expected
+            assert reference_verify(system, ansatz, state, dim, 2,
+                                    seed) == got
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_trial_point_is_the_drawn_point_times_the_lcm(solutions, n):
+    # the reference's draws, every value den times its value there, a
+    # shifted pivot's constant included; ints unless a pivot has a half
+    state = solutions[n]
+    halves = halved(state, build_ansatz(n))
+    for state, whole in ((state, True), (perturbed(state), True),
+                         (halves, False), (perturbed(halves), False)):
+        free = sorted(state.free)
+        for seed in range(1, 6):
+            rng, ref = random.Random(seed), random.Random(seed)
+            got = _integer_point(rng, free, state.pivots)
+            drawn = [(ref.randint(-12, 12), ref.randint(1, 6)) for _ in free]
+            assert rng.getstate() == ref.getstate()
+            den = math.lcm(*(d for _, d in drawn))
+            point = state.full_assignment(
+                {f: Fraction(num, d) for f, (num, d) in zip(free, drawn)})
+            assert got == {u: den * point[u]
+                           for u in (*free, *state.pivots)}
+            assert not whole or all(type(value) is int
+                                    for value in got.values())
+
+
+def reference_product(a, b):
+    """The matrix product entry by entry, for any shapes that fit."""
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+@pytest.mark.parametrize("rows, inner, cols",
+                         [(2, 2, 2), (3, 3, 3), (4, 4, 4), (3, 6, 3)])
+def test_matrix_product_matches_reference(rows, inner, cols):
+    # square products, and [D(w) | w] [g ; D(g)] of the Leibniz step
+    rng = random.Random(100 * rows + inner)
+    for bits in (3, 64, 300):
+        for _ in range(20):
+            a, b = ([[rng.randint(-2 ** bits, 2 ** bits) for _ in range(m)]
+                     for _ in range(k)] for k, m in ((rows, inner),
+                                                     (inner, cols)))
+            assert list(map(list, product(a, b))) == reference_product(a, b)
 
 
 # --- D_tau from the live slots ----------------------------------------------
