@@ -118,7 +118,7 @@ def _cmd_verify(args) -> int:
     ansatz = build_ansatz(args.degree)
     print(f"seed={args.seed} dim={args.dim} trials={args.trials}")
     ok = verify_by_matrices(system, ansatz, state, args.dim, args.trials,
-                            seed=args.seed, degree_checked=True)
+                            seed=args.seed)
     print("verify: PASS" if ok else "verify: FAIL")
     return 0 if ok else 1
 

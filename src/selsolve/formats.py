@@ -22,6 +22,7 @@ import os
 import re
 import secrets
 from bisect import bisect_left, bisect_right
+from functools import lru_cache
 from itertools import chain, compress, groupby, islice, repeat
 from operator import (add, and_, attrgetter, ge, gt, is_, itemgetter, ne, not_,
                       sub)
@@ -665,42 +666,36 @@ def _joined(pieces: LinearSystem, zeros: list[tuple[int, int]]
 _CHUNK = re.compile(r"[+-]?[^+-]+")
 
 
-class _Terms(dict):
-    """A term of an affine text, its sign included (``-2*c5``, ``+1/3``),
-    to its unknown, None for the constant, and its signed value; each
-    parsed on first use."""
-
-    def __missing__(self, term: str) -> tuple[UnknownId | None, Rational]:
-        sign = -1 if term[0] == "-" else 1
-        chunk = term[1:] if term[0] in "+-" else term
-        if "*" in chunk:
-            rat, name = chunk.split("*", 1)
-        elif chunk[0].isdigit():
-            rat, name = chunk, None
-        else:
-            rat, name = "1", chunk
-        value = sign * _parse_rational(rat, None)
-        uid = None
-        if name is not None:
-            try:
-                uid = UnknownId.from_name(name)
-            except ValueError as exc:
-                raise ParseError(f"bad unknown {_cut(name)!r}") from exc
-        self[term] = uid, value
-        return uid, value
+@lru_cache(maxsize=1024)
+def _term(term: str) -> tuple[UnknownId | None, Rational]:
+    """The unknown of a term of an affine text, its sign included
+    (``-2*c5``, ``+1/3``), None for the constant, and its signed value.
+    Pivot lines repeat few distinct terms, so each is parsed once."""
+    sign = -1 if term[0] == "-" else 1
+    chunk = term[1:] if term[0] in "+-" else term
+    if "*" in chunk:
+        rat, name = chunk.split("*", 1)
+    elif chunk[0].isdigit():
+        rat, name = chunk, None
+    else:
+        rat, name = "1", chunk
+    value = sign * _parse_rational(rat, None)
+    if name is None:
+        return None, value
+    try:
+        return UnknownId.from_name(name), value
+    except ValueError as exc:
+        raise ParseError(f"bad unknown {_cut(name)!r}") from exc
 
 
-def parse_affine(text: str, terms: _Terms | None = None) -> AffineForm:
-    """Inverse of :func:`selsolve.linsys.format_affine`; ``terms`` keeps
-    the terms parsed across calls, as for the lines of a PIVOTS run."""
+def parse_affine(text: str) -> AffineForm:
+    """Inverse of :func:`selsolve.linsys.format_affine`."""
     squeezed = text.replace(" ", "")
     if squeezed in ("", "0"):
         return AffineForm.zero()
-    if terms is None:
-        terms = _Terms()
     const: Rational = 0
     coeffs: dict[UnknownId, Rational] = {}
-    for uid, value in map(terms.__getitem__, _CHUNK.findall(squeezed)):
+    for uid, value in map(_term, _CHUNK.findall(squeezed)):
         if uid is None:
             const += value
         else:
@@ -799,85 +794,61 @@ def _runs(pieces: Iterable[str]) -> Iterator[tuple[str | None, str]]:
             header = below or header
 
 
+#: A run of names of one kind, as their prefix letters.
+_KIND_RUN = re.compile(rb"c+|a+")
+
+
 def _plain_run(run: str, section: set[UnknownId] | dict[UnknownId, AffineForm]
                | None) -> bool:
     """Take a run of lines into its section whole; False when a line is
-    wrong.  ZEROS and FREE runs hold a name a line, each a kind's prefix
-    and ASCII digits, made per run of one kind: in the written layout
-    (:func:`_written_kinds`), or else in any layout :func:`_fields`
-    takes.  PIVOTS lines are read by :func:`_pivot`, each term parsed
-    once per run.  Only blank lines come before the first header, and a
-    section must grow by as many unknowns as the run lists, so none is
-    listed twice."""
+    wrong.  ZEROS and FREE runs hold a name a line in any layout
+    :func:`_fields` takes, each a kind's prefix and ASCII digits, made
+    per run of one kind; PIVOTS lines are read by :func:`_pivot`.  Only
+    blank lines come before the first header, and a section must grow by
+    as many unknowns as the run lists, so none is listed twice."""
     if isinstance(section, dict):
         count = len(section)
         lines = list(filter(None, map(str.strip, _lines_of(run))))
         try:
-            section.update(map(_pivot, lines, repeat(_Terms())))
+            section.update(map(_pivot, lines))
         except (ValueError, ParseError):
             return False
         return len(section) == count + len(lines)
-    kinds = _written_kinds(run)
-    if kinds is None:
-        names = _fields(run, 1)
-        if not names:
-            return names is not None
-        digits = list(map(itemgetter(slice(1, None)), names))
-        text = "".join(digits)
-        if not (text.isascii() and text.isdigit() and all(digits)):
-            return False
-        kinds = [(prefix, list(map(itemgetter(1), group)))
-                 for prefix, group in groupby(zip(
-                     map(itemgetter(0), names), digits), itemgetter(0))]
-    if section is None:
+    names = _fields(run, 1)
+    if not names:
+        return names is not None
+    text = " ".join(names)
+    if section is None or not text.isascii():
         return False
+    # the names' bytes lose their digits and spaces to give the prefixes,
+    # one letter a name when that many names start with c or a, and lose
+    # their letters to give the digits, split once; a name of no digits
+    # leaves fewer numbers than names, and the section grows by fewer
+    data = text.encode("ascii")
+    prefixes = data.translate(None, b"0123456789 ")
+    starts = data.count(b" c") + data.count(b" a") + (data[:1] in b"ca")
+    if not len(prefixes) == starts == len(names):
+        return False
+    digits = data.translate(None, b"ca").split()
     count = len(section)
-    try:  # int(), the range check and from_name raise ValueError
-        for prefix, digits in kinds:
-            numbers = list(map(int, digits))
-            UnknownId(KIND_C, max(numbers))  # every index is in range
-            section.update(UnknownId._at(
-                UnknownId.from_name(f"{prefix}0").kind, numbers))
+    try:  # int() and the range check raise ValueError
+        numbers = list(map(int, digits))
+        UnknownId(KIND_C, max(numbers))  # every index is in range
     except ValueError:
         return False
-    return len(section) == count + sum(len(digits) for _, digits in kinds)
+    for kind in _KIND_RUN.finditer(prefixes):
+        section.update(UnknownId._at(
+            UnknownId.from_name(f"{kind[0][:1].decode()}0").kind,
+            numbers[kind.start():kind.end()]))
+    return len(section) == count + len(names)
 
 
-def _written_kinds(run: str) -> list[tuple[str, list[bytes]]] | None:
-    """The digits of a run's names, by kind, when the run is in the
-    written layout: each line a prefix letter, ASCII digits and a
-    newline, the ``c`` names before the ``a`` names; None for any other
-    run.  The letters are deleted from the run's bytes, which are split
-    once; no name is sliced or joined."""
-    if not (run.isascii() and run.endswith("\n")):
-        return None
-    data = run.encode("ascii")
-    lines = data.count(b"\n")
-    body = data.translate(None, b"ca")
-    cut = data.find(b"a")  # the first a name
-    if cut < 0:
-        cut = len(data)
-    # a letter starts each line and is its only one; digits are the rest
-    if len(data) - len(body) != lines or data[:1] not in (b"c", b"a") \
-            or data.count(b"\nc") + data.count(b"\na") != lines - 1 \
-            or data.find(b"c", cut) >= 0 \
-            or body.translate(None, b"0123456789\n"):
-        return None
-    digits = body.split()
-    if len(digits) != lines:  # a line with no digit
-        return None
-    c = data.count(b"\n", 0, cut)
-    return [(prefix, part) for prefix, part
-            in (("c", digits[:c]), ("a", digits[c:])) if part]
-
-
-def _pivot(line: str, terms: _Terms | None = None
-           ) -> tuple[UnknownId, AffineForm]:
+def _pivot(line: str) -> tuple[UnknownId, AffineForm]:
     """The unknown and the expression of a pivot line ``name = expr``."""
     name, equals, expr = line.partition("=")
     if not equals:
         raise ValueError("pivot line needs '='")
-    return UnknownId.from_name(name.strip()), parse_affine(expr, terms)
+    return UnknownId.from_name(name.strip()), parse_affine(expr)
 
 
 def _solution_error(path: str) -> NoReturn:

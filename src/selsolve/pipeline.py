@@ -492,8 +492,7 @@ def _integer_point(rng: random.Random, free: Sequence[UnknownId],
 
 def verify_by_matrices(system: Derivation, ansatz: SymmetryAnsatz,
                        state: SolutionState, dim: int, trials: int,
-                       seed: int = DEFAULT_VERIFY_SEED, *,
-                       degree_checked: bool = False) -> bool:
+                       seed: int = DEFAULT_VERIFY_SEED) -> bool:
     """Check a solved symmetry on random invertible integer matrices.
 
     Each trial draws matrices for u and v and rationals for the free
@@ -504,12 +503,9 @@ def verify_by_matrices(system: Derivation, ansatz: SymmetryAnsatz,
     products and of the solver.  Each value is an integer matrix over one
     integer denominator (inverses adj/det, coefficients num/den); the
     numerator of the difference must vanish.  Caches live for one trial
-    and the seed fixes the draws.  A solution of another degree is an
-    error; ``degree_checked`` says the caller has already run
-    :func:`check_solution_degree` on this state and degree, as ``selsolve
-    verify`` does before it builds the ansatz.  D_tau is built from the
-    ansatz slots of the pivots and free unknowns alone, so its cost
-    follows the live unknowns, not the ansatz.
+    and the seed fixes the draws.  A solution of another degree is an error.
+    D_tau is built from the ansatz slots of the pivots and free unknowns
+    alone, so its cost follows the live unknowns, not the ansatz.
 
     A trial's point is the drawn one times an integer ``den``
     (:func:`_integer_point`): both sides are linear in Q's coefficients
@@ -520,8 +516,7 @@ def verify_by_matrices(system: Derivation, ansatz: SymmetryAnsatz,
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    if not degree_checked:
-        check_solution_degree(state, ansatz.degree)
+    check_solution_degree(state, ansatz.degree)
     rng = random.Random(seed)
     # over the pivots and free unknowns: no zero adds a term or a value
     dtau = ansatz.derivation(chain(state.pivots, state.free))

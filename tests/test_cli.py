@@ -630,23 +630,3 @@ def test_main_lifts_the_digit_limit_and_restores_it(monkeypatch, capsys):
     assert main(["pipeline", "--degree", "0"]) == 1
     assert seen == [0]
     assert get_digits() == before
-
-
-def test_verify_checks_the_degree_once(tmp_path, capsys, monkeypatch):
-    # the command checks before it builds the ansatz, and its call of
-    # verify_by_matrices does not check again
-    checked = []
-    check = selsolve.pipeline.check_solution_degree
-
-    def counted(state, degree):
-        checked.append(degree)
-        check(state, degree)
-    monkeypatch.setattr(selsolve.cli, "check_solution_degree", counted)
-    monkeypatch.setattr(selsolve.pipeline, "check_solution_degree", counted)
-    state, _ = run_strategy(3, default_strategy(3))
-    path = str(tmp_path / "n3.sol")
-    write_solution(state, path)
-    assert main(["verify", "--degree", "3", "--solution", path,
-                 "--dim", "2", "--trials", "1"]) == 0
-    assert capsys.readouterr().out.endswith("verify: PASS\n")
-    assert checked == [3]

@@ -17,11 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selsolve import formats
 from selsolve.errors import ParseError
 from selsolve.formats import (_READ, _SHOWN_MESSAGE, _cut, parse_affine,
                               read_solution)
-from selsolve.linsys import KIND_A, AffineForm, UnknownId
+from selsolve.linsys import AffineForm, UnknownId
 from selsolve.solver import SolutionState
 
 from test_oracle_reference import derandomized
@@ -354,35 +353,24 @@ def test_a_valid_solution_file_never_reaches_the_line_reader(
     "ZEROS\nc1\nac2\n",
     "ZEROS\nc1\nca2\n",
     "ZEROS\nc1\n2c\n",
+    "ZEROS\n2c\nc1\n",
     "ZEROS\nc1\nc\n",
     "ZEROS\nc1\nc 2\n",
     "ZEROS\nc1\nc_2\n",
     "ZEROS\nc1\nc+2\n",
     "ZEROS\nc1\n\nc2\n",
     "ZEROS\nc1\nx2\n",
+    "ZEROS\nc1\nC2\n",
+    "ZEROS\n c1 \n\ta2\n",
+    "ZEROS\nc1\u2003\na2\n",
+    "ZEROS\nc1\nc\u00b2\n",
 ], ids=["c-then-a", "a-only", "leading-zeros", "a-then-c", "interleaved",
         "repeat-past-the-a", "two-letters", "letters-swapped",
-        "letter-last", "no-digit", "blank-inside", "underscore", "sign",
-        "blank-line", "other-letter"])
+        "letter-last", "letter-last-first", "no-digit", "blank-inside", "underscore", "sign",
+        "blank-line", "other-letter", "capital", "padded",
+        "unicode-space", "unicode-digit"])
 def test_name_runs_near_the_written_layout(tmp_path, text):
-    # a run of names, a prefix letter and digits a line with the c names
-    # first, is cut by its letters and newlines alone; each of these is
-    # read as the line reader reads it
+    # a run's names are told apart into prefix letters and digits on its
+    # bytes, whatever the order of the kinds; each of these runs is read
+    # as the line reader reads it
     assert_reads_alike(tmp_path / "written.sol", text)
-
-
-def test_written_name_runs_are_not_split_into_fields(staged_solution_files,
-                                                     monkeypatch):
-    # the ZEROS and FREE runs of a written file, both kinds in ZEROS, are
-    # taken without _fields, which only the blank run before ZEROS reaches
-    expected = {n: outcome(reference_read_solution, path)
-                for n, path in staged_solution_files.items()}
-    fields = formats._fields
-
-    def blank_only(piece, width):
-        assert not piece.strip(), "a written run was split into fields"
-        return fields(piece, width)
-    monkeypatch.setattr(formats, "_fields", blank_only)
-    for n, path in staged_solution_files.items():
-        assert outcome(read_solution, path) == expected[n]
-        assert any(u.kind == KIND_A for u in read_solution(path).zeros)
