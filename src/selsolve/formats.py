@@ -509,13 +509,12 @@ class _Entries:
 
         keys, cache = self.keys, self.cache
         found = list(map(keys.get, names))
-        missing = _missing(names, found)
-        for name in missing:
-            j = _parse_integer(name)
-            if j is None or not 0 <= j <= self.n:
-                return False
-            keys[name] = self.column[j]
+        missing = list(_missing(names, found))
         if missing:
+            js = _integers(missing)
+            if js is None or min(js) < 0 or max(js) > self.n:
+                return False
+            keys.update(zip(missing, map(self.column.__getitem__, js)))
             found = list(map(keys.__getitem__, names))
         values = list(map(cache.get, texts))
         missing = _missing(texts, values)

@@ -23,7 +23,7 @@ from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import compress, islice, repeat
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import SelSolveError, TooLargeError
@@ -469,15 +469,19 @@ def dense_nullspace_oracle(system: LinearSystem) -> NullspaceResult:
     changes no result: every pivot row's tail holds only later, non-pivot
     columns, so elimination ends in the one reduced row echelon form of
     the matrix, whatever order the rows come in; rows taken shortest
-    first make less fill-in.  The arithmetic is integer-preserving
-    (Bareiss, Math. Comp. 22, 1968): a row is scaled to integers by the
-    lcm of its denominators, and a pivot row is held as integers over one
-    positive denominator, divided by their content after every update.  An
-    index from each unknown to the pivot rows that mention it lets a new
-    pivot update only those rows.  Rows are read one at a time over
-    columns, whose order is the unknowns' order; fractions and unknowns
-    appear only in the returned basis.  Guarded because elimination
-    materializes fill-in.
+    first make less fill-in.  The rows of one entry, which come first
+    after the empty ones, are taken in one step: each makes its column a
+    pivot with an empty tail and denominator 1, as elimination makes it
+    one row at a time (no pivot row mentions a column before it is a
+    pivot, and a repeat reduces to 0 = 0).  The arithmetic is
+    integer-preserving (Bareiss, Math. Comp. 22, 1968): a row is scaled to
+    integers by the lcm of its denominators, and a pivot row is held as
+    integers over one positive denominator, divided by their content after
+    every update.  An index from each unknown to the pivot rows that
+    mention it lets a new pivot update only those rows.  The longer rows
+    are read one at a time over columns, whose order is the unknowns'
+    order; fractions and unknowns appear only in the returned basis.
+    Guarded because elimination materializes fill-in.
     """
     check_oracle_guard(system)
 
@@ -490,7 +494,16 @@ def dense_nullspace_oracle(system: LinearSystem) -> NullspaceResult:
     # may also hold pivots whose entry there has since cancelled.
     mentions: defaultdict[int, set[int]] = defaultdict(set)
     starts, cols, values = system.starts, system.cols, system.values
-    for k in system.length_order():
+    # the rows of one entry in one step, each column a pivot x_p = 0
+    lengths = list(system.row_lengths())
+    singles = list(map(cols.__getitem__, compress(
+        starts, map(operator.eq, lengths, repeat(1)))))
+    tails.update(zip(singles, map(dict, repeat(()))))  # a new {} each
+    denom.update(zip(singles, repeat(1)))
+    # then the longer rows, shortest first
+    for k in sorted(compress(range(len(lengths)),
+                             map(operator.gt, lengths, repeat(1))),
+                    key=lengths.__getitem__):
         a, b = starts[k], starts[k + 1]
         row = dict(zip(cols[a:b], values[a:b]))
         # One Fraction among the coefficients makes their sum a Fraction.

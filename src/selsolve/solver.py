@@ -16,7 +16,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from itertools import compress, filterfalse
-from operator import not_
+from operator import eq, gt, not_
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InconsistentSystemError
@@ -47,9 +47,13 @@ def find_zeros(system: LinearSystem, zeros: set[UnknownId]) -> FindZerosResult:
     Works on the packed rows against a mask over columns.  Each round
     prunes against the zeros as they stood at the round start and adds
     the whole batch at the round boundary, so the per-round counts are
-    well defined; ``zeros`` grows in place.  The rows left come back
-    canonical (:func:`canonical_row`) without their dead columns, with the
-    new-zero count of every round (the final sweep reports 0) and the
+    well defined; ``zeros`` grows in place.  A round that starts with no
+    dead column (the first, unless ``zeros`` holds an unknown of the
+    system) has nothing to prune, and tells its rows apart by their
+    lengths alone (:func:`_first_round`); every later round slices each
+    row it kept and drops its dead columns.  The rows left come back
+    canonical (:func:`canonical_row`) without their dead columns, with
+    the new-zero count of every round (the final sweep reports 0) and the
     mask; a row that lost no column and was canonical is copied as its
     slices, so no row is decoded.
     """
@@ -59,19 +63,19 @@ def find_zeros(system: LinearSystem, zeros: set[UnknownId]) -> FindZerosResult:
     rows: Iterable[int] = range(len(system))
     new_per_round: list[int] = []
     while True:
-        batch: set[int] = set()
-        kept = array("q")
-        pruning = any(dead)  # else every entry is live
-        for k in rows:
-            live = cols[starts[k]:starts[k + 1]]
-            if pruning:
-                live = list(filterfalse(dead.__getitem__, live))
-            if len(live) > 1 or live and consts[k]:
-                kept.append(k)
-            elif live:
-                batch.add(live[0])
-            elif consts[k]:
-                raise _contradiction(ids[k], consts[k])
+        if not any(dead):
+            batch, kept = _first_round(system)
+        else:
+            batch, kept = set(), array("q")
+            for k in rows:
+                live = list(filterfalse(dead.__getitem__,
+                                        cols[starts[k]:starts[k + 1]]))
+                if len(live) > 1 or live and consts[k]:
+                    kept.append(k)
+                elif live:
+                    batch.add(live[0])
+                elif consts[k]:
+                    raise _contradiction(ids[k], consts[k])
         new_per_round.append(len(batch))
         if not batch:
             return FindZerosResult(_pruned(system, kept, dead),
@@ -80,6 +84,28 @@ def find_zeros(system: LinearSystem, zeros: set[UnknownId]) -> FindZerosResult:
             dead[c] = 1
         zeros.update(map(universe.__getitem__, batch))
         rows = kept
+
+
+def _first_round(system: LinearSystem) -> tuple[set[int], array]:
+    """A round with no column dead, by maps over the row lengths: the
+    batch, the column of each row of one entry and no constant, and the
+    rows kept, each longer or of one entry and a constant.  An empty row
+    with a constant raises, the first in row order; one without drops
+    out."""
+    consts, lengths = system.consts, list(system.row_lengths())
+    rows = range(len(lengths))
+    if not all(lengths):  # some row has no entry
+        for k in compress(rows, map(not_, lengths)):
+            if consts[k]:
+                raise _contradiction(system.ids[k], consts[k])
+    # with bare True for a row without a constant, length == bare only
+    # for one entry and bare (an empty row with a constant has raised),
+    # and length > bare for every row kept; bare is mapped twice, not
+    # held, so the round holds one list beside the system
+    batch = set(map(system.cols.__getitem__, compress(
+        system.starts, map(eq, lengths, map(not_, consts)))))
+    return batch, array("q", compress(rows, map(gt, lengths,
+                                                map(not_, consts))))
 
 
 def _pruned(system: LinearSystem, rows: Iterable[int],

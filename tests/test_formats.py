@@ -281,6 +281,49 @@ def test_tokens_follow_the_format_grammar(tmp_path, text, error, message):
     assert str(info.value) == message
 
 
+def later_piece_file(path, n: int, column: str) -> str:
+    """Write a file over n >= 2 columns whose 1,000 rows on columns 1 and
+    2 fill its first piece, and whose last row's column token is
+    ``column``, a name the reader meets first in its second piece."""
+    import selsolve.formats as formats
+    rows = "".join(f"{i} 1 1\n{i} 2 -1\n" for i in range(1, 1001))
+    assert len(rows) > formats._READ
+    path.write_text(f"1001 {n}\n{rows}1001 {column} 5\n0 0 0\n",
+                    encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("column, n, error, message", [
+    ("x", 8, ParseError, "line 2002: bad indices"),
+    ("9", 8, BoundsError, "line 2002: column 9 outside 0..8"),
+    ("٣", 8, ParseError, "line 2002: bad indices"),
+    ("+3", 2, BoundsError, "line 2002: column 3 outside 0..2"),
+    ("-1", 8, BoundsError, "line 2002: column -1 outside 0..8"),
+], ids=["non-digit", "n-plus-one", "arabic-indic-digit", "signed-past-n",
+        "negative"])
+def test_a_column_first_seen_in_a_later_piece_is_refused(
+        tmp_path, column, n, error, message):
+    # the names a piece meets first are parsed together; one bad name
+    # refuses the piece, and the line reader names it
+    import selsolve.formats as formats
+    path = later_piece_file(tmp_path / "late.sys", n, column)
+    for reader in read_system, formats._entry_error:
+        with pytest.raises(error) as info:
+            reader(path)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("column, plain", [("007", "7"), ("+3", "3")])
+def test_a_column_first_seen_in_a_later_piece_reads_as_its_number(
+        tmp_path, column, plain):
+    read = read_system(later_piece_file(tmp_path / "late.sys", 8, column))
+    assert read == read_system(later_piece_file(tmp_path / "plain.sys", 8,
+                                                plain))
+    assert read.equation(1000).lhs.coeffs == {UnknownId(KIND_C,
+                                                        int(plain) - 1): 5}
+
+
 @pytest.mark.parametrize("line", ["9" * 5000 + " 1 1",
                                   "1 " + "9" * 5000 + " 1"],
                          ids=["row", "column"])

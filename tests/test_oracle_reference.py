@@ -104,6 +104,32 @@ def test_oracle_equals_reference_on_sparse_rational_rows(system):
     assert dense_nullspace_oracle(system) == reference_nullspace(system)
 
 
+def rows_system(rows, size: int = 6) -> LinearSystem:
+    """Rows given as (const, {index: value}) over x0..x(size - 1)."""
+    x = [UnknownId(KIND_C, i) for i in range(size)]
+    return LinearSystem([Equation(AffineForm(const, {x[i]: v for i, v in
+                                                     terms.items()}), k)
+                         for k, (const, terms) in enumerate(rows)], x)
+
+
+@pytest.mark.parametrize("rows, rank", [
+    ([(0, {0: 2}), (0, {1: 1, 2: 1}), (0, {0: -3}), (0, {0: 1})], 2),
+    ([(0, {0: Fraction(1, 2)}), (0, {3: Fraction(-2, 3)}),
+      (0, {3: 1, 4: Fraction(1, 3)}), (0, {0: Fraction(3, 7)})], 3),
+    ([(0, {5: 4}), (0, {0: -1}), (0, {2: 1}), (0, {5: 1})], 3),
+    ([(1, {}), (0, {0: 1}), (0, {}), (-2, {}), (0, {1: 1, 2: -1})], 2),
+    ([(0, {1: 1, 2: 2, 3: 3}), (0, {2: 5}), (0, {0: 1}), (0, {0: 1, 2: 1}),
+      (0, {0: 3, 2: -1, 4: 1, 5: 1}), (0, {1: 2})], 5),
+], ids=["repeated", "fractions", "only-one-entry", "empty-rows",
+        "longer-over-one-entry"])
+def test_oracle_equals_reference_on_rows_of_one_entry(rows, rank):
+    # the rows of one entry are taken together, before the longer ones
+    system = rows_system(rows)
+    result = dense_nullspace_oracle(system)
+    assert result.rank == rank
+    assert result == reference_nullspace(system)
+
+
 def reordered(system: LinearSystem, order) -> LinearSystem:
     """The system of the rows ``order`` names, in that order."""
     return LinearSystem(map(system.equation, order), system.universe)

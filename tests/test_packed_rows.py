@@ -230,6 +230,19 @@ row_strategy = st.tuples(
 # 1 = 0 in round 1, and a seeded zero that makes another row 2 = 0
 @example(rows=[(0, {2: 1, 3: 1}), (1, {}), (2, {4: 1})], extra=set(),
          seeded={X[4]})
+# the first round, told by row lengths: two rows of one entry on x0
+# harvest it once
+@example(rows=[(0, {0: 1}), (0, {1: 1, 0: 2}), (0, {0: -3})], extra=set(),
+         seeded=set())
+# a row of one entry and a constant is kept, in every round
+@example(rows=[(2, {1: 3}), (0, {0: 1}), (0, {0: 1, 2: 1})], extra=set(),
+         seeded=set())
+# two empty rows with constants after a row of one entry: the first raises
+@example(rows=[(0, {0: 1}), (0, {1: 1, 2: 1}), (2, {}), (-1, {})],
+         extra=set(), seeded=set())
+# no row of one entry, as in the staged F step: round 1 finds nothing
+@example(rows=[(0, {0: 1, 1: -1}), (1, {2: 2, 3: 1}), (0, {}),
+               (0, {4: Fraction(1, 2), 5: 1})], extra=set(), seeded=set())
 def test_packed_harvest_equals_reference(rows, extra, seeded):
     assert_harvests_agree(rows_system(rows, extra), seeded)
 
@@ -243,6 +256,13 @@ def test_packed_harvest_equals_reference(rows, extra, seeded):
      "linear system is inconsistent: equation 1 reduces to 1 = 0"),
     ([(0, {0: 1}), (0, {0: 1, 1: 1}), (0, {1: 1, 2: 1, 3: 1})], (X[3],),
      ([], [1, 1, 1, 0], [X[0], X[1], X[2], X[3]])),
+    ([(0, {0: 1}), (0, {1: 1, 2: 1}), (2, {}), (-1, {})], (),
+     "linear system is inconsistent: equation 2 reduces to 2 = 0"),
+    ([(0, {0: 1, 1: -1}), (1, {2: 2, 3: 1}),
+      (0, {4: Fraction(1, 2), 5: 1})], (),
+     ([(0, "0", [(X[0], "1"), (X[1], "-1")]),
+       (1, "1", [(X[2], "2"), (X[3], "1")]),
+       (2, "0", [(X[4], "1"), (X[5], "2")])], [0], [])),
 ])
 def test_rounds_and_contradictions_by_hand(rows, seeded, outcome):
     system = rows_system(rows)
